@@ -74,23 +74,30 @@ func (e *Engine) Compact() error {
 	if e.closed.Load() {
 		return fmt.Errorf("repro: Compact: %w", ErrClosed)
 	}
-	e.compactLocked()
+	if _, err := e.compactLocked(); err != nil {
+		return fmt.Errorf("repro: Compact: %w", err)
+	}
 	return nil
 }
 
 // compactLocked folds the current snapshot's delta chain into a fresh flat
 // snapshot at the same epoch and publishes it; no-op when already flat.
 // The epoch is unchanged, so the cache epoch is NOT rotated — entries and
-// in-flight fingerprints remain valid. Callers hold applyMu.
-func (e *Engine) compactLocked() *engineSnapshot {
+// in-flight fingerprints remain valid. A chain whose replay diverges stays
+// published as it is. Callers hold applyMu.
+func (e *Engine) compactLocked() (*engineSnapshot, error) {
 	cur := e.snap.Load()
 	if len(cur.pending) == 0 {
-		return cur
+		return cur, nil
 	}
-	flat := newFlatSnapshot(cur.graph())
+	g, err := cur.graph()
+	if err != nil {
+		return nil, err
+	}
+	flat := newFlatSnapshot(g)
 	e.snap.Store(flat)
 	e.compactions.Add(1)
-	return flat
+	return flat, nil
 }
 
 // maybeCompact kicks the background compactor if next's chain crossed a
@@ -109,7 +116,9 @@ func (e *Engine) maybeCompact(next *engineSnapshot) {
 	}
 	go func() {
 		defer e.compacting.Store(false)
-		_ = e.Compact() // only fails when closed, which needs no handling
+		// Fails only when closed, or with ErrReplayDiverged, which every
+		// query on the chain already reports; neither needs handling here.
+		_ = e.Compact()
 	}()
 }
 

@@ -141,7 +141,11 @@ func (e *Engine) Checkpoint() error {
 // retries; the WAL already holds every committed batch, so a failed
 // checkpoint loses nothing.
 func (e *Engine) checkpointLocked() error {
-	snap := e.compactLocked()
+	snap, err := e.compactLocked()
+	if err != nil {
+		e.checkpointErrors.Add(1)
+		return err
+	}
 	if err := e.store.Checkpoint(storeSnapshotOf(snap.base)); err != nil {
 		e.checkpointErrors.Add(1)
 		return err

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -134,7 +135,15 @@ type engineSnapshot struct {
 
 	matOnce sync.Once
 	mat     *Graph
+	matErr  error
 }
+
+// ErrReplayDiverged reports that a layered epoch's pending mutations did
+// not replay onto its flat base. Every batch is validated when its delta
+// layer commits, so this means the delta layers and the replay disagree —
+// a bug, not a bad request. The query (or compaction, checkpoint or flat
+// commit) that needed the replay fails; the engine keeps serving.
+var ErrReplayDiverged = errors.New("delta replay diverged")
 
 // newFlatSnapshot pins a flat epoch: g IS the epoch's graph and freezes to
 // its CSR. g must not be mutated afterwards.
@@ -147,27 +156,29 @@ func newFlatSnapshot(g *Graph) *engineSnapshot {
 // rebuild (clone base, replay pending) lazily and at most once — the
 // solver paths that need a *Graph pay the O(N+M) rebuild only when they
 // actually run on a layered epoch, and compaction reuses the same
-// materialization. The replay cannot fail: pending was validated
-// edit-by-edit when its delta layers committed.
-func (s *engineSnapshot) graph() *Graph {
+// materialization. pending was validated edit-by-edit when its delta
+// layers committed, so a replay failure is an ErrReplayDiverged; it is
+// remembered, and every caller of the snapshot gets the same error.
+func (s *engineSnapshot) graph() (*Graph, error) {
 	if len(s.pending) == 0 {
-		return s.base
+		return s.base, nil
 	}
 	s.matOnce.Do(func() {
 		g := s.base.Clone()
 		if i, err := applyMutationsTo(nil, g, s.pending); err != nil {
-			panic(fmt.Sprintf("repro: delta replay diverged at mutation %d: %v", i, err))
+			s.matErr = fmt.Errorf("repro: epoch %d: mutation %d of %d: %v: %w", s.csr.Epoch(), i, len(s.pending), err, ErrReplayDiverged)
+			return
 		}
 		s.mat = g
 	})
-	return s.mat
+	return s.mat, s.matErr
 }
 
 // EngineOption configures NewEngine.
 type EngineOption func(*Engine)
 
-// WithSamplerKind selects the reliability estimator: "mc", "rss" (default)
-// or "lazy".
+// WithSamplerKind selects the reliability estimator: "mc", "rss" (default),
+// "lazy" or "mcvec".
 func WithSamplerKind(kind string) EngineOption {
 	return func(e *Engine) { e.opt.Sampler = kind }
 }

@@ -33,28 +33,77 @@ func (p Path) Weight() float64 {
 // MostReliable returns the most reliable path from s to t (Equation 5), or
 // ok=false if t is unreachable through positive-probability edges.
 func MostReliable(g *ugraph.Graph, s, t ugraph.NodeID) (Path, bool) {
-	return dijkstra(g, s, t, nil, nil)
+	return newSearcher(g).search(s, t)
 }
 
-// dijkstra runs a most-reliable-path search from s to t, skipping banned
-// edges and banned nodes (nil means none; s itself is never banned). The
-// relaxation loop walks the graph's cached CSR snapshot: the Yen-style
-// top-l enumeration re-runs dijkstra once per deviation, all against the
-// same frozen topology.
-func dijkstra(g *ugraph.Graph, s, t ugraph.NodeID, bannedEdge map[int32]bool, bannedNode []bool) (Path, bool) {
+// searcher runs repeated most-reliable-path searches against one frozen
+// snapshot — the Yen-style top-l enumeration re-runs the search once per
+// deviation. Everything a search needs is built once per searcher: the
+// log-probability of every edge, the bans, and the Dijkstra arrays, which
+// each search leaves dirty only at the nodes it touched.
+type searcher struct {
+	g  *ugraph.Graph
+	c  *ugraph.CSR
+	lp []float64 // lp[eid] = log p(eid); -Inf when p <= 0
+
+	// bannedEdge and bannedNode exclude edges and nodes from the next
+	// search; callers set and clear them around each call (s itself is
+	// never banned).
+	bannedEdge []bool
+	bannedNode []bool
+
+	// dist is +Inf and done false except at the nodes in touched, the
+	// ones the last search reached. parent and parentEdge are only read
+	// along the path a search reconstructs, every node of which that
+	// search reached, so they are never reset.
+	dist       []float64
+	done       []bool
+	touched    []ugraph.NodeID
+	parent     []int32 // predecessor node
+	parentEdge []int32 // edge used to arrive
+	h          pq.Heap[ugraph.NodeID]
+}
+
+func newSearcher(g *ugraph.Graph) *searcher {
 	c := g.Freeze()
 	n := g.N()
-	dist := make([]float64, n)
-	parent := make([]int32, n)     // predecessor node
-	parentEdge := make([]int32, n) // edge used to arrive
-	done := make([]bool, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		parent[i] = -1
-		parentEdge[i] = -1
+	m := c.EdgeIDBound()
+	sr := &searcher{
+		g:          g,
+		c:          c,
+		lp:         make([]float64, m),
+		bannedEdge: make([]bool, m),
+		bannedNode: make([]bool, n),
+		dist:       make([]float64, n),
+		done:       make([]bool, n),
+		parent:     make([]int32, n),
+		parentEdge: make([]int32, n),
 	}
+	for eid := range sr.lp {
+		if p := c.Prob(int32(eid)); p > 0 {
+			sr.lp[eid] = math.Log(p)
+		} else {
+			sr.lp[eid] = math.Inf(-1)
+		}
+	}
+	for i := range sr.dist {
+		sr.dist[i] = math.Inf(1)
+	}
+	return sr
+}
+
+// search runs a most-reliable-path Dijkstra from s to t over −log p
+// weights, skipping the banned edges and nodes.
+func (sr *searcher) search(s, t ugraph.NodeID) (Path, bool) {
+	for _, v := range sr.touched {
+		sr.dist[v] = math.Inf(1)
+		sr.done[v] = false
+	}
+	sr.touched = append(sr.touched[:0], s)
+	dist, done := sr.dist, sr.done
 	dist[s] = 0
-	var h pq.Heap[ugraph.NodeID]
+	h := &sr.h
+	h.Reset()
 	h.Push(0, s)
 	for h.Len() > 0 {
 		d, u := h.Pop()
@@ -65,25 +114,22 @@ func dijkstra(g *ugraph.Graph, s, t ugraph.NodeID, bannedEdge map[int32]bool, ba
 		if u == t {
 			break
 		}
-		for _, a := range c.Out(u) {
-			if done[a.To] {
+		for _, a := range sr.c.Out(u) {
+			if done[a.To] || sr.bannedEdge[a.EID] || sr.bannedNode[a.To] {
 				continue
 			}
-			if bannedEdge != nil && bannedEdge[a.EID] {
+			lp := sr.lp[a.EID]
+			if math.IsInf(lp, -1) {
 				continue
 			}
-			if bannedNode != nil && bannedNode[a.To] {
-				continue
-			}
-			p := c.Prob(a.EID)
-			if p <= 0 {
-				continue
-			}
-			nd := d - math.Log(p)
+			nd := d - lp
 			if nd < dist[a.To] {
+				if math.IsInf(dist[a.To], 1) {
+					sr.touched = append(sr.touched, a.To)
+				}
 				dist[a.To] = nd
-				parent[a.To] = int32(u)
-				parentEdge[a.To] = a.EID
+				sr.parent[a.To] = int32(u)
+				sr.parentEdge[a.To] = a.EID
 				h.Push(nd, a.To)
 			}
 		}
@@ -91,7 +137,7 @@ func dijkstra(g *ugraph.Graph, s, t ugraph.NodeID, bannedEdge map[int32]bool, ba
 	if math.IsInf(dist[t], 1) {
 		return Path{}, false
 	}
-	return reconstruct(g, s, t, parent, parentEdge), true
+	return reconstruct(sr.g, s, t, sr.parent, sr.parentEdge), true
 }
 
 func reconstruct(g *ugraph.Graph, s, t ugraph.NodeID, parent, parentEdge []int32) Path {
@@ -129,14 +175,14 @@ func TopL(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, l int) []Pat
 	if l <= 0 {
 		return nil
 	}
-	first, ok := MostReliable(g, s, t)
+	sr := newSearcher(g)
+	first, ok := sr.search(s, t)
 	if !ok {
 		return nil
 	}
 	result := []Path{first}
 	seen := map[string]bool{pathKey(first): true}
 	var candidates pq.Heap[Path]
-	bannedNode := make([]bool, g.N())
 	for len(result) < l {
 		if ctx != nil && ctx.Err() != nil {
 			break
@@ -146,19 +192,9 @@ func TopL(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, l int) []Pat
 			spur := prev.Nodes[i]
 			rootNodes := prev.Nodes[:i+1]
 			rootEdges := prev.Edges[:i]
-			bannedEdge := make(map[int32]bool)
-			for _, p := range result {
-				if pathHasPrefix(p, rootNodes) {
-					bannedEdge[p.Edges[i]] = true
-				}
-			}
-			for _, v := range rootNodes[:len(rootNodes)-1] {
-				bannedNode[v] = true
-			}
-			spurPath, ok := dijkstra(g, spur, t, bannedEdge, bannedNode)
-			for _, v := range rootNodes[:len(rootNodes)-1] {
-				bannedNode[v] = false
-			}
+			setBans(sr, result, rootNodes, true)
+			spurPath, ok := sr.search(spur, t)
+			setBans(sr, result, rootNodes, false)
 			if !ok {
 				continue
 			}
@@ -177,6 +213,21 @@ func TopL(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, l int) []Pat
 		result = append(result, best)
 	}
 	return result
+}
+
+// setBans bans (or, with ban false, clears) what Yen's spur search from
+// rootNodes' last node must avoid: the root's other nodes, and the next
+// edge of every accepted path that shares the root.
+func setBans(sr *searcher, result []Path, rootNodes []ugraph.NodeID, ban bool) {
+	i := len(rootNodes) - 1
+	for _, p := range result {
+		if pathHasPrefix(p, rootNodes) {
+			sr.bannedEdge[p.Edges[i]] = ban
+		}
+	}
+	for _, v := range rootNodes[:i] {
+		sr.bannedNode[v] = ban
+	}
 }
 
 func maxProb(p float64) float64 {

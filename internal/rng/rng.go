@@ -2,6 +2,18 @@
 // across the library. All stochastic components (samplers, generators,
 // experiment drivers) accept an explicit *rand.Rand so that every run is
 // reproducible from a single seed.
+//
+// New's source produces exactly math/rand's stream — the same seed gives
+// the same draws as rand.NewSource, word for word — with a faster Seed:
+// the parallel samplers reseed one source per shard per estimate, so
+// seeding is a large share of their RNG work. Drawing is math/rand's
+// 607/273 additive lagged-Fibonacci step, unchanged. Seed computes the
+// same 48271 Lehmer LCG words as math/rand's seeding, with a Mersenne fold
+// in place of Schrage's division, and as three independent chains
+// (multiplier 48271³) in place of one serial chain, about 4x faster in
+// all. math/rand XORs each seeded word with a private "cooked" table;
+// init recovers that table from rand.NewSource(1)'s first 607 draws by
+// inverting the recurrence (see deriveCooked), so no table is vendored.
 package rng
 
 import (
@@ -10,9 +22,120 @@ import (
 	"math/rand"
 )
 
-// New returns a rand.Rand seeded deterministically from seed.
+// New returns a rand.Rand seeded deterministically from seed. Its stream
+// is identical to rand.New(rand.NewSource(seed))'s, and so is the stream
+// after any later Seed call.
 func New(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
+	src := new(source)
+	src.Seed(seed)
+	return rand.New(src)
+}
+
+const (
+	srcLen  = 607                      // lag of the additive generator
+	srcTap  = 273                      // short tap
+	srcFeed = srcLen - srcTap          // feed position after Seed
+	m31     = 1<<31 - 1                // Lehmer LCG modulus (a Mersenne prime)
+	lcgA    = 48271                    // Lehmer LCG multiplier
+	lcgA3   = lcgA * lcgA * lcgA % m31 // one step of each of the three chains
+)
+
+// source is math/rand's additive lagged-Fibonacci generator with a faster
+// Seed. It implements rand.Source64.
+type source struct {
+	tap  int
+	feed int
+	vec  [srcLen]int64
+}
+
+// cooked is math/rand's rngCooked table, recovered by init.
+var cooked = deriveCooked()
+
+// mulMod returns x·a mod m31 for x < m31 and a < m31, folding the 62-bit
+// product with 2³¹ ≡ 1 (mod m31) instead of dividing.
+func mulMod(x, a uint64) uint64 {
+	p := x * a
+	r := p&m31 + p>>31
+	if r >= m31 {
+		r -= m31
+	}
+	return r
+}
+
+// seedWords writes math/rand's seeded state with mask in place of the
+// cooked table: word i packs LCG values 21+3i, 22+3i and 23+3i of the
+// chain started at seed, XORed with mask[i].
+func seedWords(vec, mask *[srcLen]int64, seed int64) {
+	seed %= m31
+	if seed < 0 {
+		seed += m31
+	}
+	if seed == 0 {
+		seed = 89482311
+	}
+	x := uint64(seed)
+	for i := 0; i < 21; i++ {
+		x = mulMod(x, lcgA)
+	}
+	a := x
+	b := mulMod(a, lcgA)
+	c := mulMod(b, lcgA)
+	for i := range vec {
+		vec[i] = int64(a)<<40 ^ int64(b)<<20 ^ int64(c) ^ mask[i]
+		a, b, c = mulMod(a, lcgA3), mulMod(b, lcgA3), mulMod(c, lcgA3)
+	}
+}
+
+// deriveCooked recovers math/rand's cooked table. Seeding with 1 sets
+// word i to lcg1[i] ^ cooked[i]; draw k (1-based) then adds word
+// (607−k) mod 607 into word (334−k) mod 607 and returns the sum, so the
+// first 607 draws o_k invert by subtraction: for k > 273 the feed word
+// f_k = (334−k) mod 607 started as o_k − o_{k−273}; for k ≤ 273 word
+// 607−k started as o_{k+334} − o_{k+61} and word 334−k as o_k minus it.
+func deriveCooked() [srcLen]int64 {
+	src := rand.NewSource(1).(rand.Source64)
+	var o [srcLen + 1]int64 // o[k] is draw k
+	for k := 1; k <= srcLen; k++ {
+		o[k] = int64(src.Uint64())
+	}
+	var old [srcLen]int64
+	for k := srcTap + 1; k <= srcLen; k++ {
+		old[(srcFeed-k+srcLen)%srcLen] = o[k] - o[k-srcTap]
+	}
+	for k := 1; k <= srcTap; k++ {
+		old[srcLen-k] = o[k+srcFeed] - o[k+srcFeed-srcTap]
+		old[srcFeed-k] = o[k] - old[srcLen-k]
+	}
+	var cooked [srcLen]int64
+	seedWords(&cooked, &old, 1)
+	return cooked
+}
+
+// Seed resets the source to the state rand.NewSource(seed) starts in.
+func (s *source) Seed(seed int64) {
+	s.tap = 0
+	s.feed = srcFeed
+	seedWords(&s.vec, &cooked, seed)
+}
+
+// Int63 returns a non-negative pseudo-random 63-bit integer.
+func (s *source) Int63() int64 {
+	return int64(s.Uint64() &^ (1 << 63))
+}
+
+// Uint64 returns the next word of the stream.
+func (s *source) Uint64() uint64 {
+	s.tap--
+	if s.tap < 0 {
+		s.tap += srcLen
+	}
+	s.feed--
+	if s.feed < 0 {
+		s.feed += srcLen
+	}
+	x := s.vec[s.feed] + s.vec[s.tap]
+	s.vec[s.feed] = x
+	return uint64(x)
 }
 
 // Split derives a child RNG from a parent seed and a stream index, so that

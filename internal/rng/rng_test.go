@@ -1,7 +1,9 @@
 package rng
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -128,5 +130,74 @@ func TestBernoulliMaskDeterministic(t *testing.T) {
 		if ma, mb := BernoulliMask(&a, p), BernoulliMask(&b, p); ma != mb {
 			t.Fatalf("iteration %d: masks diverged %#x vs %#x", i, ma, mb)
 		}
+	}
+}
+
+// streamSeeds covers the seed-reduction edge cases of math/rand's Seed:
+// zero and its substitute, signs, multiples of the LCG modulus (which
+// reduce to 0) and the int64 extremes.
+var streamSeeds = []int64{
+	0, 1, -1, 2, 42, 89482311, -89482311,
+	m31, -m31, 2 * m31, 3 * m31, m31 - 1, m31 + 1, -(m31 + 1),
+	math.MinInt64, math.MaxInt64, math.MinInt64 + 1,
+}
+
+// assertSameStream draws n words from both generators, exercising Uint64,
+// Int63 and the derived Float64 path, and fails on the first mismatch.
+func assertSameStream(t *testing.T, label string, got, want *rand.Rand, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		var g, w uint64
+		switch i % 3 {
+		case 0:
+			g, w = got.Uint64(), want.Uint64()
+		case 1:
+			g, w = uint64(got.Int63()), uint64(want.Int63())
+		default:
+			g, w = math.Float64bits(got.Float64()), math.Float64bits(want.Float64())
+		}
+		if g != w {
+			t.Fatalf("%s: draw %d = %#x, math/rand gives %#x", label, i, g, w)
+		}
+	}
+}
+
+// TestStreamMatchesMathRand pins New to math/rand's stream for every seed
+// edge case over more than two full lags, so the whole seeded state — not
+// just the first words — is checked, plus many structured seeds of the
+// kind rng.SplitSeed hands the parallel shards.
+func TestStreamMatchesMathRand(t *testing.T) {
+	const draws = 2*srcLen + 100
+	seeds := append([]int64(nil), streamSeeds...)
+	for i := int64(0); i < 200; i++ {
+		seeds = append(seeds, SplitSeed(1, i), i*m31+i, -i*7919)
+	}
+	for _, seed := range seeds {
+		assertSameStream(t, fmt.Sprintf("seed %d", seed), New(seed), rand.New(rand.NewSource(seed)), draws)
+	}
+}
+
+// TestReseedMidStream checks that Seed through rand.Rand restarts the
+// stream exactly where math/rand's would, whatever was drawn before.
+func TestReseedMidStream(t *testing.T) {
+	got, want := New(7), rand.New(rand.NewSource(7))
+	for i, seed := range streamSeeds {
+		assertSameStream(t, fmt.Sprintf("before reseed %d", i), got, want, 1+i*97)
+		got.Seed(seed)
+		want.Seed(seed)
+		assertSameStream(t, fmt.Sprintf("after reseed to %d", seed), got, want, 2*srcLen+1)
+	}
+}
+
+// TestReseedZeroAllocs pins Seed as allocation-free: the samplers reseed
+// once per shard per estimate inside their zero-alloc loops.
+func TestReseedZeroAllocs(t *testing.T) {
+	r := New(1)
+	seed := int64(0)
+	if allocs := testing.AllocsPerRun(100, func() {
+		seed++
+		r.Seed(seed)
+	}); allocs != 0 {
+		t.Fatalf("Seed allocates %v times per call, want 0", allocs)
 	}
 }

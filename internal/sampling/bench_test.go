@@ -220,3 +220,16 @@ func BenchmarkSolveCancellation(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkReseed times one shard reseed, the fixed cost every
+// ParallelSampler shard pays before it draws (see shardBudgetsFor).
+func BenchmarkReseed(b *testing.B) {
+	b.Run("rss", func(b *testing.B) {
+		smp := NewRSS(500, 1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			smp.Reseed(int64(i))
+		}
+	})
+}

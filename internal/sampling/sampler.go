@@ -60,7 +60,7 @@ import (
 // internal scratch buffers — and must be confined to one goroutine at a
 // time; wrap them in a ParallelSampler for concurrent callers.
 type Sampler interface {
-	// Name identifies the estimator ("mc", "rss" or "lazy"). A
+	// Name identifies the estimator ("mc", "rss", "lazy" or "mcvec"). A
 	// ParallelSampler reports its underlying estimator's name: parallel
 	// execution is a property of the run, not of the estimate.
 	Name() string

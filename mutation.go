@@ -101,7 +101,11 @@ func (e *Engine) Apply(ctx context.Context, muts ...Mutation) (uint64, error) {
 	}
 	var next *engineSnapshot
 	if e.flatApply {
-		g := cur.graph().Clone()
+		g, err := cur.graph()
+		if err != nil {
+			return 0, fmt.Errorf("repro: Apply: %w", err)
+		}
+		g = g.Clone()
 		if i, err := applyMutationsTo(ctx, g, muts); err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return 0, fmt.Errorf("repro: Apply interrupted at mutation %d/%d: %w", i, len(muts), cerr)

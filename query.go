@@ -356,7 +356,11 @@ func (e *Engine) execute(ctx context.Context, q Query) (Result, error) {
 	}
 	switch q.Kind {
 	case QuerySolve:
-		sol, err := core.Solve(ctx, snap.graph(), q.S, q.T, q.Method, opt)
+		g, err := snap.graph()
+		if err != nil {
+			return res, err
+		}
+		sol, err := core.Solve(ctx, g, q.S, q.T, q.Method, opt)
 		res.Solution = sol
 		if err == nil && sol.PathCount == 0 && (q.Method == MethodIP || q.Method == MethodBE) {
 			// The legacy free Solve returns an empty zero-gain Solution here;
@@ -366,11 +370,19 @@ func (e *Engine) execute(ctx context.Context, q Query) (Result, error) {
 		}
 		return res, err
 	case QueryMulti:
-		sol, err := core.SolveMulti(ctx, snap.graph(), q.Sources, q.Targets, q.Aggregate, q.Method, opt)
+		g, err := snap.graph()
+		if err != nil {
+			return res, err
+		}
+		sol, err := core.SolveMulti(ctx, g, q.Sources, q.Targets, q.Aggregate, q.Method, opt)
 		res.Multi = sol
 		return res, err
 	case QueryTotalBudget:
-		sol, err := core.SolveTotalBudget(ctx, snap.graph(), q.S, q.T, q.Budget, opt)
+		g, err := snap.graph()
+		if err != nil {
+			return res, err
+		}
+		sol, err := core.SolveTotalBudget(ctx, g, q.S, q.T, q.Budget, opt)
 		res.TotalBudget = sol
 		return res, err
 	case QueryEstimate:
@@ -397,7 +409,11 @@ func (e *Engine) execute(ctx context.Context, q Query) (Result, error) {
 		if cs, ok := smp.(sampling.CSRSampler); ok {
 			rel = cs.ReliabilityCSR(snap.csr, q.S, q.T)
 		} else {
-			rel = smp.Reliability(snap.graph(), q.S, q.T)
+			g, err := snap.graph()
+			if err != nil {
+				return res, err
+			}
+			rel = smp.Reliability(g, q.S, q.T)
 		}
 		if cerr := ctx.Err(); cerr != nil {
 			return res, fmt.Errorf("repro: estimate interrupted: %w", cerr)

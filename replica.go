@@ -54,7 +54,11 @@ func (e *Engine) ApplyReplicated(b store.Batch) (uint64, error) {
 	muts := mutationsFromStore(b.Muts)
 	var next *engineSnapshot
 	if e.flatApply {
-		g := cur.graph().Clone()
+		g, err := cur.graph()
+		if err != nil {
+			return 0, fmt.Errorf("repro: ApplyReplicated: %w", err)
+		}
+		g = g.Clone()
 		if i, err := applyMutationsTo(nil, g, muts); err != nil {
 			return 0, fmt.Errorf("repro: ApplyReplicated: batch epoch %d mutation %d: %v: %w",
 				b.Epoch, i, err, ErrReplicaGap)
