@@ -5,7 +5,7 @@ GO ?= go
 BENCH_COUNT ?= 6
 BENCH_PATTERN ?= BenchmarkParallelReliability|BenchmarkEstimateMany|BenchmarkEstimateEdges|BenchmarkCSRvsLegacy|BenchmarkCandidateEval|BenchmarkVectorMC|BenchmarkAnytimeEstimate|BenchmarkApply|BenchmarkTopL|BenchmarkReseed
 
-.PHONY: build test race bench bench-smoke bench-baseline bench-compare bench-gate fuzz-smoke smoke-relmaxd cover lint fmt ci
+.PHONY: build test race bench bench-smoke bench-baseline bench-compare bench-gate fuzz-smoke smoke-relmaxd perfbench-check cover lint fmt ci
 
 build:
 	$(GO) build ./...
@@ -90,6 +90,14 @@ fuzz-smoke:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime 10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime 10s
 
+# perfbench is a nested module (repro/perfbench, replace repro => ../), so
+# the root `go build ./...` and `go test ./...` skip it. It calls internal
+# packages directly (core.Solve, candidates.Eliminate, paths.TopL, the
+# Sampler interface), so an internal signature change can pass the root
+# suite while breaking the benchmark; this target vets and tests it.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Coverage with a ratchet: fail if total coverage drops below the recorded
 # baseline (.github/coverage-baseline.txt). Raise the baseline when a PR
 # durably improves coverage; never lower it to make CI pass. The ./...
@@ -115,4 +123,4 @@ fmt:
 
 # cover runs the full test suite (with the ratchet), so a separate `test`
 # prerequisite would run everything twice.
-ci: lint build cover race bench-smoke
+ci: lint build perfbench-check cover race bench-smoke

@@ -170,6 +170,8 @@ func (req *jobRequest) checkLimits(l limits) error {
 		return fmt.Errorf("r %d outside [0,%d]", req.R, l.MaxRL)
 	case req.L < 0 || req.L > l.MaxRL:
 		return fmt.Errorf("l %d outside [0,%d]", req.L, l.MaxRL)
+	case req.H < 0:
+		return fmt.Errorf("h %d is negative (0 disables the hop constraint)", req.H)
 	case len(req.Pairs) > l.MaxPairs:
 		return fmt.Errorf("batch of %d pairs exceeds the %d-pair ceiling", len(req.Pairs), l.MaxPairs)
 	case len(req.Sources) > l.MaxPairs || len(req.Targets) > l.MaxPairs:

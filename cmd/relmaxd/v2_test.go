@@ -387,3 +387,17 @@ func TestV2UnknownKindAndJob(t *testing.T) {
 		t.Fatalf("unknown job: status %d: %v", status, body)
 	}
 }
+
+// TestNegativeHopLimit: h < 0 is rejected with 400 on both surfaces, like
+// negative r and l, instead of being served as a silent alias of h=0.
+func TestNegativeHopLimit(t *testing.T) {
+	ts := testServer(t)
+	for path, body := range map[string]string{
+		"/v1/solve": `{"s":0,"t":5,"h":-1}`,
+		"/v2/jobs":  `{"kind":"solve","s":0,"t":5,"h":-3}`,
+	} {
+		if status, raw := post(t, ts.URL+path, body); status != http.StatusBadRequest {
+			t.Fatalf("%s %s: status %d (%s), want 400", path, body, status, raw)
+		}
+	}
+}

@@ -9,13 +9,13 @@ import (
 // small overlay epochs over the last flat CSR. Each layer is cheap to
 // commit but adds a constant to every touched-row read, and the chain's
 // accumulated edits are copied into each further commit, so the chain must
-// stay short. The compactor folds it: materialize the logical epoch as a
-// flat graph (clone base + replay the pending mutations — the O(N+M)
-// rebuild Apply no longer pays per batch) and republish it as a flat
-// snapshot at the SAME epoch. Readers never notice: the flat CSR answers
-// every query bit-identically to the layered one (pinned by the
-// differential suites), the epoch does not change, so cache entries and
-// query fingerprints stay valid across the fold.
+// stay short. The compactor folds it: rebuild the logical epoch as a flat
+// graph from the layered CSR's canonical edge order (the O(N+M) rebuild
+// Apply no longer pays per batch) and republish it as a flat snapshot at
+// the SAME epoch. Readers never notice: the flat CSR answers every query
+// bit-identically to the layered one (pinned by the differential suites),
+// the epoch does not change, so cache entries and query fingerprints stay
+// valid across the fold.
 //
 // Compaction triggers on whichever comes first: chain depth reaching the
 // configured bound, the delta-arc fraction of the base crossing its bound
@@ -83,11 +83,11 @@ func (e *Engine) Compact() error {
 // compactLocked folds the current snapshot's delta chain into a fresh flat
 // snapshot at the same epoch and publishes it; no-op when already flat.
 // The epoch is unchanged, so the cache epoch is NOT rotated — entries and
-// in-flight fingerprints remain valid. A chain whose replay diverges stays
+// in-flight fingerprints remain valid. A chain whose rebuild fails stays
 // published as it is. Callers hold applyMu.
 func (e *Engine) compactLocked() (*engineSnapshot, error) {
 	cur := e.snap.Load()
-	if len(cur.pending) == 0 {
+	if cur.csr.Depth() == 0 {
 		return cur, nil
 	}
 	g, err := cur.graph()
@@ -105,7 +105,7 @@ func (e *Engine) compactLocked() (*engineSnapshot, error) {
 // dropped (the running fold will catch it — it re-loads the snapshot under
 // the lock).
 func (e *Engine) maybeCompact(next *engineSnapshot) {
-	if len(next.pending) == 0 {
+	if next.csr.Depth() == 0 {
 		return
 	}
 	if next.csr.Depth() < e.compactDepth && next.csr.DeltaFraction() < e.compactFrac {
@@ -116,8 +116,9 @@ func (e *Engine) maybeCompact(next *engineSnapshot) {
 	}
 	go func() {
 		defer e.compacting.Store(false)
-		// Fails only when closed, or with ErrReplayDiverged, which every
-		// query on the chain already reports; neither needs handling here.
+		// Fails only when closed, or with the chain's rebuild error, which
+		// every solve on the chain already reports; neither needs handling
+		// here.
 		_ = e.Compact()
 	}()
 }

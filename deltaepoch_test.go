@@ -430,42 +430,3 @@ func TestWarmCandidatesMRU(t *testing.T) {
 		t.Fatalf("stale-epoch candidates returned: %d", n)
 	}
 }
-
-// TestReplayDivergenceIsAnError pins the failure mode of a layered epoch
-// whose pending mutations do not replay onto its base: graph() reports
-// ErrReplayDiverged (every time, not only on the first call), and the
-// engine paths that need the replay — solves, compaction, checkpoints —
-// fail with it instead of panicking, leaving the engine serving.
-func TestReplayDivergenceIsAnError(t *testing.T) {
-	g := engineTestGraph(t)
-	var u, v NodeID
-	for v = 1; g.HasEdge(u, v); v++ {
-	}
-	bad := &engineSnapshot{csr: g.Freeze(), base: g, pending: []Mutation{RemoveEdge(u, v)}}
-	for i := 0; i < 2; i++ {
-		mat, err := bad.graph()
-		if !errors.Is(err, ErrReplayDiverged) || mat != nil {
-			t.Fatalf("call %d: graph() = %v, %v; want nil, ErrReplayDiverged", i, mat, err)
-		}
-	}
-
-	eng, err := NewEngine(g, WithSampleSize(64), WithSeed(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	eng.snap.Store(bad)
-	ctx := context.Background()
-	if _, err := eng.Solve(ctx, Request{S: 0, T: 39}); !errors.Is(err, ErrReplayDiverged) {
-		t.Fatalf("Solve on a diverged chain: err = %v, want ErrReplayDiverged", err)
-	}
-	if err := eng.Compact(); !errors.Is(err, ErrReplayDiverged) {
-		t.Fatalf("Compact on a diverged chain: err = %v, want ErrReplayDiverged", err)
-	}
-	if eng.snap.Load() != bad {
-		t.Fatal("a failed compaction replaced the published snapshot")
-	}
-	if _, err := eng.Estimate(ctx, 0, 39); err != nil {
-		t.Fatalf("Estimate reads the CSR and needs no replay, got %v", err)
-	}
-}

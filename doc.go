@@ -176,6 +176,13 @@
 // outright. WithFlatCommits restores the legacy rebuild-per-commit path
 // (it is the differential-test oracle and the BenchmarkApply baseline).
 //
+// An epoch is its CSR. Estimates walk the layered snapshot directly and
+// never build a mutable Graph; a solve (and compaction, a checkpoint or a
+// flat commit) on a layered epoch rebuilds the Graph once per snapshot
+// from the CSR's canonical edge order — the same order a checkpoint
+// writes and recovery replays — so it freezes to exactly the layered
+// epoch's rows, probabilities and version.
+//
 // Readers never lock against writers: every query pins the snapshot
 // current at canonicalization (jobs pin at Submit), so work in flight
 // across an Apply completes on the graph it started on, bit-identical to
@@ -246,7 +253,7 @@
 // background compaction) — validated against the replica's current epoch
 // (b.PrevEpoch() must match, else ErrReplicaGap), never re-appended to a
 // local WAL, and counted in Stats as ReplicatedApplies/ReplicatedMutations
-// distinct from local traffic. Because the batch replays the same
+// distinct from local traffic. Because the batch commits the same
 // operations in the same order, a replica at epoch E answers every query
 // bit-identically to the primary's pinned-epoch-E snapshot.
 //

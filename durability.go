@@ -75,9 +75,9 @@ func withRecoveredStore(s store.Store, pendingBatches int, pendingBytes int64) E
 // initStorage finishes engine construction for the durable case: open the
 // filesystem store if only a directory was given, resolve the checkpoint
 // policy, and — unless the store arrived via recovery — reset it and cut
-// the initial checkpoint of g so a crash before the first Apply still
+// the initial checkpoint of c so a crash before the first Apply still
 // recovers to the created state.
-func (e *Engine) initStorage(g *Graph) error {
+func (e *Engine) initStorage(c *CSR) error {
 	if e.store == nil && e.storageDir != "" {
 		fs, err := store.OpenFS(e.storageDir)
 		if err != nil {
@@ -100,7 +100,7 @@ func (e *Engine) initStorage(g *Graph) error {
 	if err := e.store.Reset(); err != nil {
 		return fmt.Errorf("reset storage: %w", err)
 	}
-	if err := e.store.Checkpoint(storeSnapshotOf(g)); err != nil {
+	if err := e.store.Checkpoint(storeSnapshotOf(c)); err != nil {
 		return fmt.Errorf("initial checkpoint: %w", err)
 	}
 	e.checkpoints.Add(1)
@@ -146,7 +146,7 @@ func (e *Engine) checkpointLocked() error {
 		e.checkpointErrors.Add(1)
 		return err
 	}
-	if err := e.store.Checkpoint(storeSnapshotOf(snap.base)); err != nil {
+	if err := e.store.Checkpoint(storeSnapshotOf(snap.csr)); err != nil {
 		e.checkpointErrors.Add(1)
 		return err
 	}
@@ -209,16 +209,17 @@ func mutationsFromStore(muts []store.Mut) []Mutation {
 	return out
 }
 
-// storeSnapshotOf serializes g's committed state: epoch, orientation and
-// every edge in edge-ID order. Edge-ID order is what makes recovery
-// bit-identical — re-adding edges in that order reproduces the adjacency
-// rows (and therefore the frozen CSR) byte for byte.
-func storeSnapshotOf(g *Graph) *store.Snapshot {
-	edges := g.Edges()
+// storeSnapshotOf serializes an epoch's committed state: epoch,
+// orientation and every edge in the CSR's canonical order (edge-ID order on
+// a flat snapshot; see CSR.Edges for a layered one). That order is what
+// makes recovery bit-identical — re-adding edges in it reproduces the
+// adjacency rows (and therefore the frozen CSR) byte for byte.
+func storeSnapshotOf(c *CSR) *store.Snapshot {
+	edges := c.Edges()
 	s := &store.Snapshot{
-		Epoch:    g.Version(),
-		Directed: g.Directed(),
-		N:        int32(g.N()),
+		Epoch:    c.Epoch(),
+		Directed: c.Directed(),
+		N:        int32(c.N()),
 		Edges:    make([]store.Edge, len(edges)),
 	}
 	for i, e := range edges {

@@ -2,7 +2,6 @@ package repro
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -120,53 +119,41 @@ type Engine struct {
 	checkpoints, checkpointErrors atomic.Uint64
 }
 
-// engineSnapshot is one frozen graph epoch. csr is what queries read: a
-// flat CSR, or a delta CSR layering the batches in pending over the flat
-// base (see ugraph.CSR.Delta). base is the mutable-Graph form of the most
-// recent FLAT epoch and pending the mutations committed as delta layers
-// since — replaying pending onto a clone of base reproduces the epoch
-// exactly, which is what graph() does for the solver paths that need a
-// *Graph. Everything is immutable once the snapshot is published; mat is
-// the lazily-materialized replay, built at most once under matOnce.
+// engineSnapshot is one frozen graph epoch, and the epoch IS its CSR: a
+// flat CSR, or a delta CSR layering committed batches over a flat base
+// (see ugraph.CSR.Delta). Estimates read the CSR directly. mat memoizes
+// the mutable-Graph form that solvers, compaction, checkpoints and flat
+// commits need; it is built at most once under matOnce, and the snapshot
+// is immutable once published.
 type engineSnapshot struct {
-	csr     *CSR
-	base    *Graph
-	pending []Mutation
+	csr *CSR
 
 	matOnce sync.Once
 	mat     *Graph
 	matErr  error
 }
 
-// ErrReplayDiverged reports that a layered epoch's pending mutations did
-// not replay onto its flat base. Every batch is validated when its delta
-// layer commits, so this means the delta layers and the replay disagree —
-// a bug, not a bad request. The query (or compaction, checkpoint or flat
-// commit) that needed the replay fails; the engine keeps serving.
-var ErrReplayDiverged = errors.New("delta replay diverged")
-
 // newFlatSnapshot pins a flat epoch: g IS the epoch's graph and freezes to
-// its CSR. g must not be mutated afterwards.
+// its CSR, so it seeds the graph memo and the epoch never rebuilds. g must
+// not be mutated afterwards.
 func newFlatSnapshot(g *Graph) *engineSnapshot {
-	return &engineSnapshot{csr: g.Freeze(), base: g}
+	s := &engineSnapshot{csr: g.Freeze()}
+	s.matOnce.Do(func() { s.mat = g })
+	return s
 }
 
-// graph returns the mutable-Graph form of the snapshot's epoch. Flat
-// snapshots return their base directly; delta snapshots materialize a full
-// rebuild (clone base, replay pending) lazily and at most once — the
-// solver paths that need a *Graph pay the O(N+M) rebuild only when they
-// actually run on a layered epoch, and compaction reuses the same
-// materialization. pending was validated edit-by-edit when its delta
-// layers committed, so a replay failure is an ErrReplayDiverged; it is
-// remembered, and every caller of the snapshot gets the same error.
+// graph returns the mutable-Graph form of the snapshot's epoch. A layered
+// epoch rebuilds it lazily and at most once from the CSR's canonical edge
+// order — the order checkpoints write and recovery replays, so the rebuild
+// freezes to the same rows, probabilities and epoch — and the solver
+// paths pay the O(N+M) rebuild only when they actually run on a layered
+// epoch. A rebuild error is remembered, and every caller of the snapshot
+// gets the same error.
 func (s *engineSnapshot) graph() (*Graph, error) {
-	if len(s.pending) == 0 {
-		return s.base, nil
-	}
 	s.matOnce.Do(func() {
-		g := s.base.Clone()
-		if i, err := applyMutationsTo(nil, g, s.pending); err != nil {
-			s.matErr = fmt.Errorf("repro: epoch %d: mutation %d of %d: %v: %w", s.csr.Epoch(), i, len(s.pending), err, ErrReplayDiverged)
+		g, err := graphFromSnapshot(storeSnapshotOf(s.csr))
+		if err != nil {
+			s.matErr = fmt.Errorf("repro: rebuilding epoch %d: %w", s.csr.Epoch(), err)
 			return
 		}
 		s.mat = g
@@ -298,7 +285,7 @@ func NewEngine(g *Graph, opts ...EngineOption) (*Engine, error) {
 	if e.cache != nil {
 		e.cache.setEpoch(gc.Version())
 	}
-	if err := e.initStorage(gc); err != nil {
+	if err := e.initStorage(gc.Freeze()); err != nil {
 		if e.store != nil {
 			e.store.Close()
 		}

@@ -69,7 +69,7 @@ func TestSerialAdaptiveIsFixedBudgetPrefix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fixed := smp.(sampling.CSRSampler).ReliabilityCSR(c, s, tt)
+			fixed := smp.(sampling.Sampler).ReliabilityCSR(c, s, tt)
 			if fixed != est.Point {
 				t.Errorf("%s trial %d: adaptive point %v != fixed z=%d point %v",
 					kind, trial, est.Point, est.SamplesUsed, fixed)

@@ -14,7 +14,7 @@ import (
 // edgeReliabilities estimates R(s, t, g ∪ {e}) for every candidate edge in
 // isolation — the shared inner loop of the top-k and hill-climbing
 // baselines. Batch-capable samplers (ParallelSampler) evaluate the whole
-// candidate set in one fanned-out call; serial samplers fall back to a
+// candidate set in one fanned-out call; serial samplers run a
 // one-at-a-time loop that freezes the graph once and evaluates each
 // candidate on a CSR overlay, so no per-candidate clone or snapshot
 // rebuild happens.
@@ -24,23 +24,13 @@ func edgeReliabilities(ctx context.Context, smp sampling.Sampler, g *ugraph.Grap
 	}
 	out := make([]float64, len(cands))
 	scratch := make([]ugraph.Edge, 1)
-	if cs, ok := smp.(sampling.CSRSampler); ok {
-		base := g.Freeze()
-		for i, e := range cands {
-			if ctx.Err() != nil {
-				break // remaining entries stay zero; the caller discards
-			}
-			scratch[0] = e
-			out[i] = cs.ReliabilityCSR(base.WithEdges(scratch), s, t)
-		}
-		return out
-	}
+	base := g.Freeze()
 	for i, e := range cands {
 		if ctx.Err() != nil {
-			break
+			break // remaining entries stay zero; the caller discards
 		}
 		scratch[0] = e
-		out[i] = smp.Reliability(g.WithEdges(scratch), s, t)
+		out[i] = smp.ReliabilityCSR(base.WithEdges(scratch), s, t)
 	}
 	return out
 }

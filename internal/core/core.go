@@ -71,7 +71,8 @@ type Options struct {
 	R int
 	// L is the number of most reliable paths extracted (default 30).
 	L int
-	// H is the hop-distance constraint for new edges; 0 disables it.
+	// H is the hop-distance constraint for new edges; 0 (or any negative
+	// value, normalized to 0) disables it.
 	H int
 	// Z is the sample size for reliability estimation (default 500).
 	Z int
@@ -140,6 +141,11 @@ func (o Options) withDefaults() Options {
 	if o.L <= 0 {
 		o.L = 30
 	}
+	if o.H < 0 {
+		// Every h <= 0 disables the hop constraint; one value keeps them
+		// from fingerprinting apart.
+		o.H = 0
+	}
 	if o.Z <= 0 {
 		o.Z = 500
 	}
@@ -183,31 +189,9 @@ func (o Options) Normalized() Options { return o.withDefaults() }
 // candidate elimination and greedy selection), leasing its workers from
 // opt.Scratch when one of the matching kind is supplied.
 func (o Options) NewSampler(ctx context.Context, stream int64) (sampling.Sampler, error) {
-	seed := rng.Split(o.Seed, stream).Int63()
-	var smp sampling.Sampler
-	if o.Workers != 0 {
-		if o.Scratch != nil && o.Scratch.Kind() == o.Sampler {
-			smp = sampling.NewParallelShared(o.Scratch, o.Z, seed, o.Workers)
-		} else {
-			ps, err := sampling.NewParallel(o.Sampler, o.Z, seed, o.Workers)
-			if err != nil {
-				return nil, fmt.Errorf("core: sampler %q (want mc, rss, lazy or mcvec): %w", o.Sampler, ErrUnknownSampler)
-			}
-			smp = ps
-		}
-	} else {
-		switch o.Sampler {
-		case "mc":
-			smp = sampling.NewMonteCarlo(o.Z, seed)
-		case "rss":
-			smp = sampling.NewRSS(o.Z, seed)
-		case "lazy":
-			smp = sampling.NewLazy(o.Z, seed)
-		case "mcvec":
-			smp = sampling.NewMCVec(o.Z, seed)
-		default:
-			return nil, fmt.Errorf("core: sampler %q (want mc, rss, lazy or mcvec): %w", o.Sampler, ErrUnknownSampler)
-		}
+	smp, err := sampling.New(o.Sampler, o.Z, rng.Split(o.Seed, stream).Int63(), o.Workers, o.Scratch)
+	if err != nil {
+		return nil, fmt.Errorf("core: sampler %q (want mc, rss, lazy or mcvec): %w", o.Sampler, ErrUnknownSampler)
 	}
 	smp.SetContext(ctx)
 	return smp, nil

@@ -33,7 +33,6 @@ func exactSearch(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, cands
 	// Freeze once; every combination is evaluated on a CSR overlay instead
 	// of cloning and re-indexing the whole graph per combination.
 	base := g.Freeze()
-	cs, hasCSR := smp.(sampling.CSRSampler)
 	evaluated := 0
 	stopped := false
 	var recurse func(start int)
@@ -49,12 +48,7 @@ func exactSearch(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, cands
 				return
 			}
 			evaluated++
-			var rel float64
-			if hasCSR {
-				rel = cs.ReliabilityCSR(base.WithEdges(current), s, t)
-			} else {
-				rel = smp.Reliability(g.WithEdges(current), s, t)
-			}
+			rel := smp.ReliabilityCSR(base.WithEdges(current), s, t)
 			if rel > best {
 				best = rel
 				bestSet = append([]ugraph.Edge(nil), current...)

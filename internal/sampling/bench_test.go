@@ -106,7 +106,7 @@ func BenchmarkVectorMC(b *testing.B) {
 		c := g.Freeze()
 		s, t := ugraph.NodeID(0), ugraph.NodeID(n-1)
 		for _, kind := range []string{"mc", "mcvec"} {
-			newSmp := func() CSRSampler {
+			newSmp := func() Sampler {
 				if kind == "mc" {
 					return NewMonteCarlo(z, 1)
 				}

@@ -26,7 +26,7 @@ import (
 // and the pooled stream is reproducible per (seed, block schedule)
 // rather than truncation-equivalent.
 type BlockSampler interface {
-	CSRSampler
+	Sampler
 	// BeginBlocks starts an incremental estimate of R(s, t) on the
 	// snapshot, resetting per-query state exactly like the corresponding
 	// ReliabilityCSR prologue. The returned stream borrows the sampler's

@@ -120,7 +120,7 @@ func TestOverlayEstimatesBitIdentical(t *testing.T) {
 			overlay := g.Freeze().WithEdges(extra)
 			clone := g.WithEdges(extra)
 
-			cs := newLive(t, kind, 300, seed).(CSRSampler)
+			cs := newLive(t, kind, 300, seed).(Sampler)
 			onOverlay := cs.ReliabilityCSR(overlay, s, tt)
 			onClone := newLive(t, kind, 300, seed).Reliability(clone, s, tt)
 			legacy := newRef(kind, 300, seed).Reliability(clone, s, tt)
@@ -170,7 +170,7 @@ func TestMultiSourceBitIdentical(t *testing.T) {
 	}
 }
 
-// TestParallelCSREntryPoints checks ParallelSampler's CSRSampler facade:
+// TestParallelCSREntryPoints checks ParallelSampler's Sampler facade:
 // snapshot-level calls must be bit-identical to the Graph-level calls at
 // the same call index, at every worker count.
 func TestParallelCSREntryPoints(t *testing.T) {
@@ -238,14 +238,14 @@ func TestScratchReuseAcrossGrowingGraphs(t *testing.T) {
 		}
 		// The overlay shape of the same bug: a one-walk base estimate at
 		// M, then a full overlay estimate at M+1 on the same sampler.
-		cs := newLive(t, kind, 1, 2).(CSRSampler)
+		cs := newLive(t, kind, 1, 2).(Sampler)
 		base := bigM.Freeze()
 		cs.ReliabilityCSR(base, 0, 29)
 		view := base.WithEdges([]ugraph.Edge{{U: 0, V: 29, P: 0.4}})
 		cs.SetSampleSize(600)
 		cs.Reseed(13)
 		got = cs.ReliabilityCSR(view, 0, 29)
-		fresh := newLive(t, kind, 600, 13).(CSRSampler)
+		fresh := newLive(t, kind, 600, 13).(Sampler)
 		if want = fresh.ReliabilityCSR(view, 0, 29); got != want {
 			t.Errorf("%s: reused sampler %v != fresh sampler %v on overlay view", kind, got, want)
 		}
@@ -256,11 +256,11 @@ func TestScratchReuseAcrossGrowingGraphs(t *testing.T) {
 // solver fast paths rely on.
 func TestBuiltinsImplementCSRSampler(t *testing.T) {
 	for _, smp := range []Sampler{NewMonteCarlo(1, 1), NewRSS(1, 1), NewLazy(1, 1)} {
-		if _, ok := smp.(CSRSampler); !ok {
-			t.Errorf("%s does not implement CSRSampler", smp.Name())
+		if _, ok := smp.(Sampler); !ok {
+			t.Errorf("%s does not implement Sampler", smp.Name())
 		}
 	}
-	if _, ok := Sampler(newParallelT(t, "rss", 10, 1, 2)).(CSRSampler); !ok {
-		t.Error("ParallelSampler does not implement CSRSampler")
+	if _, ok := Sampler(newParallelT(t, "rss", 10, 1, 2)).(Sampler); !ok {
+		t.Error("ParallelSampler does not implement Sampler")
 	}
 }

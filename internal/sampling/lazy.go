@@ -101,7 +101,7 @@ func (lz *Lazy) Reliability(g *ugraph.Graph, s, t ugraph.NodeID) float64 {
 	return lz.ReliabilityCSR(g.Freeze(), s, t)
 }
 
-// ReliabilityCSR implements CSRSampler.
+// ReliabilityCSR implements Sampler.
 func (lz *Lazy) ReliabilityCSR(c *ugraph.CSR, s, t ugraph.NodeID) float64 {
 	if s == t {
 		return 1
@@ -133,12 +133,12 @@ func (lz *Lazy) ReliabilityTo(g *ugraph.Graph, t ugraph.NodeID) []float64 {
 	return lz.vector(g.Freeze(), t, false)
 }
 
-// ReliabilityFromCSR implements CSRSampler.
+// ReliabilityFromCSR implements Sampler.
 func (lz *Lazy) ReliabilityFromCSR(c *ugraph.CSR, s ugraph.NodeID) []float64 {
 	return lz.vector(c, s, true)
 }
 
-// ReliabilityToCSR implements CSRSampler.
+// ReliabilityToCSR implements Sampler.
 func (lz *Lazy) ReliabilityToCSR(c *ugraph.CSR, t ugraph.NodeID) []float64 {
 	return lz.vector(c, t, false)
 }

@@ -42,7 +42,7 @@ func (mc *MonteCarlo) Reliability(g *ugraph.Graph, s, t ugraph.NodeID) float64 {
 	return mc.ReliabilityCSR(g.Freeze(), s, t)
 }
 
-// ReliabilityCSR implements CSRSampler.
+// ReliabilityCSR implements Sampler.
 func (mc *MonteCarlo) ReliabilityCSR(c *ugraph.CSR, s, t ugraph.NodeID) float64 {
 	if s == t {
 		return 1
@@ -76,12 +76,12 @@ func (mc *MonteCarlo) ReliabilityTo(g *ugraph.Graph, t ugraph.NodeID) []float64 
 	return mc.vector(g.Freeze(), t, false)
 }
 
-// ReliabilityFromCSR implements CSRSampler.
+// ReliabilityFromCSR implements Sampler.
 func (mc *MonteCarlo) ReliabilityFromCSR(c *ugraph.CSR, s ugraph.NodeID) []float64 {
 	return mc.vector(c, s, true)
 }
 
-// ReliabilityToCSR implements CSRSampler.
+// ReliabilityToCSR implements Sampler.
 func (mc *MonteCarlo) ReliabilityToCSR(c *ugraph.CSR, t ugraph.NodeID) []float64 {
 	return mc.vector(c, t, false)
 }

@@ -71,7 +71,7 @@ func (v *MCVec) Reliability(g *ugraph.Graph, s, t ugraph.NodeID) float64 {
 	return v.ReliabilityCSR(g.Freeze(), s, t)
 }
 
-// ReliabilityCSR implements CSRSampler: ceil(z/64) bitset-BFS blocks, each
+// ReliabilityCSR implements Sampler: ceil(z/64) bitset-BFS blocks, each
 // deciding 64 worlds, with the final block lane-masked to the z%64 tail.
 // Cancellation is polled once per block (= 64 samples, the same
 // ctxCheckBlock granularity as the scalar loops); an interrupted estimate
@@ -110,12 +110,12 @@ func (v *MCVec) ReliabilityTo(g *ugraph.Graph, t ugraph.NodeID) []float64 {
 	return v.vector(g.Freeze(), t, false)
 }
 
-// ReliabilityFromCSR implements CSRSampler.
+// ReliabilityFromCSR implements Sampler.
 func (v *MCVec) ReliabilityFromCSR(c *ugraph.CSR, s ugraph.NodeID) []float64 {
 	return v.vector(c, s, true)
 }
 
-// ReliabilityToCSR implements CSRSampler.
+// ReliabilityToCSR implements Sampler.
 func (v *MCVec) ReliabilityToCSR(c *ugraph.CSR, t ugraph.NodeID) []float64 {
 	return v.vector(c, t, false)
 }

@@ -19,11 +19,10 @@ import (
 // goroutines race over them.
 const DefaultShards = 16
 
-// Factory constructs a fresh serial Sampler; the budget and seed handed to
-// it are placeholders, overwritten per shard via SetSampleSize and Reseed.
-// Factories returning a CSRSampler (all built-in ones do) let the pool run
-// entirely on frozen snapshots; other samplers fall back to the Graph path.
-type Factory func(z int, seed int64) Sampler
+// factory constructs a fresh serial Sampler of one built-in kind. A pool's
+// factory runs with placeholder budget and seed, overwritten per shard via
+// SetSampleSize and Reseed.
+type factory func(z int, seed int64) Sampler
 
 // ParallelSampler runs a serial estimator's sample budget across a worker
 // pool. It is safe for concurrent use: every public call freezes the graph
@@ -35,7 +34,6 @@ type Factory func(z int, seed int64) Sampler
 // callers are race-free but observe call indices in arrival order.
 type ParallelSampler struct {
 	name    string
-	factory Factory
 	workers int
 	shards  int
 	// quantum is the underlying estimator's preferred budget granularity
@@ -47,15 +45,16 @@ type ParallelSampler struct {
 	call    atomic.Int64
 	// pool leases the per-worker serial samplers. It is a pointer so that
 	// request-scoped ParallelSamplers derived by an Engine can share one
-	// warm pool (NewParallelShared) — the leased samplers' scratch arrays
-	// stay sized to the graph across requests instead of being rebuilt.
+	// warm pool (New with a SharedScratch) — the leased samplers' scratch
+	// arrays stay sized to the graph across requests instead of being
+	// rebuilt.
 	pool *sync.Pool
 	canceller
 }
 
 // factoryFor maps an estimator kind ("mc", "rss", "lazy" or "mcvec") to
 // its serial factory.
-func factoryFor(kind string) (Factory, error) {
+func factoryFor(kind string) (factory, error) {
 	switch kind {
 	case "mc":
 		return func(z int, seed int64) Sampler { return NewMonteCarlo(z, seed) }, nil
@@ -89,12 +88,34 @@ type budgetQuantizer interface {
 // quantumOf probes a factory for the estimator's budget quantum (1 for the
 // scalar samplers). The probe sampler is returned to the caller for pool
 // seeding so the construction-time allocation is not wasted.
-func quantumOf(factory Factory) (int, Sampler) {
-	probe := factory(1, 0)
+func quantumOf(newSmp factory) (int, Sampler) {
+	probe := newSmp(1, 0)
 	if q, ok := probe.(budgetQuantizer); ok {
 		return q.budgetQuantum(), probe
 	}
 	return 1, probe
+}
+
+// New builds the sampler a request runs on — the one place the kind,
+// worker count and warm pool are dispatched. workers == 0 yields a fresh
+// serial sampler of the kind ("mc", "rss", "lazy" or "mcvec"); any other
+// value a ParallelSampler with that many workers (negative selects
+// runtime.GOMAXPROCS(0)), leasing its serial samplers from ss when ss pools
+// the same kind and from a private pool otherwise. Sharing never changes a
+// result. On error the returned interface is nil (never a typed-nil
+// concrete pointer).
+func New(kind string, z int, seed int64, workers int, ss *SharedScratch) (Sampler, error) {
+	if workers == 0 {
+		return NewSerial(kind, z, seed)
+	}
+	if ss != nil && ss.kind == kind {
+		return NewParallelShared(ss, z, seed, workers), nil
+	}
+	ps, err := NewParallel(kind, z, seed, workers)
+	if err != nil {
+		return nil, err
+	}
+	return ps, nil
 }
 
 // NewSerial constructs a serial sampler of the named kind ("mc", "rss",
@@ -102,47 +123,32 @@ func quantumOf(factory Factory) (int, Sampler) {
 // error the returned interface is nil (never a typed-nil concrete pointer),
 // so `smp == nil` is a valid failure check.
 func NewSerial(kind string, z int, seed int64) (Sampler, error) {
-	factory, err := factoryFor(kind)
+	newSmp, err := factoryFor(kind)
 	if err != nil {
 		return nil, err
 	}
-	return factory(z, seed), nil
+	return newSmp(z, seed), nil
 }
 
 // NewParallel wraps the named estimator kind ("mc", "rss", "lazy" or
-// "mcvec") in a ParallelSampler with total budget z. workers <= 0 selects
-// runtime.GOMAXPROCS(0).
+// "mcvec") in a ParallelSampler with total budget z and a private pool.
+// workers <= 0 selects runtime.GOMAXPROCS(0).
 func NewParallel(kind string, z int, seed int64, workers int) (*ParallelSampler, error) {
-	factory, err := factoryFor(kind)
+	ss, err := NewSharedScratch(kind)
 	if err != nil {
 		return nil, err
 	}
-	return NewParallelWith(kind, factory, z, seed, workers), nil
-}
-
-// NewParallelWith wraps an arbitrary serial-sampler factory. The name is
-// what Name() reports (conventionally the underlying estimator's name).
-func NewParallelWith(name string, factory Factory, z int, seed int64, workers int) *ParallelSampler {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	ps := &ParallelSampler{name: name, factory: factory, workers: workers, shards: DefaultShards}
-	ps.seed.Store(seed)
-	ps.z.Store(int64(z))
-	quantum, probe := quantumOf(factory)
-	ps.quantum = quantum
-	ps.pool = &sync.Pool{New: func() any { return factory(1, 0) }}
-	ps.pool.Put(probe)
-	return ps
+	return NewParallelShared(ss, z, seed, workers), nil
 }
 
 // SharedScratch is a warm, goroutine-safe pool of serial samplers for one
-// estimator kind. ParallelSamplers built over it (NewParallelShared) lease
-// their per-worker samplers from the shared pool instead of a private one,
-// so a long-lived Engine serving many requests reuses the samplers' scratch
-// arrays (epoch-stamped visited/edge-state buffers, RSS arenas) across
-// requests. Sharing never affects results: every leased sampler is fully
-// reconfigured (Reseed + SetSampleSize + SetContext) before estimating.
+// estimator kind. ParallelSamplers built over it (New, NewParallelShared)
+// lease their per-worker samplers from the shared pool instead of a
+// private one, so a long-lived Engine serving many requests reuses the
+// samplers' scratch arrays (epoch-stamped visited/edge-state buffers, RSS
+// arenas) across requests. Sharing never affects results: every leased
+// sampler is fully reconfigured (Reseed + SetSampleSize + SetContext)
+// before estimating.
 type SharedScratch struct {
 	kind    string
 	quantum int
@@ -152,14 +158,14 @@ type SharedScratch struct {
 // NewSharedScratch validates the estimator kind and returns an empty warm
 // pool for it.
 func NewSharedScratch(kind string) (*SharedScratch, error) {
-	factory, err := factoryFor(kind)
+	newSmp, err := factoryFor(kind)
 	if err != nil {
 		return nil, err
 	}
 	ss := &SharedScratch{kind: kind}
-	quantum, probe := quantumOf(factory)
+	quantum, probe := quantumOf(newSmp)
 	ss.quantum = quantum
-	ss.pool.New = func() any { return factory(1, 0) }
+	ss.pool.New = func() any { return newSmp(1, 0) }
 	ss.pool.Put(probe)
 	return ss, nil
 }
@@ -171,15 +177,12 @@ func (ss *SharedScratch) Kind() string { return ss.kind }
 // shared pool; the pool's kind determines the estimator. Results are
 // bit-identical to an equally configured NewParallel sampler.
 func NewParallelShared(ss *SharedScratch, z int, seed int64, workers int) *ParallelSampler {
-	factory, err := factoryFor(ss.kind)
-	if err != nil {
-		// NewSharedScratch validated the kind; an invalid one here means
-		// the SharedScratch was not obtained from it.
-		panic(err)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	ps := NewParallelWith(ss.kind, factory, z, seed, workers)
-	ps.pool = &ss.pool
-	ps.quantum = ss.quantum
+	ps := &ParallelSampler{name: ss.kind, workers: workers, shards: DefaultShards, quantum: ss.quantum, pool: &ss.pool}
+	ps.seed.Store(seed)
+	ps.z.Store(int64(z))
 	return ps
 }
 
@@ -342,22 +345,6 @@ func (ps *ParallelSampler) shardBudgetsFor(z, items int) []int {
 	return out
 }
 
-// shardReliability runs one shard's conditioned estimate on the snapshot,
-// falling back to a Graph-path call for non-CSR factories. g is nil when
-// the public call entered through a snapshot-level CSRSampler method — no
-// Graph exists to fall back to, so a non-CSR factory is a contract
-// violation reported as an explicit panic rather than a nil dereference
-// deep inside the sampler.
-func shardReliability(smp Sampler, c *ugraph.CSR, g *ugraph.Graph, s, t ugraph.NodeID) float64 {
-	if cs, ok := smp.(CSRSampler); ok {
-		return cs.ReliabilityCSR(c, s, t)
-	}
-	if g == nil {
-		panic("sampling: snapshot-level ParallelSampler calls require the factory's sampler to implement CSRSampler")
-	}
-	return smp.Reliability(g, s, t)
-}
-
 // Reliability implements Sampler: shard i estimates with budget z_i on the
 // stream Split(callSeed, i), and the estimates combine as the
 // budget-weighted mean Σ (z_i/Z)·est_i — for MC exactly the pooled
@@ -367,21 +354,15 @@ func (ps *ParallelSampler) Reliability(g *ugraph.Graph, s, t ugraph.NodeID) floa
 	if s == t {
 		return 1
 	}
-	return ps.reliabilityCSR(g.Freeze(), g, s, t)
+	return ps.ReliabilityCSR(g.Freeze(), s, t)
 }
 
-// ReliabilityCSR implements CSRSampler on an already-frozen snapshot (or a
-// WithEdges overlay). Non-CSR factory samplers cannot be driven from a bare
-// snapshot, so this entry point requires a CSR-capable factory; the
-// built-in mc/rss/lazy kinds all are.
+// ReliabilityCSR implements Sampler on an already-frozen snapshot (or a
+// WithEdges overlay).
 func (ps *ParallelSampler) ReliabilityCSR(c *ugraph.CSR, s, t ugraph.NodeID) float64 {
 	if s == t {
 		return 1
 	}
-	return ps.reliabilityCSR(c, nil, s, t)
-}
-
-func (ps *ParallelSampler) reliabilityCSR(c *ugraph.CSR, g *ugraph.Graph, s, t ugraph.NodeID) float64 {
 	z := ps.SampleSize()
 	callSeed := ps.nextCallSeed()
 	budgets := ps.shardBudgets(z)
@@ -389,32 +370,32 @@ func (ps *ParallelSampler) reliabilityCSR(c *ugraph.CSR, g *ugraph.Graph, s, t u
 	ps.fanOut(len(budgets), func(smp Sampler, i int) {
 		smp.Reseed(rng.SplitSeed(callSeed, int64(i)))
 		smp.SetSampleSize(budgets[i])
-		est[i] = shardReliability(smp, c, g, s, t)
+		est[i] = smp.ReliabilityCSR(c, s, t)
 	})
 	return mergeScalar(est, budgets)
 }
 
 // ReliabilityFrom implements Sampler.
 func (ps *ParallelSampler) ReliabilityFrom(g *ugraph.Graph, s ugraph.NodeID) []float64 {
-	return ps.vector(g.Freeze(), g, s, true)
+	return ps.vector(g.Freeze(), s, true)
 }
 
 // ReliabilityTo implements Sampler.
 func (ps *ParallelSampler) ReliabilityTo(g *ugraph.Graph, t ugraph.NodeID) []float64 {
-	return ps.vector(g.Freeze(), g, t, false)
+	return ps.vector(g.Freeze(), t, false)
 }
 
-// ReliabilityFromCSR implements CSRSampler.
+// ReliabilityFromCSR implements Sampler.
 func (ps *ParallelSampler) ReliabilityFromCSR(c *ugraph.CSR, s ugraph.NodeID) []float64 {
-	return ps.vector(c, nil, s, true)
+	return ps.vector(c, s, true)
 }
 
-// ReliabilityToCSR implements CSRSampler.
+// ReliabilityToCSR implements Sampler.
 func (ps *ParallelSampler) ReliabilityToCSR(c *ugraph.CSR, t ugraph.NodeID) []float64 {
-	return ps.vector(c, nil, t, false)
+	return ps.vector(c, t, false)
 }
 
-func (ps *ParallelSampler) vector(c *ugraph.CSR, g *ugraph.Graph, src ugraph.NodeID, forward bool) []float64 {
+func (ps *ParallelSampler) vector(c *ugraph.CSR, src ugraph.NodeID, forward bool) []float64 {
 	z := ps.SampleSize()
 	callSeed := ps.nextCallSeed()
 	budgets := ps.shardBudgets(z)
@@ -422,25 +403,16 @@ func (ps *ParallelSampler) vector(c *ugraph.CSR, g *ugraph.Graph, src ugraph.Nod
 	ps.fanOut(len(budgets), func(smp Sampler, i int) {
 		smp.Reseed(rng.SplitSeed(callSeed, int64(i)))
 		smp.SetSampleSize(budgets[i])
-		vecs[i] = shardVector(smp, c, g, src, forward)
+		vecs[i] = shardVector(smp, c, src, forward)
 	})
 	return mergeVectors(vecs, budgets, c.N())
 }
 
-func shardVector(smp Sampler, c *ugraph.CSR, g *ugraph.Graph, src ugraph.NodeID, forward bool) []float64 {
-	if cs, ok := smp.(CSRSampler); ok {
-		if forward {
-			return cs.ReliabilityFromCSR(c, src)
-		}
-		return cs.ReliabilityToCSR(c, src)
-	}
-	if g == nil {
-		panic("sampling: snapshot-level ParallelSampler calls require the factory's sampler to implement CSRSampler")
-	}
+func shardVector(smp Sampler, c *ugraph.CSR, src ugraph.NodeID, forward bool) []float64 {
 	if forward {
-		return smp.ReliabilityFrom(g, src)
+		return smp.ReliabilityFromCSR(c, src)
 	}
-	return smp.ReliabilityTo(g, src)
+	return smp.ReliabilityToCSR(c, src)
 }
 
 // mergeScalar folds per-shard estimates as Σ(b_i·e_i)/z in shard order;
@@ -490,23 +462,18 @@ func (ps *ParallelSampler) EstimateMany(g *ugraph.Graph, queries []PairQuery) []
 	if len(queries) == 0 {
 		return nil
 	}
-	return ps.estimateManyCSR(g.Freeze(), g, queries)
+	return ps.EstimateManyCSR(g.Freeze(), queries)
 }
 
 // EstimateManyCSR is EstimateMany on an already-frozen snapshot (flat or
 // layered): the serving tier's batch path runs directly on the pinned
-// epoch's CSR without materializing a mutable Graph. Like the other
-// snapshot-level entry points it requires a CSR-capable factory (the
-// built-in kinds all are). Results are bit-identical to EstimateMany over a
-// graph that freezes to the same logical snapshot.
+// epoch's CSR without materializing a mutable Graph. Results are
+// bit-identical to EstimateMany over a graph that freezes to the same
+// logical snapshot.
 func (ps *ParallelSampler) EstimateManyCSR(c *ugraph.CSR, queries []PairQuery) []float64 {
 	if len(queries) == 0 {
 		return nil
 	}
-	return ps.estimateManyCSR(c, nil, queries)
-}
-
-func (ps *ParallelSampler) estimateManyCSR(c *ugraph.CSR, g *ugraph.Graph, queries []PairQuery) []float64 {
 	z := ps.SampleSize()
 	callSeed := ps.nextCallSeed()
 	budgets := ps.shardBudgetsFor(z, len(queries))
@@ -521,7 +488,7 @@ func (ps *ParallelSampler) estimateManyCSR(c *ugraph.CSR, g *ugraph.Graph, queri
 		}
 		smp.Reseed(rng.SplitSeed(rng.SplitSeed(callSeed, int64(qi)), int64(si)))
 		smp.SetSampleSize(budgets[si])
-		est[k] = shardReliability(smp, c, g, q.S, q.T)
+		est[k] = smp.ReliabilityCSR(c, q.S, q.T)
 	})
 	out := make([]float64, len(queries))
 	for qi := range queries {
@@ -554,11 +521,7 @@ func (ps *ParallelSampler) EstimateEdges(g *ugraph.Graph, s, t ugraph.NodeID, ed
 		ei, si := k/shards, k%shards
 		smp.Reseed(rng.SplitSeed(rng.SplitSeed(callSeed, int64(ei)), int64(si)))
 		smp.SetSampleSize(budgets[si])
-		if cs, ok := smp.(CSRSampler); ok {
-			est[k] = cs.ReliabilityCSR(views[ei], s, t)
-		} else {
-			est[k] = smp.Reliability(g.WithEdges(edges[ei:ei+1]), s, t)
-		}
+		est[k] = smp.ReliabilityCSR(views[ei], s, t)
 	})
 	out := make([]float64, len(edges))
 	for ei := range edges {
@@ -595,7 +558,7 @@ func (ps *ParallelSampler) vectorMany(g *ugraph.Graph, nodes []ugraph.NodeID, fo
 		n, i := k/shards, k%shards
 		smp.Reseed(rng.SplitSeed(rng.SplitSeed(callSeed, int64(n)), int64(i)))
 		smp.SetSampleSize(budgets[i])
-		vecs[k] = shardVector(smp, c, g, nodes[n], forward)
+		vecs[k] = shardVector(smp, c, nodes[n], forward)
 	})
 	out := make([][]float64, len(nodes))
 	for n := range nodes {

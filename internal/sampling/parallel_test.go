@@ -218,3 +218,52 @@ func TestParallelImplementsBatch(t *testing.T) {
 		t.Fatalf("Name() = %q, want underlying estimator name", smp.Name())
 	}
 }
+
+// TestNewDispatch pins the one sampler constructor: workers == 0 builds the
+// serial estimator of the kind; any other worker count a ParallelSampler
+// that leases from ss only when ss pools the same kind, with results
+// bit-identical to NewSerial / NewParallel at the same seed either way;
+// and an unknown kind is a true nil interface plus an error.
+func TestNewDispatch(t *testing.T) {
+	r := rng.New(5)
+	g := randomSmallGraph(r, true)
+	c := g.Freeze()
+	s, tt := ugraph.NodeID(0), ugraph.NodeID(g.N()-1)
+	ss, err := NewSharedScratch("rss")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{"mc", "rss", "lazy", "mcvec"} {
+		serial, err := New(kind, 300, 9, 0, ss)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := serial.(*ParallelSampler); ok || serial.Name() != kind {
+			t.Fatalf("%s: workers=0 built %T (%s), want the serial estimator", kind, serial, serial.Name())
+		}
+		ref, _ := NewSerial(kind, 300, 9)
+		if a, b := serial.ReliabilityCSR(c, s, tt), ref.ReliabilityCSR(c, s, tt); a != b {
+			t.Fatalf("%s: New serial %v != NewSerial %v", kind, a, b)
+		}
+		for _, workers := range []int{-1, 3} {
+			smp, err := New(kind, 300, 9, workers, ss)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps, ok := smp.(*ParallelSampler)
+			if !ok || ps.Name() != kind {
+				t.Fatalf("%s: workers=%d built %T, want a ParallelSampler", kind, workers, smp)
+			}
+			if shared := ps.pool == &ss.pool; shared != (kind == ss.Kind()) {
+				t.Fatalf("%s: leases from the %s pool: %v", kind, ss.Kind(), shared)
+			}
+			want := newParallelT(t, kind, 300, 9, workers)
+			if a, b := ps.ReliabilityCSR(c, s, tt), want.ReliabilityCSR(c, s, tt); a != b {
+				t.Fatalf("%s w%d: New %v != NewParallel %v", kind, workers, a, b)
+			}
+		}
+	}
+	if smp, err := New("bogus", 10, 1, 2, ss); err == nil || smp != nil {
+		t.Fatalf("unknown kind: New = %#v, %v; want nil and an error", smp, err)
+	}
+}

@@ -92,7 +92,7 @@ func (rs *RSS) Reliability(g *ugraph.Graph, s, t ugraph.NodeID) float64 {
 	return rs.ReliabilityCSR(g.Freeze(), s, t)
 }
 
-// ReliabilityCSR implements CSRSampler.
+// ReliabilityCSR implements Sampler.
 func (rs *RSS) ReliabilityCSR(c *ugraph.CSR, s, t ugraph.NodeID) float64 {
 	if s == t {
 		return 1
@@ -111,7 +111,7 @@ func (rs *RSS) ReliabilityTo(g *ugraph.Graph, t ugraph.NodeID) []float64 {
 	return rs.ReliabilityToCSR(g.Freeze(), t)
 }
 
-// ReliabilityFromCSR implements CSRSampler.
+// ReliabilityFromCSR implements Sampler.
 func (rs *RSS) ReliabilityFromCSR(c *ugraph.CSR, s ugraph.NodeID) []float64 {
 	acc := make([]float64, c.N())
 	rs.prepare(c)
@@ -119,7 +119,7 @@ func (rs *RSS) ReliabilityFromCSR(c *ugraph.CSR, s ugraph.NodeID) []float64 {
 	return acc
 }
 
-// ReliabilityToCSR implements CSRSampler.
+// ReliabilityToCSR implements Sampler.
 func (rs *RSS) ReliabilityToCSR(c *ugraph.CSR, t ugraph.NodeID) []float64 {
 	acc := make([]float64, c.N())
 	rs.prepare(c)

@@ -23,14 +23,15 @@
 // # Snapshots
 //
 // All estimators run their inner loops on a frozen ugraph.CSR snapshot —
-// a flat, immutable, cache-friendly view of the graph. The Graph-taking
-// Sampler methods are thin wrappers that call Graph.Freeze (cached on the
-// graph, rebuilt only after a mutation) and delegate to the CSR-taking
-// methods of CSRSampler. Hot callers that evaluate many candidate edges
-// against one base graph freeze once and use CSR.WithEdges overlays, so no
-// snapshot is rebuilt per candidate. Estimates on a CSR are bit-identical
-// to estimates on the Graph it was frozen from at the same seed: freezing
-// preserves arc order, so the samplers consume randomness identically.
+// a flat or delta-layered, immutable, cache-friendly view of the graph.
+// The CSR-taking Sampler methods are the estimators; the Graph-taking ones
+// are thin wrappers that call Graph.Freeze (cached on the graph, rebuilt
+// only after a mutation) and delegate to them. Hot callers that evaluate
+// many candidate edges against one base graph freeze once and use
+// CSR.WithEdges overlays, so no snapshot is rebuilt per candidate.
+// Estimates on a CSR are bit-identical to estimates on the Graph it was
+// frozen from at the same seed: freezing preserves arc order, so the
+// samplers consume randomness identically.
 //
 // # Concurrency
 //
@@ -71,6 +72,13 @@ type Sampler interface {
 	ReliabilityFrom(g *ugraph.Graph, s ugraph.NodeID) []float64
 	// ReliabilityTo estimates R(v, t, G) for every node v; entry t is 1.
 	ReliabilityTo(g *ugraph.Graph, t ugraph.NodeID) []float64
+	// ReliabilityCSR, ReliabilityFromCSR and ReliabilityToCSR are the
+	// same estimates on an already-frozen snapshot or a CSR.WithEdges
+	// overlay of one; the Graph-taking methods above are exactly these
+	// on g.Freeze().
+	ReliabilityCSR(c *ugraph.CSR, s, t ugraph.NodeID) float64
+	ReliabilityFromCSR(c *ugraph.CSR, s ugraph.NodeID) []float64
+	ReliabilityToCSR(c *ugraph.CSR, t ugraph.NodeID) []float64
 	// SampleSize returns the configured total sample count Z.
 	SampleSize() int
 	// SetSampleSize reconfigures Z. Not safe to call concurrently with
@@ -93,23 +101,6 @@ type Sampler interface {
 	// in-flight estimates — concurrent callers derive one sampler per
 	// request instead of sharing a binding.
 	SetContext(ctx context.Context)
-}
-
-// CSRSampler is the snapshot-level interface implemented by every built-in
-// sampler: the same estimates as the Sampler methods, but on an
-// already-frozen ugraph.CSR. Callers that evaluate many candidate views of
-// one base graph (candidate elimination, greedy edge scoring) freeze once,
-// derive CSR.WithEdges overlays, and call these methods directly so the
-// per-candidate snapshot cost disappears. For the built-in samplers the
-// Graph-taking methods are exactly ReliabilityCSR(g.Freeze(), ...).
-type CSRSampler interface {
-	Sampler
-	// ReliabilityCSR estimates R(s, t) on a frozen snapshot.
-	ReliabilityCSR(c *ugraph.CSR, s, t ugraph.NodeID) float64
-	// ReliabilityFromCSR estimates R(s, v) for every node v on a snapshot.
-	ReliabilityFromCSR(c *ugraph.CSR, s ugraph.NodeID) []float64
-	// ReliabilityToCSR estimates R(v, t) for every node v on a snapshot.
-	ReliabilityToCSR(c *ugraph.CSR, t ugraph.NodeID) []float64
 }
 
 // PairQuery is one (source, target) reliability query, used by the batched

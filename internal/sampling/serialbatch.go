@@ -56,10 +56,7 @@ func EstimateManySerial(ctx context.Context, ss *SharedScratch, c *ugraph.CSR, q
 		}
 		smp.Reseed(rng.SplitSeed(seed, int64(i)))
 		smp.SetSampleSize(z)
-		// Every built-in serial sampler is a CSRSampler; SharedScratch only
-		// pools built-in kinds, so the assertion cannot fail for pool-built
-		// samplers.
-		out[i] = smp.(CSRSampler).ReliabilityCSR(c, q.S, q.T)
+		out[i] = smp.ReliabilityCSR(c, q.S, q.T)
 	}
 	if workers <= 1 {
 		smp := ss.lease(ctx)

@@ -54,7 +54,7 @@ func TestEstimateManySerialBitIdentity(t *testing.T) {
 				continue
 			}
 			smp.Reseed(rng.SplitSeed(seed, int64(i)))
-			ref[i] = smp.(CSRSampler).ReliabilityCSR(c, q.S, q.T)
+			ref[i] = smp.(Sampler).ReliabilityCSR(c, q.S, q.T)
 		}
 		for _, workers := range []int{1, 2, 4, 8, -1} {
 			got := EstimateManySerial(context.Background(), ss, c, queries, z, seed, workers)

@@ -152,7 +152,7 @@ func (e *Engine) Apply(ctx context.Context, muts ...Mutation) (uint64, error) {
 	e.snap.Store(next)
 	e.applies.Add(1)
 	e.mutationsApplied.Add(uint64(len(muts)))
-	if len(next.pending) != 0 {
+	if next.csr.Depth() != 0 {
 		e.deltaCommits.Add(1)
 	}
 	if e.store != nil {
@@ -191,9 +191,7 @@ func deltaSnapshot(cur *engineSnapshot, muts []Mutation) (*engineSnapshot, int, 
 		}
 		return nil, 0, err
 	}
-	pending := make([]Mutation, 0, len(cur.pending)+len(muts))
-	pending = append(append(pending, cur.pending...), muts...)
-	return &engineSnapshot{csr: dcsr, base: cur.base, pending: pending}, 0, nil
+	return &engineSnapshot{csr: dcsr}, 0, nil
 }
 
 // deltaEditOf converts one Mutation to its ugraph delta form.
@@ -211,13 +209,13 @@ func deltaEditOf(m Mutation) (ugraph.DeltaEdit, error) {
 }
 
 // applyMutationsTo executes a mutation batch in order against g — the
-// single path Apply, ApplyReplicated and durable WAL replay
-// (RecoverEngine) go through — batching every run of consecutive
-// remove-edge mutations into one Graph.RemoveEdges compaction pass, so k
-// removals in a batch cost O(N + M + k) instead of O(k·(N + M)). The
-// resulting graph (edge IDs, arc order, version counter) is bit-identical
-// to one-at-a-time application, so batches written by one node replay
-// identically everywhere. On error the returned index names the offending
+// path flat commits (Apply and ApplyReplicated under WithFlatCommits) and
+// durable WAL replay (RecoverEngine) go through — batching every run of
+// consecutive remove-edge mutations into one Graph.RemoveEdges compaction
+// pass, so k removals in a batch cost O(N + M + k) instead of
+// O(k·(N + M)). The resulting graph (edge IDs, arc order, version
+// counter) is bit-identical to one-at-a-time application, so batches
+// written by one node replay identically everywhere. On error the returned index names the offending
 // mutation (the first of its run, for batched removals); the graph may be
 // partially mutated, which is fine because every caller mutates a clone
 // and discards it on error. ctx may be nil (replay paths).

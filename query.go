@@ -351,9 +351,7 @@ func (e *Engine) execute(ctx context.Context, q Query) (Result, error) {
 	snap := q.snap
 	opt := *q.Options
 	opt.Progress = q.Progress
-	if opt.Workers != 0 && opt.Sampler == e.scratch.Kind() {
-		opt.Scratch = e.scratch
-	}
+	opt.Scratch = e.scratch
 	switch q.Kind {
 	case QuerySolve:
 		g, err := snap.graph()
@@ -405,16 +403,7 @@ func (e *Engine) execute(ctx context.Context, q Query) (Result, error) {
 		if err != nil {
 			return res, err
 		}
-		var rel float64
-		if cs, ok := smp.(sampling.CSRSampler); ok {
-			rel = cs.ReliabilityCSR(snap.csr, q.S, q.T)
-		} else {
-			g, err := snap.graph()
-			if err != nil {
-				return res, err
-			}
-			rel = smp.Reliability(g, q.S, q.T)
-		}
+		rel := smp.ReliabilityCSR(snap.csr, q.S, q.T)
 		if cerr := ctx.Err(); cerr != nil {
 			return res, fmt.Errorf("repro: estimate interrupted: %w", cerr)
 		}
@@ -480,27 +469,13 @@ func (e *Engine) estimateMany(ctx context.Context, snap *engineSnapshot, opt Opt
 }
 
 // estimatorFor builds the request-scoped reliability estimator for the
-// resolved options: a parallel sampler leasing workers from the engine's
-// warm pool when the kinds match (a cold pool otherwise), or a fresh
-// serial sampler when Workers == 0. Each call starts from the resolved
-// seed, so identical estimation requests return identical values
-// regardless of what ran before.
+// resolved options (see sampling.New): a parallel sampler leasing workers
+// from the engine's warm pool when the kinds match (a cold pool
+// otherwise), or a fresh serial sampler when Workers == 0. Each call
+// starts from the resolved seed, so identical estimation requests return
+// identical values regardless of what ran before.
 func (e *Engine) estimatorFor(ctx context.Context, opt Options) (sampling.Sampler, error) {
-	if opt.Workers != 0 {
-		var ps *sampling.ParallelSampler
-		if opt.Sampler == e.scratch.Kind() {
-			ps = sampling.NewParallelShared(e.scratch, opt.Z, opt.Seed, opt.Workers)
-		} else {
-			var err error
-			ps, err = sampling.NewParallel(opt.Sampler, opt.Z, opt.Seed, opt.Workers)
-			if err != nil {
-				return nil, fmt.Errorf("repro: sampler %q (want mc, rss, lazy or mcvec): %w", opt.Sampler, ErrUnknownSampler)
-			}
-		}
-		ps.SetContext(ctx)
-		return ps, nil
-	}
-	smp, err := sampling.NewSerial(opt.Sampler, opt.Z, opt.Seed)
+	smp, err := sampling.New(opt.Sampler, opt.Z, opt.Seed, opt.Workers, e.scratch)
 	if err != nil {
 		return nil, fmt.Errorf("repro: sampler %q (want mc, rss, lazy or mcvec): %w", opt.Sampler, ErrUnknownSampler)
 	}

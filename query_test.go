@@ -26,7 +26,7 @@ func referenceSerialEstimates(t *testing.T, g *Graph, pairs []PairQuery, kind st
 			continue
 		}
 		smp.Reseed(rng.SplitSeed(seed, int64(i)))
-		out[i] = smp.(sampling.CSRSampler).ReliabilityCSR(c, q.S, q.T)
+		out[i] = smp.(sampling.Sampler).ReliabilityCSR(c, q.S, q.T)
 	}
 	return out
 }
@@ -110,6 +110,33 @@ func TestQueryKeyCanonical(t *testing.T) {
 	emptyCands := Query{Kind: QuerySolve, S: 0, T: 39, Options: &Options{K: 2, Z: 300, Seed: 9, R: 8, L: 8, Candidates: []Edge{}}}
 	if key(nilCands) == key(emptyCands) {
 		t.Fatal("nil and empty candidate sets fingerprint identically")
+	}
+}
+
+// TestNegativeHopBoundCanonicalizes: every H <= 0 disables the hop
+// constraint, so a negative bound must canonicalize to 0 and share H=0's
+// fingerprint (and therefore its cache entry).
+func TestNegativeHopBoundCanonicalizes(t *testing.T) {
+	eng, err := NewEngine(engineTestGraph(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(h int) string {
+		cq, err := eng.Canonicalize(Query{Kind: QuerySolve, S: 0, T: 39,
+			Options: &Options{K: 2, Z: 300, Seed: 9, R: 8, L: 8, H: h}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cq.Options.H < 0 {
+			t.Fatalf("h=%d canonicalized to H=%d", h, cq.Options.H)
+		}
+		return cq.Key()
+	}
+	if key(-3) != key(0) {
+		t.Fatal("h=-3 and h=0 run identical work but fingerprint apart")
+	}
+	if key(0) == key(2) {
+		t.Fatal("an active hop bound must move the fingerprint")
 	}
 }
 

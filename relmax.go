@@ -173,22 +173,17 @@ func SolveTotalBudget(g *Graph, s, t NodeID, budget float64, opt Options) (Total
 	return core.SolveTotalBudget(context.Background(), g, s, t, budget, opt)
 }
 
-// Sampler estimates s-t reliability; see NewMonteCarloSampler and
-// NewRSSSampler. The serial samplers are not safe for concurrent use;
-// NewParallelSampler wraps any of them into a goroutine-safe,
-// deterministic, batch-capable estimator.
+// Sampler estimates s-t reliability on a Graph or directly on a frozen
+// CSR snapshot (or a CSR.WithEdges overlay of one); see
+// NewMonteCarloSampler and NewRSSSampler. The serial samplers are not safe
+// for concurrent use; NewParallelSampler wraps any of them into a
+// goroutine-safe, deterministic, batch-capable estimator.
 type Sampler = sampling.Sampler
 
 // BatchSampler is the batched-evaluation interface implemented by
 // NewParallelSampler's result: many (s, t) queries, candidate edges or
 // source/target vectors in one fanned-out call.
 type BatchSampler = sampling.BatchSampler
-
-// CSRSampler is the snapshot-level estimation interface implemented by all
-// built-in samplers: freeze a graph once (or derive a CSR.WithEdges
-// overlay) and estimate on it directly, skipping the per-call snapshot
-// lookup in tight candidate-evaluation loops.
-type CSRSampler = sampling.CSRSampler
 
 // PairQuery is one (source, target) query for BatchSampler.EstimateMany.
 type PairQuery = sampling.PairQuery

@@ -9,16 +9,17 @@ import (
 
 // Replication support. A read replica mirrors a primary engine by applying
 // the primary's committed mutation batches — the exact store.Batch records
-// the primary appended to its WAL — through the same applyMutationTo
-// machinery crash recovery uses. A replica at epoch E therefore answers
+// the primary appended to its WAL — through the same commit path Apply
+// uses: one more delta layer over the replica's CSR, or clone → mutate →
+// freeze under WithFlatCommits. A replica at epoch E therefore answers
 // every query bit-identically to the primary's pinned-epoch-E snapshot:
-// the graph was rebuilt by the same operations in the same order, and the
+// the epoch was built by the same operations in the same order, and the
 // epoch is part of every query fingerprint, so caches self-invalidate as
 // the replica advances. See internal/replication for the feed transport.
 
 // ErrReplicaGap reports a replicated batch that does not chain onto the
 // replica's current epoch (its PrevEpoch is not the engine's epoch), or a
-// batch that fails to replay. The replica has missed history it can never
+// batch that fails to commit. The replica has missed history it can never
 // recover incrementally — the caller must re-bootstrap from a primary
 // snapshot (ResetToSnapshot).
 var ErrReplicaGap = errors.New("replica gap: batch does not chain onto current epoch")
@@ -34,7 +35,7 @@ var ErrReplicaGap = errors.New("replica gap: batch does not chain onto current e
 //
 // The batch must chain: b.PrevEpoch() must equal the engine's current
 // epoch, else ErrReplicaGap — duplicates (b.Epoch <= current) and skips
-// alike. A batch that chains but fails to replay also maps to ErrReplicaGap
+// alike. A batch that chains but fails to commit also maps to ErrReplicaGap
 // (the replica has diverged; incremental repair is impossible), never a
 // partial application: the batch is all-or-nothing exactly like Apply.
 func (e *Engine) ApplyReplicated(b store.Batch) (uint64, error) {
@@ -85,7 +86,7 @@ func (e *Engine) ApplyReplicated(b store.Batch) (uint64, error) {
 	e.snap.Store(next)
 	e.replicatedApplies.Add(1)
 	e.replicatedMutations.Add(uint64(len(b.Muts)))
-	if len(next.pending) != 0 {
+	if next.csr.Depth() != 0 {
 		e.deltaCommits.Add(1)
 	}
 	e.maybeCompact(next)

@@ -161,7 +161,7 @@ func TestResetToSnapshot(t *testing.T) {
 
 	source := durTestGraph(t)
 	source.RestoreVersion(2) // behind the replica: a regression the lazy trim never sees
-	snap := storeSnapshotOf(source)
+	snap := storeSnapshotOf(source.Freeze())
 	if err := replica.ResetToSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestResetToSnapshot(t *testing.T) {
 // re-added surfaces a typed construction error instead of a partial graph.
 func TestGraphFromSnapshot(t *testing.T) {
 	source := durTestGraph(t)
-	g, err := GraphFromSnapshot(storeSnapshotOf(source))
+	g, err := GraphFromSnapshot(storeSnapshotOf(source.Freeze()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestCatalogCreateFromSnapshot(t *testing.T) {
 	}
 	source := durTestGraph(t)
 	source.RestoreVersion(9)
-	snap := storeSnapshotOf(source)
+	snap := storeSnapshotOf(source.Freeze())
 
 	eng, err := c.CreateFromSnapshot("mirror", snap)
 	if err != nil {
