@@ -10,6 +10,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/anytime"
@@ -181,6 +182,25 @@ func (o Options) withDefaults() Options {
 // fingerprint identically.
 func (o Options) Normalized() Options { return o.withDefaults() }
 
+// Validate reports ErrBadQuery for probabilities and candidate endpoints
+// the solvers cannot add to G+ on a graph of n nodes: a Zeta or candidate P
+// that is NaN or above 1, or a candidate endpoint outside [0, n). A
+// non-positive Zeta or P is valid; it selects the default.
+func (o Options) Validate(n int) error {
+	if o.Zeta > 1 || math.IsNaN(o.Zeta) {
+		return fmt.Errorf("core: zeta %v outside [0,1]: %w", o.Zeta, ErrBadQuery)
+	}
+	for _, e := range o.Candidates {
+		if e.P > 1 || math.IsNaN(e.P) {
+			return fmt.Errorf("core: candidate (%d,%d) probability %v outside [0,1]: %w", e.U, e.V, e.P, ErrBadQuery)
+		}
+		if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
+			return fmt.Errorf("core: candidate (%d,%d) out of range [0,%d): %w", e.U, e.V, n, ErrBadQuery)
+		}
+	}
+	return nil
+}
+
 // NewSampler builds the reliability estimator configured by opt, with a
 // decorrelated stream index so different pipeline stages use independent
 // randomness, bound to ctx for block-granular cooperative cancellation.
@@ -245,6 +265,9 @@ func Solve(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, method Meth
 	}
 	opt = opt.withDefaults()
 	if err := checkQuery(g, s, t); err != nil {
+		return Solution{}, err
+	}
+	if err := opt.Validate(g.N()); err != nil {
 		return Solution{}, err
 	}
 	smp, err := opt.NewSampler(ctx, 1)
@@ -318,7 +341,7 @@ func Solve(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, method Meth
 		return Solution{}, err
 	}
 	sol.Base = eval.Reliability(g, s, t)
-	sol.After = eval.Reliability(g.WithEdges(edges), s, t)
+	sol.After = eval.ReliabilityCSR(g.Freeze().WithEdges(edges), s, t)
 	if cerr := ctx.Err(); cerr != nil {
 		sol.Base, sol.After = 0, 0 // interrupted estimates are not meaningful
 		return sol, interrupted("evaluation", cerr)

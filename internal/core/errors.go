@@ -13,7 +13,7 @@ import (
 var (
 	// ErrBadQuery marks structurally invalid queries: endpoints out of
 	// range, source equal to target, empty source/target sets, unknown
-	// aggregates.
+	// aggregates, a ζ or candidate probability that is NaN or above 1.
 	ErrBadQuery = errors.New("invalid query")
 	// ErrUnknownMethod marks a Method the requested entry point does not
 	// support.

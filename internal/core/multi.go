@@ -115,6 +115,9 @@ func SolveMulti(ctx context.Context, g *ugraph.Graph, sources, targets []ugraph.
 			return MultiSolution{}, fmt.Errorf("core: node %d out of range: %w", v, ErrBadQuery)
 		}
 	}
+	if err := opt.Validate(g.N()); err != nil {
+		return MultiSolution{}, err
+	}
 	start := time.Now()
 	smp, err := opt.NewSampler(ctx, 3)
 	if err != nil {

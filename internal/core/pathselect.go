@@ -18,13 +18,11 @@ type augmented struct {
 }
 
 func augment(g *ugraph.Graph, cands []ugraph.Edge) augmented {
-	a := augmented{g: g.Clone(), origM: int32(g.M()), cand: make(map[int32]ugraph.Edge, len(cands))}
-	for _, e := range cands {
-		if a.g.HasEdge(e.U, e.V) {
-			continue
-		}
-		eid := a.g.MustAddEdge(e.U, e.V, e.P)
-		a.cand[eid] = e
+	a := augmented{g: g.WithEdges(cands), origM: int32(g.M()), cand: make(map[int32]ugraph.Edge, len(cands))}
+	// WithEdges adds the new candidates in order as IDs origM, origM+1, ...
+	// and records each exactly as given.
+	for eid := a.origM; eid < int32(a.g.M()); eid++ {
+		a.cand[eid] = a.g.Endpoints(eid)
 	}
 	return a
 }

@@ -42,6 +42,9 @@ func SolveTotalBudget(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, 
 	if err := checkQuery(g, s, t); err != nil {
 		return TotalBudgetSolution{}, err
 	}
+	if err := opt.Validate(g.N()); err != nil {
+		return TotalBudgetSolution{}, err
+	}
 	if budget <= 0 {
 		return TotalBudgetSolution{}, fmt.Errorf("core: total budget %v must be positive: %w", budget, ErrBudget)
 	}
@@ -84,7 +87,7 @@ func SolveTotalBudget(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, 
 		return TotalBudgetSolution{}, err
 	}
 	sol.Base = eval.Reliability(g, s, t)
-	sol.After = eval.Reliability(g.WithEdges(sol.Edges), s, t)
+	sol.After = eval.ReliabilityCSR(g.Freeze().WithEdges(sol.Edges), s, t)
 	sol.Elapsed = time.Since(start)
 	if cerr := ctx.Err(); cerr != nil {
 		sol.Base, sol.After = 0, 0

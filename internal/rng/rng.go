@@ -1,19 +1,32 @@
 // Package rng provides small deterministic random-number utilities used
 // across the library. All stochastic components (samplers, generators,
-// experiment drivers) accept an explicit *rand.Rand so that every run is
+// experiments) take an explicit seed or generator so that every run is
 // reproducible from a single seed.
 //
-// New's source produces exactly math/rand's stream — the same seed gives
-// the same draws as rand.NewSource, word for word — with a faster Seed:
-// the parallel samplers reseed one source per shard per estimate, so
-// seeding is a large share of their RNG work. Drawing is math/rand's
-// 607/273 additive lagged-Fibonacci step, unchanged. Seed computes the
-// same 48271 Lehmer LCG words as math/rand's seeding, with a Mersenne fold
-// in place of Schrage's division, and as three independent chains
-// (multiplier 48271³) in place of one serial chain, about 4x faster in
-// all. math/rand XORs each seeded word with a private "cooked" table;
-// init recovers that table from rand.NewSource(1)'s first 607 draws by
-// inverting the recurrence (see deriveCooked), so no table is vendored.
+// Source produces exactly math/rand's stream — the same seed gives the same
+// draws as rand.NewSource, word for word — with a far cheaper Seed: the
+// parallel samplers reseed one source per shard per estimate, and most
+// shards draw only a few dozen words before the next reseed. Drawing is
+// math/rand's 607/273 additive lagged-Fibonacci step, unchanged.
+//
+// Seeding is lazy. Seed only folds the seed into the Lehmer LCG's range
+// and resets the draw counter; no state word is computed. Draw k (0-based)
+// reads the feed word 333−k and the tap word 606−k, and until then neither
+// word has been read or written, so Uint64 fills in those original seeded
+// words just before the draw reads them: the feed word while k < 334, the
+// tap word while k < 273. After draw 333 every word in play was produced
+// by an earlier fill or draw. Seed therefore costs O(1) and a draw's cost
+// rises by at most two seeded words; a source pays only for the words it
+// draws. Each seeded word packs LCG values 21+3i, 22+3i and 23+3i of the
+// chain math/rand starts at the folded seed, so it is three independent
+// mulMods against a precomputed table of 48271^(21+j) mod (2³¹−1), with a
+// Mersenne fold in place of Schrage's division. math/rand XORs each seeded
+// word with a private "cooked" table; init recovers that table from
+// rand.NewSource(1)'s first 607 draws by inverting the recurrence (see
+// deriveCooked), so no table is vendored.
+//
+// Source also draws Float64 directly, exactly as rand.Rand.Float64 does on
+// it, so the samplers' per-edge coin costs no interface call.
 package rng
 
 import (
@@ -26,27 +39,54 @@ import (
 // is identical to rand.New(rand.NewSource(seed))'s, and so is the stream
 // after any later Seed call.
 func New(seed int64) *rand.Rand {
-	src := new(source)
-	src.Seed(seed)
-	return rand.New(src)
+	return rand.New(NewSource(seed))
+}
+
+// NewSource returns a Source seeded deterministically from seed; its stream
+// is rand.NewSource(seed)'s.
+func NewSource(seed int64) *Source {
+	s := new(Source)
+	s.Seed(seed)
+	return s
 }
 
 const (
-	srcLen  = 607                      // lag of the additive generator
-	srcTap  = 273                      // short tap
-	srcFeed = srcLen - srcTap          // feed position after Seed
-	m31     = 1<<31 - 1                // Lehmer LCG modulus (a Mersenne prime)
-	lcgA    = 48271                    // Lehmer LCG multiplier
-	lcgA3   = lcgA * lcgA * lcgA % m31 // one step of each of the three chains
+	srcLen  = 607             // lag of the additive generator
+	srcTap  = 273             // short tap
+	srcFeed = srcLen - srcTap // feed position after Seed
+	m31     = 1<<31 - 1       // Lehmer LCG modulus (a Mersenne prime)
+	lcgA    = 48271           // Lehmer LCG multiplier
 )
 
-// source is math/rand's additive lagged-Fibonacci generator with a faster
-// Seed. It implements rand.Source64.
-type source struct {
+// Source is math/rand's additive lagged-Fibonacci generator with lazy
+// seeding. It implements rand.Source64, and its Float64 is rand.Rand's.
+type Source struct {
 	tap  int
 	feed int
-	vec  [srcLen]int64
+	// seed is the folded seed: LCG value 0 of the chain the seeded words
+	// come from, in [1, m31).
+	seed uint64
+	// drawn counts the draws since Seed, up to srcFeed; while it is below
+	// srcFeed the next draw still reads an unwritten seeded word.
+	drawn int
+	vec   [srcLen]int64
 }
+
+// lcgPow[i][j] is 48271^(21+3i+j) mod m31: it maps the folded seed to LCG
+// value 21+3i+j, the j-th of the three values packed into seeded word i.
+var lcgPow = func() (t [srcLen][3]uint32) {
+	x := uint64(1)
+	for i := 0; i < 21; i++ {
+		x = mulMod(x, lcgA)
+	}
+	for i := range t {
+		for j := range t[i] {
+			t[i][j] = uint32(x)
+			x = mulMod(x, lcgA)
+		}
+	}
+	return t
+}()
 
 // cooked is math/rand's rngCooked table, recovered by init.
 var cooked = deriveCooked()
@@ -62,10 +102,9 @@ func mulMod(x, a uint64) uint64 {
 	return r
 }
 
-// seedWords writes math/rand's seeded state with mask in place of the
-// cooked table: word i packs LCG values 21+3i, 22+3i and 23+3i of the
-// chain started at seed, XORed with mask[i].
-func seedWords(vec, mask *[srcLen]int64, seed int64) {
+// foldSeed reduces seed the way math/rand's Seed does, to the LCG value
+// its chain starts from.
+func foldSeed(seed int64) uint64 {
 	seed %= m31
 	if seed < 0 {
 		seed += m31
@@ -73,17 +112,15 @@ func seedWords(vec, mask *[srcLen]int64, seed int64) {
 	if seed == 0 {
 		seed = 89482311
 	}
-	x := uint64(seed)
-	for i := 0; i < 21; i++ {
-		x = mulMod(x, lcgA)
-	}
-	a := x
-	b := mulMod(a, lcgA)
-	c := mulMod(b, lcgA)
-	for i := range vec {
-		vec[i] = int64(a)<<40 ^ int64(b)<<20 ^ int64(c) ^ mask[i]
-		a, b, c = mulMod(a, lcgA3), mulMod(b, lcgA3), mulMod(c, lcgA3)
-	}
+	return uint64(seed)
+}
+
+// lcgWord returns seeded word i of the chain started at x before the
+// cooked mask: LCG values 21+3i, 22+3i and 23+3i packed at bits 40, 20
+// and 0, exactly as math/rand's Seed packs them.
+func lcgWord(x uint64, i int) int64 {
+	w := &lcgPow[i]
+	return int64(mulMod(x, uint64(w[0])))<<40 ^ int64(mulMod(x, uint64(w[1])))<<20 ^ int64(mulMod(x, uint64(w[2])))
 }
 
 // deriveCooked recovers math/rand's cooked table. Seeding with 1 sets
@@ -107,24 +144,57 @@ func deriveCooked() [srcLen]int64 {
 		old[srcFeed-k] = o[k] - old[srcLen-k]
 	}
 	var cooked [srcLen]int64
-	seedWords(&cooked, &old, 1)
+	for i := range cooked {
+		cooked[i] = lcgWord(1, i) ^ old[i]
+	}
 	return cooked
 }
 
-// Seed resets the source to the state rand.NewSource(seed) starts in.
-func (s *source) Seed(seed int64) {
+// Seed resets the source to the state rand.NewSource(seed) starts in. It
+// computes no state word: the draws fill them in as they reach them.
+func (s *Source) Seed(seed int64) {
 	s.tap = 0
 	s.feed = srcFeed
-	seedWords(&s.vec, &cooked, seed)
+	s.seed = foldSeed(seed)
+	s.drawn = 0
+}
+
+// fill writes the seeded words the next draw reads for the first time:
+// draw k reads feed word 333−k, first for k < 334, and tap word 606−k,
+// first for k < 273 (later taps read words earlier draws fed).
+func (s *Source) fill() {
+	k := s.drawn
+	s.drawn++
+	i := srcFeed - 1 - k
+	s.vec[i] = lcgWord(s.seed, i) ^ cooked[i]
+	if k < srcTap {
+		i = srcLen - 1 - k
+		s.vec[i] = lcgWord(s.seed, i) ^ cooked[i]
+	}
 }
 
 // Int63 returns a non-negative pseudo-random 63-bit integer.
-func (s *source) Int63() int64 {
+func (s *Source) Int63() int64 {
 	return int64(s.Uint64() &^ (1 << 63))
 }
 
+// Float64 returns a pseudo-random number in [0.0, 1.0). It is exactly
+// rand.Rand.Float64 over this source, including the redraw when the
+// rounded quotient is 1, so it consumes the stream identically.
+func (s *Source) Float64() float64 {
+	for {
+		f := float64(s.Int63()) / (1 << 63)
+		if f < 1 {
+			return f
+		}
+	}
+}
+
 // Uint64 returns the next word of the stream.
-func (s *source) Uint64() uint64 {
+func (s *Source) Uint64() uint64 {
+	if s.drawn < srcFeed {
+		s.fill()
+	}
 	s.tap--
 	if s.tap < 0 {
 		s.tap += srcLen

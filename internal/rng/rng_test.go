@@ -142,9 +142,17 @@ var streamSeeds = []int64{
 	math.MinInt64, math.MaxInt64, math.MinInt64 + 1,
 }
 
+// drawer is the draw surface Source shares with rand.Rand.
+type drawer interface {
+	Uint64() uint64
+	Int63() int64
+	Float64() float64
+}
+
 // assertSameStream draws n words from both generators, exercising Uint64,
-// Int63 and the derived Float64 path, and fails on the first mismatch.
-func assertSameStream(t *testing.T, label string, got, want *rand.Rand, n int) {
+// Int63 and Float64 (a Source's own or rand.Rand's), and fails on the
+// first mismatch.
+func assertSameStream(t testing.TB, label string, got drawer, want *rand.Rand, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		var g, w uint64
@@ -189,15 +197,78 @@ func TestReseedMidStream(t *testing.T) {
 	}
 }
 
-// TestReseedZeroAllocs pins Seed as allocation-free: the samplers reseed
-// once per shard per estimate inside their zero-alloc loops.
+// TestReseedZeroAllocs pins Seed and Source.Float64 as allocation-free:
+// the samplers reseed once per shard per estimate and draw every coin
+// inside their zero-alloc loops.
 func TestReseedZeroAllocs(t *testing.T) {
-	r := New(1)
+	r, s := New(1), NewSource(1)
 	seed := int64(0)
 	if allocs := testing.AllocsPerRun(100, func() {
 		seed++
 		r.Seed(seed)
+		s.Seed(seed)
 	}); allocs != 0 {
 		t.Fatalf("Seed allocates %v times per call, want 0", allocs)
 	}
+	sink := 0.0
+	if allocs := testing.AllocsPerRun(1000, func() {
+		sink += s.Float64()
+	}); allocs != 0 {
+		t.Fatalf("Float64 allocates %v times per call, want 0", allocs)
+	}
+	if sink < 0 {
+		t.Fatal("negative draw")
+	}
+}
+
+// TestLazySeedBoundaries reseeds after exactly as many draws as put the
+// lazy fill at each of its edges — before any fill, at the last and first
+// draws that fill a tap word (272, 273), at the last draw that fills a
+// feed word (333) and past it, and after whole lags — and checks the
+// stream that follows over two full lags.
+func TestLazySeedBoundaries(t *testing.T) {
+	for _, before := range []int{0, 1, 272, 273, 274, 333, 334, 335, 607, 1214} {
+		for _, seed := range []int64{1, 42, -7, m31 + 3, SplitSeed(9, int64(before))} {
+			got, want := NewSource(seed^int64(before)), rand.New(rand.NewSource(seed^int64(before)))
+			for i := 0; i < before; i++ {
+				if g, w := got.Uint64(), want.Uint64(); g != w {
+					t.Fatalf("seed %d: draw %d before reseed = %#x, math/rand gives %#x", seed, i, g, w)
+				}
+			}
+			got.Seed(seed)
+			want.Seed(seed)
+			assertSameStream(t, fmt.Sprintf("seed %d after %d draws", seed, before), got, want, 2*srcLen+5)
+		}
+	}
+}
+
+// TestSourceFloat64MatchesRand pins Source.Float64 to rand.Rand.Float64
+// draw for draw, so the samplers' direct draws consume the stream exactly
+// as the rand.Rand they replaced did.
+func TestSourceFloat64MatchesRand(t *testing.T) {
+	for _, seed := range streamSeeds {
+		got, want := NewSource(seed), rand.New(rand.NewSource(seed))
+		for i := 0; i < 3*srcLen; i++ {
+			if g, w := got.Float64(), want.Float64(); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("seed %d: Float64 draw %d = %v, math/rand gives %v", seed, i, g, w)
+			}
+		}
+	}
+}
+
+// FuzzSourceMatchesMathRand checks Source against math/rand for any seed,
+// reseeded after any number k of draws.
+func FuzzSourceMatchesMathRand(f *testing.F) {
+	f.Add(int64(1), uint16(0))
+	f.Add(int64(-1), uint16(273))
+	f.Add(int64(m31), uint16(334))
+	f.Add(int64(math.MinInt64), uint16(607))
+	f.Fuzz(func(t *testing.T, seed int64, k uint16) {
+		got, want := NewSource(seed), rand.New(rand.NewSource(seed))
+		assertSameStream(t, "first stream", got, want, int(k))
+		reseed := seed ^ int64(k)*0x9e3779b9
+		got.Seed(reseed)
+		want.Seed(reseed)
+		assertSameStream(t, "after reseed", got, want, 2*srcLen+1)
+	})
 }

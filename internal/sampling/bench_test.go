@@ -221,15 +221,24 @@ func BenchmarkSolveCancellation(b *testing.B) {
 	}
 }
 
-// BenchmarkReseed times one shard reseed, the fixed cost every
-// ParallelSampler shard pays before it draws (see shardBudgetsFor).
+// BenchmarkReseed times one shard's fixed RNG cost: a reseed plus 64
+// Float64 draws, about what a selection shard draws. Seeding is lazy, so a
+// reseed alone costs next to nothing; the draws pay for the seeded words
+// they read (see shardBudgetsFor).
 func BenchmarkReseed(b *testing.B) {
 	b.Run("rss", func(b *testing.B) {
 		smp := NewRSS(500, 1)
+		sink := 0.0
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			smp.Reseed(int64(i))
+			for j := 0; j < 64; j++ {
+				sink += smp.r.Float64()
+			}
+		}
+		if sink < 0 {
+			b.Fatal("negative draw")
 		}
 	})
 }

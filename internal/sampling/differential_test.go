@@ -251,16 +251,3 @@ func TestScratchReuseAcrossGrowingGraphs(t *testing.T) {
 		}
 	}
 }
-
-// TestBuiltinsImplementCSRSampler pins the interface relationship the
-// solver fast paths rely on.
-func TestBuiltinsImplementCSRSampler(t *testing.T) {
-	for _, smp := range []Sampler{NewMonteCarlo(1, 1), NewRSS(1, 1), NewLazy(1, 1)} {
-		if _, ok := smp.(Sampler); !ok {
-			t.Errorf("%s does not implement Sampler", smp.Name())
-		}
-	}
-	if _, ok := Sampler(newParallelT(t, "rss", 10, 1, 2)).(Sampler); !ok {
-		t.Error("ParallelSampler does not implement Sampler")
-	}
-}

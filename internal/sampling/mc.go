@@ -1,8 +1,6 @@
 package sampling
 
 import (
-	"math/rand"
-
 	"repro/internal/rng"
 	"repro/internal/ugraph"
 )
@@ -14,7 +12,7 @@ import (
 // a frozen CSR snapshot and allocate nothing in steady state.
 type MonteCarlo struct {
 	z  int
-	r  *rand.Rand
+	r  *rng.Source
 	sc scratch
 	canceller
 }
@@ -22,7 +20,7 @@ type MonteCarlo struct {
 // NewMonteCarlo returns an MC sampler drawing z possible worlds per query,
 // seeded deterministically.
 func NewMonteCarlo(z int, seed int64) *MonteCarlo {
-	return &MonteCarlo{z: z, r: rng.New(seed)}
+	return &MonteCarlo{z: z, r: rng.NewSource(seed)}
 }
 
 // Name implements Sampler.

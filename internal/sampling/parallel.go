@@ -295,8 +295,9 @@ func (ps *ParallelSampler) shardBudgets(z int) []int {
 // one-item batch is sharded like a scalar call (the whole pool works on
 // it) while a batch that alone saturates the shard target gets one shard
 // per item and pays no per-shard overhead (each shard costs an RNG reseed
-// plus a scratch reset; for the scalar kinds the reseed re-initialises a
-// 607-word source, about 2.3 µs on a 2 vCPU Xeon — see BenchmarkReseed).
+// plus a scratch reset; for the scalar kinds seeding is lazy, so a shard
+// pays for each of the first 334 words it draws in place of a 607-word
+// reinitialisation — see BenchmarkReseed).
 // The count depends only on (z, items) and the estimator's fixed quantum,
 // never on the worker count, so results stay bit-identical across pool
 // sizes.

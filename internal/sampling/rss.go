@@ -1,8 +1,6 @@
 package sampling
 
 import (
-	"math/rand"
-
 	"repro/internal/rng"
 	"repro/internal/ugraph"
 )
@@ -34,7 +32,7 @@ type RSS struct {
 	z         int
 	width     int
 	threshold int
-	r         *rand.Rand
+	r         *rng.Source
 	sc        scratch
 	status    []int8
 	arena     []int32 // stack of boundary edge IDs across recursion levels
@@ -44,7 +42,7 @@ type RSS struct {
 // NewRSS returns an RSS sampler with total budget z and default width and
 // threshold, seeded deterministically.
 func NewRSS(z int, seed int64) *RSS {
-	return &RSS{z: z, width: DefaultRSSWidth, threshold: DefaultRSSThreshold, r: rng.New(seed)}
+	return &RSS{z: z, width: DefaultRSSWidth, threshold: DefaultRSSThreshold, r: rng.NewSource(seed)}
 }
 
 // Name implements Sampler.

@@ -20,6 +20,14 @@
 // any worker count. Budgets are processed in blocks of 64 lanes with the
 // final block masked down to z%64 lanes, so any Z is honored exactly.
 //
+// # Randomness
+//
+// The scalar estimators (MonteCarlo, RSS, Lazy) flip every edge coin with
+// the Float64 of a concrete rng.Source: math/rand's stream word for word,
+// without an interface call per coin. The source seeds lazily, so a
+// ParallelSampler shard's Reseed is O(1) and the shard pays only for the
+// seeded words it actually draws.
+//
 // # Snapshots
 //
 // All estimators run their inner loops on a frozen ugraph.CSR snapshot —
@@ -50,8 +58,8 @@ package sampling
 
 import (
 	"context"
-	"math/rand"
 
+	"repro/internal/rng"
 	"repro/internal/ugraph"
 )
 
@@ -102,6 +110,16 @@ type Sampler interface {
 	// request instead of sharing a binding.
 	SetContext(ctx context.Context)
 }
+
+// Every estimator this package builds implements the whole Sampler
+// contract; the solvers rely on its CSR methods.
+var (
+	_ Sampler = (*MonteCarlo)(nil)
+	_ Sampler = (*RSS)(nil)
+	_ Sampler = (*Lazy)(nil)
+	_ Sampler = (*MCVec)(nil)
+	_ Sampler = (*ParallelSampler)(nil)
+)
 
 // PairQuery is one (source, target) reliability query, used by the batched
 // estimation APIs.
@@ -200,7 +218,7 @@ func (sc *scratch) nextEpoch() {
 // entries +1 force the edge present, -1 absent, 0 leaves it random — this
 // is what the RSS strata use. Overlay arcs are visited after the base row
 // of each node, matching mutable-Graph arc order.
-func sampledWalk(sc *scratch, r *rand.Rand, c *ugraph.CSR, src, t ugraph.NodeID, forward bool, counts []float64, status []int8) bool {
+func sampledWalk(sc *scratch, r *rng.Source, c *ugraph.CSR, src, t ugraph.NodeID, forward bool, counts []float64, status []int8) bool {
 	sc.nextEpoch()
 	// Hoist the scratch fields into locals: the loop below is the hottest
 	// code in the library and the compiler cannot cache pointer-reached
@@ -278,7 +296,7 @@ func sampledWalk(sc *scratch, r *rand.Rand, c *ugraph.CSR, src, t ugraph.NodeID,
 // library. Dropping the two always-false per-edge branches of the generic
 // walk is worth several percent on the MC hot path. It consumes randomness
 // identically to sampledWalk(sc, r, c, src, t, forward, nil, nil).
-func sampledWalkPlain(sc *scratch, r *rand.Rand, c *ugraph.CSR, src, t ugraph.NodeID, forward bool) bool {
+func sampledWalkPlain(sc *scratch, r *rng.Source, c *ugraph.CSR, src, t ugraph.NodeID, forward bool) bool {
 	sc.nextEpoch()
 	epoch := sc.epoch
 	nodeEp, edgeSt := sc.nodeEp, sc.edgeSt
@@ -396,7 +414,7 @@ func deterministicReach(sc *scratch, c *ugraph.CSR, src, target ugraph.NodeID, f
 // fallback: status is mandatory (no nil check per edge) and no counts are
 // collected. It consumes randomness identically to
 // sampledWalk(sc, r, c, src, t, forward, nil, status).
-func sampledWalkCond(sc *scratch, r *rand.Rand, c *ugraph.CSR, src, t ugraph.NodeID, forward bool, status []int8) bool {
+func sampledWalkCond(sc *scratch, r *rng.Source, c *ugraph.CSR, src, t ugraph.NodeID, forward bool, status []int8) bool {
 	sc.nextEpoch()
 	epoch := sc.epoch
 	nodeEp, edgeSt := sc.nodeEp, sc.edgeSt

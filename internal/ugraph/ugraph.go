@@ -390,9 +390,48 @@ func (g *Graph) Clone() *Graph {
 
 // WithEdges returns a clone of g with the given new edges added at the
 // probabilities they carry. Edges already present are skipped silently, so
-// solvers can pass tentative solutions without pre-filtering.
+// solvers can pass tentative solutions without pre-filtering. The result
+// is exactly Clone followed by MustAddEdge per new edge — same edge IDs,
+// arc order and Version — but every slice, the index and each adjacency
+// row are sized for the extra arcs up front, so adding them never grows
+// one. The rows are carved from one backing array per direction and share
+// nothing with g's.
 func (g *Graph) WithEdges(extra []Edge) *Graph {
-	c := g.Clone()
+	// room[u] counts the arcs row u may gain. Repeats and edges already
+	// present are counted too (they only cost spare room); out-of-range
+	// endpoints are left to MustAddEdge to report.
+	room := make([]int32, g.n)
+	var inRoom []int32
+	if g.directed {
+		inRoom = make([]int32, g.n)
+	}
+	for _, e := range extra {
+		if e.U < 0 || int(e.U) >= g.n || e.V < 0 || int(e.V) >= g.n {
+			continue
+		}
+		room[e.U]++
+		if g.directed {
+			inRoom[e.V]++
+		} else {
+			room[e.V]++
+		}
+	}
+	m := len(g.p)
+	c := &Graph{
+		directed: g.directed,
+		n:        g.n,
+		p:        append(make([]float64, 0, m+len(extra)), g.p...),
+		ends:     append(make([]Edge, 0, m+len(extra)), g.ends...),
+		out:      copyRows(g.out, room),
+		index:    make(map[int64]int32, len(g.index)+len(extra)),
+		version:  g.version,
+	}
+	if g.directed {
+		c.in = copyRows(g.in, inRoom)
+	}
+	for k, v := range g.index {
+		c.index[k] = v
+	}
 	for _, e := range extra {
 		if c.HasEdge(e.U, e.V) {
 			continue
@@ -400,6 +439,27 @@ func (g *Graph) WithEdges(extra []Edge) *Graph {
 		c.MustAddEdge(e.U, e.V, e.P)
 	}
 	return c
+}
+
+// copyRows returns a deep copy of rows in which row u has room for room[u]
+// more arcs. The rows share one backing array, each capped at its own
+// end, so an append beyond a row's room reallocates that row alone.
+func copyRows(rows [][]Arc, room []int32) [][]Arc {
+	total := 0
+	for u, r := range rows {
+		total += len(r) + int(room[u])
+	}
+	slab := make([]Arc, total)
+	out := make([][]Arc, len(rows))
+	for u, r := range rows {
+		n := len(r) + int(room[u])
+		if n == 0 {
+			continue
+		}
+		out[u] = slab[:copy(slab, r):n]
+		slab = slab[n:]
+	}
+	return out
 }
 
 // HopDistances runs a BFS over the underlying (deterministic) topology from

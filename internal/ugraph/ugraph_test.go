@@ -434,3 +434,112 @@ func TestDiameter(t *testing.T) {
 		t.Fatalf("Diameter = %d, want 3", d)
 	}
 }
+
+// rowsOf deep-copies every adjacency row of g, to detect later writes.
+func rowsOf(g *Graph) (out, in [][]Arc) {
+	for u := NodeID(0); int(u) < g.N(); u++ {
+		out = append(out, append([]Arc(nil), g.Out(u)...))
+		in = append(in, append([]Arc(nil), g.In(u)...))
+	}
+	return out, in
+}
+
+// requireRows fails unless g's rows still equal the copies rowsOf took.
+func requireRows(t *testing.T, label string, g *Graph, out, in [][]Arc) {
+	t.Helper()
+	for u := NodeID(0); int(u) < g.N(); u++ {
+		if !arcsEqual(g.Out(u), out[u]) || !arcsEqual(g.In(u), in[u]) {
+			t.Fatalf("%s: row %d changed: out %v (was %v), in %v (was %v)", label, u, g.Out(u), out[u], g.In(u), in[u])
+		}
+	}
+}
+
+// TestWithEdgesMatchesCloneAndAdd pins the pre-sized WithEdges to its
+// definition, Clone followed by MustAddEdge per new edge, on random
+// directed and undirected graphs whose extras repeat each other (in both
+// orientations) and repeat existing edges. It then checks that the result
+// shares no row with its parent: adding edges at every node of either
+// graph leaves the other's rows and snapshot unchanged.
+func TestWithEdgesMatchesCloneAndAdd(t *testing.T) {
+	for _, directed := range []bool{false, true} {
+		for trial := 0; trial < 30; trial++ {
+			r := rand.New(rand.NewSource(int64(trial)*2 + int64(b2i(directed))))
+			n := 3 + r.Intn(15)
+			g := randomGraph(r, n, directed, r.Intn(n*(n-1)/4+1))
+			var extra []Edge
+			for len(extra) < 1+r.Intn(2*n) {
+				switch u, v := NodeID(r.Intn(n)), NodeID(r.Intn(n)); {
+				case u == v:
+				case r.Intn(4) == 0 && len(extra) > 0:
+					e := extra[r.Intn(len(extra))]
+					extra = append(extra, Edge{U: e.V, V: e.U, P: 0.25}, e)
+				case r.Intn(4) == 0 && g.M() > 0:
+					e := g.Endpoints(int32(r.Intn(g.M())))
+					e.P = 0.75
+					extra = append(extra, e)
+				default:
+					extra = append(extra, Edge{U: u, V: v, P: float64(r.Intn(101)) / 100})
+				}
+			}
+			want := g.Clone()
+			for _, e := range extra {
+				if !want.HasEdge(e.U, e.V) {
+					want.MustAddEdge(e.U, e.V, e.P)
+				}
+			}
+			parentSnap := g.Freeze()
+			parentOut, parentIn := rowsOf(g)
+
+			got := g.WithEdges(extra)
+			sameTopology(t, got, want)
+			if got.Version() != want.Version() {
+				t.Fatalf("Version = %d, want %d", got.Version(), want.Version())
+			}
+			ge, we := got.Edges(), want.Edges()
+			for i := range we {
+				if ge[i] != we[i] {
+					t.Fatalf("Edges()[%d] = %+v, want %+v", i, ge[i], we[i])
+				}
+			}
+			for _, e := range extra {
+				geid, gok := got.EdgeID(e.U, e.V)
+				weid, wok := want.EdgeID(e.U, e.V)
+				if geid != weid || gok != wok {
+					t.Fatalf("EdgeID(%d,%d) = %d,%v, want %d,%v", e.U, e.V, geid, gok, weid, wok)
+				}
+			}
+			assertCSRMatchesGraph(t, got.Freeze(), want)
+			if got.Freeze().Epoch() != want.Freeze().Epoch() {
+				t.Fatalf("snapshot epoch %d, want %d", got.Freeze().Epoch(), want.Freeze().Epoch())
+			}
+
+			// Each side grows in turn; the other's rows and snapshot must
+			// stay as they were.
+			grow(got)
+			requireRows(t, "parent after the child grew", g, parentOut, parentIn)
+			if g.Freeze() != parentSnap {
+				t.Fatal("the child's growth invalidated the parent's snapshot")
+			}
+			gotOut, gotIn := rowsOf(got)
+			gotSnap := got.Freeze()
+			grow(g)
+			requireRows(t, "child after the parent grew", got, gotOut, gotIn)
+			if got.Freeze() != gotSnap {
+				t.Fatal("the parent's growth invalidated the child's snapshot")
+			}
+		}
+	}
+}
+
+// grow adds an edge from every node to its next two neighbours (mod N)
+// where none exists, appending to most adjacency rows.
+func grow(g *Graph) {
+	for u := NodeID(0); int(u) < g.N(); u++ {
+		for _, v := range []NodeID{(u + 1) % NodeID(g.N()), (u + 2) % NodeID(g.N())} {
+			if u != v && !g.HasEdge(u, v) {
+				g.MustAddEdge(u, v, 0.5)
+			}
+		}
+	}
+
+}

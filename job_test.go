@@ -298,8 +298,8 @@ func TestSubmitDetachedFromSubmitterContext(t *testing.T) {
 
 // TestJobPanicBecomesFailedJob: a solver panic on the detached job
 // goroutine must be contained as a failed job, never crash the process.
-// Zeta > 1 reaches ugraph.MustAddEdge with an out-of-range probability,
-// which panics.
+// Progress callbacks run inline on the solving goroutine, so a panicking
+// one stands in for a solver panic.
 func TestJobPanicBecomesFailedJob(t *testing.T) {
 	g := engineTestGraph(t)
 	eng, err := NewEngine(g)
@@ -308,7 +308,8 @@ func TestJobPanicBecomesFailedJob(t *testing.T) {
 	}
 	j, err := eng.Submit(context.Background(), Query{
 		Kind: QuerySolve, S: 0, T: 39, Method: MethodBE,
-		Options: &Options{K: 2, Z: 100, R: 6, L: 6, Zeta: 1.5},
+		Options:  &Options{K: 2, Z: 100, R: 6, L: 6},
+		Progress: func(ProgressEvent) { panic("progress callback failed") },
 	})
 	if err != nil {
 		t.Fatal(err)

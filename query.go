@@ -155,6 +155,12 @@ func (e *Engine) Canonicalize(q Query) (Query, error) {
 		opt.Candidates = append(make([]Edge, 0, len(opt.Candidates)), opt.Candidates...)
 	}
 	switch q.Kind {
+	case QuerySolve, QueryMulti, QueryTotalBudget:
+		if err := opt.Validate(snap.csr.N()); err != nil {
+			return Query{}, err
+		}
+	}
+	switch q.Kind {
 	case QuerySolve:
 		out.S, out.T = q.S, q.T
 		out.Method = q.Method

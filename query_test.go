@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/rng"
@@ -287,5 +288,44 @@ func TestEngineEstimateManySerialSharded(t *testing.T) {
 		if again[i] != want[i] {
 			t.Fatalf("repeat diverged at %d: %v vs %v", i, again[i], want[i])
 		}
+	}
+}
+
+// TestInvalidProbabilitiesAreBadQueries: a ζ or candidate probability the
+// solvers cannot put on an edge (NaN or above 1), or a candidate endpoint
+// outside the graph, is rejected up front with ErrBadQuery, for every
+// solver kind and through both Run and Submit, and never reaches the
+// result cache — each used to panic while building G+.
+func TestInvalidProbabilitiesAreBadQueries(t *testing.T) {
+	eng, err := NewEngine(engineTestGraph(t), WithResultCache(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	bad := map[string]Options{
+		"zeta 1.5":       {K: 2, Z: 50, Zeta: 1.5},
+		"zeta NaN":       {K: 2, Z: 50, Zeta: math.NaN()},
+		"zeta +Inf":      {K: 2, Z: 50, Zeta: math.Inf(1)},
+		"candidate P":    {K: 2, Z: 50, Candidates: []Edge{{U: 0, V: 39, P: 2}}},
+		"candidate node": {K: 2, Z: 50, Candidates: []Edge{{U: 0, V: 1 << 20, P: 0.5}}},
+	}
+	for name, opt := range bad {
+		for _, q := range []Query{
+			{Kind: QuerySolve, S: 0, T: 39},
+			{Kind: QueryMulti, Sources: []NodeID{0, 1}, Targets: []NodeID{39}},
+			{Kind: QueryTotalBudget, S: 0, T: 39, Budget: 1},
+		} {
+			opt := opt
+			q.Options = &opt
+			if _, err := eng.Run(context.Background(), q); !errors.Is(err, ErrBadQuery) {
+				t.Errorf("%s %s: Run error %v, want ErrBadQuery", name, q.Kind, err)
+			}
+			if _, err := eng.Submit(context.Background(), q); !errors.Is(err, ErrBadQuery) {
+				t.Errorf("%s %s: Submit error %v, want ErrBadQuery", name, q.Kind, err)
+			}
+		}
+	}
+	if st := eng.Stats(); st.CacheHits != 0 || st.CacheMisses != 0 {
+		t.Fatalf("invalid queries reached the cache: %+v", st)
 	}
 }

@@ -53,7 +53,7 @@ type (
 var (
 	// ErrBadQuery marks structurally invalid queries (endpoints out of
 	// range, source equals target, empty source/target sets, unknown
-	// aggregates).
+	// aggregates, a ζ or candidate probability that is NaN or above 1).
 	ErrBadQuery = core.ErrBadQuery
 	// ErrUnknownMethod marks a Method the entry point does not support.
 	ErrUnknownMethod = core.ErrUnknownMethod
