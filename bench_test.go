@@ -156,30 +156,48 @@ func ratioName(r float64) string {
 	}
 }
 
-// BenchmarkSamplerCore measures the raw estimators outside the solver.
+// BenchmarkSamplerCore is the kind × shape ledger of the raw serial
+// estimators outside the solver: each kind at Z=500 on one s-t query (the
+// walk exits early at t) and on the From shape (a full single-source
+// reliability vector, as candidate elimination draws it), on lastfm and
+// astopo.
 func BenchmarkSamplerCore(b *testing.B) {
-	g, err := LoadDataset("astopo", 0.04, 5)
-	if err != nil {
-		b.Fatal(err)
+	const z = 500
+	kinds := []struct {
+		name string
+		new  func(z int, seed int64) Sampler
+	}{
+		{"mc", NewMonteCarloSampler},
+		{"rss", NewRSSSampler},
+		{"mcvec", NewMCVecSampler},
 	}
-	qs := Queries(g, 1, 3, 5, 4)
-	if len(qs) == 0 {
-		b.Fatal("no query")
+	for _, ds := range []string{"lastfm", "astopo"} {
+		g, err := LoadDataset(ds, 0.08, 5)
+		if err != nil {
+			b.Fatal(err)
+		}
+		qs := Queries(g, 1, 3, 5, 4)
+		if len(qs) == 0 {
+			b.Fatal("no query")
+		}
+		s, t := qs[0].S, qs[0].T
+		for _, k := range kinds {
+			b.Run(ds+"/st/"+k.name, func(b *testing.B) {
+				smp := k.new(z, 1)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					smp.Reliability(g, s, t)
+				}
+			})
+			b.Run(ds+"/from/"+k.name, func(b *testing.B) {
+				smp := k.new(z, 1)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					smp.ReliabilityFrom(g, s)
+				}
+			})
+		}
 	}
-	b.Run("mc-500", func(b *testing.B) {
-		smp := NewMonteCarloSampler(500, 1)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			smp.Reliability(g, qs[0].S, qs[0].T)
-		}
-	})
-	b.Run("rss-250", func(b *testing.B) {
-		smp := NewRSSSampler(250, 1)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			smp.Reliability(g, qs[0].S, qs[0].T)
-		}
-	})
 }
 
 // ---- Parallel-sampling benchmarks: the serial-vs-parallel speedup the ----

@@ -60,7 +60,7 @@ func main() {
 		estimate  = flag.Bool("estimate", false, "estimate s-t reliability only (no edge selection)")
 		precision = flag.Float64("precision", 0, "anytime estimation: stop sampling once the confidence interval half-width reaches this (implies -estimate; 0 = fixed budget -z)")
 		maxZ      = flag.Int("max-z", 0, "anytime estimation: cap on adaptive samples (0 = library default)")
-		sampler   = flag.String("sampler", "rss", "reliability estimator: mc, rss, lazy or mcvec (word-parallel MC)")
+		sampler   = flag.String("sampler", "rss", "reliability estimator: mc, rss or mcvec (word-parallel MC)")
 		method    = flag.String("method", "be", "solver: "+methodList())
 		seed      = flag.Int64("seed", 1, "random seed")
 		workers   = flag.Int("workers", 0, "sampling worker pool size (0 = serial, -1 = all CPUs)")

@@ -109,7 +109,7 @@ func main() {
 		dataset  = flag.String("dataset", "", "single built-in dataset name")
 		scale    = flag.Float64("scale", 0.08, "dataset scale factor")
 		z        = flag.Int("z", 500, "default reliability samples per estimate")
-		sampler  = flag.String("sampler", "rss", "default estimator: mc, rss, lazy or mcvec (word-parallel MC)")
+		sampler  = flag.String("sampler", "rss", "default estimator: mc, rss or mcvec (word-parallel MC)")
 		seed     = flag.Int64("seed", 1, "base seed (fixes every response payload)")
 		workers  = flag.Int("workers", -1, "sampling worker pool size per engine (0 = serial, -1 = all CPUs)")
 		timeout  = flag.Duration("timeout", 30*time.Second, "per-request / per-job timeout (0 = none)")

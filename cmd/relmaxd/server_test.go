@@ -145,6 +145,10 @@ func TestErrorMapping(t *testing.T) {
 		{"bad endpoints", "/v1/solve", `{"s":0,"t":0}`, http.StatusBadRequest},
 		{"node out of range", "/v1/solve", `{"s":0,"t":1000000}`, http.StatusBadRequest},
 		{"unknown sampler", "/v1/solve", `{"s":0,"t":5,"sampler":"bogus"}`, http.StatusBadRequest},
+		{"v2 retired sampler", "/v2/jobs", `{"kind":"solve","s":0,"t":5,"sampler":"lazy"}`, http.StatusBadRequest},
+		{"v2 unknown sampler multi", "/v2/jobs", `{"kind":"multi","sources":[0],"targets":[5],"sampler":"bogus"}`, http.StatusBadRequest},
+		{"v2 unknown sampler total-budget", "/v2/jobs", `{"kind":"total-budget","s":0,"t":5,"budget":1,"sampler":"bogus"}`, http.StatusBadRequest},
+		{"v2 unknown aggregate", "/v2/jobs", `{"kind":"multi","sources":[0],"targets":[5],"aggregate":"median"}`, http.StatusBadRequest},
 		{"empty pairs", "/v1/estimate", `{"pairs":[]}`, http.StatusBadRequest},
 		{"estimate out of range", "/v1/estimate", `{"pairs":[[0,1000000]]}`, http.StatusBadRequest},
 	}

@@ -288,11 +288,11 @@
 //
 // # Sampling
 //
-// Reliability estimation uses Monte Carlo sampling, recursive stratified
-// sampling (RSS), lazy-propagation MC, or word-parallel vector Monte Carlo
-// ("mcvec"); the serial estimators are exposed via NewMonteCarloSampler,
-// NewRSSSampler, NewLazySampler and NewMCVecSampler and are
-// single-goroutine only. NewParallelSampler wraps any of them into a
+// Reliability estimation uses the paper's two estimators, Monte Carlo
+// sampling ("mc", §3.1) and recursive stratified sampling ("rss", §5.3),
+// or word-parallel vector Monte Carlo ("mcvec"); the serial estimators are
+// exposed via NewMonteCarloSampler, NewRSSSampler and NewMCVecSampler and
+// are single-goroutine only. NewParallelSampler wraps any of them into a
 // goroutine-safe estimator that shards the sample budget across workers
 // deterministically and supports batched evaluation (EstimateMany,
 // EstimateEdges). Every sampler accepts a context via SetContext for

@@ -197,7 +197,7 @@ func TestReopenBitIdentical(t *testing.T) {
 		}
 	}
 	ctx := context.Background()
-	for _, kind := range []string{"mc", "rss", "lazy", "mcvec"} {
+	for _, kind := range []string{"mc", "rss", "mcvec"} {
 		for _, workers := range []int{0, 3} {
 			t.Run(kind+"/workers="+string(rune('0'+workers)), func(t *testing.T) {
 				dir := t.TempDir()

@@ -164,8 +164,8 @@ func (s *engineSnapshot) graph() (*Graph, error) {
 // EngineOption configures NewEngine.
 type EngineOption func(*Engine)
 
-// WithSamplerKind selects the reliability estimator: "mc", "rss" (default),
-// "lazy" or "mcvec".
+// WithSamplerKind selects the reliability estimator: "mc", "rss" (default)
+// or "mcvec".
 func WithSamplerKind(kind string) EngineOption {
 	return func(e *Engine) { e.opt.Sampler = kind }
 }
@@ -262,7 +262,7 @@ func NewEngine(g *Graph, opts ...EngineOption) (*Engine, error) {
 	}
 	scratch, err := sampling.NewSharedScratch(e.opt.Sampler)
 	if err != nil {
-		return nil, fmt.Errorf("repro: NewEngine: sampler %q (want mc, rss, lazy or mcvec): %w", e.opt.Sampler, ErrUnknownSampler)
+		return nil, fmt.Errorf("repro: NewEngine: %w", err)
 	}
 	e.scratch = scratch
 	if e.maxConcurrent <= 0 {

@@ -14,7 +14,7 @@
 // between blocks, so a block that starts always completes and the drawn
 // stream depends only on (seed, block schedule, stop decision). In serial
 // mode (Workers == 0) the sample stream of the stream-continuing kinds
-// (mc, lazy, mcvec) is bit-identical to a plain fixed-budget sampler of
+// (mc, mcvec) is bit-identical to a plain fixed-budget sampler of
 // the same kind and seed truncated at the stop point. In sharded mode
 // (Workers != 0) the schedule is a fixed 16-shard round-robin — shard i
 // draws from rng.SplitSeed(seed, i), rounds hand every shard one 64-block
@@ -87,7 +87,7 @@ type ProgressFunc func(e Estimate)
 
 // Config parameterizes one anytime run.
 type Config struct {
-	// Sampler is the estimator kind ("mc", "rss", "lazy" or "mcvec");
+	// Sampler is the estimator kind ("mc", "rss" or "mcvec");
 	// empty defaults to "rss", matching the engine default.
 	Sampler string
 	// Precision is the target interval half-width; <= 0 disables the
@@ -278,7 +278,7 @@ func runSharded(ctx context.Context, c *ugraph.CSR, s, t ugraph.NodeID, cfg Conf
 		runRound(streams, quota, hits, drawnBy, workers)
 		// Merge in fixed shard order; the sums are the same exact floats
 		// at any worker count because block hit counts are integer-valued
-		// (mc/lazy/mcvec) or per-shard-deterministic (rss) and the
+		// (mc/mcvec) or per-shard-deterministic (rss) and the
 		// accumulation order is fixed.
 		totalHits, totalDrawn = 0, 0
 		for i := range hits {

@@ -12,7 +12,7 @@ import (
 	"repro/internal/ugraph"
 )
 
-var allKinds = []string{"mc", "rss", "lazy", "mcvec"}
+var allKinds = []string{"mc", "rss", "mcvec"}
 
 // testGraph builds a moderately hard random uncertain graph: large enough
 // that precision targets are not hit in one block, small enough that many
@@ -50,7 +50,7 @@ func smallGraph(r *rand.Rand) *ugraph.Graph {
 // sampler of the same kind and seed with z = N.
 func TestSerialAdaptiveIsFixedBudgetPrefix(t *testing.T) {
 	r := rng.New(7)
-	for _, kind := range []string{"mc", "lazy", "mcvec"} {
+	for _, kind := range []string{"mc", "mcvec"} {
 		for trial := 0; trial < 6; trial++ {
 			g := testGraph(r)
 			c := g.Freeze()

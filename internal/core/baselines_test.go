@@ -96,21 +96,6 @@ func TestSolveWithNoEliminationMode(t *testing.T) {
 	}
 }
 
-func TestSolveWithLazySampler(t *testing.T) {
-	g, cands := example3Graph()
-	opt := ex3Options()
-	opt.Candidates = cands
-	opt.Sampler = "lazy"
-	sol, err := Solve(context.Background(), g, ex3S, ex3T, MethodBE, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := edgeSet(sol.Edges)
-	if len(got) != 2 || !got[[2]ugraph.NodeID{ex3S, ex3C}] || !got[[2]ugraph.NodeID{ex3B, ex3T}] {
-		t.Fatalf("lazy-sampled BE edges = %v, want {sC, Bt}", sol.Edges)
-	}
-}
-
 func TestPathSelectSingletonL(t *testing.T) {
 	// With L=1 the path pool is just the most reliable path of G+, so
 	// BE degenerates to choosing that path's candidates (if they fit k).

@@ -77,14 +77,10 @@ type Options struct {
 	H int
 	// Z is the sample size for reliability estimation (default 500).
 	Z int
-	// Sampler chooses the estimator: "mc", "rss", "lazy" or "mcvec" (the
-	// word-parallel 64-lane MC; default "rss").
+	// Sampler chooses the estimator: "mc", "rss" or "mcvec" (the
+	// word-parallel 64-lane MC; default "rss"). Search-space elimination
+	// always uses "mcvec" (see elimSampler).
 	Sampler string
-	// ElimSampler chooses the estimator for search-space elimination's
-	// From/To reliability vectors, independently of Sampler (default
-	// "mcvec": elimination only needs full single-source vectors, where
-	// the word-parallel sampler is markedly faster at equal budget).
-	ElimSampler string
 	// Precision, when > 0, turns reliability estimation into an anytime
 	// query: sampling stops as soon as the confidence interval half-width
 	// reaches Precision, or at MaxZ samples, whichever first. Estimation
@@ -153,9 +149,6 @@ func (o Options) withDefaults() Options {
 	if o.Sampler == "" {
 		o.Sampler = "rss"
 	}
-	if o.ElimSampler == "" {
-		o.ElimSampler = "mcvec"
-	}
 	if o.Precision > 0 && o.MaxZ <= 0 {
 		o.MaxZ = anytime.DefaultMaxZ
 	}
@@ -211,24 +204,22 @@ func (o Options) Validate(n int) error {
 func (o Options) NewSampler(ctx context.Context, stream int64) (sampling.Sampler, error) {
 	smp, err := sampling.New(o.Sampler, o.Z, rng.Split(o.Seed, stream).Int63(), o.Workers, o.Scratch)
 	if err != nil {
-		return nil, fmt.Errorf("core: sampler %q (want mc, rss, lazy or mcvec): %w", o.Sampler, ErrUnknownSampler)
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	smp.SetContext(ctx)
 	return smp, nil
 }
 
-// elimSampler builds the estimator used by search-space elimination: the
-// ElimSampler kind on its own decorrelated stream (7 — distinct from
-// every pipeline's selection and evaluation streams), so routing
-// elimination onto a different estimator never perturbs the randomness
-// the selection stages consume. Note the deliberate golden change: when
-// ElimSampler differs from Sampler (the default since mcvec became the
-// elimination default), candidate sets — and therefore solver outputs —
-// differ from releases that ranked candidates with the selection sampler.
-// Results remain deterministic per (Seed, Options) as always.
+// elimSampler builds the estimator used by search-space elimination:
+// "mcvec", whatever Sampler is, because elimination only needs full
+// single-source From/To vectors, where the word-parallel sampler is
+// markedly faster at equal budget. It draws on its own decorrelated
+// stream (7 — distinct from every pipeline's selection and evaluation
+// streams), so elimination never perturbs the randomness the selection
+// stages consume. Results remain deterministic per (Seed, Options).
 func (o Options) elimSampler(ctx context.Context) (sampling.Sampler, error) {
 	elim := o
-	elim.Sampler = o.ElimSampler
+	elim.Sampler = "mcvec"
 	return elim.NewSampler(ctx, 7)
 }
 

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+
+	"repro/internal/sampling"
 )
 
 // Sentinel errors classifying every failure mode of the solvers. All errors
@@ -18,8 +20,10 @@ var (
 	// ErrUnknownMethod marks a Method the requested entry point does not
 	// support.
 	ErrUnknownMethod = errors.New("unknown method")
-	// ErrUnknownSampler marks an unrecognized Options.Sampler kind.
-	ErrUnknownSampler = errors.New("unknown sampler")
+	// ErrUnknownSampler marks an unrecognized Options.Sampler kind. It is
+	// the sampling package's sentinel, whose wrapping error lists the
+	// known kinds.
+	ErrUnknownSampler = sampling.ErrUnknownSampler
 	// ErrBudget marks infeasible budgets: a non-positive total probability
 	// budget, or an exact search whose combination count exceeds
 	// Options.MaxExactCombos.

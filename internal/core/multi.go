@@ -98,6 +98,9 @@ func AggregateOf(matrix [][]float64, agg Aggregate) float64 {
 	}
 }
 
+// MultiMethods lists the solvers SolveMulti supports.
+func MultiMethods() []Method { return []Method{MethodBE, MethodHillClimbing, MethodEigen} }
+
 // SolveMulti answers a multiple-source-target budgeted reliability
 // maximization query (Problem 4). Supported methods: MethodBE (the
 // proposed solver: batch path selection for Avg, iterative per-pair

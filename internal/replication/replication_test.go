@@ -150,7 +150,7 @@ func waitConverged(t *testing.T, f *Follower, want uint64) {
 // four sampler kinds — and a freshly joined replica bootstraps to the same
 // state.
 func TestReplicationDifferential(t *testing.T) {
-	for _, kind := range []string{"mc", "rss", "lazy", "mcvec"} {
+	for _, kind := range []string{"mc", "rss", "mcvec"} {
 		t.Run(kind, func(t *testing.T) {
 			t.Parallel()
 			opts := []repro.EngineOption{

@@ -44,8 +44,8 @@ func assertZeroAllocs(t *testing.T, name string, fn func()) {
 	}
 }
 
-// TestReliabilityZeroAllocs covers the MC and RSS scalar loops the issue
-// pins, plus lazy for completeness, in both orientations (the directed
+// TestReliabilityZeroAllocs covers the MC and RSS scalar loops and the
+// mcvec vector loop, in both orientations (the directed
 // ReliabilityTo path walks the separate in-arc array).
 func TestReliabilityZeroAllocs(t *testing.T) {
 	for _, directed := range []bool{false, true} {
@@ -53,7 +53,6 @@ func TestReliabilityZeroAllocs(t *testing.T) {
 		s, tt := ugraph.NodeID(0), ugraph.NodeID(g.N()-1)
 		mc := NewMonteCarlo(64, 3)
 		rs := NewRSS(64, 3)
-		lz := NewLazy(64, 3)
 		// z=130 spans two full lane blocks plus a tail mask, so the vector
 		// loop's block iteration and partial-lane path are both measured.
 		vec := NewMCVec(130, 3)
@@ -68,10 +67,6 @@ func TestReliabilityZeroAllocs(t *testing.T) {
 		assertZeroAllocs(t, "rss"+suffix, func() {
 			rs.Reseed(3)
 			rs.Reliability(g, s, tt)
-		})
-		assertZeroAllocs(t, "lazy"+suffix, func() {
-			lz.Reseed(3)
-			lz.Reliability(g, s, tt)
 		})
 		assertZeroAllocs(t, "mcvec"+suffix, func() {
 			vec.Reseed(3)
@@ -151,16 +146,14 @@ var sinkFloat float64
 func BenchmarkZeroAllocReliability(b *testing.B) {
 	g := allocGraph(false)
 	s, tt := ugraph.NodeID(0), ugraph.NodeID(g.N()-1)
-	for _, kind := range []string{"mc", "rss", "lazy"} {
+	for _, kind := range []string{"mc", "rss"} {
 		b.Run(kind, func(b *testing.B) {
 			var smp Sampler
 			switch kind {
 			case "mc":
 				smp = NewMonteCarlo(64, rng.SplitSeed(1, 2))
-			case "rss":
-				smp = NewRSS(64, rng.SplitSeed(1, 2))
 			default:
-				smp = NewLazy(64, rng.SplitSeed(1, 2))
+				smp = NewRSS(64, rng.SplitSeed(1, 2))
 			}
 			smp.Reliability(g, s, tt)
 			b.ReportAllocs()

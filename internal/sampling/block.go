@@ -14,7 +14,7 @@ import (
 // stops — without ever discarding or re-drawing a sample.
 //
 // Determinism contract, pinned by the anytime differential tests: for the
-// stream-continuing kinds (mc, lazy, mcvec) the concatenation of
+// stream-continuing kinds (mc, mcvec) the concatenation of
 // SampleBlock calls consumes randomness identically to one fixed-budget
 // ReliabilityCSR call of the same total length at the same seed, so an
 // adaptive run that stops after N samples is bit-identical to a fixed
@@ -102,34 +102,6 @@ func (bs *vecBlocks) SampleBlock(n int) (float64, int) {
 		drawn += bits.OnesCount64(lanes)
 	}
 	return float64(hits), drawn
-}
-
-// --- Lazy ---
-
-type lazyBlocks struct {
-	lz   *Lazy
-	c    *ugraph.CSR
-	s, t ugraph.NodeID
-}
-
-// BeginBlocks implements BlockSampler. The geometric schedules are
-// per-query state reset here (exactly the ReliabilityCSR prologue) and
-// advanced per sample thereafter, so block boundaries never perturb them.
-func (lz *Lazy) BeginBlocks(c *ugraph.CSR, s, t ugraph.NodeID) BlockStream {
-	lz.prepare(c)
-	return &lazyBlocks{lz: lz, c: c, s: s, t: t}
-}
-
-func (bs *lazyBlocks) SampleBlock(n int) (float64, int) {
-	lz := bs.lz
-	hits := 0
-	for i := 0; i < n; i++ {
-		lz.sample++
-		if lz.walk(bs.c, bs.s, bs.t, true, nil) {
-			hits++
-		}
-	}
-	return float64(hits), n
 }
 
 // --- RSS ---

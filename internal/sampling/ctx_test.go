@@ -17,7 +17,7 @@ func TestContextBindingPreservesEstimates(t *testing.T) {
 	s, tt := ugraph.NodeID(0), ugraph.NodeID(255)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	for _, kind := range []string{"mc", "rss", "lazy"} {
+	for _, kind := range []string{"mc", "rss"} {
 		plain, err := NewSerial(kind, 400, 7)
 		if err != nil {
 			t.Fatal(err)
@@ -90,7 +90,7 @@ func TestPreCancelledContextReturnsImmediately(t *testing.T) {
 	g := benchGraph(512, false)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, kind := range []string{"mc", "rss", "lazy"} {
+	for _, kind := range []string{"mc", "rss"} {
 		smp, err := NewSerial(kind, 50_000_000, 3)
 		if err != nil {
 			t.Fatal(err)
@@ -158,7 +158,7 @@ func TestParallelCancellationSkipsShards(t *testing.T) {
 func TestSharedScratchPreservesEstimates(t *testing.T) {
 	g := benchGraph(256, false)
 	s, tt := ugraph.NodeID(0), ugraph.NodeID(255)
-	for _, kind := range []string{"mc", "rss", "lazy"} {
+	for _, kind := range []string{"mc", "rss"} {
 		ss, err := NewSharedScratch(kind)
 		if err != nil {
 			t.Fatal(err)

@@ -47,10 +47,8 @@ func newRef(kind string, z int, seed int64) refSampler {
 	switch kind {
 	case "mc":
 		return newRefMonteCarlo(z, seed)
-	case "rss":
-		return newRefRSS(z, seed)
 	default:
-		return newRefLazy(z, seed)
+		return newRefRSS(z, seed)
 	}
 }
 
@@ -61,8 +59,6 @@ func newLive(t *testing.T, kind string, z int, seed int64) Sampler {
 		return NewMonteCarlo(z, seed)
 	case "rss":
 		return NewRSS(z, seed)
-	case "lazy":
-		return NewLazy(z, seed)
 	}
 	t.Fatalf("unknown kind %q", kind)
 	return nil
@@ -72,7 +68,7 @@ func newLive(t *testing.T, kind string, z int, seed int64) Sampler {
 // legacy engine through an identical call sequence (the RNG stream carries
 // across calls, so sequence position matters) and demands exact equality.
 func TestSamplersBitIdenticalToReference(t *testing.T) {
-	for _, kind := range []string{"mc", "rss", "lazy"} {
+	for _, kind := range []string{"mc", "rss"} {
 		r := rng.New(11)
 		for trial := 0; trial < 8; trial++ {
 			directed := trial%2 == 0
@@ -101,7 +97,7 @@ func TestSamplersBitIdenticalToReference(t *testing.T) {
 // estimating on the fully cloned-and-refrozen graph, and equal the legacy
 // engine on that clone.
 func TestOverlayEstimatesBitIdentical(t *testing.T) {
-	for _, kind := range []string{"mc", "rss", "lazy"} {
+	for _, kind := range []string{"mc", "rss"} {
 		r := rng.New(22)
 		for trial := 0; trial < 6; trial++ {
 			directed := trial%2 == 1
@@ -223,7 +219,7 @@ func TestScratchReuseAcrossGrowingGraphs(t *testing.T) {
 	if bigM.M() <= smallM.M() || bigM.N() >= smallM.N() {
 		t.Fatal("test graphs lost their edge/node-growth shape")
 	}
-	for _, kind := range []string{"mc", "rss", "lazy"} {
+	for _, kind := range []string{"mc", "rss"} {
 		reused := newLive(t, kind, 1, 1)
 		reused.Reliability(smallM, 0, 49) // one walk: marks stay low
 		reused.SetSampleSize(600)

@@ -93,7 +93,7 @@ func (mc *MonteCarlo) vector(c *ugraph.CSR, src ugraph.NodeID, forward bool) []f
 			drawn = i
 			break
 		}
-		sampledWalk(&mc.sc, mc.r, c, src, -1, forward, counts, nil)
+		sampledWalk(&mc.sc, mc.r, c, src, forward, counts)
 	}
 	if drawn == 0 {
 		return counts

@@ -1,6 +1,8 @@
 package sampling
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -33,48 +35,45 @@ type factory func(z int, seed int64) Sampler
 // call returns bit-identical results at any worker count; concurrent
 // callers are race-free but observe call indices in arrival order.
 type ParallelSampler struct {
-	name    string
 	workers int
-	shards  int
-	// quantum is the underlying estimator's preferred budget granularity
-	// (64 for mcvec's lane blocks, 1 for the scalar kinds): shard budgets
-	// are multiples of it except the last, which absorbs the tail.
-	quantum int
 	seed    atomic.Int64
 	z       atomic.Int64
 	call    atomic.Int64
-	// pool leases the per-worker serial samplers. It is a pointer so that
-	// request-scoped ParallelSamplers derived by an Engine can share one
-	// warm pool (New with a SharedScratch) — the leased samplers' scratch
+	// ss leases the per-worker serial samplers and fixes the estimator
+	// kind. Request-scoped ParallelSamplers derived by an Engine share one
+	// warm pool (New with a SharedScratch), so the leased samplers' scratch
 	// arrays stay sized to the graph across requests instead of being
 	// rebuilt.
-	pool *sync.Pool
+	ss *SharedScratch
 	canceller
 }
 
-// factoryFor maps an estimator kind ("mc", "rss", "lazy" or "mcvec") to
-// its serial factory.
+// ErrUnknownSampler marks an estimator kind this package does not build.
+var ErrUnknownSampler = errors.New("unknown sampler")
+
+// factoryFor maps an estimator kind ("mc", "rss" or "mcvec") to its serial
+// factory. Its error is the one place the kind list is spelled out; every
+// caller wraps it.
 func factoryFor(kind string) (factory, error) {
 	switch kind {
 	case "mc":
 		return func(z int, seed int64) Sampler { return NewMonteCarlo(z, seed) }, nil
 	case "rss":
 		return func(z int, seed int64) Sampler { return NewRSS(z, seed) }, nil
-	case "lazy":
-		return func(z int, seed int64) Sampler { return NewLazy(z, seed) }, nil
 	case "mcvec":
 		return func(z int, seed int64) Sampler { return NewMCVec(z, seed) }, nil
 	default:
-		return nil, fmt.Errorf("sampling: unknown sampler %q (want mc, rss, lazy or mcvec)", kind)
+		return nil, fmt.Errorf("sampling: %w %q (want mc, rss or mcvec)", ErrUnknownSampler, kind)
 	}
 }
 
-// KnownKind reports whether kind names a built-in estimator ("mc", "rss",
-// "lazy" or "mcvec") — the validation the Engine's query canonicalization
-// uses to reject unknown sampler overrides before any work is queued.
-func KnownKind(kind string) bool {
+// CheckKind returns nil if kind names a built-in estimator and an error
+// wrapping ErrUnknownSampler otherwise — the validation the Engine's query
+// canonicalization uses to reject unknown sampler overrides before any
+// work is queued.
+func CheckKind(kind string) error {
 	_, err := factoryFor(kind)
-	return err == nil
+	return err
 }
 
 // budgetQuantizer is implemented by estimators whose work comes in fixed
@@ -98,7 +97,7 @@ func quantumOf(newSmp factory) (int, Sampler) {
 
 // New builds the sampler a request runs on — the one place the kind,
 // worker count and warm pool are dispatched. workers == 0 yields a fresh
-// serial sampler of the kind ("mc", "rss", "lazy" or "mcvec"); any other
+// serial sampler of the kind ("mc", "rss" or "mcvec"); any other
 // value a ParallelSampler with that many workers (negative selects
 // runtime.GOMAXPROCS(0)), leasing its serial samplers from ss when ss pools
 // the same kind and from a private pool otherwise. Sharing never changes a
@@ -118,8 +117,8 @@ func New(kind string, z int, seed int64, workers int, ss *SharedScratch) (Sample
 	return ps, nil
 }
 
-// NewSerial constructs a serial sampler of the named kind ("mc", "rss",
-// "lazy" or "mcvec") — the single-goroutine counterpart of NewParallel. On
+// NewSerial constructs a serial sampler of the named kind ("mc", "rss" or
+// "mcvec") — the single-goroutine counterpart of NewParallel. On
 // error the returned interface is nil (never a typed-nil concrete pointer),
 // so `smp == nil` is a valid failure check.
 func NewSerial(kind string, z int, seed int64) (Sampler, error) {
@@ -130,8 +129,8 @@ func NewSerial(kind string, z int, seed int64) (Sampler, error) {
 	return newSmp(z, seed), nil
 }
 
-// NewParallel wraps the named estimator kind ("mc", "rss", "lazy" or
-// "mcvec") in a ParallelSampler with total budget z and a private pool.
+// NewParallel wraps the named estimator kind ("mc", "rss" or "mcvec") in
+// a ParallelSampler with total budget z and a private pool.
 // workers <= 0 selects runtime.GOMAXPROCS(0).
 func NewParallel(kind string, z int, seed int64, workers int) (*ParallelSampler, error) {
 	ss, err := NewSharedScratch(kind)
@@ -150,7 +149,10 @@ func NewParallel(kind string, z int, seed int64, workers int) (*ParallelSampler,
 // sampler is fully reconfigured (Reseed + SetSampleSize + SetContext)
 // before estimating.
 type SharedScratch struct {
-	kind    string
+	kind string
+	// quantum is the estimator's preferred budget granularity (64 for
+	// mcvec's lane blocks, 1 for the scalar kinds): ParallelSampler shard
+	// budgets are multiples of it except the last, which absorbs the tail.
 	quantum int
 	pool    sync.Pool
 }
@@ -180,14 +182,14 @@ func NewParallelShared(ss *SharedScratch, z int, seed int64, workers int) *Paral
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	ps := &ParallelSampler{name: ss.kind, workers: workers, shards: DefaultShards, quantum: ss.quantum, pool: &ss.pool}
+	ps := &ParallelSampler{workers: workers, ss: ss}
 	ps.seed.Store(seed)
 	ps.z.Store(int64(z))
 	return ps
 }
 
 // Name implements Sampler.
-func (ps *ParallelSampler) Name() string { return ps.name }
+func (ps *ParallelSampler) Name() string { return ps.ss.kind }
 
 // Workers returns the configured worker-pool size.
 func (ps *ParallelSampler) Workers() int { return ps.workers }
@@ -217,41 +219,44 @@ func (ps *ParallelSampler) nextCallSeed() int64 {
 	return rng.SplitSeed(ps.seed.Load(), ps.call.Add(1))
 }
 
-// fanOut runs fn(smp, i) for i in [0, n) on up to ps.workers goroutines.
-// Each goroutine leases one serial sampler from the pool for its lifetime
-// and binds it to the ParallelSampler's context (cleared again before the
-// sampler returns to the — possibly shared — pool); fn must fully configure
-// it (Reseed + SetSampleSize) before estimating, so leftover pool state
-// never leaks into results. When the bound context fires, remaining work
-// items are skipped: the merged result is garbage, and the caller is
-// expected to discard it after observing ctx.Err().
+// fanOut runs fn(smp, i) for i in [0, n) on the worker pool, bound to the
+// ParallelSampler's context (see SharedScratch.fanOut).
 func (ps *ParallelSampler) fanOut(n int, fn func(smp Sampler, i int)) {
-	w := ps.workers
-	if w > n {
-		w = n
+	ps.ss.fanOut(&ps.canceller, ps.workers, n, fn)
+}
+
+// fanOut runs fn(smp, i) for i in [0, n) on up to workers goroutines; one
+// worker runs inline, on the calling goroutine. Each goroutine leases one
+// serial sampler from the pool for its lifetime and binds it to cc's
+// context (cleared again before the sampler returns to the — possibly
+// shared — pool); fn must fully configure it (Reseed + SetSampleSize)
+// before estimating, so leftover pool state never leaks into results. When
+// the context fires, remaining work items are skipped: the merged result
+// is garbage, and the caller is expected to discard it after observing
+// ctx.Err().
+func (ss *SharedScratch) fanOut(cc *canceller, workers, n int, fn func(smp Sampler, i int)) {
+	if workers > n {
+		workers = n
 	}
-	if w <= 1 {
-		smp := ps.lease()
-		for i := 0; i < n; i++ {
-			if ps.cancelled() {
-				break
-			}
+	if workers <= 1 {
+		smp := ss.lease(cc.ctx)
+		for i := 0; i < n && !cc.cancelled(); i++ {
 			fn(smp, i)
 		}
-		ps.release(smp)
+		ss.release(smp)
 		return
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
+	for k := 0; k < workers; k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			smp := ps.lease()
-			defer ps.release(smp)
+			smp := ss.lease(cc.ctx)
+			defer ss.release(smp)
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= n || ps.cancelled() {
+				if i >= n || cc.cancelled() {
 					return
 				}
 				fn(smp, i)
@@ -261,18 +266,18 @@ func (ps *ParallelSampler) fanOut(n int, fn func(smp Sampler, i int)) {
 	wg.Wait()
 }
 
-// lease takes a serial sampler from the pool and binds the current context
-// so its sample loops abort promptly on cancellation.
-func (ps *ParallelSampler) lease() Sampler {
-	smp := ps.pool.Get().(Sampler)
-	smp.SetContext(ps.ctx)
+// lease takes a serial sampler from the pool and binds ctx so its sample
+// loops abort promptly on cancellation.
+func (ss *SharedScratch) lease(ctx context.Context) Sampler {
+	smp := ss.pool.Get().(Sampler)
+	smp.SetContext(ctx)
 	return smp
 }
 
 // release unbinds the context and returns the sampler to the pool.
-func (ps *ParallelSampler) release(smp Sampler) {
+func (ss *SharedScratch) release(smp Sampler) {
 	smp.SetContext(nil)
-	ps.pool.Put(smp)
+	ss.pool.Put(smp)
 }
 
 // minShardBudget is the smallest per-shard sample budget worth the fan-out
@@ -315,21 +320,18 @@ func (ps *ParallelSampler) shardBudgetsFor(z, items int) []int {
 	if items < 1 {
 		items = 1
 	}
-	q := ps.quantum
-	if q < 1 {
-		q = 1
-	}
+	q := ps.ss.quantum
 	blocks := (z + q - 1) / q
 	unit := minShardBudget / q
 	if unit < 1 {
 		unit = 1
 	}
 	shards := (blocks + unit - 1) / unit
-	if target := (ps.shards + items - 1) / items; shards > target {
+	if target := (DefaultShards + items - 1) / items; shards > target {
 		shards = target
 	}
-	if shards > ps.shards {
-		shards = ps.shards
+	if shards > DefaultShards {
+		shards = DefaultShards
 	}
 	out := make([]int, shards)
 	base, extra := blocks/shards, blocks%shards
@@ -349,7 +351,7 @@ func (ps *ParallelSampler) shardBudgetsFor(z, items int) []int {
 // Reliability implements Sampler: shard i estimates with budget z_i on the
 // stream Split(callSeed, i), and the estimates combine as the
 // budget-weighted mean Σ (z_i/Z)·est_i — for MC exactly the pooled
-// hit fraction, for RSS/Lazy an equally weighted mixture of independent
+// hit fraction, for RSS an equally weighted mixture of independent
 // unbiased estimates.
 func (ps *ParallelSampler) Reliability(g *ugraph.Graph, s, t ugraph.NodeID) float64 {
 	if s == t {

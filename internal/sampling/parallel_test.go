@@ -9,7 +9,7 @@ import (
 	"repro/internal/ugraph"
 )
 
-var parallelKinds = []string{"mc", "rss", "lazy"}
+var parallelKinds = []string{"mc", "rss"}
 
 func newParallelT(t *testing.T, kind string, z int, seed int64, workers int) *ParallelSampler {
 	t.Helper()
@@ -233,7 +233,7 @@ func TestNewDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []string{"mc", "rss", "lazy", "mcvec"} {
+	for _, kind := range []string{"mc", "rss", "mcvec"} {
 		serial, err := New(kind, 300, 9, 0, ss)
 		if err != nil {
 			t.Fatal(err)
@@ -254,7 +254,7 @@ func TestNewDispatch(t *testing.T) {
 			if !ok || ps.Name() != kind {
 				t.Fatalf("%s: workers=%d built %T, want a ParallelSampler", kind, workers, smp)
 			}
-			if shared := ps.pool == &ss.pool; shared != (kind == ss.Kind()) {
+			if shared := ps.ss == ss; shared != (kind == ss.Kind()) {
 				t.Fatalf("%s: leases from the %s pool: %v", kind, ss.Kind(), shared)
 			}
 			want := newParallelT(t, kind, 300, 9, workers)

@@ -9,7 +9,6 @@ package sampling
 // fails these tests immediately.
 
 import (
-	"math"
 	"math/rand"
 
 	"repro/internal/rng"
@@ -350,134 +349,4 @@ func (rs *refRSS) recurseVec(g *ugraph.Graph, src ugraph.NodeID, forward bool, b
 	for _, eid := range edges {
 		rs.status[eid] = 0
 	}
-}
-
-// refLazy is the legacy lazy-propagation sampler.
-type refLazy struct {
-	z      int
-	r      *rand.Rand
-	sc     refScratch
-	nextOn []int64
-	sample int64
-}
-
-func newRefLazy(z int, seed int64) *refLazy {
-	return &refLazy{z: z, r: rng.New(seed)}
-}
-
-func (lz *refLazy) geometricSkip(p float64) int64 {
-	if p >= 1 {
-		return 1
-	}
-	if p <= 0 {
-		return math.MaxInt64 / 4
-	}
-	u := lz.r.Float64()
-	skip := int64(math.Ceil(math.Log(1-u) / math.Log(1-p)))
-	if skip < 1 {
-		skip = 1
-	}
-	return skip
-}
-
-func (lz *refLazy) prepare(g *ugraph.Graph) {
-	lz.sc.reset(g.N(), g.M())
-	if cap(lz.nextOn) < g.M() {
-		lz.nextOn = make([]int64, g.M())
-	}
-	lz.nextOn = lz.nextOn[:g.M()]
-	for i := range lz.nextOn {
-		lz.nextOn[i] = 0
-	}
-	lz.sample = 0
-}
-
-func (lz *refLazy) present(g *ugraph.Graph, eid int32) bool {
-	next := lz.nextOn[eid]
-	if next == 0 {
-		next = lz.sample - 1 + lz.geometricSkip(g.Prob(eid))
-	}
-	for next < lz.sample {
-		next += lz.geometricSkip(g.Prob(eid))
-	}
-	lz.nextOn[eid] = next
-	return next == lz.sample
-}
-
-func (lz *refLazy) Reliability(g *ugraph.Graph, s, t ugraph.NodeID) float64 {
-	if s == t {
-		return 1
-	}
-	lz.prepare(g)
-	hits := 0
-	for i := 0; i < lz.z; i++ {
-		lz.sample++
-		if lz.walk(g, s, t, true, nil) {
-			hits++
-		}
-	}
-	return float64(hits) / float64(lz.z)
-}
-
-func (lz *refLazy) ReliabilityFrom(g *ugraph.Graph, s ugraph.NodeID) []float64 {
-	return lz.vector(g, s, true)
-}
-
-func (lz *refLazy) ReliabilityTo(g *ugraph.Graph, t ugraph.NodeID) []float64 {
-	return lz.vector(g, t, false)
-}
-
-func (lz *refLazy) vector(g *ugraph.Graph, src ugraph.NodeID, forward bool) []float64 {
-	lz.prepare(g)
-	counts := make([]float64, g.N())
-	for i := 0; i < lz.z; i++ {
-		lz.sample++
-		lz.walk(g, src, -1, forward, counts)
-	}
-	inv := 1 / float64(lz.z)
-	for i := range counts {
-		counts[i] *= inv
-	}
-	return counts
-}
-
-func (lz *refLazy) walk(g *ugraph.Graph, src, t ugraph.NodeID, forward bool, counts []float64) bool {
-	sc := &lz.sc
-	sc.nextEpoch()
-	sc.queue = sc.queue[:0]
-	sc.queue = append(sc.queue, src)
-	sc.nodeEp[src] = sc.epoch
-	if counts != nil {
-		counts[src]++
-	}
-	for head := 0; head < len(sc.queue); head++ {
-		u := sc.queue[head]
-		var arcs []ugraph.Arc
-		if forward {
-			arcs = g.Out(u)
-		} else {
-			arcs = g.In(u)
-		}
-		for _, a := range arcs {
-			if sc.nodeEp[a.To] == sc.epoch {
-				continue
-			}
-			if sc.edgeEp[a.EID] != sc.epoch {
-				sc.edgeEp[a.EID] = sc.epoch
-				sc.edgeOn[a.EID] = lz.present(g, a.EID)
-			}
-			if !sc.edgeOn[a.EID] {
-				continue
-			}
-			sc.nodeEp[a.To] = sc.epoch
-			if a.To == t {
-				return true
-			}
-			if counts != nil {
-				counts[a.To]++
-			}
-			sc.queue = append(sc.queue, a.To)
-		}
-	}
-	return false
 }

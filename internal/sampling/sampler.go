@@ -1,5 +1,5 @@
 // Package sampling implements polynomial-time s-t reliability estimation
-// over uncertain graphs: plain Monte Carlo sampling with lazy edge
+// over uncertain graphs: plain Monte Carlo sampling with on-demand edge
 // instantiation (Fishman-style, §3.1 of the paper), recursive stratified
 // sampling (RSS, Li et al. TKDE'16; §5.3), and a word-parallel Monte Carlo
 // variant ("mcvec", MCVec) that samples 64 possible worlds per BFS by
@@ -22,7 +22,7 @@
 //
 // # Randomness
 //
-// The scalar estimators (MonteCarlo, RSS, Lazy) flip every edge coin with
+// The scalar estimators (MonteCarlo, RSS) flip every edge coin with
 // the Float64 of a concrete rng.Source: math/rand's stream word for word,
 // without an interface call per coin. The source seeds lazily, so a
 // ParallelSampler shard's Reseed is O(1) and the shard pays only for the
@@ -44,12 +44,12 @@
 // # Concurrency
 //
 // A CSR is immutable and safe for unrestricted concurrent traversal. The
-// serial estimators (MonteCarlo, RSS, Lazy) are deterministic given their
+// serial estimators (MonteCarlo, RSS, MCVec) are deterministic given their
 // construction seed but are NOT safe for concurrent use: they reuse
 // internal scratch buffers (epoch-stamped visited/edge-state arrays, BFS
-// queue, RSS conditioning stack) across calls. ParallelSampler wraps any
-// of them into a goroutine-safe estimator that freezes the graph once per
-// call, shards the sample budget across a worker pool and merges the shard
+// queue, RSS conditioning stack, MCVec lane scratch) across calls.
+// ParallelSampler wraps any of them into a goroutine-safe estimator that
+// freezes the graph once per call, shards the sample budget across a worker pool and merges the shard
 // estimates deterministically, so a fixed seed yields bit-identical results
 // regardless of the worker count or GOMAXPROCS. Batched evaluation of many
 // queries, candidate edges or source/target vectors at once goes through
@@ -65,11 +65,11 @@ import (
 
 // Sampler estimates reliability over uncertain graphs. All implementations
 // are deterministic given their seed. The serial implementations
-// (MonteCarlo, RSS, Lazy) are NOT safe for concurrent use — they reuse
+// (MonteCarlo, RSS, MCVec) are NOT safe for concurrent use — they reuse
 // internal scratch buffers — and must be confined to one goroutine at a
 // time; wrap them in a ParallelSampler for concurrent callers.
 type Sampler interface {
-	// Name identifies the estimator ("mc", "rss", "lazy" or "mcvec"). A
+	// Name identifies the estimator ("mc", "rss" or "mcvec"). A
 	// ParallelSampler reports its underlying estimator's name: parallel
 	// execution is a property of the run, not of the estimate.
 	Name() string
@@ -116,7 +116,6 @@ type Sampler interface {
 var (
 	_ Sampler = (*MonteCarlo)(nil)
 	_ Sampler = (*RSS)(nil)
-	_ Sampler = (*Lazy)(nil)
 	_ Sampler = (*MCVec)(nil)
 	_ Sampler = (*ParallelSampler)(nil)
 )
@@ -210,15 +209,13 @@ func (sc *scratch) nextEpoch() {
 }
 
 // sampledWalk performs one possible-world BFS from src over a frozen
-// snapshot. When t >= 0 it stops early upon reaching t and returns whether
-// it did; when counts != nil every reached node's counter is incremented.
-// Edge states are sampled lazily and memoized per walk via the signed
-// epoch array, so an undirected edge examined from both endpoints gets one
-// consistent coin flip. A non-nil status slice conditions the walk:
-// entries +1 force the edge present, -1 absent, 0 leaves it random — this
-// is what the RSS strata use. Overlay arcs are visited after the base row
-// of each node, matching mutable-Graph arc order.
-func sampledWalk(sc *scratch, r *rng.Source, c *ugraph.CSR, src, t ugraph.NodeID, forward bool, counts []float64, status []int8) bool {
+// snapshot and increments the counter of every node it reaches — the
+// closure walk behind the MC From/To vectors. Edge states are sampled
+// lazily and memoized per walk via the signed epoch array, so an
+// undirected edge examined from both endpoints gets one consistent coin
+// flip. Overlay arcs are visited after the base row of each node, matching
+// mutable-Graph arc order.
+func sampledWalk(sc *scratch, r *rng.Source, c *ugraph.CSR, src ugraph.NodeID, forward bool, counts []float64) {
 	sc.nextEpoch()
 	// Hoist the scratch fields into locals: the loop below is the hottest
 	// code in the library and the compiler cannot cache pointer-reached
@@ -228,9 +225,7 @@ func sampledWalk(sc *scratch, r *rng.Source, c *ugraph.CSR, src, t ugraph.NodeID
 	queue := sc.queue[:0]
 	queue = append(queue, src)
 	nodeEp[src] = epoch
-	if counts != nil {
-		counts[src]++
-	}
+	counts[src]++
 	hasX := c.HasOverlay()
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
@@ -252,14 +247,6 @@ func sampledWalk(sc *scratch, r *rng.Source, c *ugraph.CSR, src, t ugraph.NodeID
 				if nodeEp[a.To] == epoch {
 					continue
 				}
-				if status != nil {
-					switch status[a.EID] {
-					case 1:
-						goto traverse
-					case -1:
-						continue
-					}
-				}
 				if st := edgeSt[a.EID]; st != epoch && st != -epoch {
 					if r.Float64() < probs[i] {
 						edgeSt[a.EID] = epoch
@@ -270,15 +257,8 @@ func sampledWalk(sc *scratch, r *rng.Source, c *ugraph.CSR, src, t ugraph.NodeID
 				} else if st != epoch {
 					continue
 				}
-			traverse:
 				nodeEp[a.To] = epoch
-				if a.To == t {
-					sc.queue = queue
-					return true
-				}
-				if counts != nil {
-					counts[a.To]++
-				}
+				counts[a.To]++
 				queue = append(queue, a.To)
 			}
 			if len(extra) == 0 {
@@ -288,14 +268,12 @@ func sampledWalk(sc *scratch, r *rng.Source, c *ugraph.CSR, src, t ugraph.NodeID
 		}
 	}
 	sc.queue = queue
-	return false
 }
 
-// sampledWalkPlain is sampledWalk specialized for the scalar early-exit
-// query (no conditioning, no counts) — the single hottest loop in the
-// library. Dropping the two always-false per-edge branches of the generic
-// walk is worth several percent on the MC hot path. It consumes randomness
-// identically to sampledWalk(sc, r, c, src, t, forward, nil, nil).
+// sampledWalkPlain is the scalar early-exit walk — the single hottest loop
+// in the library: sampledWalk without counts, stopping as soon as it
+// reaches t and reporting whether it did. Up to that point it draws the
+// same coins in the same order.
 func sampledWalkPlain(sc *scratch, r *rng.Source, c *ugraph.CSR, src, t ugraph.NodeID, forward bool) bool {
 	sc.nextEpoch()
 	epoch := sc.epoch
@@ -410,10 +388,10 @@ func deterministicReach(sc *scratch, c *ugraph.CSR, src, target ugraph.NodeID, f
 	return queue
 }
 
-// sampledWalkCond is sampledWalk specialized for the RSS conditioned
-// fallback: status is mandatory (no nil check per edge) and no counts are
-// collected. It consumes randomness identically to
-// sampledWalk(sc, r, c, src, t, forward, nil, status).
+// sampledWalkCond is sampledWalkPlain conditioned for the RSS fallback:
+// status entries +1 force an edge present, -1 absent, and 0 leave it to a
+// coin flip, as the RSS strata require. With t < 0 it walks the whole
+// closure.
 func sampledWalkCond(sc *scratch, r *rng.Source, c *ugraph.CSR, src, t ugraph.NodeID, forward bool, status []int8) bool {
 	sc.nextEpoch()
 	epoch := sc.epoch

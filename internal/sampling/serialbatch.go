@@ -3,8 +3,6 @@ package sampling
 import (
 	"context"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/rng"
 	"repro/internal/ugraph"
@@ -32,23 +30,10 @@ func EstimateManySerial(ctx context.Context, ss *SharedScratch, c *ugraph.CSR, q
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	ctx = normalizeContext(ctx)
-	done := func() bool {
-		if ctx == nil {
-			return false
-		}
-		select {
-		case <-ctx.Done():
-			return true
-		default:
-			return false
-		}
-	}
+	var cc canceller
+	cc.SetContext(ctx)
 	out := make([]float64, len(queries))
-	estimate := func(smp Sampler, i int) {
+	ss.fanOut(&cc, workers, len(queries), func(smp Sampler, i int) {
 		q := queries[i]
 		if q.S == q.T {
 			out[i] = 1
@@ -57,49 +42,6 @@ func EstimateManySerial(ctx context.Context, ss *SharedScratch, c *ugraph.CSR, q
 		smp.Reseed(rng.SplitSeed(seed, int64(i)))
 		smp.SetSampleSize(z)
 		out[i] = smp.ReliabilityCSR(c, q.S, q.T)
-	}
-	if workers <= 1 {
-		smp := ss.lease(ctx)
-		defer ss.release(smp)
-		for i := range queries {
-			if done() {
-				return out
-			}
-			estimate(smp, i)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			smp := ss.lease(ctx)
-			defer ss.release(smp)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(queries) || done() {
-					return
-				}
-				estimate(smp, i)
-			}
-		}()
-	}
-	wg.Wait()
+	})
 	return out
-}
-
-// lease takes a serial sampler from the warm pool and binds ctx so its
-// sample loops abort promptly on cancellation.
-func (ss *SharedScratch) lease(ctx context.Context) Sampler {
-	smp := ss.pool.Get().(Sampler)
-	smp.SetContext(ctx)
-	return smp
-}
-
-// release unbinds the context and returns the sampler to the pool.
-func (ss *SharedScratch) release(smp Sampler) {
-	smp.SetContext(nil)
-	ss.pool.Put(smp)
 }

@@ -37,7 +37,7 @@ func TestEstimateManySerialBitIdentity(t *testing.T) {
 		{S: 9, T: 0}, {S: 3, T: 33}, {S: 12, T: 48}, {S: 2, T: 2},
 	}
 	const z, seed = 300, 17
-	for _, kind := range []string{"mc", "rss", "lazy"} {
+	for _, kind := range []string{"mc", "rss"} {
 		ss, err := NewSharedScratch(kind)
 		if err != nil {
 			t.Fatal(err)

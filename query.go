@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash"
 	"math"
+	"slices"
 
 	"repro/internal/anytime"
 	"repro/internal/core"
@@ -138,9 +139,12 @@ type AnytimeEstimate struct {
 // to Queries with equal Key() fingerprints — the property the result
 // cache and job deduplication rely on; a mutation (Engine.Apply) advances
 // the epoch, so post-mutation queries fingerprint differently and never
-// hit pre-mutation cache entries. Engine.Run and Engine.Submit
-// canonicalize internally; callers only need this to compute fingerprints
-// themselves.
+// hit pre-mutation cache entries. It also rejects what no job could run:
+// an unknown sampler kind (ErrUnknownSampler), solve method or multi
+// method (ErrUnknownMethod), multi aggregate or invalid probability
+// (ErrBadQuery). Engine.Run and Engine.Submit canonicalize internally, so
+// those errors come back synchronously; callers only need this to compute
+// fingerprints themselves.
 func (e *Engine) Canonicalize(q Query) (Query, error) {
 	snap := e.snap.Load()
 	out := Query{Kind: q.Kind, Progress: q.Progress, snap: snap, epoch: snap.csr.Epoch()}
@@ -167,6 +171,9 @@ func (e *Engine) Canonicalize(q Query) (Query, error) {
 		if out.Method == "" {
 			out.Method = e.method
 		}
+		if !slices.Contains(core.Methods(), out.Method) {
+			return Query{}, fmt.Errorf("repro: method %q: %w", out.Method, ErrUnknownMethod)
+		}
 		opt = opt.Normalized()
 	case QueryMulti:
 		out.Sources = append([]NodeID(nil), q.Sources...)
@@ -179,14 +186,17 @@ func (e *Engine) Canonicalize(q Query) (Query, error) {
 		if out.Method == "" {
 			out.Method = e.method
 		}
+		if !slices.Contains(core.MultiMethods(), out.Method) {
+			return Query{}, fmt.Errorf("repro: method %q not supported for multi-source-target queries: %w", out.Method, ErrUnknownMethod)
+		}
+		if !slices.Contains([]Aggregate{AggAvg, AggMin, AggMax}, out.Aggregate) {
+			return Query{}, fmt.Errorf("repro: unknown aggregate %q: %w", out.Aggregate, ErrBadQuery)
+		}
 		opt = opt.Normalized()
 	case QueryTotalBudget:
 		out.S, out.T, out.Budget = q.S, q.T, q.Budget
 		opt = opt.Normalized()
 	case QueryEstimate, QueryEstimateMany:
-		if !sampling.KnownKind(opt.Sampler) {
-			return Query{}, fmt.Errorf("repro: sampler %q (want mc, rss, lazy or mcvec): %w", opt.Sampler, ErrUnknownSampler)
-		}
 		if q.Kind == QueryEstimate {
 			out.S, out.T = q.S, q.T
 		} else {
@@ -211,6 +221,9 @@ func (e *Engine) Canonicalize(q Query) (Query, error) {
 		}
 	default:
 		return Query{}, fmt.Errorf("repro: unknown query kind %q: %w", q.Kind, ErrBadQuery)
+	}
+	if err := sampling.CheckKind(opt.Sampler); err != nil {
+		return Query{}, fmt.Errorf("repro: %w", err)
 	}
 	out.Options = &opt
 	return out, nil
@@ -262,7 +275,6 @@ func (q Query) Key() string {
 			int64(o.Z), o.Seed, noElim, int64(o.MaxExactCombos),
 			int64(math.Float64bits(o.K1Ratio)), workersClass)
 		writeString(h, o.Sampler)
-		writeString(h, o.ElimSampler)
 		// Anytime estimates fingerprint on the (anytime?, MaxZ) pair but
 		// deliberately NOT on Precision: the cache upgrades across
 		// precisions (a tighter stored answer may serve a looser request —
@@ -462,7 +474,7 @@ func (e *Engine) estimateMany(ctx context.Context, snap *engineSnapshot, opt Opt
 		var err error
 		ss, err = sampling.NewSharedScratch(opt.Sampler)
 		if err != nil {
-			return nil, fmt.Errorf("repro: sampler %q (want mc, rss, lazy or mcvec): %w", opt.Sampler, ErrUnknownSampler)
+			return nil, fmt.Errorf("repro: %w", err)
 		}
 	}
 	out := sampling.EstimateManySerial(ctx, ss, snap.csr, pairs, opt.Z, opt.Seed, 0)
@@ -483,7 +495,7 @@ func (e *Engine) estimateMany(ctx context.Context, snap *engineSnapshot, opt Opt
 func (e *Engine) estimatorFor(ctx context.Context, opt Options) (sampling.Sampler, error) {
 	smp, err := sampling.New(opt.Sampler, opt.Z, opt.Seed, opt.Workers, e.scratch)
 	if err != nil {
-		return nil, fmt.Errorf("repro: sampler %q (want mc, rss, lazy or mcvec): %w", opt.Sampler, ErrUnknownSampler)
+		return nil, fmt.Errorf("repro: %w", err)
 	}
 	smp.SetContext(ctx)
 	return smp, nil

@@ -329,3 +329,49 @@ func TestInvalidProbabilitiesAreBadQueries(t *testing.T) {
 		t.Fatalf("invalid queries reached the cache: %+v", st)
 	}
 }
+
+// TestUnknownSamplerMethodAggregateRejectedUpFront: a solve, multi or
+// total-budget query naming a sampler kind the engine does not build —
+// including the retired "lazy" — or an unknown method or aggregate is
+// rejected synchronously by Canonicalize, Run and Submit, before any job
+// is counted, queued or cached. Each used to be accepted by Submit and
+// then fail on the job goroutine.
+func TestUnknownSamplerMethodAggregateRejectedUpFront(t *testing.T) {
+	eng, err := NewEngine(engineTestGraph(t), WithResultCache(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ctx := context.Background()
+	check := func(name string, q Query, want error) {
+		t.Helper()
+		if _, err := eng.Canonicalize(q); !errors.Is(err, want) {
+			t.Errorf("%s: Canonicalize error %v, want %v", name, err, want)
+		}
+		if _, err := eng.Run(ctx, q); !errors.Is(err, want) {
+			t.Errorf("%s: Run error %v, want %v", name, err, want)
+		}
+		if j, err := eng.Submit(ctx, q); !errors.Is(err, want) || j != nil {
+			t.Errorf("%s: Submit returned a job: %v, error %v, want %v", name, j != nil, err, want)
+		}
+	}
+	for _, kind := range []string{"bogus", "lazy"} {
+		for _, q := range []Query{
+			{Kind: QuerySolve, S: 0, T: 39},
+			{Kind: QueryMulti, Sources: []NodeID{0, 1}, Targets: []NodeID{39}},
+			{Kind: QueryTotalBudget, S: 0, T: 39, Budget: 1},
+		} {
+			q.Options = &Options{K: 2, Z: 50, Sampler: kind}
+			check(string(q.Kind)+" sampler "+kind, q, ErrUnknownSampler)
+		}
+	}
+	check("solve method", Query{Kind: QuerySolve, S: 0, T: 39, Method: "bogus"}, ErrUnknownMethod)
+	check("multi method", Query{Kind: QueryMulti, Sources: []NodeID{0}, Targets: []NodeID{39},
+		Method: MethodIP}, ErrUnknownMethod)
+	check("multi aggregate", Query{Kind: QueryMulti, Sources: []NodeID{0}, Targets: []NodeID{39},
+		Aggregate: "median"}, ErrBadQuery)
+	st := eng.Stats()
+	if st.SubmittedJobs != 0 || st.FailedJobs != 0 || st.CacheHits != 0 || st.CacheMisses != 0 || st.CacheLen != 0 {
+		t.Fatalf("rejected queries reached the job or cache layer: %+v", st)
+	}
+}

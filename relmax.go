@@ -189,7 +189,7 @@ type BatchSampler = sampling.BatchSampler
 type PairQuery = sampling.PairQuery
 
 // NewParallelSampler shards the sample budget z of the named estimator
-// ("mc", "rss", "lazy" or "mcvec") across a pool of workers (<= 0 selects all
+// ("mc", "rss" or "mcvec") across a pool of workers (<= 0 selects all
 // CPUs). For a fixed seed the results are bit-identical at any worker
 // count, and the sampler is safe for concurrent use. Inside Solve and
 // SolveMulti the same engine is enabled via Options.Workers.
@@ -216,11 +216,6 @@ func NewRSSSampler(z int, seed int64) Sampler { return sampling.NewRSS(z, seed) 
 // — but drawing a different deterministic stream (see sampling.MCVec for
 // its determinism contract).
 func NewMCVecSampler(z int, seed int64) Sampler { return sampling.NewMCVec(z, seed) }
-
-// NewLazySampler returns the lazy-propagation Monte Carlo sampler (same
-// estimate distribution as plain MC; geometric skipping instead of one coin
-// flip per edge examination).
-func NewLazySampler(z int, seed int64) Sampler { return sampling.NewLazy(z, seed) }
 
 // Path is a simple path with its existence probability.
 type Path = paths.Path
