@@ -442,7 +442,8 @@ func BenchmarkApply(b *testing.B) {
 }
 
 // BenchmarkSolveWorkers measures the end-to-end solver with the pool
-// threaded through elimination, path scoring and held-out evaluation.
+// threaded through elimination, path scoring and held-out evaluation (w0
+// sizes the pool to GOMAXPROCS).
 func BenchmarkSolveWorkers(b *testing.B) {
 	for _, w := range []int{0, 1, 4} {
 		b.Run(fmt.Sprintf("be/w%d", w), func(b *testing.B) {

@@ -36,7 +36,7 @@ func main() {
 		scale   = flag.Float64("scale", 0.08, "dataset scale factor")
 		queries = flag.Int("queries", 3, "queries averaged per cell (paper: 100)")
 		seed    = flag.Int64("seed", 2024, "random seed")
-		workers = flag.Int("workers", 0, "sampling worker pool size (0 = serial, -1 = all CPUs)")
+		workers = flag.Int("workers", 0, "sampling worker pool size (<= 0 = all CPUs; results are identical at every value)")
 		timeout = flag.Duration("timeout", 0, "overall deadline (0 = none), e.g. 10m")
 	)
 	flag.Parse()

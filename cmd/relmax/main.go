@@ -63,7 +63,7 @@ func main() {
 		sampler   = flag.String("sampler", "rss", "reliability estimator: mc, rss or mcvec (word-parallel MC)")
 		method    = flag.String("method", "be", "solver: "+methodList())
 		seed      = flag.Int64("seed", 1, "random seed")
-		workers   = flag.Int("workers", 0, "sampling worker pool size (0 = serial, -1 = all CPUs)")
+		workers   = flag.Int("workers", 0, "sampling worker pool size (<= 0 = all CPUs; results are identical at every value)")
 		timeout   = flag.Duration("timeout", 0, "per-query deadline (0 = none), e.g. 30s")
 		progress  = flag.Bool("progress", false, "stream per-round solver progress to stderr")
 		sources   = flag.String("sources", "", "comma-separated source set (multi-source mode)")

@@ -111,7 +111,7 @@ func main() {
 		z        = flag.Int("z", 500, "default reliability samples per estimate")
 		sampler  = flag.String("sampler", "rss", "default estimator: mc, rss or mcvec (word-parallel MC)")
 		seed     = flag.Int64("seed", 1, "base seed (fixes every response payload)")
-		workers  = flag.Int("workers", -1, "sampling worker pool size per engine (0 = serial, -1 = all CPUs)")
+		workers  = flag.Int("workers", -1, "sampling worker pool size per engine (<= 0 = all CPUs; results are identical at every value)")
 		timeout  = flag.Duration("timeout", 30*time.Second, "per-request / per-job timeout (0 = none)")
 		grace    = flag.Duration("grace", 10*time.Second, "shutdown grace period for in-flight requests")
 

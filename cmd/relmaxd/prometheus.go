@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -29,19 +30,28 @@ func wantsPrometheus(r *http.Request) bool {
 	return jsonIdx == -1 || strings.Index(accept, "text/plain") < jsonIdx
 }
 
-// promWriter accumulates Prometheus text exposition, emitting each
-// metric's TYPE header once before its first sample.
+// promWriter accumulates Prometheus text exposition. The text format
+// requires every sample of a metric family to form one group under its
+// TYPE line, so samples are buffered per family and written family by
+// family, in the order each family was first sampled — whatever order the
+// callers' per-dataset or per-backend loops sample them in.
 type promWriter struct {
-	b     strings.Builder
-	typed map[string]bool
+	order []string
+	fams  map[string]*strings.Builder
 }
 
 func (p *promWriter) sample(name, typ string, labels map[string]string, value float64) {
-	if !p.typed[name] {
-		fmt.Fprintf(&p.b, "# TYPE %s %s\n", name, typ)
-		p.typed[name] = true
+	b := p.fams[name]
+	if b == nil {
+		if p.fams == nil {
+			p.fams = make(map[string]*strings.Builder)
+		}
+		b = &strings.Builder{}
+		fmt.Fprintf(b, "# TYPE %s %s\n", name, typ)
+		p.fams[name] = b
+		p.order = append(p.order, name)
 	}
-	p.b.WriteString(name)
+	b.WriteString(name)
 	if len(labels) > 0 {
 		keys := make([]string, 0, len(labels))
 		for k := range labels {
@@ -52,10 +62,19 @@ func (p *promWriter) sample(name, typ string, labels map[string]string, value fl
 		for i, k := range keys {
 			parts[i] = fmt.Sprintf(`%s="%s"`, k, escapeLabel(labels[k]))
 		}
-		p.b.WriteString("{" + strings.Join(parts, ",") + "}")
+		b.WriteString("{" + strings.Join(parts, ",") + "}")
 	}
 	// %g keeps integers integral and floats compact; Prometheus parses both.
-	fmt.Fprintf(&p.b, " %g\n", value)
+	fmt.Fprintf(b, " %g\n", value)
+}
+
+// write serves the buffered families as a text exposition.
+func (p *promWriter) write(w http.ResponseWriter) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	w.WriteHeader(http.StatusOK)
+	for _, name := range p.order {
+		_, _ = io.WriteString(w, p.fams[name].String())
+	}
 }
 
 func escapeLabel(v string) string {
@@ -68,7 +87,7 @@ func escapeLabel(v string) string {
 // exposition format. Label sets iterate in sorted order so consecutive
 // scrapes of identical state are byte-identical.
 func writePrometheus(w http.ResponseWriter, m metricsResponse) {
-	p := &promWriter{typed: make(map[string]bool)}
+	p := &promWriter{}
 
 	p.sample("relmaxd_uptime_seconds", "gauge", nil, m.UptimeS)
 	p.sample("relmaxd_requests_total", "counter", nil, float64(m.Requests.Total))
@@ -80,7 +99,9 @@ func writePrometheus(w http.ResponseWriter, m metricsResponse) {
 		p.sample("relmaxd_status_requests_total", "counter",
 			map[string]string{"class": k}, float64(m.Requests.PerStatus[k]))
 	}
+	p.sample("relmaxd_qps_lifetime", "gauge", nil, m.QPS.Lifetime)
 	p.sample("relmaxd_qps_last_60s", "gauge", nil, m.QPS.Last60S)
+	p.sample("relmaxd_latency_window_samples", "gauge", nil, float64(m.LatencyMS.Window))
 	if m.LatencyMS.Window > 0 {
 		p.sample("relmaxd_latency_ms", "gauge", map[string]string{"quantile": "0.5"}, m.LatencyMS.P50)
 		p.sample("relmaxd_latency_ms", "gauge", map[string]string{"quantile": "0.9"}, m.LatencyMS.P90)
@@ -100,6 +121,7 @@ func writePrometheus(w http.ResponseWriter, m metricsResponse) {
 	p.sample("relmaxd_cache_invalidated_total", "counter", nil, float64(m.Cache.Invalidated))
 	p.sample("relmaxd_cache_warmed_total", "counter", nil, float64(m.Cache.Warmed))
 	p.sample("relmaxd_cache_entries", "gauge", nil, float64(m.Cache.Len))
+	p.sample("relmaxd_cache_capacity", "gauge", nil, float64(m.Cache.Cap))
 	p.sample("relmaxd_anytime_estimates_total", "counter", nil, float64(m.Anytime.Estimates))
 	p.sample("relmaxd_anytime_samples_used_total", "counter", nil, float64(m.Anytime.SamplesUsed))
 	p.sample("relmaxd_anytime_samples_saved_total", "counter", nil, float64(m.Anytime.SamplesSaved))
@@ -112,6 +134,14 @@ func writePrometheus(w http.ResponseWriter, m metricsResponse) {
 		p.sample("relmaxd_dataset_nodes", "gauge", ls, float64(dm.N))
 		p.sample("relmaxd_dataset_edges", "gauge", ls, float64(dm.M))
 		p.sample("relmaxd_dataset_requests_total", "counter", ls, float64(dm.Requests))
+		p.sample("relmaxd_dataset_qps_last_60s", "gauge", ls, dm.QPS60S)
+		p.sample("relmaxd_dataset_jobs_queued", "gauge", ls, float64(dm.Jobs.Queued))
+		p.sample("relmaxd_dataset_jobs_running", "gauge", ls, float64(dm.Jobs.Running))
+		p.sample("relmaxd_dataset_jobs_submitted_total", "counter", ls, float64(dm.Jobs.Submitted))
+		p.sample("relmaxd_dataset_jobs_completed_total", "counter", ls, float64(dm.Jobs.Completed))
+		p.sample("relmaxd_dataset_jobs_cancelled_total", "counter", ls, float64(dm.Jobs.Cancelled))
+		p.sample("relmaxd_dataset_jobs_failed_total", "counter", ls, float64(dm.Jobs.Failed))
+		p.sample("relmaxd_dataset_jobs_rejected_total", "counter", ls, float64(dm.Jobs.Rejected))
 		p.sample("relmaxd_dataset_mutation_batches_total", "counter", ls, float64(dm.Mutations.Applies))
 		p.sample("relmaxd_dataset_mutations_applied_total", "counter", ls, float64(dm.Mutations.Applied))
 		p.sample("relmaxd_dataset_replicated_batches_total", "counter", ls, float64(dm.Mutations.ReplicatedApplies))
@@ -119,8 +149,13 @@ func writePrometheus(w http.ResponseWriter, m metricsResponse) {
 		p.sample("relmaxd_dataset_delta_commits_total", "counter", ls, float64(dm.Mutations.DeltaCommits))
 		p.sample("relmaxd_dataset_compactions_total", "counter", ls, float64(dm.Mutations.Compactions))
 		p.sample("relmaxd_dataset_chain_depth", "gauge", ls, float64(dm.Mutations.ChainDepth))
+		p.sample("relmaxd_dataset_cache_hits_total", "counter", ls, float64(dm.Cache.Hits))
+		p.sample("relmaxd_dataset_cache_misses_total", "counter", ls, float64(dm.Cache.Misses))
+		p.sample("relmaxd_dataset_cache_invalidated_total", "counter", ls, float64(dm.Cache.Invalidated))
 		p.sample("relmaxd_dataset_cache_warmed_total", "counter", ls, float64(dm.Cache.Warmed))
+		p.sample("relmaxd_dataset_cache_entries", "gauge", ls, float64(dm.Cache.Len))
 		p.sample("relmaxd_dataset_anytime_estimates_total", "counter", ls, float64(dm.Anytime.Estimates))
+		p.sample("relmaxd_dataset_anytime_samples_used_total", "counter", ls, float64(dm.Anytime.SamplesUsed))
 		p.sample("relmaxd_dataset_anytime_samples_saved_total", "counter", ls, float64(dm.Anytime.SamplesSaved))
 	}
 
@@ -145,9 +180,7 @@ func writePrometheus(w http.ResponseWriter, m metricsResponse) {
 		}
 	}
 
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write([]byte(p.b.String()))
+	p.write(w)
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -267,11 +267,28 @@ func TestReplicaEndToEnd(t *testing.T) {
 		`relmaxd_replication_feed_subscribers{dataset="lastfm"} 1`,
 		fmt.Sprintf(`relmaxd_dataset_epoch{dataset="lastfm"} %d`, epoch),
 		"# TYPE relmaxd_requests_total counter",
+		"# TYPE relmaxd_qps_lifetime gauge",
+		"# TYPE relmaxd_latency_window_samples gauge",
+		"# TYPE relmaxd_cache_capacity gauge",
+		`relmaxd_dataset_qps_last_60s{dataset="lastfm"}`,
+		`relmaxd_dataset_jobs_queued{dataset="lastfm"} 0`,
+		`relmaxd_dataset_jobs_running{dataset="lastfm"} 0`,
+		"# TYPE relmaxd_dataset_jobs_submitted_total counter",
+		"# TYPE relmaxd_dataset_jobs_completed_total counter",
+		"# TYPE relmaxd_dataset_jobs_cancelled_total counter",
+		"# TYPE relmaxd_dataset_jobs_failed_total counter",
+		"# TYPE relmaxd_dataset_jobs_rejected_total counter",
+		"# TYPE relmaxd_dataset_cache_hits_total counter",
+		"# TYPE relmaxd_dataset_cache_misses_total counter",
+		"# TYPE relmaxd_dataset_cache_invalidated_total counter",
+		"# TYPE relmaxd_dataset_cache_entries gauge",
+		"# TYPE relmaxd_dataset_anytime_samples_used_total counter",
 	} {
 		if !strings.Contains(pProm, want) {
 			t.Fatalf("primary prometheus exposition missing %q:\n%s", want, pProm)
 		}
 	}
+	checkPromFamilies(t, pProm)
 	rProm := promGet(replica.URL)
 	for _, want := range []string{
 		`relmaxd_role{role="replica"} 1`,
@@ -282,6 +299,7 @@ func TestReplicaEndToEnd(t *testing.T) {
 			t.Fatalf("replica prometheus exposition missing %q:\n%s", want, rProm)
 		}
 	}
+	checkPromFamilies(t, rProm)
 
 	// When the primary drops the dataset, the replica retires it.
 	req, _ = http.NewRequest(http.MethodDelete, primary.URL+"/v2/datasets/lastfm", nil)
@@ -423,6 +441,70 @@ func TestRouterEndToEnd(t *testing.T) {
 		if !strings.Contains(prom, want) {
 			t.Fatalf("router prometheus exposition missing %q:\n%s", want, prom)
 		}
+	}
+	checkPromFamilies(t, prom)
+}
+
+// checkPromFamilies fails unless every metric family in a Prometheus text
+// exposition forms one group: a single TYPE line directly followed by all
+// of the family's samples.
+func checkPromFamilies(t *testing.T, text string) {
+	t.Helper()
+	typed := make(map[string]bool)
+	family := ""
+	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name := strings.Fields(rest)[0]
+			if typed[name] {
+				t.Fatalf("family %s has a second TYPE line:\n%s", name, text)
+			}
+			typed[name], family = true, name
+			continue
+		}
+		if name := line[:strings.IndexAny(line, "{ ")]; name != family {
+			t.Fatalf("sample %q is outside family %s's group:\n%s", line, name, text)
+		}
+	}
+}
+
+// TestPrometheusFamiliesGrouped: with two datasets on one server, and
+// three backends behind a router, the per-dataset and per-backend loops
+// interleave families, yet each family is still written as one group.
+func TestPrometheusFamiliesGrouped(t *testing.T) {
+	catalog := testCatalog(t, replOpts()...)
+	g, err := repro.LoadDataset("astopo", 0.03, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := catalog.Create("astopo", g); err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(catalog, 30*time.Second)
+	srv.logf = t.Logf
+	ts := httptest.NewServer(srv.handler())
+	t.Cleanup(ts.Close)
+
+	primary, _ := newReplPrimary(t)
+	epoch := mutate(t, primary.URL, 0.4)
+	var replicas []string
+	for range 2 {
+		replica, _ := newReplReplica(t, primary.URL)
+		waitEpoch(t, replica.URL, "lastfm", epoch)
+		replicas = append(replicas, replica.URL)
+	}
+	rt := newRouter(primary.URL, replicas, 0)
+	rt.logf = t.Logf
+	router := httptest.NewServer(rt.handler())
+	t.Cleanup(router.Close)
+
+	for _, base := range []string{ts.URL, router.URL} {
+		resp, err := http.Get(base + "/metrics?format=prometheus")
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := readAll(t, resp)
+		resp.Body.Close()
+		checkPromFamilies(t, text)
 	}
 }
 

@@ -415,7 +415,7 @@ func (rt *router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	p := &promWriter{typed: make(map[string]bool)}
+	p := &promWriter{}
 	p.sample("relmaxd_role", "gauge", map[string]string{"role": roleRouter}, 1)
 	p.sample("relmaxd_uptime_seconds", "gauge", nil, time.Since(rt.start).Seconds())
 	p.sample("relmaxd_router_max_lag", "gauge", nil, float64(rt.maxLag))
@@ -447,7 +447,5 @@ func (rt *router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				map[string]string{"backend": bname, "dataset": name}, float64(lag[name][bname]))
 		}
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write([]byte(p.b.String()))
+	p.write(w)
 }

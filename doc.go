@@ -295,8 +295,11 @@
 // are single-goroutine only. NewParallelSampler wraps any of them into a
 // goroutine-safe estimator that shards the sample budget across workers
 // deterministically and supports batched evaluation (EstimateMany,
-// EstimateEdges). Every sampler accepts a context via SetContext for
-// block-granular cancellation.
+// EstimateEdges). Every solve and Engine query samples through it;
+// Options.Workers and WithWorkers only size its pool (<= 0 = all CPUs), so
+// results are bit-identical at every Workers value for a fixed seed.
+// Every sampler accepts a context via SetContext for block-granular
+// cancellation.
 //
 // The vector sampler simulates 64 possible worlds per BFS traversal by
 // packing edge existence into uint64 lane masks, drawing 64 Bernoulli

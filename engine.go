@@ -18,8 +18,8 @@ import (
 //
 //   - a private clone of the graph (callers may keep mutating theirs) and
 //     its frozen CSR snapshot, shared read-only by all queries, and
-//   - a warm pool of per-worker serial samplers (when Workers != 0),
-//     leased per request so repeated queries reuse scratch memory.
+//   - a warm pool of per-worker serial samplers, leased per request by the
+//     sharded parallel sampler so repeated queries reuse scratch memory.
 //
 // The graph is mutable behind versioned snapshots: Apply commits a batch
 // of mutations by building the next frozen epoch and rotating it in
@@ -183,9 +183,9 @@ func WithSeed(seed int64) EngineOption {
 	return func(e *Engine) { e.opt.Seed = seed }
 }
 
-// WithWorkers sizes the sampling worker pool: 0 keeps the serial samplers
-// (the legacy default), N >= 1 uses a deterministic parallel pool with N
-// workers, negative values use GOMAXPROCS.
+// WithWorkers sizes the sampling worker pool: N >= 1 runs N workers, and
+// N <= 0 uses GOMAXPROCS. Results are bit-identical at every worker count
+// for a fixed seed: the sampler's fixed, seeded shards fix the randomness.
 func WithWorkers(n int) EngineOption {
 	return func(e *Engine) { e.opt.Workers = n }
 }
@@ -308,8 +308,7 @@ func (e *Engine) Epoch() uint64 { return e.snap.Load().csr.Epoch() }
 // engine defaults; a non-nil override is taken as-is except that zero
 // Sampler/Z/Seed/Workers inherit the engine configuration (so overriding
 // K or Zeta does not silently change the estimator). The engine's warm
-// sampler pool is attached whenever the parallel path will run with a
-// matching estimator kind.
+// sampler pool is attached by execute.
 func (e *Engine) options(req *Options) Options {
 	opt := e.opt
 	if req != nil {
@@ -326,11 +325,6 @@ func (e *Engine) options(req *Options) Options {
 		if opt.Workers == 0 {
 			opt.Workers = e.opt.Workers
 		}
-	}
-	if opt.Workers != 0 && opt.Sampler == e.scratch.Kind() {
-		opt.Scratch = e.scratch
-	} else {
-		opt.Scratch = nil
 	}
 	return opt
 }
@@ -426,13 +420,11 @@ func (e *Engine) Estimate(ctx context.Context, s, t NodeID) (float64, error) {
 }
 
 // EstimateMany returns the reliability of every (S, T) query in one
-// batched, deterministic call via the QueryEstimateMany dispatch. With
-// Workers != 0 the (query, shard) product fans out over the worker pool;
-// with Workers == 0 each query keeps one undivided full-budget serial
-// stream (keyed on its index) and the queries fan out across the warm
-// pool — bit-identical at any scheduling. On cancellation it returns an
-// error wrapping ctx.Err() and no results (out-of-order execution leaves
-// no meaningful completed prefix).
+// batched, deterministic call via the QueryEstimateMany dispatch: the
+// (query, shard) product fans out over the worker pool, bit-identical at
+// every worker count. On cancellation it returns an error wrapping
+// ctx.Err() and no results (out-of-order execution leaves no meaningful
+// completed prefix).
 func (e *Engine) EstimateMany(ctx context.Context, queries []PairQuery) ([]float64, error) {
 	res, err := e.Run(ctx, Query{Kind: QueryEstimateMany, Pairs: queries})
 	return res.Reliabilities, err

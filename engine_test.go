@@ -1,10 +1,10 @@
 package repro
 
 import (
-	"fmt"
-
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -99,47 +99,56 @@ func TestEngineMatchesLegacyMulti(t *testing.T) {
 }
 
 // TestEngineEstimateMatchesSamplers: Engine.Estimate must reproduce what
-// an equally configured standalone sampler returns on its first call.
+// an equally configured standalone sampler returns on its first call, and
+// the engine must answer every estimation kind and total-budget query
+// bit-identically at Workers 0 (GOMAXPROCS) and 1.
 func TestEngineEstimateMatchesSamplers(t *testing.T) {
 	g := engineTestGraph(t)
 	const z, seed = 400, 21
-	// Parallel path vs NewParallelSampler.
-	eng, err := NewEngine(g, WithSamplerKind("mc"), WithSampleSize(z), WithSeed(seed), WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps, err := NewParallelSampler("mc", z, seed, 4)
+	ps, err := NewParallelSampler("rss", z, seed, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := ps.Reliability(g, 0, 17)
-	got, err := eng.Estimate(context.Background(), 0, 17)
-	if err != nil {
-		t.Fatal(err)
+	queries := []Query{
+		{Kind: QueryEstimate, S: 0, T: 17},
+		{Kind: QueryEstimateMany, Pairs: []PairQuery{{S: 0, T: 9}, {S: 1, T: 22}, {S: 4, T: 4}, {S: 7, T: 31}}},
+		{Kind: QueryEstimate, S: 0, T: 17, Options: &Options{Precision: 0.02}},
+		{Kind: QueryTotalBudget, S: 0, T: 17, Budget: 1, Options: &Options{K: 2, R: 8, L: 8}},
 	}
-	if got != want {
-		t.Fatalf("parallel engine estimate %v != sampler first call %v", got, want)
+	results := map[int][]Result{}
+	for _, workers := range []int{1, 0} {
+		eng, err := NewEngine(g, WithSamplerKind("rss"), WithSampleSize(z), WithSeed(seed), WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := eng.Estimate(context.Background(), 0, 17)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("workers=%d: engine estimate %v != sampler first call %v", workers, got, want)
+		}
+		// Repeated estimates are deterministic (fresh call-state per request).
+		again, err := eng.Estimate(context.Background(), 0, 17)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again != got {
+			t.Fatalf("workers=%d: engine estimate not stateless: %v then %v", workers, got, again)
+		}
+		for _, q := range queries {
+			res, err := eng.Run(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results[workers] = append(results[workers], stripTimings(res))
+		}
 	}
-	// Repeated estimates are deterministic (fresh call-state per request).
-	again, err := eng.Estimate(context.Background(), 0, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != got {
-		t.Fatalf("engine estimate not stateless: %v then %v", got, again)
-	}
-	// Serial path vs the serial sampler.
-	sEng, err := NewEngine(g, WithSamplerKind("rss"), WithSampleSize(z), WithSeed(seed), WithWorkers(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = NewRSSSampler(z, seed).Reliability(g, 0, 17)
-	got, err = sEng.Estimate(context.Background(), 0, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("serial engine estimate %v != serial sampler %v", got, want)
+	for i, q := range queries {
+		if !reflect.DeepEqual(results[0][i], results[1][i]) {
+			t.Errorf("%s query %d: workers=0 %+v != workers=1 %+v", q.Kind, i, results[0][i], results[1][i])
+		}
 	}
 }
 

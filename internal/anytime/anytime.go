@@ -12,22 +12,20 @@
 // The controller never trades reproducibility for adaptivity. Blocks are
 // 64-aligned so mcvec lane blocks never split; the context is polled only
 // between blocks, so a block that starts always completes and the drawn
-// stream depends only on (seed, block schedule, stop decision). In serial
-// mode (Workers == 0) the sample stream of the stream-continuing kinds
-// (mc, mcvec) is bit-identical to a plain fixed-budget sampler of
-// the same kind and seed truncated at the stop point. In sharded mode
-// (Workers != 0) the schedule is a fixed 16-shard round-robin — shard i
-// draws from rng.SplitSeed(seed, i), rounds hand every shard one 64-block
-// — so the result is bit-identical at any worker count >= 1, and equal to
-// a fixed-budget controller run (Precision 0) whose MaxZ is the adaptive
+// stream depends only on (seed, block schedule, stop decision). The
+// schedule is a fixed 16-shard round-robin — shard i draws from
+// rng.SplitSeed(seed, i), rounds hand every shard one 64-block — so the
+// result is bit-identical at every worker count, and equal to a
+// fixed-budget controller run (Precision 0) whose MaxZ is the adaptive
 // run's SamplesUsed. RSS, whose stratified recursion is not
 // prefix-continuable, estimates each block independently; its determinism
-// contract is the schedule-equivalence one, pinned the same way.
+// contract is the same schedule-equivalence one.
 package anytime
 
 import (
 	"context"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -49,14 +47,10 @@ const DefaultMaxZ = 65536
 // is unset.
 const DefaultConfidence = 0.95
 
-// shardCount is the fixed number of deterministic sample shards in
-// parallel mode. Like sampling.DefaultShards, the shard structure — not
-// the worker count — fixes the randomness.
+// shardCount is the fixed number of deterministic sample shards. Like
+// sampling.DefaultShards, the shard structure — not the worker count —
+// fixes the randomness.
 const shardCount = 16
-
-// progressEvery is the number of serial blocks between progress
-// emissions (parallel rounds emit every round, which is already coarser).
-const progressEvery = 8
 
 // Stop reasons reported in Estimate.StopReason.
 const (
@@ -98,11 +92,9 @@ type Config struct {
 	MaxZ int
 	// Seed fixes the sample streams.
 	Seed int64
-	// Workers selects the execution mode: 0 runs one serial stream;
-	// any non-zero value runs the fixed 16-shard schedule on up to that
-	// many goroutines (<= 0 is impossible here; values above shardCount
-	// are clamped). Results in sharded mode are identical for every
-	// worker count.
+	// Workers is the number of goroutines that run the 16-shard schedule;
+	// <= 0 uses GOMAXPROCS, and values above 16 are clamped. Results are
+	// bit-identical at every Workers value for a fixed Seed.
 	Workers int
 	// Confidence is the interval coverage in (0, 1); <= 0 selects
 	// DefaultConfidence.
@@ -155,21 +147,6 @@ func interval(x float64, n int, confidence float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// Run estimates R(s, t) on the snapshot under cfg. A context deadline
-// that fires mid-run is an answer, not an error: the estimate pools the
-// samples drawn so far with StopReason = StopDeadline. Cancellation
-// (context.Canceled) propagates as the error with a zero Estimate.
-func Run(ctx context.Context, c *ugraph.CSR, s, t ugraph.NodeID, cfg Config) (Estimate, error) {
-	cfg = cfg.withDefaults()
-	if s == t {
-		return Estimate{Point: 1, Lo: 1, Hi: 1, StopReason: StopPrecision}, nil
-	}
-	if cfg.Workers != 0 {
-		return runSharded(ctx, c, s, t, cfg)
-	}
-	return runSerial(ctx, c, s, t, cfg)
-}
-
 // newStream constructs a serial block sampler of the configured kind.
 // The construction-time budget is irrelevant — blocks carry their own
 // sizes — so it is set to BlockSize for the pathological case of the
@@ -202,48 +179,24 @@ func (cfg Config) stop(ctx context.Context, hits float64, drawn int) (Estimate, 
 	return est, "", nil
 }
 
-func runSerial(ctx context.Context, c *ugraph.CSR, s, t ugraph.NodeID, cfg Config) (Estimate, error) {
-	bs, err := newStream(cfg.Sampler, cfg.Seed)
-	if err != nil {
-		return Estimate{}, err
+// Run estimates R(s, t) on the snapshot under cfg. A context deadline
+// that fires mid-run is an answer, not an error: the estimate pools the
+// samples drawn so far with StopReason = StopDeadline. Cancellation
+// (context.Canceled) propagates as the error with a zero Estimate.
+//
+// Run drives the fixed 16-shard schedule: every round hands each shard
+// one 64-sample block (the final round distributes the remaining budget
+// in 64-quanta, filling shards in order, with any sub-block tail on the
+// last active shard — legal because it is that shard's final block). Stop
+// conditions are evaluated between rounds, so SamplesUsed advances in
+// whole rounds and the schedule for a given stop point is identical
+// whichever condition fired — the prefix property the differential tests
+// pin.
+func Run(ctx context.Context, c *ugraph.CSR, s, t ugraph.NodeID, cfg Config) (Estimate, error) {
+	cfg = cfg.withDefaults()
+	if s == t {
+		return Estimate{Point: 1, Lo: 1, Hi: 1, StopReason: StopPrecision}, nil
 	}
-	stream := bs.BeginBlocks(c, s, t)
-	hits, drawn, blocks := 0.0, 0, 0
-	for {
-		n := BlockSize
-		if rem := cfg.MaxZ - drawn; rem < n {
-			n = rem
-		}
-		h, d := stream.SampleBlock(n)
-		hits += h
-		drawn += d
-		blocks++
-		est, reason, err := cfg.stop(ctx, hits, drawn)
-		if err != nil {
-			return Estimate{}, err
-		}
-		if reason != "" {
-			est.StopReason = reason
-			if cfg.Progress != nil {
-				cfg.Progress(est)
-			}
-			return est, nil
-		}
-		if cfg.Progress != nil && blocks%progressEvery == 0 {
-			cfg.Progress(est)
-		}
-	}
-}
-
-// runSharded runs the fixed 16-shard schedule: every round hands each
-// shard one 64-sample block (the final round distributes the remaining
-// budget in 64-quanta, filling shards in order, with any sub-block tail
-// on the last active shard — legal because it is that shard's final
-// block). Stop conditions are evaluated between rounds, so SamplesUsed
-// advances in whole rounds and the schedule for a given stop point is
-// identical whichever condition fired — the prefix property the
-// differential tests pin.
-func runSharded(ctx context.Context, c *ugraph.CSR, s, t ugraph.NodeID, cfg Config) (Estimate, error) {
 	streams := make([]sampling.BlockStream, shardCount)
 	for i := range streams {
 		bs, err := newStream(cfg.Sampler, rng.SplitSeed(cfg.Seed, int64(i)))
@@ -253,12 +206,10 @@ func runSharded(ctx context.Context, c *ugraph.CSR, s, t ugraph.NodeID, cfg Conf
 		streams[i] = bs.BeginBlocks(c, s, t)
 	}
 	workers := cfg.Workers
-	if workers < 0 {
-		workers = shardCount
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > shardCount {
-		workers = shardCount
-	}
+	workers = min(workers, shardCount)
 	hits := make([]float64, shardCount)
 	drawnBy := make([]int, shardCount)
 	quota := make([]int, shardCount)

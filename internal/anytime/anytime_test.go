@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/rng"
-	"repro/internal/sampling"
 	"repro/internal/ugraph"
 )
 
@@ -44,48 +43,11 @@ func smallGraph(r *rand.Rand) *ugraph.Graph {
 	return g
 }
 
-// TestSerialAdaptiveIsFixedBudgetPrefix pins the tentpole determinism
-// contract for the stream-continuing kinds: an adaptive serial run that
-// stopped after N samples is bit-identical to a plain fixed-budget serial
-// sampler of the same kind and seed with z = N.
-func TestSerialAdaptiveIsFixedBudgetPrefix(t *testing.T) {
-	r := rng.New(7)
-	for _, kind := range []string{"mc", "mcvec"} {
-		for trial := 0; trial < 6; trial++ {
-			g := testGraph(r)
-			c := g.Freeze()
-			s, tt := ugraph.NodeID(0), ugraph.NodeID(g.N()-1)
-			seed := int64(1000*trial + 17)
-			est, err := Run(context.Background(), c, s, tt, Config{
-				Sampler: kind, Precision: 0.02, MaxZ: 1 << 14, Seed: seed,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if est.SamplesUsed <= 0 || est.SamplesUsed%BlockSize != 0 {
-				t.Fatalf("%s trial %d: SamplesUsed=%d not block-aligned", kind, trial, est.SamplesUsed)
-			}
-			smp, err := sampling.NewSerial(kind, est.SamplesUsed, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fixed := smp.(sampling.Sampler).ReliabilityCSR(c, s, tt)
-			if fixed != est.Point {
-				t.Errorf("%s trial %d: adaptive point %v != fixed z=%d point %v",
-					kind, trial, est.Point, est.SamplesUsed, fixed)
-			}
-			if est.Lo > est.Point || est.Point > est.Hi {
-				t.Errorf("%s trial %d: point %v outside [%v, %v]", kind, trial, est.Point, est.Lo, est.Hi)
-			}
-		}
-	}
-}
-
 // TestAdaptiveIsControllerPrefix pins the schedule-equivalence contract
-// for every kind and both execution modes: an adaptive run equals a
-// fixed-budget controller run (Precision 0) whose MaxZ is the adaptive
-// run's SamplesUsed. This is the contract RSS (not prefix-continuable at
-// the sampler level) and the sharded mode satisfy.
+// for every kind: an adaptive run equals a fixed-budget controller run
+// (Precision 0) whose MaxZ is the adaptive run's SamplesUsed — the
+// contract RSS satisfies although it is not prefix-continuable at the
+// sampler level.
 func TestAdaptiveIsControllerPrefix(t *testing.T) {
 	r := rng.New(13)
 	for _, kind := range allKinds {
@@ -116,9 +78,9 @@ func TestAdaptiveIsControllerPrefix(t *testing.T) {
 	}
 }
 
-// TestShardedInvariantAcrossWorkers: in sharded mode the worker count is
-// pure scheduling — every field of the Estimate must be identical at any
-// worker count >= 1.
+// TestShardedInvariantAcrossWorkers: the worker count is pure scheduling
+// — every field of the Estimate must be identical at every worker count,
+// including 0 and -1 (GOMAXPROCS).
 func TestShardedInvariantAcrossWorkers(t *testing.T) {
 	r := rng.New(29)
 	for _, kind := range allKinds {
@@ -126,7 +88,7 @@ func TestShardedInvariantAcrossWorkers(t *testing.T) {
 		c := g.Freeze()
 		s, tt := ugraph.NodeID(0), ugraph.NodeID(g.N()-1)
 		var want Estimate
-		for i, workers := range []int{1, 2, 4, 16} {
+		for i, workers := range []int{1, 0, -1, 2, 4, 16} {
 			est, err := Run(context.Background(), c, s, tt, Config{
 				Sampler: kind, Precision: 0.03, MaxZ: 1 << 14, Seed: 5, Workers: workers,
 			})

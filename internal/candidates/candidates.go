@@ -63,12 +63,12 @@ func Eliminate(g *ugraph.Graph, s, t ugraph.NodeID, smp sampling.Sampler, opt Op
 // reliable from every s ∈ S (the paper's "u ∈ C(s) ∀s ∈ S"), and
 // symmetrically for the target side. The reliability vectors returned are
 // the element-wise minima over the respective sets, so downstream ranking
-// favours nodes reliable with respect to the whole set. Batch-capable
-// samplers evaluate all member vectors concurrently.
-func EliminateMulti(g *ugraph.Graph, sources, targets []ugraph.NodeID, smp sampling.Sampler, opt Options) Result {
+// favours nodes reliable with respect to the whole set. All member
+// vectors are evaluated in one batch per side.
+func EliminateMulti(g *ugraph.Graph, sources, targets []ugraph.NodeID, smp sampling.BatchSampler, opt Options) Result {
 	opt = opt.withDefaults()
-	fromRel := intersectTopR(g, sources, opt.R, sampling.FromMany(smp, g, sources))
-	toRel := intersectTopR(g, targets, opt.R, sampling.ToMany(smp, g, targets))
+	fromRel := intersectTopR(g, sources, opt.R, smp.ReliabilityFromMany(g, sources))
+	toRel := intersectTopR(g, targets, opt.R, smp.ReliabilityToMany(g, targets))
 	return eliminateWith(g, fromRel, toRel, opt)
 }
 

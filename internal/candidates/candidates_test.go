@@ -184,7 +184,10 @@ func TestEliminateMultiIntersection(t *testing.T) {
 	g.MustAddEdge(4, 5, 0.7)
 	g.MustAddEdge(5, 6, 0.9)
 	g.MustAddEdge(5, 7, 0.9)
-	smp := sampling.NewRSS(4000, 5)
+	smp, err := sampling.NewParallel("rss", 4000, 5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res := EliminateMulti(g, []ugraph.NodeID{0, 1}, []ugraph.NodeID{6, 7}, smp, Options{R: 4, Zeta: 0.5})
 	if len(res.Edges) == 0 {
 		t.Fatal("no candidates proposed for multi query")

@@ -11,37 +11,13 @@ import (
 	"repro/internal/ugraph"
 )
 
-// edgeReliabilities estimates R(s, t, g ∪ {e}) for every candidate edge in
-// isolation — the shared inner loop of the top-k and hill-climbing
-// baselines. Batch-capable samplers (ParallelSampler) evaluate the whole
-// candidate set in one fanned-out call; serial samplers run a
-// one-at-a-time loop that freezes the graph once and evaluates each
-// candidate on a CSR overlay, so no per-candidate clone or snapshot
-// rebuild happens.
-func edgeReliabilities(ctx context.Context, smp sampling.Sampler, g *ugraph.Graph, s, t ugraph.NodeID, cands []ugraph.Edge) []float64 {
-	if bs, ok := smp.(sampling.BatchSampler); ok {
-		return bs.EstimateEdges(g, s, t, cands)
-	}
-	out := make([]float64, len(cands))
-	scratch := make([]ugraph.Edge, 1)
-	base := g.Freeze()
-	for i, e := range cands {
-		if ctx.Err() != nil {
-			break // remaining entries stay zero; the caller discards
-		}
-		scratch[0] = e
-		out[i] = smp.ReliabilityCSR(base.WithEdges(scratch), s, t)
-	}
-	return out
-}
-
 // individualTopK implements the §3.1 baseline: estimate the reliability
 // gain of each candidate edge in isolation and keep the k best. It ignores
 // interactions between chosen edges, which is exactly its documented
 // weakness.
-func individualTopK(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, cands []ugraph.Edge, smp sampling.Sampler, opt Options) []ugraph.Edge {
+func individualTopK(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, cands []ugraph.Edge, smp sampling.BatchSampler, opt Options) []ugraph.Edge {
 	base := smp.Reliability(g, s, t)
-	scores := edgeReliabilities(ctx, smp, g, s, t, cands)
+	scores := smp.EstimateEdges(g, s, t, cands)
 	if ctx.Err() != nil {
 		// The scores are incomplete (unevaluated candidates read as zero);
 		// ranking them would promote arbitrary edges into the partial
@@ -65,7 +41,7 @@ func individualTopK(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, ca
 // augmented so far. Without submodularity it carries no guarantee, and its
 // Z-sampled evaluation of every candidate each round makes it the slowest
 // competitor (Tables 4-5).
-func hillClimbing(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, cands []ugraph.Edge, smp sampling.Sampler, opt Options) []ugraph.Edge {
+func hillClimbing(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, cands []ugraph.Edge, smp sampling.BatchSampler, opt Options) []ugraph.Edge {
 	var chosen []ugraph.Edge
 	remaining := append([]ugraph.Edge(nil), cands...)
 	work := g.Clone()
@@ -75,7 +51,7 @@ func hillClimbing(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, cand
 		}
 		base := smp.Reliability(work, s, t)
 		bestIdx, bestGain := -1, -1.0
-		for i, after := range edgeReliabilities(ctx, smp, work, s, t, remaining) {
+		for i, after := range smp.EstimateEdges(work, s, t, remaining) {
 			if gain := after - base; gain > bestGain {
 				bestGain = gain
 				bestIdx = i

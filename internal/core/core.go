@@ -104,20 +104,16 @@ type Options struct {
 	// K1Ratio is the per-round budget fraction k1/k for the Min/Max
 	// aggregate solvers of §6 (default 0.1).
 	K1Ratio float64
-	// Workers sizes the reliability-estimation worker pool. 0 keeps the
-	// serial samplers (the seed behaviour); N >= 1 runs every estimate on
-	// a sampling.ParallelSampler with N workers, and negative values use
-	// GOMAXPROCS. For a fixed Seed, results are bit-identical across all
-	// Workers >= 1 (the parallel sampler's shard structure, not the
-	// worker count, fixes the randomness), but differ from Workers == 0
-	// because the serial samplers draw one undivided stream.
+	// Workers sizes the reliability-estimation worker pool; <= 0 uses
+	// GOMAXPROCS. Every estimate runs on a sampling.ParallelSampler, whose
+	// fixed, seeded shards — not the worker count — fix the randomness, so
+	// results are bit-identical at every Workers value for a fixed Seed.
 	Workers int
 	// Scratch, when non-nil and built for the same Sampler kind, lets the
 	// parallel samplers lease their per-worker serial samplers from a
 	// shared warm pool instead of a cold per-solve one. A long-lived
 	// Engine sets this so repeated queries reuse sampler scratch memory;
-	// it never affects results. Ignored when Workers == 0 or the kinds
-	// mismatch.
+	// it never affects results. Ignored when the kinds mismatch.
 	Scratch *sampling.SharedScratch
 	// Progress, when non-nil, receives solver progress notifications
 	// (stage boundaries and per-round selection progress). Callbacks run
@@ -197,11 +193,9 @@ func (o Options) Validate(n int) error {
 // NewSampler builds the reliability estimator configured by opt, with a
 // decorrelated stream index so different pipeline stages use independent
 // randomness, bound to ctx for block-granular cooperative cancellation.
-// With Workers != 0 the estimator is a sampling.ParallelSampler (which also
-// implements sampling.BatchSampler, unlocking the batched hot paths in
-// candidate elimination and greedy selection), leasing its workers from
-// opt.Scratch when one of the matching kind is supplied.
-func (o Options) NewSampler(ctx context.Context, stream int64) (sampling.Sampler, error) {
+// The estimator is a sampling.ParallelSampler with Workers workers,
+// leasing them from opt.Scratch when one of the matching kind is supplied.
+func (o Options) NewSampler(ctx context.Context, stream int64) (sampling.BatchSampler, error) {
 	smp, err := sampling.New(o.Sampler, o.Z, rng.Split(o.Seed, stream).Int63(), o.Workers, o.Scratch)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -217,7 +211,7 @@ func (o Options) NewSampler(ctx context.Context, stream int64) (sampling.Sampler
 // stream (7 — distinct from every pipeline's selection and evaluation
 // streams), so elimination never perturbs the randomness the selection
 // stages consume. Results remain deterministic per (Seed, Options).
-func (o Options) elimSampler(ctx context.Context) (sampling.Sampler, error) {
+func (o Options) elimSampler(ctx context.Context) (sampling.BatchSampler, error) {
 	elim := o
 	elim.Sampler = "mcvec"
 	return elim.NewSampler(ctx, 7)
@@ -357,7 +351,7 @@ func checkQuery(g *ugraph.Graph, s, t ugraph.NodeID) error {
 // candidateSet materializes E+ for the query per the configured policy.
 // smp is the elimination estimator (opt.elimSampler) — only consulted when
 // Algorithm 4 actually runs.
-func candidateSet(g *ugraph.Graph, s, t ugraph.NodeID, smp sampling.Sampler, opt Options) ([]ugraph.Edge, error) {
+func candidateSet(g *ugraph.Graph, s, t ugraph.NodeID, smp sampling.BatchSampler, opt Options) ([]ugraph.Edge, error) {
 	if opt.Candidates != nil {
 		out := make([]ugraph.Edge, 0, len(opt.Candidates))
 		for _, e := range opt.Candidates {

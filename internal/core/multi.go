@@ -40,10 +40,10 @@ type MultiSolution struct {
 }
 
 // PairReliabilities estimates R(s, t) for every (s, t) ∈ S×T using one
-// single-source vector query per source. Rows follow S, columns follow T.
-// Batch-capable samplers evaluate all source vectors concurrently.
-func PairReliabilities(g *ugraph.Graph, sources, targets []ugraph.NodeID, smp sampling.Sampler) [][]float64 {
-	vecs := sampling.FromMany(smp, g, sources)
+// single-source vector query per source, all evaluated in one batch. Rows
+// follow S, columns follow T.
+func PairReliabilities(g *ugraph.Graph, sources, targets []ugraph.NodeID, smp sampling.BatchSampler) [][]float64 {
+	vecs := smp.ReliabilityFromMany(g, sources)
 	out := make([][]float64, len(sources))
 	for i := range sources {
 		row := make([]float64, len(targets))
@@ -173,7 +173,7 @@ func SolveMulti(ctx context.Context, g *ugraph.Graph, sources, targets []ugraph.
 
 // multiCandidates materializes E+ for a multi-pair query; smp is the
 // elimination estimator (opt.elimSampler).
-func multiCandidates(g *ugraph.Graph, sources, targets []ugraph.NodeID, smp sampling.Sampler, opt Options) []ugraph.Edge {
+func multiCandidates(g *ugraph.Graph, sources, targets []ugraph.NodeID, smp sampling.BatchSampler, opt Options) []ugraph.Edge {
 	if opt.Candidates != nil {
 		out := make([]ugraph.Edge, 0, len(opt.Candidates))
 		for _, e := range opt.Candidates {
@@ -197,7 +197,7 @@ func multiCandidates(g *ugraph.Graph, sources, targets []ugraph.NodeID, smp samp
 // multiAvgBE implements §6.1: candidate edges from the multi-source
 // elimination, top-l paths per pair, then batch selection maximizing the
 // average reliability over all pairs on the selected-path subgraph.
-func multiAvgBE(ctx context.Context, g *ugraph.Graph, sources, targets []ugraph.NodeID, smp, elim sampling.Sampler, opt Options) ([]ugraph.Edge, error) {
+func multiAvgBE(ctx context.Context, g *ugraph.Graph, sources, targets []ugraph.NodeID, smp, elim sampling.BatchSampler, opt Options) ([]ugraph.Edge, error) {
 	cands := multiCandidates(g, sources, targets, elim, opt)
 	opt.emit(ProgressEvent{Stage: StageEliminate, Candidates: len(cands)})
 	a := augment(g, cands)
@@ -442,7 +442,7 @@ func batchSelect(ctx context.Context, a augmented, pool []paths.Path, opt Option
 // currently minimum (resp. maximum) reliability and improve it with the
 // single-pair BE solver under a per-round budget k1 = K1Ratio·k, until the
 // total budget k is spent or no further improvement is possible.
-func multiMinMaxBE(ctx context.Context, g *ugraph.Graph, sources, targets []ugraph.NodeID, agg Aggregate, smp, elim sampling.Sampler, opt Options) ([]ugraph.Edge, error) {
+func multiMinMaxBE(ctx context.Context, g *ugraph.Graph, sources, targets []ugraph.NodeID, agg Aggregate, smp, elim sampling.BatchSampler, opt Options) ([]ugraph.Edge, error) {
 	work := g.Clone()
 	budget := opt.K
 	k1 := int(math.Round(opt.K1Ratio * float64(opt.K)))
@@ -498,7 +498,7 @@ func multiMinMaxBE(ctx context.Context, g *ugraph.Graph, sources, targets []ugra
 	return all, nil
 }
 
-func candidateRound(g *ugraph.Graph, s, t ugraph.NodeID, elim sampling.Sampler, opt Options) []ugraph.Edge {
+func candidateRound(g *ugraph.Graph, s, t ugraph.NodeID, elim sampling.BatchSampler, opt Options) []ugraph.Edge {
 	cands, _ := candidateSet(g, s, t, elim, opt)
 	return cands
 }
@@ -535,7 +535,7 @@ func pickPairSkipping(matrix [][]float64, agg Aggregate, skip map[[2]int]bool) (
 }
 
 // multiHillClimbing generalizes Algorithm 1 to the aggregate objective.
-func multiHillClimbing(ctx context.Context, g *ugraph.Graph, sources, targets []ugraph.NodeID, agg Aggregate, smp, elim sampling.Sampler, opt Options) ([]ugraph.Edge, error) {
+func multiHillClimbing(ctx context.Context, g *ugraph.Graph, sources, targets []ugraph.NodeID, agg Aggregate, smp, elim sampling.BatchSampler, opt Options) ([]ugraph.Edge, error) {
 	cands := multiCandidates(g, sources, targets, elim, opt)
 	work := g.Clone()
 	var chosen []ugraph.Edge

@@ -39,7 +39,10 @@ func TestPairReliabilities(t *testing.T) {
 	g.MustAddEdge(0, 1, 0.8)
 	g.MustAddEdge(0, 2, 0.4)
 	g.MustAddEdge(1, 2, 0.5)
-	smp := sampling.NewMonteCarlo(40000, 5)
+	smp, err := sampling.NewParallel("mc", 40000, 5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := PairReliabilities(g, []ugraph.NodeID{0, 1}, []ugraph.NodeID{1, 2}, smp)
 	// R(0,1)=0.8; R(0,2)=1-(1-0.4)(1-0.8·0.5)=0.64; R(1,1)=1; R(1,2)=0.5.
 	want := [][]float64{{0.8, 0.64}, {1, 0.5}}
@@ -134,7 +137,10 @@ func TestSolveMultiMinImprovesWorstPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval := sampling.NewMonteCarlo(8000, 99)
+	eval, err := sampling.NewParallel("mc", 8000, 99, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	before := AggregateOf(PairReliabilities(g, S, T, eval), AggMin)
 	after := AggregateOf(PairReliabilities(g.WithEdges(sol.Edges), S, T, eval), AggMin)
 	if after < before+0.02 {

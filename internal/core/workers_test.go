@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-
+	"runtime"
 	"testing"
 
 	"repro/internal/gen"
@@ -19,35 +19,35 @@ func workersTestGraph(t *testing.T) *ugraph.Graph {
 	return g
 }
 
-// TestNewSamplerWorkers pins the Options.Workers contract: 0 keeps the
-// serial estimator, anything else returns a batch-capable parallel one.
+// TestNewSamplerWorkers pins the Options.Workers contract: every value
+// builds a parallel sampler, sized to GOMAXPROCS at Workers <= 0.
 func TestNewSamplerWorkers(t *testing.T) {
-	serial, err := Options{Workers: 0}.withDefaults().NewSampler(context.Background(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := serial.(sampling.BatchSampler); ok {
-		t.Fatal("Workers=0 must build a serial sampler")
-	}
-	par, err := Options{Workers: 4}.withDefaults().NewSampler(context.Background(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps, ok := par.(*sampling.ParallelSampler)
-	if !ok {
-		t.Fatalf("Workers=4 built %T, want *sampling.ParallelSampler", par)
-	}
-	if ps.Workers() != 4 {
-		t.Fatalf("pool size %d, want 4", ps.Workers())
+	for _, workers := range []int{0, -1, 4} {
+		smp, err := Options{Workers: workers}.withDefaults().NewSampler(context.Background(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps, ok := smp.(*sampling.ParallelSampler)
+		if !ok {
+			t.Fatalf("Workers=%d built %T, want *sampling.ParallelSampler", workers, smp)
+		}
+		pool := workers
+		if pool <= 0 {
+			pool = runtime.GOMAXPROCS(0)
+		}
+		if ps.Workers() != pool {
+			t.Fatalf("Workers=%d: pool size %d, want %d", workers, ps.Workers(), pool)
+		}
 	}
 	if _, err := (Options{Workers: 2, Sampler: "nope"}).NewSampler(context.Background(), 1); err == nil {
-		t.Fatal("unknown sampler kind must error with Workers set too")
+		t.Fatal("unknown sampler kind must error")
 	}
 }
 
 // TestSolveDeterministicAcrossWorkers runs the full single-query pipeline
-// (elimination, selection, held-out evaluation) at several pool sizes: a
-// fixed seed must give the identical Solution.
+// (elimination, selection, held-out evaluation) at several pool sizes,
+// including 0 and -1 (GOMAXPROCS): a fixed seed must give the identical
+// Solution.
 func TestSolveDeterministicAcrossWorkers(t *testing.T) {
 	g := workersTestGraph(t)
 	base := Options{K: 3, Zeta: 0.5, R: 8, L: 6, Z: 120, Seed: 5}
@@ -58,7 +58,7 @@ func TestSolveDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{2, 8} {
+		for _, workers := range []int{0, -1, 2, 8} {
 			opt.Workers = workers
 			got, err := Solve(context.Background(), g, 0, 39, method, opt)
 			if err != nil {
@@ -91,13 +91,15 @@ func TestSolveMultiDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Workers = 8
-	got, err := SolveMulti(context.Background(), g, sources, targets, AggAvg, MethodBE, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Base != ref.Base || got.After != ref.After || len(got.Edges) != len(ref.Edges) {
-		t.Fatalf("workers=8 diverged: base/after/edges %v/%v/%d, want %v/%v/%d",
-			got.Base, got.After, len(got.Edges), ref.Base, ref.After, len(ref.Edges))
+	for _, workers := range []int{0, 8} {
+		opt.Workers = workers
+		got, err := SolveMulti(context.Background(), g, sources, targets, AggAvg, MethodBE, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Base != ref.Base || got.After != ref.After || len(got.Edges) != len(ref.Edges) {
+			t.Fatalf("workers=%d diverged: base/after/edges %v/%v/%d, want %v/%v/%d",
+				workers, got.Base, got.After, len(got.Edges), ref.Base, ref.After, len(ref.Edges))
+		}
 	}
 }

@@ -79,7 +79,8 @@ type Params struct {
 	// Quick selects bench-sized workloads.
 	Quick bool
 	// Workers sizes the reliability-estimation worker pool passed through
-	// to core.Options.Workers (0 = serial samplers).
+	// to core.Options.Workers (<= 0 = all CPUs). Results are bit-identical
+	// at every Workers value for a fixed Seed.
 	Workers int
 }
 

@@ -65,9 +65,6 @@ type Follower struct {
 	mu  sync.Mutex
 	eng *repro.Engine
 
-	ready     chan struct{} // closed after the first successful bootstrap
-	readyOnce sync.Once
-
 	// rebootstrap forces the next connect to ask from=0 after a gap.
 	rebootstrap atomic.Bool
 
@@ -83,7 +80,7 @@ func NewFollower(cfg FollowerConfig) *Follower {
 	if cfg.Backoff <= 0 {
 		cfg.Backoff = 500 * time.Millisecond
 	}
-	return &Follower{cfg: cfg, ready: make(chan struct{})}
+	return &Follower{cfg: cfg}
 }
 
 // Engine returns the replica engine, or nil before the first bootstrap.
@@ -92,10 +89,6 @@ func (f *Follower) Engine() *repro.Engine {
 	defer f.mu.Unlock()
 	return f.eng
 }
-
-// Ready returns a channel closed once the replica has bootstrapped and is
-// serving (Engine is non-nil from then on).
-func (f *Follower) Ready() <-chan struct{} { return f.ready }
 
 // Stats reports the follower's replication progress.
 func (f *Follower) Stats() FollowerStats {
@@ -229,7 +222,6 @@ func (f *Follower) applySnapshot(s *store.Snapshot) error {
 	f.rebootstrap.Store(false)
 	f.lastApplied.Store(s.Epoch)
 	f.bootstraps.Add(1)
-	f.readyOnce.Do(func() { close(f.ready) })
 	f.logf("replication: %s: bootstrapped at epoch %d", f.cfg.Name, s.Epoch)
 	return nil
 }

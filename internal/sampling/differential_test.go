@@ -141,27 +141,37 @@ func TestOverlayEstimatesBitIdentical(t *testing.T) {
 }
 
 // TestMultiSourceBitIdentical covers the influence-layer walks (multi-
-// source reach and expected pair hops) against the reference engine via
-// the property that a frozen base snapshot must estimate identically to
-// the legacy Graph path — both consume the same RNG stream.
+// source reach and expected pair hops): on a WithEdges overlay they must
+// estimate bit-identically to the cloned-and-refrozen graph, since the
+// overlay arcs follow each base row exactly as appended edges do. A
+// single-source reach must also equal the MC From vector, whose walk
+// draws the same coins in the same order.
 func TestMultiSourceBitIdentical(t *testing.T) {
 	r := rng.New(33)
 	for trial := 0; trial < 6; trial++ {
 		g := randomDiffGraph(r, trial%2 == 0)
-		sources := []ugraph.NodeID{0, ugraph.NodeID(g.N() / 2)}
-		targets := []ugraph.NodeID{ugraph.NodeID(g.N() - 1)}
+		n := g.N()
+		extra := []ugraph.Edge{{U: 0, V: ugraph.NodeID(n - 1), P: 0.4}, {U: ugraph.NodeID(n / 2), V: 1, P: 0.7}}
+		overlay := g.Freeze().WithEdges(extra)
+		flat := g.WithEdges(extra).Freeze()
+		sources := []ugraph.NodeID{0, ugraph.NodeID(n / 2)}
+		targets := []ugraph.NodeID{ugraph.NodeID(n - 1)}
 		seed := int64(40 + trial)
 
-		a := NewMonteCarlo(200, seed).MultiSourceReach(g, sources)
-		b := NewMonteCarlo(200, seed).MultiSourceReachCSR(g.Freeze(), sources)
+		a := NewMonteCarlo(200, seed).MultiSourceReachCSR(overlay, sources)
+		b := NewMonteCarlo(200, seed).MultiSourceReachCSR(flat, sources)
 		if !equalVec(a, b) {
-			t.Fatalf("trial %d: MultiSourceReach Graph vs CSR differ", trial)
+			t.Fatalf("trial %d: MultiSourceReachCSR overlay vs flat differ", trial)
+		}
+		single := NewMonteCarlo(200, seed).MultiSourceReachCSR(flat, sources[:1])
+		if from := NewMonteCarlo(200, seed).ReliabilityFromCSR(flat, sources[0]); !equalVec(single, from) {
+			t.Fatalf("trial %d: single-source reach differs from ReliabilityFromCSR", trial)
 		}
 
-		h1 := NewMonteCarlo(100, seed).ExpectedPairHops(g, sources, targets, float64(g.N()))
-		h2 := NewMonteCarlo(100, seed).ExpectedPairHopsCSR(g.Freeze(), sources, targets, float64(g.N()))
+		h1 := NewMonteCarlo(100, seed).ExpectedPairHopsCSR(overlay, sources, targets, float64(n))
+		h2 := NewMonteCarlo(100, seed).ExpectedPairHopsCSR(flat, sources, targets, float64(n))
 		if h1 != h2 {
-			t.Fatalf("trial %d: ExpectedPairHops Graph=%v CSR=%v", trial, h1, h2)
+			t.Fatalf("trial %d: ExpectedPairHopsCSR overlay=%v flat=%v", trial, h1, h2)
 		}
 	}
 }

@@ -2,15 +2,10 @@ package sampling
 
 import "repro/internal/ugraph"
 
-// MultiSourceReach estimates, for every node v, the probability that v is
-// reachable from at least one node of sources — the per-world activation
-// probability of the independent cascade process (§8.4.2): in a possible
-// world, v is active iff some source reaches it.
-func (mc *MonteCarlo) MultiSourceReach(g *ugraph.Graph, sources []ugraph.NodeID) []float64 {
-	return mc.MultiSourceReachCSR(g.Freeze(), sources)
-}
-
-// MultiSourceReachCSR is MultiSourceReach on a frozen snapshot; greedy
+// MultiSourceReachCSR estimates, for every node v, the probability that v
+// is reachable from at least one node of sources — the per-world
+// activation probability of the independent cascade process (§8.4.2): in
+// a possible world, v is active iff some source reaches it. Greedy
 // influence loops freeze once and evaluate candidate edges on WithEdges
 // overlays.
 func (mc *MonteCarlo) MultiSourceReachCSR(c *ugraph.CSR, sources []ugraph.NodeID) []float64 {
@@ -82,14 +77,10 @@ func (mc *MonteCarlo) multiWalk(c *ugraph.CSR, sources []ugraph.NodeID, counts [
 	}
 }
 
-// ExpectedPairHops estimates the expected shortest-path hop length summed
-// over all (s, t) ∈ sources×targets, where an unreachable pair contributes
-// penalty hops. This is the objective the ESSSP baseline minimizes.
-func (mc *MonteCarlo) ExpectedPairHops(g *ugraph.Graph, sources, targets []ugraph.NodeID, penalty float64) float64 {
-	return mc.ExpectedPairHopsCSR(g.Freeze(), sources, targets, penalty)
-}
-
-// ExpectedPairHopsCSR is ExpectedPairHops on a frozen snapshot.
+// ExpectedPairHopsCSR estimates the expected shortest-path hop length
+// summed over all (s, t) ∈ sources×targets on a frozen snapshot, where an
+// unreachable pair contributes penalty hops. This is the objective the
+// ESSSP baseline minimizes.
 func (mc *MonteCarlo) ExpectedPairHopsCSR(c *ugraph.CSR, sources, targets []ugraph.NodeID, penalty float64) float64 {
 	mc.sc.reset(c.N(), c.EdgeIDBound())
 	dist := make([]int32, c.N())

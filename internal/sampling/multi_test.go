@@ -14,7 +14,7 @@ func TestMultiSourceReachMatchesUnion(t *testing.T) {
 	g.MustAddEdge(0, 2, 0.5)
 	g.MustAddEdge(1, 2, 0.4)
 	mc := NewMonteCarlo(60000, 21)
-	reach := mc.MultiSourceReach(g, []ugraph.NodeID{0, 1})
+	reach := mc.MultiSourceReachCSR(g.Freeze(), []ugraph.NodeID{0, 1})
 	if reach[0] != 1 || reach[1] != 1 {
 		t.Fatalf("sources not certain: %v", reach)
 	}
@@ -29,7 +29,7 @@ func TestMultiSourceReachSingleEqualsFrom(t *testing.T) {
 	g.MustAddEdge(1, 2, 0.5)
 	g.MustAddEdge(2, 3, 0.4)
 	mc := NewMonteCarlo(40000, 22)
-	multi := mc.MultiSourceReach(g, []ugraph.NodeID{0})
+	multi := mc.MultiSourceReachCSR(g.Freeze(), []ugraph.NodeID{0})
 	single := mc.ReliabilityFrom(g, 0)
 	for v := range multi {
 		if math.Abs(multi[v]-single[v]) > 0.02 {
@@ -44,7 +44,7 @@ func TestExpectedPairHopsCertainChain(t *testing.T) {
 	g.MustAddEdge(0, 1, 1)
 	g.MustAddEdge(1, 2, 1)
 	mc := NewMonteCarlo(200, 23)
-	got := mc.ExpectedPairHops(g, []ugraph.NodeID{0}, []ugraph.NodeID{2}, 100)
+	got := mc.ExpectedPairHopsCSR(g.Freeze(), []ugraph.NodeID{0}, []ugraph.NodeID{2}, 100)
 	if got != 2 {
 		t.Fatalf("expected hops = %v, want exactly 2", got)
 	}
@@ -55,7 +55,7 @@ func TestExpectedPairHopsPenalty(t *testing.T) {
 	g := ugraph.New(2, true)
 	g.MustAddEdge(0, 1, 0.5)
 	mc := NewMonteCarlo(40000, 24)
-	got := mc.ExpectedPairHops(g, []ugraph.NodeID{0}, []ugraph.NodeID{1}, 10)
+	got := mc.ExpectedPairHopsCSR(g.Freeze(), []ugraph.NodeID{0}, []ugraph.NodeID{1}, 10)
 	want := 0.5*1 + 0.5*10
 	if math.Abs(got-want) > 0.15 {
 		t.Fatalf("expected hops = %v, want %v", got, want)
@@ -70,7 +70,7 @@ func TestExpectedPairHopsMultiplePairs(t *testing.T) {
 	g.MustAddEdge(2, 3, 1)
 	g.MustAddEdge(2, 4, 1)
 	mc := NewMonteCarlo(50, 25)
-	got := mc.ExpectedPairHops(g, []ugraph.NodeID{0, 1}, []ugraph.NodeID{3, 4}, 99)
+	got := mc.ExpectedPairHopsCSR(g.Freeze(), []ugraph.NodeID{0, 1}, []ugraph.NodeID{3, 4}, 99)
 	if got != 8 { // each of the 4 pairs at distance 2
 		t.Fatalf("sum = %v, want 8", got)
 	}

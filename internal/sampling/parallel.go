@@ -96,25 +96,16 @@ func quantumOf(newSmp factory) (int, Sampler) {
 }
 
 // New builds the sampler a request runs on — the one place the kind,
-// worker count and warm pool are dispatched. workers == 0 yields a fresh
-// serial sampler of the kind ("mc", "rss" or "mcvec"); any other
-// value a ParallelSampler with that many workers (negative selects
+// worker count and warm pool are dispatched: a ParallelSampler of the kind
+// ("mc", "rss" or "mcvec") with that many workers (<= 0 selects
 // runtime.GOMAXPROCS(0)), leasing its serial samplers from ss when ss pools
-// the same kind and from a private pool otherwise. Sharing never changes a
-// result. On error the returned interface is nil (never a typed-nil
-// concrete pointer).
-func New(kind string, z int, seed int64, workers int, ss *SharedScratch) (Sampler, error) {
-	if workers == 0 {
-		return NewSerial(kind, z, seed)
-	}
+// the same kind and from a private pool otherwise. Neither the worker
+// count nor sharing ever changes a result.
+func New(kind string, z int, seed int64, workers int, ss *SharedScratch) (*ParallelSampler, error) {
 	if ss != nil && ss.kind == kind {
 		return NewParallelShared(ss, z, seed, workers), nil
 	}
-	ps, err := NewParallel(kind, z, seed, workers)
-	if err != nil {
-		return nil, err
-	}
-	return ps, nil
+	return NewParallel(kind, z, seed, workers)
 }
 
 // NewSerial constructs a serial sampler of the named kind ("mc", "rss" or
@@ -219,28 +210,23 @@ func (ps *ParallelSampler) nextCallSeed() int64 {
 	return rng.SplitSeed(ps.seed.Load(), ps.call.Add(1))
 }
 
-// fanOut runs fn(smp, i) for i in [0, n) on the worker pool, bound to the
-// ParallelSampler's context (see SharedScratch.fanOut).
+// fanOut runs fn(smp, i) for i in [0, n) on up to ps.workers goroutines;
+// one worker runs inline, on the calling goroutine. Each goroutine leases
+// one serial sampler from the pool for its lifetime and binds it to the
+// ParallelSampler's context (cleared again before the sampler returns to
+// the — possibly shared — pool); fn must fully configure it (Reseed +
+// SetSampleSize) before estimating, so leftover pool state never leaks
+// into results. When the context fires, remaining work items are skipped:
+// the merged result is garbage, and the caller is expected to discard it
+// after observing ctx.Err().
 func (ps *ParallelSampler) fanOut(n int, fn func(smp Sampler, i int)) {
-	ps.ss.fanOut(&ps.canceller, ps.workers, n, fn)
-}
-
-// fanOut runs fn(smp, i) for i in [0, n) on up to workers goroutines; one
-// worker runs inline, on the calling goroutine. Each goroutine leases one
-// serial sampler from the pool for its lifetime and binds it to cc's
-// context (cleared again before the sampler returns to the — possibly
-// shared — pool); fn must fully configure it (Reseed + SetSampleSize)
-// before estimating, so leftover pool state never leaks into results. When
-// the context fires, remaining work items are skipped: the merged result
-// is garbage, and the caller is expected to discard it after observing
-// ctx.Err().
-func (ss *SharedScratch) fanOut(cc *canceller, workers, n int, fn func(smp Sampler, i int)) {
+	ss, workers := ps.ss, ps.workers
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		smp := ss.lease(cc.ctx)
-		for i := 0; i < n && !cc.cancelled(); i++ {
+		smp := ss.lease(ps.ctx)
+		for i := 0; i < n && !ps.cancelled(); i++ {
 			fn(smp, i)
 		}
 		ss.release(smp)
@@ -252,11 +238,11 @@ func (ss *SharedScratch) fanOut(cc *canceller, workers, n int, fn func(smp Sampl
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			smp := ss.lease(cc.ctx)
+			smp := ss.lease(ps.ctx)
 			defer ss.release(smp)
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= n || cc.cancelled() {
+				if i >= n || ps.cancelled() {
 					return
 				}
 				fn(smp, i)
@@ -566,33 +552,6 @@ func (ps *ParallelSampler) vectorMany(g *ugraph.Graph, nodes []ugraph.NodeID, fo
 	out := make([][]float64, len(nodes))
 	for n := range nodes {
 		out[n] = mergeVectors(vecs[n*shards:(n+1)*shards], budgets, c.N())
-	}
-	return out
-}
-
-// FromMany returns one ReliabilityFrom vector per node: batched when smp
-// is a BatchSampler, otherwise a serial loop in node order (preserving
-// the exact RNG call sequence a plain sampler would produce). The shared
-// fallback for candidate elimination and pair-reliability matrices.
-func FromMany(smp Sampler, g *ugraph.Graph, nodes []ugraph.NodeID) [][]float64 {
-	if bs, ok := smp.(BatchSampler); ok {
-		return bs.ReliabilityFromMany(g, nodes)
-	}
-	out := make([][]float64, len(nodes))
-	for i, v := range nodes {
-		out[i] = smp.ReliabilityFrom(g, v)
-	}
-	return out
-}
-
-// ToMany is FromMany's reverse-direction counterpart.
-func ToMany(smp Sampler, g *ugraph.Graph, nodes []ugraph.NodeID) [][]float64 {
-	if bs, ok := smp.(BatchSampler); ok {
-		return bs.ReliabilityToMany(g, nodes)
-	}
-	out := make([][]float64, len(nodes))
-	for i, v := range nodes {
-		out[i] = smp.ReliabilityTo(g, v)
 	}
 	return out
 }

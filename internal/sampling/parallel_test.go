@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -31,7 +32,7 @@ func TestParallelDeterministicAcrossWorkers(t *testing.T) {
 	cands := []ugraph.Edge{{U: 0, V: ugraph.NodeID(g.N() - 1), P: 0.5}, {U: 1, V: 2, P: 0.7}}
 	for _, kind := range parallelKinds {
 		base := newParallelT(t, kind, 333, 42, 1)
-		for _, workers := range []int{2, 4, 8} {
+		for _, workers := range []int{0, -1, 2, 4, 8} {
 			base.Reseed(42) // replay the same call sequence per worker count
 			ps := newParallelT(t, kind, 333, 42, workers)
 			// Interleave call types so the call counter is exercised.
@@ -219,11 +220,11 @@ func TestParallelImplementsBatch(t *testing.T) {
 	}
 }
 
-// TestNewDispatch pins the one sampler constructor: workers == 0 builds the
-// serial estimator of the kind; any other worker count a ParallelSampler
-// that leases from ss only when ss pools the same kind, with results
-// bit-identical to NewSerial / NewParallel at the same seed either way;
-// and an unknown kind is a true nil interface plus an error.
+// TestNewDispatch pins the one sampler constructor: every worker count
+// builds a ParallelSampler (<= 0 sized to GOMAXPROCS) that leases from ss
+// only when ss pools the same kind, with results bit-identical to a
+// one-worker NewParallel at the same seed either way; and an unknown kind
+// is a nil sampler plus an error.
 func TestNewDispatch(t *testing.T) {
 	r := rng.New(5)
 	g := randomSmallGraph(r, true)
@@ -234,32 +235,27 @@ func TestNewDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kind := range []string{"mc", "rss", "mcvec"} {
-		serial, err := New(kind, 300, 9, 0, ss)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := serial.(*ParallelSampler); ok || serial.Name() != kind {
-			t.Fatalf("%s: workers=0 built %T (%s), want the serial estimator", kind, serial, serial.Name())
-		}
-		ref, _ := NewSerial(kind, 300, 9)
-		if a, b := serial.ReliabilityCSR(c, s, tt), ref.ReliabilityCSR(c, s, tt); a != b {
-			t.Fatalf("%s: New serial %v != NewSerial %v", kind, a, b)
-		}
-		for _, workers := range []int{-1, 3} {
-			smp, err := New(kind, 300, 9, workers, ss)
+		for _, workers := range []int{0, -1, 3} {
+			ps, err := New(kind, 300, 9, workers, ss)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ps, ok := smp.(*ParallelSampler)
-			if !ok || ps.Name() != kind {
-				t.Fatalf("%s: workers=%d built %T, want a ParallelSampler", kind, workers, smp)
+			if ps.Name() != kind {
+				t.Fatalf("%s: workers=%d built a %s sampler", kind, workers, ps.Name())
+			}
+			pool := workers
+			if pool <= 0 {
+				pool = runtime.GOMAXPROCS(0)
+			}
+			if ps.Workers() != pool {
+				t.Fatalf("%s: workers=%d sized the pool %d, want %d", kind, workers, ps.Workers(), pool)
 			}
 			if shared := ps.ss == ss; shared != (kind == ss.Kind()) {
 				t.Fatalf("%s: leases from the %s pool: %v", kind, ss.Kind(), shared)
 			}
-			want := newParallelT(t, kind, 300, 9, workers)
+			want := newParallelT(t, kind, 300, 9, 1)
 			if a, b := ps.ReliabilityCSR(c, s, tt), want.ReliabilityCSR(c, s, tt); a != b {
-				t.Fatalf("%s w%d: New %v != NewParallel %v", kind, workers, a, b)
+				t.Fatalf("%s w%d: New %v != one-worker NewParallel %v", kind, workers, a, b)
 			}
 		}
 	}

@@ -21,7 +21,7 @@ const DefaultRSSThreshold = 24
 // present; the last stratum fixes all r absent), allocates the sample
 // budget proportionally to each stratum's probability mass π_i, and
 // estimates each stratum recursively — running plain conditioned MC once
-// the stratum budget drops below Threshold. Same O(Z·(n+m)) complexity as
+// the stratum budget drops to DefaultRSSThreshold. Same O(Z·(n+m)) complexity as
 // MC but with significantly reduced estimator variance, so fewer samples
 // reach the same dispersion (Tables 6-7).
 //
@@ -29,20 +29,19 @@ const DefaultRSSThreshold = 24
 // stack (indexed, never resliced across appends), so a warmed-up estimate
 // performs zero heap allocations.
 type RSS struct {
-	z         int
-	width     int
-	threshold int
-	r         *rng.Source
-	sc        scratch
-	status    []int8
-	arena     []int32 // stack of boundary edge IDs across recursion levels
+	z      int
+	r      *rng.Source
+	sc     scratch
+	status []int8
+	arena  []int32 // stack of boundary edge IDs across recursion levels
 	canceller
 }
 
-// NewRSS returns an RSS sampler with total budget z and default width and
-// threshold, seeded deterministically.
+// NewRSS returns an RSS sampler with total budget z, stratification width
+// DefaultRSSWidth and MC-fallback threshold DefaultRSSThreshold, seeded
+// deterministically.
 func NewRSS(z int, seed int64) *RSS {
-	return &RSS{z: z, width: DefaultRSSWidth, threshold: DefaultRSSThreshold, r: rng.NewSource(seed)}
+	return &RSS{z: z, r: rng.NewSource(seed)}
 }
 
 // Name implements Sampler.
@@ -56,22 +55,6 @@ func (rs *RSS) SetSampleSize(z int) { rs.z = z }
 
 // Reseed implements Sampler.
 func (rs *RSS) Reseed(seed int64) { rs.r.Seed(seed) }
-
-// SetWidth overrides the stratification width r (clamped to >= 1).
-func (rs *RSS) SetWidth(w int) {
-	if w < 1 {
-		w = 1
-	}
-	rs.width = w
-}
-
-// SetThreshold overrides the MC-fallback threshold (clamped to >= 1).
-func (rs *RSS) SetThreshold(th int) {
-	if th < 1 {
-		th = 1
-	}
-	rs.threshold = th
-}
 
 func (rs *RSS) prepare(c *ugraph.CSR) {
 	rs.sc.reset(c.N(), c.EdgeIDBound())
@@ -154,7 +137,7 @@ func (rs *RSS) pushBoundary(c *ugraph.CSR, reach []ugraph.NodeID, forward bool) 
 					continue
 				}
 				rs.arena = append(rs.arena, a.EID)
-				if len(rs.arena)-lo >= rs.width {
+				if len(rs.arena)-lo >= DefaultRSSWidth {
 					return
 				}
 			}
@@ -172,8 +155,8 @@ func (rs *RSS) pushBoundary(c *ugraph.CSR, reach []ugraph.NodeID, forward bool) 
 // grow and reallocate the backing array.
 func (rs *RSS) recurse(c *ugraph.CSR, s, t ugraph.NodeID, budget int) float64 {
 	// Cancellation granularity: one check per recursion node. Every node
-	// either runs at most Threshold conditioned walks or recurses, so the
-	// work between checks is bounded by one sample block.
+	// either runs at most DefaultRSSThreshold conditioned walks or
+	// recurses, so the work between checks is bounded by one sample block.
 	if rs.cancelled() {
 		return 0
 	}
@@ -197,7 +180,7 @@ func (rs *RSS) recurse(c *ugraph.CSR, s, t ugraph.NodeID, budget int) float64 {
 		rs.arena = rs.arena[:lo]
 		return 0
 	}
-	if budget <= rs.threshold {
+	if budget <= DefaultRSSThreshold {
 		z := budget
 		if z < 1 {
 			z = 1
@@ -257,7 +240,7 @@ func (rs *RSS) recurseVec(c *ugraph.CSR, src ugraph.NodeID, forward bool, budget
 		}
 		return
 	}
-	if budget <= rs.threshold {
+	if budget <= DefaultRSSThreshold {
 		z := budget
 		if z < 1 {
 			z = 1

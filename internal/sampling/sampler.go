@@ -47,13 +47,14 @@
 // serial estimators (MonteCarlo, RSS, MCVec) are deterministic given their
 // construction seed but are NOT safe for concurrent use: they reuse
 // internal scratch buffers (epoch-stamped visited/edge-state arrays, BFS
-// queue, RSS conditioning stack, MCVec lane scratch) across calls.
-// ParallelSampler wraps any of them into a goroutine-safe estimator that
-// freezes the graph once per call, shards the sample budget across a worker pool and merges the shard
-// estimates deterministically, so a fixed seed yields bit-identical results
-// regardless of the worker count or GOMAXPROCS. Batched evaluation of many
-// queries, candidate edges or source/target vectors at once goes through
-// the BatchSampler interface.
+// queue, RSS conditioning stack, MCVec lane scratch) across calls. They
+// are the shard workers of ParallelSampler, the one estimator New builds
+// for solves and estimates: it freezes the graph once per call, splits
+// the sample budget into fixed, seeded shards, runs them on a worker pool
+// and merges the shard estimates in shard order, so a fixed seed yields
+// bit-identical results at every worker count and GOMAXPROCS. Batched
+// evaluation of many queries, candidate edges or source/target vectors at
+// once goes through its BatchSampler methods.
 package sampling
 
 import (
@@ -126,11 +127,10 @@ type PairQuery struct {
 	S, T ugraph.NodeID
 }
 
-// BatchSampler is the optional batched-evaluation interface implemented by
-// ParallelSampler. Callers holding a plain Sampler can type-assert to it
-// and fall back to one-at-a-time loops otherwise; the core solvers do
-// exactly that in their hot paths (candidate elimination, greedy candidate
-// scoring, pair-reliability matrices).
+// BatchSampler is the batched-evaluation interface implemented by
+// ParallelSampler: the solvers' hot paths (candidate elimination, greedy
+// candidate scoring, pair-reliability matrices) evaluate many queries,
+// candidate edges or vectors in one fanned-out call.
 type BatchSampler interface {
 	Sampler
 	// EstimateMany estimates R(q.S, q.T, G) for every query, each with

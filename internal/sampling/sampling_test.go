@@ -228,13 +228,4 @@ func TestSetSampleSize(t *testing.T) {
 	if rs.SampleSize() != 400 {
 		t.Fatal("RSS SetSampleSize ignored")
 	}
-	rs.SetWidth(0)
-	rs.SetThreshold(0) // clamped, must not panic or loop
-	g := ugraph.New(3, true)
-	g.MustAddEdge(0, 1, 0.5)
-	g.MustAddEdge(1, 2, 0.5)
-	got := rs.Reliability(g, 0, 2)
-	if got < 0 || got > 1 {
-		t.Fatalf("clamped RSS estimate %v", got)
-	}
 }

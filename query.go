@@ -233,11 +233,10 @@ func (e *Engine) Canonicalize(q Query) (Query, error) {
 // SHA-256 over a canonical binary encoding of every result-affecting
 // field, including the pinned graph epoch — the same query before and
 // after a mutation is two different computations and fingerprints as
-// such. Progress callbacks and the scratch pool are excluded, and the
-// worker count collapses to serial-vs-parallel (results are bit-identical
-// at any Workers >= 1, so w=2 and w=8 fingerprint identically). Call it on
-// a canonicalized Query for the canonical fingerprint; the engine's cache
-// and jobs do so automatically.
+// such. Progress callbacks, the scratch pool and the worker count are
+// excluded (results are bit-identical at every Workers value, so w=0 and
+// w=8 fingerprint identically). Call it on a canonicalized Query for the
+// canonical fingerprint; the engine's cache and jobs do so automatically.
 func (q Query) Key() string {
 	h := sha256.New()
 	writeInts(h, int64(q.epoch))
@@ -262,10 +261,6 @@ func (q Query) Key() string {
 		writeInts(h, 0)
 	} else {
 		o := *q.Options
-		workersClass := int64(0)
-		if o.Workers != 0 {
-			workersClass = 1
-		}
 		noElim := int64(0)
 		if o.NoElimination {
 			noElim = 1
@@ -273,7 +268,7 @@ func (q Query) Key() string {
 		writeInts(h, 1,
 			int64(o.K), int64(math.Float64bits(o.Zeta)), int64(o.R), int64(o.L), int64(o.H),
 			int64(o.Z), o.Seed, noElim, int64(o.MaxExactCombos),
-			int64(math.Float64bits(o.K1Ratio)), workersClass)
+			int64(math.Float64bits(o.K1Ratio)))
 		writeString(h, o.Sampler)
 		// Anytime estimates fingerprint on the (anytime?, MaxZ) pair but
 		// deliberately NOT on Precision: the cache upgrades across
@@ -441,11 +436,8 @@ func (e *Engine) execute(ctx context.Context, q Query) (Result, error) {
 	return res, fmt.Errorf("repro: unknown query kind %q: %w", q.Kind, ErrBadQuery)
 }
 
-// estimateMany is the estimate-many execution: the batched parallel
-// sampler when Workers != 0, otherwise the serial path sharded across the
-// warm pool — one undivided full-budget stream per query, keyed on the
-// query index, bit-identical at any scheduling (see
-// sampling.EstimateManySerial).
+// estimateMany is the estimate-many execution: one batched parallel
+// sampler call, each query's full budget sharded across the pool.
 func (e *Engine) estimateMany(ctx context.Context, snap *engineSnapshot, opt Options, pairs []PairQuery) ([]float64, error) {
 	for _, q := range pairs {
 		if err := snap.checkNode(q.S); err != nil {
@@ -458,26 +450,11 @@ func (e *Engine) estimateMany(ctx context.Context, snap *engineSnapshot, opt Opt
 	if len(pairs) == 0 {
 		return nil, nil
 	}
-	if opt.Workers != 0 {
-		smp, err := e.estimatorFor(ctx, opt)
-		if err != nil {
-			return nil, err
-		}
-		out := smp.(*sampling.ParallelSampler).EstimateManyCSR(snap.csr, pairs)
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, fmt.Errorf("repro: estimate batch interrupted: %w", cerr)
-		}
-		return out, nil
+	smp, err := e.estimatorFor(ctx, opt)
+	if err != nil {
+		return nil, err
 	}
-	ss := e.scratch
-	if opt.Sampler != ss.Kind() {
-		var err error
-		ss, err = sampling.NewSharedScratch(opt.Sampler)
-		if err != nil {
-			return nil, fmt.Errorf("repro: %w", err)
-		}
-	}
-	out := sampling.EstimateManySerial(ctx, ss, snap.csr, pairs, opt.Z, opt.Seed, 0)
+	out := smp.EstimateManyCSR(snap.csr, pairs)
 	if cerr := ctx.Err(); cerr != nil {
 		// Out-of-order scheduling means there is no meaningful completed
 		// prefix; discard the partial merge.
@@ -488,11 +465,10 @@ func (e *Engine) estimateMany(ctx context.Context, snap *engineSnapshot, opt Opt
 
 // estimatorFor builds the request-scoped reliability estimator for the
 // resolved options (see sampling.New): a parallel sampler leasing workers
-// from the engine's warm pool when the kinds match (a cold pool
-// otherwise), or a fresh serial sampler when Workers == 0. Each call
-// starts from the resolved seed, so identical estimation requests return
-// identical values regardless of what ran before.
-func (e *Engine) estimatorFor(ctx context.Context, opt Options) (sampling.Sampler, error) {
+// from the engine's warm pool when the kinds match, a cold pool otherwise.
+// Each call starts from the resolved seed, so identical estimation
+// requests return identical values regardless of what ran before.
+func (e *Engine) estimatorFor(ctx context.Context, opt Options) (*sampling.ParallelSampler, error) {
 	smp, err := sampling.New(opt.Sampler, opt.Z, opt.Seed, opt.Workers, e.scratch)
 	if err != nil {
 		return nil, fmt.Errorf("repro: %w", err)

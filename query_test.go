@@ -5,32 +5,7 @@ import (
 	"errors"
 	"math"
 	"testing"
-
-	"repro/internal/rng"
-	"repro/internal/sampling"
 )
-
-// referenceSerialEstimates is the in-order oracle for the Workers=0
-// EstimateMany path: one serial sampler, reseeded to SplitSeed(seed, i)
-// before query i, full budget per query.
-func referenceSerialEstimates(t *testing.T, g *Graph, pairs []PairQuery, kind string, z int, seed int64) []float64 {
-	t.Helper()
-	smp, err := sampling.NewSerial(kind, z, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := g.Freeze()
-	out := make([]float64, len(pairs))
-	for i, q := range pairs {
-		if q.S == q.T {
-			out[i] = 1
-			continue
-		}
-		smp.Reseed(rng.SplitSeed(seed, int64(i)))
-		out[i] = smp.(sampling.Sampler).ReliabilityCSR(c, q.S, q.T)
-	}
-	return out
-}
 
 // TestQueryKeyCanonical: queries that resolve to the same computation must
 // fingerprint identically; queries that differ in any result-affecting
@@ -66,15 +41,12 @@ func TestQueryKeyCanonical(t *testing.T) {
 	if key(base) != key(withProgress) {
 		t.Fatal("progress callback changed the fingerprint")
 	}
-	// Workers >= 1 are interchangeable (bit-identical results), but differ
-	// from serial.
-	w2 := Query{Kind: QuerySolve, S: 0, T: 39, Options: &Options{K: 2, Z: 300, Seed: 9, R: 8, L: 8, Workers: 2}}
+	// Every worker count gives bit-identical results, so none of them
+	// moves the key: 0 (GOMAXPROCS) and 8 fingerprint like the default.
+	w0 := Query{Kind: QuerySolve, S: 0, T: 39, Options: &Options{K: 2, Z: 300, Seed: 9, R: 8, L: 8, Workers: 0}}
 	w8 := Query{Kind: QuerySolve, S: 0, T: 39, Options: &Options{K: 2, Z: 300, Seed: 9, R: 8, L: 8, Workers: 8}}
-	if key(w2) != key(w8) {
-		t.Fatal("worker counts >= 1 must fingerprint identically")
-	}
-	if key(base) == key(w2) {
-		t.Fatal("serial and parallel execution must fingerprint differently")
+	if key(w0) != key(w8) || key(base) != key(w8) {
+		t.Fatal("worker counts must fingerprint identically")
 	}
 	// Every result-affecting change must move the key.
 	variants := []Query{
@@ -255,39 +227,6 @@ func TestRunDispatchMatchesTypedMethods(t *testing.T) {
 	if _, err := eng.Run(ctx, Query{Kind: QueryEstimate, S: 0, T: 17,
 		Options: &Options{Sampler: "bogus"}}); !errors.Is(err, ErrUnknownSampler) {
 		t.Fatalf("unknown sampler error %v does not wrap ErrUnknownSampler", err)
-	}
-}
-
-// TestEngineEstimateManySerialSharded pins the Workers=0 EstimateMany
-// semantics after the warm-pool sharding: query i draws from the stream
-// SplitSeed(seed, i) with the full budget — the reference any worker
-// schedule must reproduce bit-identically — and repeated calls agree.
-func TestEngineEstimateManySerialSharded(t *testing.T) {
-	g := engineTestGraph(t)
-	const z, seed = 400, 21
-	eng, err := NewEngine(g, WithSamplerKind("rss"), WithSampleSize(z), WithSeed(seed), WithWorkers(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs := []PairQuery{{S: 0, T: 9}, {S: 1, T: 22}, {S: 4, T: 4}, {S: 7, T: 31}}
-	got, err := eng.EstimateMany(context.Background(), pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := referenceSerialEstimates(t, g, pairs, "rss", z, seed)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sharded serial EstimateMany[%d] = %v, reference %v", i, got[i], want[i])
-		}
-	}
-	again, err := eng.EstimateMany(context.Background(), pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if again[i] != want[i] {
-			t.Fatalf("repeat diverged at %d: %v vs %v", i, again[i], want[i])
-		}
 	}
 }
 

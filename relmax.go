@@ -191,8 +191,8 @@ type PairQuery = sampling.PairQuery
 // NewParallelSampler shards the sample budget z of the named estimator
 // ("mc", "rss" or "mcvec") across a pool of workers (<= 0 selects all
 // CPUs). For a fixed seed the results are bit-identical at any worker
-// count, and the sampler is safe for concurrent use. Inside Solve and
-// SolveMulti the same engine is enabled via Options.Workers.
+// count, and the sampler is safe for concurrent use. Every solve and
+// estimate runs on one, sized by Options.Workers.
 func NewParallelSampler(kind string, z int, seed int64, workers int) (BatchSampler, error) {
 	ps, err := sampling.NewParallel(kind, z, seed, workers)
 	if err != nil {
