@@ -3,7 +3,7 @@
 
 GO ?= go
 BENCH_COUNT ?= 6
-BENCH_PATTERN ?= BenchmarkParallelReliability|BenchmarkEstimateMany|BenchmarkEstimateEdges|BenchmarkCSRvsLegacy|BenchmarkCandidateEval|BenchmarkVectorMC|BenchmarkAnytimeEstimate|BenchmarkApply|BenchmarkTopL|BenchmarkReseed|BenchmarkSolveWorkers
+BENCH_PATTERN ?= BenchmarkParallelReliability|BenchmarkEstimateMany|BenchmarkEstimateEdges|BenchmarkCSRvsLegacy|BenchmarkCandidateEval|BenchmarkVectorMC|BenchmarkAnytimeEstimate|BenchmarkApply|BenchmarkTopL|BenchmarkReseed|BenchmarkSolveWorkers|BenchmarkServedSolve
 
 .PHONY: build test race bench bench-smoke bench-baseline bench-compare bench-gate fuzz-smoke smoke-relmaxd perfbench-check cover lint fmt ci
 
@@ -82,7 +82,7 @@ smoke-relmaxd:
 
 # Short fuzz smoke: each target fuzzes for 10s on top of the checked-in
 # seed corpus, catching shallow regressions in the I/O, Freeze and
-# durability-decode paths.
+# durability-decode paths and in the exact path-subgraph objective.
 fuzz-smoke:
 	$(GO) test ./internal/ugraph -run '^$$' -fuzz '^FuzzEdgeListRoundTrip$$' -fuzztime 10s
 	$(GO) test ./internal/ugraph -run '^$$' -fuzz '^FuzzFreezeConsistency$$' -fuzztime 10s
@@ -90,6 +90,7 @@ fuzz-smoke:
 	$(GO) test ./internal/rng -run '^$$' -fuzz '^FuzzSourceMatchesMathRand$$' -fuzztime 10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime 10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzPathReliability$$' -fuzztime 10s
 
 # perfbench is a nested module (repro/perfbench, replace repro => ../), so
 # the root `go build ./...` and `go test ./...` skip it. It calls internal

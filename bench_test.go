@@ -11,9 +11,9 @@ package repro
 
 import (
 	"context"
-
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/exp"
 )
@@ -450,4 +450,42 @@ func BenchmarkSolveWorkers(b *testing.B) {
 			benchSolve(b, MethodBE, func(o *Options) { o.Workers = w; o.Z = 300 })
 		})
 	}
+}
+
+// BenchmarkServedSolve times the solve shape relmaxd serves: BE on
+// lastfm×0.08 with the engine defaults (Z 500, L 30, R 100, rss) over 20
+// pairs 3-5 hops apart, one engine worker. One op is a sweep of the 20
+// solves; select_ms and elim_ms are the mean selection and elimination
+// stage times of one solve.
+func BenchmarkServedSolve(b *testing.B) {
+	g, err := LoadDataset("lastfm", 0.08, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	qs := Queries(g, 20, 3, 5, 1)
+	if len(qs) != 20 {
+		b.Fatalf("%d query pairs, want 20", len(qs))
+	}
+	eng, err := NewEngine(g, WithWorkers(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	ctx := context.Background()
+	var elim, sel time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, q := range qs {
+			sol, err := eng.Solve(ctx, Request{S: q.S, T: q.T, Method: MethodBE})
+			if err != nil {
+				b.Fatal(err)
+			}
+			elim += sol.ElimTime
+			sel += sol.SelectTime
+		}
+	}
+	solves := float64(b.N * len(qs))
+	b.ReportMetric(sel.Seconds()*1e3/solves, "select_ms")
+	b.ReportMetric(elim.Seconds()*1e3/solves, "elim_ms")
 }

@@ -19,6 +19,14 @@
 //     (individual top-k, hill climbing, centrality, eigenvalue), and
 //     exhaustive search for small instances as alternatives.
 //
+// Step 3 scores each path or path batch by the s-t reliability of the
+// subgraph its selection induces (Problem 3's objective). The paper
+// estimates it by sampling; here it is computed exactly by the factoring
+// theorem, because those subgraphs hold a handful of edges. Only a
+// selection too large to factor (more than 20 distinct edges, or past a
+// branch budget) is sampled; otherwise BE and IP selection draw no
+// randomness and depend only on the candidates and paths.
+//
 // # Quick start: the Engine
 //
 // Engine is the primary entry point: built once per dataset, it pins an

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -420,6 +421,38 @@ func TestEngineSolveTotalBudgetMatchesLegacy(t *testing.T) {
 	}
 	if _, err := eng.SolveTotalBudget(context.Background(), BudgetRequest{S: 0, T: 39, Budget: -1}); !errors.Is(err, ErrBudget) {
 		t.Fatalf("negative budget error %v does not wrap ErrBudget", err)
+	}
+}
+
+// TestEngineRejectsNonFiniteBudget pins that a NaN or infinite total
+// budget is refused synchronously with ErrBudget by both Run and Submit,
+// before any fingerprint, cache lookup or job exists. NaN used to slip
+// past the "budget <= 0" check and panic while G+ was built; +Inf
+// returned an empty solution.
+func TestEngineRejectsNonFiniteBudget(t *testing.T) {
+	g := engineTestGraph(t)
+	eng, err := NewEngine(g, WithSolverDefaults(Options{K: 2, Z: 150, Seed: 5, R: 6, L: 6}), WithResultCache(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ctx := context.Background()
+	for _, b := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		q := Query{Kind: QueryTotalBudget, S: 0, T: 39, Budget: b}
+		if _, err := eng.Run(ctx, q); !errors.Is(err, ErrBudget) {
+			t.Errorf("Run budget %v: error %v does not wrap ErrBudget", b, err)
+		}
+		j, err := eng.Submit(ctx, q)
+		if !errors.Is(err, ErrBudget) || j != nil {
+			t.Errorf("Submit budget %v: job %v, error %v; want a synchronous ErrBudget", b, j, err)
+		}
+		if _, err := SolveTotalBudget(g, 0, 39, b, Options{K: 2, Z: 150, Seed: 5, R: 6, L: 6}); !errors.Is(err, ErrBudget) {
+			t.Errorf("SolveTotalBudget budget %v: error %v does not wrap ErrBudget", b, err)
+		}
+	}
+	st := eng.Stats()
+	if st.FailedJobs != 0 || st.CacheLen != 0 || st.CacheHits != 0 || st.CacheMisses != 0 {
+		t.Fatalf("rejected budgets reached the job queue or cache: %+v", st)
 	}
 }
 

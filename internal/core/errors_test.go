@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -73,6 +74,14 @@ func TestErrorTaxonomy(t *testing.T) {
 		}, ErrBudget},
 		{"negative total budget", func() error {
 			_, err := SolveTotalBudget(ctx, g, 0, 3, -2, opt)
+			return err
+		}, ErrBudget},
+		{"NaN total budget", func() error {
+			_, err := SolveTotalBudget(ctx, g, 0, 3, math.NaN(), opt)
+			return err
+		}, ErrBudget},
+		{"infinite total budget", func() error {
+			_, err := SolveTotalBudget(ctx, g, 0, 3, math.Inf(1), opt)
 			return err
 		}, ErrBudget},
 		{"multi empty sources", func() error {

@@ -219,22 +219,28 @@ func multiAvgBE(ctx context.Context, g *ugraph.Graph, sources, targets []ugraph.
 	if len(pool) == 0 {
 		return nil, nil
 	}
-	ev := multiEvaluator{gPlus: a.g, sources: sources, targets: targets, smp: smp}
+	ev := &multiEvaluator{gPlus: a.g, sources: sources, targets: targets, smp: smp}
 	edges := batchSelect(ctx, a, pool, opt, ev.avgReliability, true)
 	return edges, nil
 }
 
-// multiEvaluator scores a selected path set against all S×T pairs on the
-// induced subgraph.
+// multiEvaluator scores a selected path set by the average reliability of
+// all S×T pairs on the induced subgraph (Problem 4's Avg objective). Like
+// pathEvaluator it factors each pair exactly, and samples the induced
+// subgraph only when the selection is too large for that.
 type multiEvaluator struct {
 	gPlus            *ugraph.Graph
 	sources, targets []ugraph.NodeID
 	smp              sampling.Sampler
+	exact            pathGraph
 }
 
-func (ev multiEvaluator) avgReliability(selected []paths.Path) float64 {
+func (ev *multiEvaluator) avgReliability(selected []paths.Path) float64 {
 	if len(selected) == 0 {
 		return 0
+	}
+	if avg, ok := ev.exactAvg(selected); ok {
+		return avg
 	}
 	sub, remap := inducedSubgraph(ev.gPlus, selected)
 	total := 0.0
@@ -261,8 +267,28 @@ func (ev multiEvaluator) avgReliability(selected []paths.Path) float64 {
 	return total / float64(count)
 }
 
+// exactAvg factors the average pair by pair; ok is false when the
+// selection or one of its pairs is too large to factor.
+func (ev *multiEvaluator) exactAvg(selected []paths.Path) (float64, bool) {
+	if !ev.exact.load(ev.gPlus, selected) {
+		return 0, false
+	}
+	total := 0.0
+	for _, s := range ev.sources {
+		for _, t := range ev.targets {
+			r, ok := ev.exact.reliability(s, t)
+			if !ok {
+				return 0, false
+			}
+			total += r
+		}
+	}
+	return total / float64(len(ev.sources)*len(ev.targets)), true
+}
+
 // inducedSubgraph builds the subgraph induced by a path set, returning the
-// node remapping.
+// node remapping. The path objectives build it only for selections too
+// large to factor exactly (see pathGraph), to sample it.
 func inducedSubgraph(gPlus *ugraph.Graph, selected []paths.Path) (*ugraph.Graph, map[ugraph.NodeID]ugraph.NodeID) {
 	remap := make(map[ugraph.NodeID]ugraph.NodeID)
 	nodeOf := func(v ugraph.NodeID) ugraph.NodeID {

@@ -48,20 +48,29 @@ func labelKey(ids []int32) string {
 	return string(buf)
 }
 
-// pathEvaluator estimates R(s, t, P1): the s-t reliability on the subgraph
-// induced by a set of selected paths (Problem 3's objective).
+// pathEvaluator scores R(s, t, P1): the s-t reliability on the subgraph
+// induced by a set of selected paths (Problem 3's objective). It computes
+// it exactly by factoring, and samples the induced subgraph only when the
+// selection is too large for that (more than exactEdgeCap distinct edges or
+// exactMaxCalls factoring calls).
 type pathEvaluator struct {
 	gPlus *ugraph.Graph
 	s, t  ugraph.NodeID
 	smp   sampling.Sampler
+	exact pathGraph
 }
 
-// reliability builds the induced subgraph of the given paths and estimates
-// the s-t reliability on it. An empty selection (or one not touching both
-// endpoints) has reliability 0; neither case consumes randomness.
-func (ev pathEvaluator) reliability(selected []paths.Path) float64 {
+// reliability scores a selection. An empty selection, or one not touching
+// both endpoints, has reliability 0; only the sampled fallback consumes
+// randomness.
+func (ev *pathEvaluator) reliability(selected []paths.Path) float64 {
 	if len(selected) == 0 {
 		return 0
+	}
+	if ev.exact.load(ev.gPlus, selected) {
+		if r, ok := ev.exact.reliability(ev.s, ev.t); ok {
+			return r
+		}
 	}
 	sub, remap := inducedSubgraph(ev.gPlus, selected)
 	ss, okS := remap[ev.s]
@@ -78,8 +87,9 @@ func (ev pathEvaluator) reliability(selected []paths.Path) float64 {
 // Selection) maximizing the reliability of the selected-path subgraph while
 // keeping at most K candidate edges. The greedy loop itself is batchSelect —
 // one implementation shared with the Problem 4 solvers — driven by the
-// single-pair objective; its RNG call order is pinned against the historical
-// standalone loop by TestPathSelectMatchesReference.
+// single-pair objective, which is exact unless a selection is too large to
+// factor; the sampled fallback's RNG call order is pinned against the
+// historical standalone loop by TestPathSelectMatchesReference.
 func pathSelect(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, cands []ugraph.Edge, smp sampling.Sampler, opt Options, batch bool) ([]ugraph.Edge, int) {
 	a := augment(g, cands)
 	pool := paths.TopL(ctx, a.g, s, t, opt.L)
@@ -88,6 +98,6 @@ func pathSelect(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, cands 
 	if pathCount == 0 {
 		return nil, 0
 	}
-	ev := pathEvaluator{gPlus: a.g, s: s, t: t, smp: smp}
+	ev := &pathEvaluator{gPlus: a.g, s: s, t: t, smp: smp}
 	return batchSelect(ctx, a, pool, opt, ev.reliability, batch), pathCount
 }

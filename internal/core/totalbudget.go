@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -45,8 +46,8 @@ func SolveTotalBudget(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, 
 	if err := opt.Validate(g.N()); err != nil {
 		return TotalBudgetSolution{}, err
 	}
-	if budget <= 0 {
-		return TotalBudgetSolution{}, fmt.Errorf("core: total budget %v must be positive: %w", budget, ErrBudget)
+	if err := CheckBudget(budget); err != nil {
+		return TotalBudgetSolution{}, err
 	}
 	start := time.Now()
 	smp, err := opt.NewSampler(ctx, 5)
@@ -97,53 +98,87 @@ func SolveTotalBudget(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, 
 	return sol, nil
 }
 
+// CheckBudget reports ErrBudget for a total budget that is not finite and
+// positive. NaN would otherwise slip past a "budget <= 0" test and poison
+// the nominal edge probability, and +Inf would buy nothing.
+func CheckBudget(budget float64) error {
+	if !(budget > 0) || math.IsInf(budget, 1) {
+		return fmt.Errorf("core: total budget %v must be finite and positive: %w", budget, ErrBudget)
+	}
+	return nil
+}
+
 // allocateBudget greedily distributes the probability budget over the
-// candidate edges appearing on the extracted paths.
+// candidate edges appearing on the extracted paths, scoring each step on
+// the subgraph induced by ALL of them. It factors that subgraph exactly
+// when it fits pathGraph, and otherwise (or when the factoring runs past
+// its call budget) samples it, the result as if the exact pass never ran.
 func allocateBudget(ctx context.Context, a augmented, pool []paths.Path, s, t ugraph.NodeID, budget float64, opt Options, smp interface {
 	Reliability(*ugraph.Graph, ugraph.NodeID, ugraph.NodeID) float64
 }) ([]ugraph.Edge, float64) {
-	// Build the induced subgraph of ALL extracted paths once; candidate
-	// edges start at probability 0 and receive budget increments.
+	var slots []budgetSlot
+	seen := map[int32]bool{}
+	for _, p := range pool {
+		for _, eid := range p.Edges {
+			if eid < a.origM || seen[eid] {
+				continue
+			}
+			seen[eid] = true
+			slots = append(slots, budgetSlot{spec: a.cand[eid], eid: eid})
+		}
+	}
+	if len(slots) == 0 {
+		return nil, 0
+	}
+	var pg pathGraph
+	if pg.load(a.g, pool) {
+		setProb := func(eid int32, p float64) { pg.p[pg.local(eid)] = p }
+		if greedyAllocate(ctx, slots, budget, setProb, func() (float64, bool) { return pg.reliability(s, t) }) {
+			return budgetEdges(slots)
+		}
+	}
+	// Sampled: candidate edges start at probability 0 in the induced
+	// subgraph and receive budget increments.
 	sub, remap := inducedSubgraph(a.g, pool)
 	ss, okS := remap[s]
 	tt, okT := remap[t]
 	if !okS || !okT {
 		return nil, 0
 	}
-	// Locate candidate edges inside the subgraph.
-	type slot struct {
-		spec  ugraph.Edge // original endpoints
-		eid   int32       // edge id in sub
-		alloc float64
-	}
-	var slots []*slot
-	seen := map[int32]bool{}
-	for _, p := range pool {
-		for i, eid := range p.Edges {
-			if eid < a.origM || seen[eid] {
-				continue
-			}
-			seen[eid] = true
-			u, v := remap[p.Nodes[i]], remap[p.Nodes[i+1]]
-			subEID, ok := sub.EdgeID(u, v)
-			if !ok {
-				continue
-			}
-			spec := a.cand[eid]
-			slots = append(slots, &slot{spec: spec, eid: subEID})
-			if err := sub.SetProb(subEID, 0); err != nil {
-				panic(err)
-			}
+	setProb := func(eid int32, p float64) {
+		// Every pool edge is in sub, so the lookup cannot miss.
+		e := a.g.Endpoints(eid)
+		subEID, _ := sub.EdgeID(remap[e.U], remap[e.V])
+		if err := sub.SetProb(subEID, p); err != nil {
+			panic(err)
 		}
 	}
-	if len(slots) == 0 {
-		return nil, 0
+	greedyAllocate(ctx, slots, budget, setProb, func() (float64, bool) { return smp.Reliability(sub, ss, tt), true })
+	return budgetEdges(slots)
+}
+
+// budgetSlot is a candidate edge of the total-budget allocation: its
+// original spec, its edge ID in G+ and the probability allocated so far.
+type budgetSlot struct {
+	spec  ugraph.Edge
+	eid   int32
+	alloc float64
+}
+
+// greedyAllocate spends the budget in steps of budget/20, each on the slot
+// whose increment gains the most reliability. setProb sets a slot's
+// probability in the scored subgraph, and rel scores it. It reports false,
+// with the slots reset, as soon as rel does.
+func greedyAllocate(ctx context.Context, slots []budgetSlot, budget float64, setProb func(eid int32, p float64), rel func() (float64, bool)) bool {
+	for i := range slots {
+		slots[i].alloc = 0
+		setProb(slots[i].eid, 0)
 	}
 	const steps = 20
 	delta := budget / steps
 	remaining := budget
-	current := smp.Reliability(sub, ss, tt)
-	for remaining > 1e-9 {
+	current, ok := rel()
+	for ok && remaining > 1e-9 {
 		if ctx.Err() != nil {
 			break // keep the allocation committed so far
 		}
@@ -156,29 +191,38 @@ func allocateBudget(ctx context.Context, a augmented, pool []paths.Path, s, t ug
 			if sl.alloc+step > 1 {
 				continue
 			}
-			if err := sub.SetProb(sl.eid, sl.alloc+step); err != nil {
-				panic(err)
+			setProb(sl.eid, sl.alloc+step)
+			var r float64
+			r, ok = rel()
+			setProb(sl.eid, sl.alloc)
+			if !ok {
+				break
 			}
-			gain := smp.Reliability(sub, ss, tt) - current
-			if err := sub.SetProb(sl.eid, sl.alloc); err != nil {
-				panic(err)
-			}
-			if bestIdx < 0 || gain > bestGain {
+			if gain := r - current; bestIdx < 0 || gain > bestGain {
 				bestGain = gain
 				bestIdx = i
 			}
 		}
-		if bestIdx < 0 {
-			break // every slot saturated at probability 1
+		if !ok || bestIdx < 0 {
+			break // past the factoring budget, or every slot saturated at probability 1
 		}
-		sl := slots[bestIdx]
+		sl := &slots[bestIdx]
 		sl.alloc += step
-		if err := sub.SetProb(sl.eid, sl.alloc); err != nil {
-			panic(err)
-		}
+		setProb(sl.eid, sl.alloc)
 		current += bestGain
 		remaining -= step
 	}
+	if !ok {
+		for i := range slots {
+			slots[i].alloc = 0
+		}
+	}
+	return ok
+}
+
+// budgetEdges lists the slots given probability, sorted by endpoints, and
+// the probability they spent.
+func budgetEdges(slots []budgetSlot) ([]ugraph.Edge, float64) {
 	var out []ugraph.Edge
 	spent := 0.0
 	for _, sl := range slots {

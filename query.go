@@ -142,7 +142,8 @@ type AnytimeEstimate struct {
 // hit pre-mutation cache entries. It also rejects what no job could run:
 // an unknown sampler kind (ErrUnknownSampler), solve method or multi
 // method (ErrUnknownMethod), multi aggregate or invalid probability
-// (ErrBadQuery). Engine.Run and Engine.Submit canonicalize internally, so
+// (ErrBadQuery), and a total budget that is not finite and positive
+// (ErrBudget). Engine.Run and Engine.Submit canonicalize internally, so
 // those errors come back synchronously; callers only need this to compute
 // fingerprints themselves.
 func (e *Engine) Canonicalize(q Query) (Query, error) {
@@ -194,6 +195,9 @@ func (e *Engine) Canonicalize(q Query) (Query, error) {
 		}
 		opt = opt.Normalized()
 	case QueryTotalBudget:
+		if err := core.CheckBudget(q.Budget); err != nil {
+			return Query{}, err
+		}
 		out.S, out.T, out.Budget = q.S, q.T, q.Budget
 		opt = opt.Normalized()
 	case QueryEstimate, QueryEstimateMany:

@@ -59,8 +59,8 @@ var (
 	ErrUnknownMethod = core.ErrUnknownMethod
 	// ErrUnknownSampler marks an unrecognized Options.Sampler kind.
 	ErrUnknownSampler = core.ErrUnknownSampler
-	// ErrBudget marks infeasible budgets (non-positive total budget, exact
-	// search beyond Options.MaxExactCombos).
+	// ErrBudget marks infeasible budgets (a total budget that is not
+	// finite and positive, exact search beyond Options.MaxExactCombos).
 	ErrBudget = core.ErrBudget
 	// ErrNoPath reports that a path-based solver extracted zero s-t paths
 	// even on the candidate-augmented graph.
