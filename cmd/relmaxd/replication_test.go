@@ -57,11 +57,18 @@ func newReplPrimary(t *testing.T) (*httptest.Server, *server) {
 // sync interval so tests converge quickly.
 func newReplReplica(t *testing.T, primaryURL string) (*httptest.Server, *server) {
 	t.Helper()
+	return newReplReplicaEvery(t, primaryURL, 50*time.Millisecond)
+}
+
+// newReplReplicaEvery boots a read replica that re-lists the primary's
+// datasets every interval (and once at start).
+func newReplReplicaEvery(t *testing.T, primaryURL string, interval time.Duration) (*httptest.Server, *server) {
+	t.Helper()
 	catalog := repro.NewCatalog(replOpts()...)
 	srv := newServer(catalog, 30*time.Second)
 	srv.logf = t.Logf
 	srv.role = roleReplica
-	srv.replicas = newReplicaManager(srv, primaryURL, 50*time.Millisecond)
+	srv.replicas = newReplicaManager(srv, primaryURL, interval)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
