@@ -14,11 +14,12 @@ test:
 	$(GO) test ./...
 
 # Race-check the concurrency-bearing packages: parallel sampler, solvers,
-# the root package (Engine's concurrent-use contract, including the
-# durability tests), the persistence layer, the replication subsystem and
-# the HTTP server.
+# the anytime controller and candidate elimination (both fan out through
+# the sharded ParallelSampler), the root package (Engine's concurrent-use
+# contract, including the durability tests), the persistence layer, the
+# replication subsystem and the HTTP server.
 race:
-	$(GO) test -race . ./internal/sampling/... ./internal/core/... ./internal/store ./internal/replication ./cmd/relmaxd
+	$(GO) test -race . ./internal/sampling/... ./internal/core/... ./internal/anytime ./internal/candidates ./internal/store ./internal/replication ./cmd/relmaxd
 
 # Full benchmark run with stable settings for recording numbers.
 bench:

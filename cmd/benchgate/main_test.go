@@ -150,7 +150,7 @@ func TestCloneTwin(t *testing.T) {
 		"BenchmarkX/deltaish/other": "", // substring must not match
 	}
 	for in, want := range cases {
-		if got := cloneTwin(in); got != want {
+		if got := twinName(in, "delta", "clone"); got != want {
 			t.Errorf("cloneTwin(%q) = %q, want %q", in, got, want)
 		}
 	}
@@ -158,19 +158,22 @@ func TestCloneTwin(t *testing.T) {
 
 func TestBuildApplies(t *testing.T) {
 	res := parse(t, sampleOld)
-	as := buildApplies(res)
+	as := buildPairs(res, "delta", "clone")
 	if len(as) != 1 {
 		t.Fatalf("want 1 apply entry, got %+v", as)
 	}
 	a := as[0]
-	if a.Name != "BenchmarkApply/delta/b1" || a.Clone != "BenchmarkApply/clone/b1" {
+	if a.Name != "BenchmarkApply/delta/b1" || a.Twin != "BenchmarkApply/clone/b1" {
 		t.Fatalf("wrong pairing: %+v", a)
 	}
-	if want := 90000.0 / 10000.0; a.SpeedupVsClone != want {
-		t.Fatalf("speedup = %v, want %v", a.SpeedupVsClone, want)
+	if want := 90000.0 / 10000.0; a.Speedup != want {
+		t.Fatalf("speedup = %v, want %v", a.Speedup, want)
 	}
-	if a.AllocsPerOp != 26 {
+	if a.AllocsPerOp == nil || *a.AllocsPerOp != 26 {
 		t.Fatalf("allocs = %v, want 26", a.AllocsPerOp)
+	}
+	if a.Samples != nil {
+		t.Fatalf("samples reported without samples/op: %+v", a.Samples)
 	}
 }
 
@@ -181,7 +184,7 @@ func TestFixedTwin(t *testing.T) {
 		"BenchmarkSomething/adaptively/odd":       "", // substring must not match
 	}
 	for in, want := range cases {
-		if got := fixedTwin(in); got != want {
+		if got := twinName(in, "adaptive", "fixed"); got != want {
 			t.Errorf("fixedTwin(%q) = %q, want %q", in, got, want)
 		}
 	}
@@ -189,25 +192,29 @@ func TestFixedTwin(t *testing.T) {
 
 func TestBuildAnytimes(t *testing.T) {
 	res := parse(t, sampleOld)
-	as := buildAnytimes(res)
+	as := buildPairs(res, "adaptive", "fixed")
 	if len(as) != 1 {
 		t.Fatalf("want 1 anytime entry, got %+v", as)
 	}
 	a := as[0]
-	if a.Name != "BenchmarkAnytimeEstimate/adaptive/p0.02" || a.Fixed != "BenchmarkAnytimeEstimate/fixed/p0.02" {
+	if a.Name != "BenchmarkAnytimeEstimate/adaptive/p0.02" || a.Twin != "BenchmarkAnytimeEstimate/fixed/p0.02" {
 		t.Fatalf("wrong pairing: %+v", a)
 	}
-	if want := 130000000.0 / 2000000.0; a.SpeedupVsFixed != want {
-		t.Fatalf("speedup = %v, want %v", a.SpeedupVsFixed, want)
+	if want := 130000000.0 / 2000000.0; a.Speedup != want {
+		t.Fatalf("speedup = %v, want %v", a.Speedup, want)
 	}
-	if want := 1 - 1280.0/65536.0; a.SamplesSavedFrac != want {
-		t.Fatalf("samples saved = %v, want %v", a.SamplesSavedFrac, want)
+	if a.Samples == nil || a.Samples.PerOp != 1280 || a.Samples.TwinPerOp != 65536 {
+		t.Fatalf("samples/op = %+v, want 1280 vs 65536", a.Samples)
 	}
-	// An adaptive benchmark without the samples/op metric is skipped: the
-	// artifact never reports a saving it cannot compute.
+	if want := 1 - 1280.0/65536.0; a.Samples.SavedFrac != want {
+		t.Fatalf("samples saved = %v, want %v", a.Samples.SavedFrac, want)
+	}
+	// A pair without the samples/op metric (or allocs/op) carries no
+	// samples block (or allocs): the artifact never reports a saving it
+	// cannot compute.
 	bare := parse(t, "BenchmarkX/adaptive/p1-4 10 100 ns/op\nBenchmarkX/fixed/p1-4 10 900 ns/op\n")
-	if as := buildAnytimes(bare); len(as) != 0 {
-		t.Fatalf("metric-less pair produced an entry: %+v", as)
+	if as := buildPairs(bare, "adaptive", "fixed"); len(as) != 1 || as[0].Samples != nil || as[0].AllocsPerOp != nil {
+		t.Fatalf("metric-less pair: %+v", as)
 	}
 }
 
@@ -221,7 +228,7 @@ func TestScalarTwin(t *testing.T) {
 		"BenchmarkSomething/mcvectors/odd-segment": "", // substring must not match
 	}
 	for in, want := range cases {
-		if got := scalarTwin(in); got != want {
+		if got := twinName(in, "mcvec", "mc"); got != want {
 			t.Errorf("scalarTwin(%q) = %q, want %q", in, got, want)
 		}
 	}
@@ -229,18 +236,18 @@ func TestScalarTwin(t *testing.T) {
 
 func TestBuildSpeedups(t *testing.T) {
 	res := parse(t, sampleOld)
-	sp := buildSpeedups(res)
+	sp := buildPairs(res, "mcvec", "mc")
 	if len(sp) != 1 {
 		t.Fatalf("want 1 speedup entry, got %+v", sp)
 	}
 	s := sp[0]
-	if s.Name != "BenchmarkVectorMC/st/mcvec/n256" || s.Scalar != "BenchmarkVectorMC/st/mc/n256" {
+	if s.Name != "BenchmarkVectorMC/st/mcvec/n256" || s.Twin != "BenchmarkVectorMC/st/mc/n256" {
 		t.Fatalf("wrong pairing: %+v", s)
 	}
-	if want := 100000.0 / 20000.0; s.SpeedupVsScalar != want {
-		t.Fatalf("speedup = %v, want %v", s.SpeedupVsScalar, want)
+	if want := 100000.0 / 20000.0; s.Speedup != want {
+		t.Fatalf("speedup = %v, want %v", s.Speedup, want)
 	}
-	if s.AllocsPerOp != 0 {
+	if s.AllocsPerOp == nil || *s.AllocsPerOp != 0 {
 		t.Fatalf("allocs = %v, want 0", s.AllocsPerOp)
 	}
 }
@@ -248,11 +255,12 @@ func TestBuildSpeedups(t *testing.T) {
 func TestRenderMarkdown(t *testing.T) {
 	old, new := parse(t, sampleOld), parse(t, sampleNew)
 	ds := compare(old, new, 0.10)
-	sp := buildSpeedups(new)
-	as := buildAnytimes(new)
-	ap := buildApplies(new)
+	var tables []pairTable
+	for _, a := range twinArtifacts {
+		tables = append(tables, pairTable{a.seg, a.twinSeg, buildPairs(new, a.seg, a.twinSeg)})
+	}
 	var buf bytes.Buffer
-	renderMarkdown(&buf, ds, sp, as, ap, nil, 0.10)
+	renderMarkdown(&buf, ds, tables, nil, 0.10)
 	out := buf.String()
 	for _, want := range []string{"Bench gate: PASS", "BenchmarkVectorMC/st/mc/n256", "speedup", "| ok |", "budget saved", "98%", "clone ns/op", "BenchmarkApply/delta/b1"} {
 		if !strings.Contains(out, want) {
@@ -260,7 +268,7 @@ func TestRenderMarkdown(t *testing.T) {
 		}
 	}
 	buf.Reset()
-	renderMarkdown(&buf, ds, sp, as, ap, []string{"boom"}, 0.10)
+	renderMarkdown(&buf, ds, tables, []string{"boom"}, 0.10)
 	if out := buf.String(); !strings.Contains(out, "FAIL") || !strings.Contains(out, "boom") {
 		t.Errorf("failing markdown wrong:\n%s", out)
 	}
@@ -300,12 +308,12 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var artifact struct {
-		Benchmarks []speedup `json:"benchmarks"`
+		Benchmarks []pair `json:"benchmarks"`
 	}
 	if err := json.Unmarshal(raw, &artifact); err != nil {
 		t.Fatalf("artifact not valid JSON: %v", err)
 	}
-	if len(artifact.Benchmarks) != 1 || artifact.Benchmarks[0].SpeedupVsScalar < 5 {
+	if len(artifact.Benchmarks) != 1 || artifact.Benchmarks[0].Speedup < 5 {
 		t.Fatalf("artifact content wrong: %+v", artifact.Benchmarks)
 	}
 	raw, err = os.ReadFile(anytimePath)
@@ -313,12 +321,12 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var anytimeArtifact struct {
-		Benchmarks []anytime `json:"benchmarks"`
+		Benchmarks []pair `json:"benchmarks"`
 	}
 	if err := json.Unmarshal(raw, &anytimeArtifact); err != nil {
 		t.Fatalf("anytime artifact not valid JSON: %v", err)
 	}
-	if len(anytimeArtifact.Benchmarks) != 1 || anytimeArtifact.Benchmarks[0].SamplesSavedFrac < 0.9 {
+	if len(anytimeArtifact.Benchmarks) != 1 || anytimeArtifact.Benchmarks[0].Samples.SavedFrac < 0.9 {
 		t.Fatalf("anytime artifact content wrong: %+v", anytimeArtifact.Benchmarks)
 	}
 	if md, err := os.ReadFile(mdPath); err != nil || !strings.Contains(string(md), "Bench gate: PASS") {
@@ -329,12 +337,12 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var applyArtifact struct {
-		Benchmarks []applyCmp `json:"benchmarks"`
+		Benchmarks []pair `json:"benchmarks"`
 	}
 	if err := json.Unmarshal(raw, &applyArtifact); err != nil {
 		t.Fatalf("apply artifact not valid JSON: %v", err)
 	}
-	if len(applyArtifact.Benchmarks) != 1 || applyArtifact.Benchmarks[0].SpeedupVsClone < 5 {
+	if len(applyArtifact.Benchmarks) != 1 || applyArtifact.Benchmarks[0].Speedup < 5 {
 		t.Fatalf("apply artifact content wrong: %+v", applyArtifact.Benchmarks)
 	}
 

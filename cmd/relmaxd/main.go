@@ -63,7 +63,8 @@
 //	                             — streaming feed of a dataset's committed batches
 //	                               (snapshot + tail + heartbeats; ?from= resumes)
 //	GET    /metrics              — qps, latency quantiles, queue depth, cache hits,
-//	                               plus a per-dataset breakdown (epoch, qps, jobs, cache)
+//	                               plus a per-dataset breakdown (epoch, qps, jobs, cache,
+//	                               mutations and checkpoints)
 //	                               and the node's replication state (feeds or follower
 //	                               lag); ?format=prometheus (or an Accept header
 //	                               preferring text/plain) switches to Prometheus

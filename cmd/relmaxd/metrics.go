@@ -43,7 +43,7 @@ type metrics struct {
 	// the global jobs.*/cache.* totals stay monotonic across DELETE
 	// /v2/datasets — a scraper computing rates must never see a counter
 	// reset just because a dataset was retired.
-	retired repro.EngineStats
+	retired engineCounters
 }
 
 // secWindow is a 60-bucket one-second histogram, giving an exact events-
@@ -145,18 +145,10 @@ func (m *metrics) retireDataset(catalog *repro.Catalog, name string) error {
 	}
 	delete(m.byDataset, name)
 	st := eng.Stats()
-	m.retired.SubmittedJobs += st.SubmittedJobs
-	m.retired.CompletedJobs += st.CompletedJobs
-	m.retired.CancelledJobs += st.CancelledJobs
-	m.retired.FailedJobs += st.FailedJobs
-	m.retired.RejectedJobs += st.RejectedJobs
-	m.retired.CacheHits += st.CacheHits
-	m.retired.CacheMisses += st.CacheMisses
-	m.retired.CacheInvalidated += st.CacheInvalidated
-	m.retired.CacheWarmed += st.CacheWarmed
-	m.retired.AnytimeEstimates += st.AnytimeEstimates
-	m.retired.AnytimeSamplesUsed += st.AnytimeSamplesUsed
-	m.retired.AnytimeSamplesSaved += st.AnytimeSamplesSaved
+	// Only counters outlive the engine; the gauges of its queue and cache
+	// leave the global totals with it.
+	st.QueuedJobs, st.RunningJobs, st.CacheLen, st.CacheCap = 0, 0, 0, 0
+	m.retired.add(st)
 	return nil
 }
 
@@ -190,135 +182,176 @@ func (m *metrics) record(endpoint string, status int, d time.Duration, recordLat
 	m.window.hit(now)
 }
 
+// metricsResponse is the server's /metrics payload. Its tags declare each
+// field's JSON key and Prometheus series (see writePrometheus).
 type metricsResponse struct {
-	UptimeS  float64 `json:"uptime_s"`
+	UptimeS  float64 `json:"uptime_s" prom:"uptime_seconds,gauge"`
 	Requests struct {
-		Total       uint64            `json:"total"`
-		PerEndpoint map[string]uint64 `json:"per_endpoint"`
-		PerStatus   map[string]uint64 `json:"per_status"`
+		Total       uint64            `json:"total" prom:"requests_total,counter"`
+		PerEndpoint map[string]uint64 `json:"per_endpoint" prom:"endpoint_requests_total,counter,endpoint"`
+		PerStatus   map[string]uint64 `json:"per_status" prom:"status_requests_total,counter,class"`
 	} `json:"requests"`
 	QPS struct {
-		Lifetime float64 `json:"lifetime"`
-		Last60S  float64 `json:"last_60s"`
+		Lifetime float64 `json:"lifetime" prom:"qps_lifetime,gauge"`
+		Last60S  float64 `json:"last_60s" prom:"qps_last_60s,gauge"`
 	} `json:"qps"`
+	// LatencyMS exposes no quantiles to Prometheus while the window is empty.
 	LatencyMS struct {
-		Window int     `json:"window"`
-		P50    float64 `json:"p50"`
-		P90    float64 `json:"p90"`
-		P99    float64 `json:"p99"`
-		Max    float64 `json:"max"`
+		Window int     `json:"window" prom:"latency_window_samples,gauge"`
+		P50    float64 `json:"p50" prom:"latency_ms,gauge,quantile=0.5,if=Window"`
+		P90    float64 `json:"p90" prom:"latency_ms,gauge,quantile=0.9,if=Window"`
+		P99    float64 `json:"p99" prom:"latency_ms,gauge,quantile=0.99,if=Window"`
+		Max    float64 `json:"max" prom:"latency_ms_max,gauge,if=Window"`
 	} `json:"latency_ms"`
-	Jobs struct {
-		Queued    int    `json:"queued"`
-		Running   int    `json:"running"`
-		Submitted uint64 `json:"submitted"`
-		Completed uint64 `json:"completed"`
-		Cancelled uint64 `json:"cancelled"`
-		Failed    uint64 `json:"failed"`
-		Rejected  uint64 `json:"rejected"`
-	} `json:"jobs"`
+	Jobs  jobCounters `json:"jobs"`
 	Cache struct {
-		Hits        uint64 `json:"hits"`
-		Misses      uint64 `json:"misses"`
-		Len         int    `json:"len"`
-		Cap         int    `json:"cap"`
-		Invalidated uint64 `json:"invalidated"`
-		// Warmed counts queries recomputed by epoch-rotation cache warming
-		// (the -cache-warm flag).
-		Warmed uint64 `json:"warmed"`
+		cacheCounters
+		Cap int `json:"cap" prom:"cache_capacity,gauge"`
 	} `json:"cache"`
-	// Anytime aggregates the adaptive-estimate counters: how many estimates
-	// ran in precision mode, the samples they actually drew, the samples an
-	// equivalent fixed-budget run would have wasted, and how many requests
-	// overload shedding coarsened.
+	// Anytime aggregates the adaptive-estimate counters and how many
+	// requests overload shedding coarsened.
 	Anytime struct {
-		Estimates      uint64 `json:"estimates"`
-		SamplesUsed    uint64 `json:"samples_used"`
-		SamplesSaved   uint64 `json:"samples_saved"`
-		PrecisionSheds uint64 `json:"precision_sheds"`
+		anytimeCounters
+		PrecisionSheds uint64 `json:"precision_sheds" prom:"precision_sheds_total,counter"`
 	} `json:"anytime"`
 	// Datasets breaks the serving counters down per dataset now that
 	// datasets come and go at runtime: request volume from the collector,
 	// epoch/job/cache numbers live from each engine.
-	Datasets map[string]datasetMetrics `json:"datasets"`
+	Datasets map[string]datasetMetrics `json:"datasets" prom:"dataset_,dataset"`
 	// Replication reports the server's role and, per dataset, either the
 	// primary's feed fan-out or the replica's follower progress. Nil when
 	// the process serves standalone (no taps, no followers).
 	Replication *replicationMetrics `json:"replication,omitempty"`
 }
 
+// datasetMetrics is the per-dataset block of the /metrics payload.
+type datasetMetrics struct {
+	Epoch    uint64  `json:"epoch" prom:"epoch,gauge"`
+	N        int     `json:"n" prom:"nodes,gauge"`
+	M        int     `json:"m" prom:"edges,gauge"`
+	Requests uint64  `json:"requests" prom:"requests_total,counter"`
+	QPS60S   float64 `json:"qps_last_60s" prom:"qps_last_60s,gauge"`
+	engineCounters
+}
+
+// engineCounters is the part of a /metrics block read from
+// repro.EngineStats. Each dataset block, the global totals and the
+// retained counters of closed datasets sum into it through add.
+type engineCounters struct {
+	Jobs      jobCounters      `json:"jobs"`
+	Cache     cacheCounters    `json:"cache"`
+	Anytime   anytimeCounters  `json:"anytime"`
+	Mutations mutationCounters `json:"mutations"`
+	// cacheCap feeds the global cache capacity; dataset blocks omit it.
+	cacheCap int
+}
+
+type jobCounters struct {
+	Queued    int    `json:"queued" prom:"jobs_queued,gauge"`
+	Running   int    `json:"running" prom:"jobs_running,gauge"`
+	Submitted uint64 `json:"submitted" prom:"jobs_submitted_total,counter"`
+	Completed uint64 `json:"completed" prom:"jobs_completed_total,counter"`
+	Cancelled uint64 `json:"cancelled" prom:"jobs_cancelled_total,counter"`
+	Failed    uint64 `json:"failed" prom:"jobs_failed_total,counter"`
+	Rejected  uint64 `json:"rejected" prom:"jobs_rejected_total,counter"`
+}
+
+type cacheCounters struct {
+	Hits        uint64 `json:"hits" prom:"cache_hits_total,counter"`
+	Misses      uint64 `json:"misses" prom:"cache_misses_total,counter"`
+	Len         int    `json:"len" prom:"cache_entries,gauge"`
+	Invalidated uint64 `json:"invalidated" prom:"cache_invalidated_total,counter"`
+	// Warmed counts queries recomputed by epoch-rotation cache warming
+	// (the -cache-warm flag).
+	Warmed uint64 `json:"warmed" prom:"cache_warmed_total,counter"`
+}
+
+// anytimeCounters count the estimates that ran in precision mode, the
+// samples they drew, and the samples an equivalent fixed-budget run would
+// have wasted.
+type anytimeCounters struct {
+	Estimates    uint64 `json:"estimates" prom:"anytime_estimates_total,counter"`
+	SamplesUsed  uint64 `json:"samples_used" prom:"anytime_samples_used_total,counter"`
+	SamplesSaved uint64 `json:"samples_saved" prom:"anytime_samples_saved_total,counter"`
+}
+
+type mutationCounters struct {
+	Applies uint64 `json:"applies" prom:"mutation_batches_total,counter"`
+	Applied uint64 `json:"applied" prom:"mutations_applied_total,counter"`
+	// ReplicatedApplies/ReplicatedApplied count batches and mutations
+	// that arrived through the replication feed (ApplyReplicated plus
+	// snapshot resets) — zero on a primary, where Applies counts local
+	// writes instead.
+	ReplicatedApplies uint64 `json:"replicated_applies" prom:"replicated_batches_total,counter"`
+	ReplicatedApplied uint64 `json:"replicated_applied" prom:"replicated_mutations_total,counter"`
+	// DeltaCommits/Compactions/ChainDepth report the delta-epoch commit
+	// machinery: batches committed as O(batch) overlay layers, folds of
+	// the layer chain back into a flat CSR, and the current chain depth
+	// (0 = serving a flat snapshot).
+	DeltaCommits uint64 `json:"delta_commits" prom:"delta_commits_total,counter"`
+	Compactions  uint64 `json:"compactions" prom:"compactions_total,counter"`
+	ChainDepth   int    `json:"chain_depth" prom:"chain_depth,gauge"`
+	// Checkpoints counts the checkpoints a durable dataset cut, the
+	// initial one included, and CheckpointErrors the failed attempts: while
+	// they fail the WAL keeps growing.
+	Checkpoints      uint64 `json:"checkpoints" prom:"checkpoints_total,counter"`
+	CheckpointErrors uint64 `json:"checkpoint_errors" prom:"checkpoint_errors_total,counter"`
+}
+
+// add sums one engine's stats into c.
+func (c *engineCounters) add(st repro.EngineStats) {
+	c.Jobs.Queued += st.QueuedJobs
+	c.Jobs.Running += st.RunningJobs
+	c.Jobs.Submitted += st.SubmittedJobs
+	c.Jobs.Completed += st.CompletedJobs
+	c.Jobs.Cancelled += st.CancelledJobs
+	c.Jobs.Failed += st.FailedJobs
+	c.Jobs.Rejected += st.RejectedJobs
+	c.Cache.Hits += st.CacheHits
+	c.Cache.Misses += st.CacheMisses
+	c.Cache.Len += st.CacheLen
+	c.Cache.Invalidated += st.CacheInvalidated
+	c.Cache.Warmed += st.CacheWarmed
+	c.cacheCap += st.CacheCap
+	c.Anytime.Estimates += st.AnytimeEstimates
+	c.Anytime.SamplesUsed += st.AnytimeSamplesUsed
+	c.Anytime.SamplesSaved += st.AnytimeSamplesSaved
+	c.Mutations.Applies += st.Applies
+	c.Mutations.Applied += st.MutationsApplied
+	c.Mutations.ReplicatedApplies += st.ReplicatedApplies
+	c.Mutations.ReplicatedApplied += st.ReplicatedMutations
+	c.Mutations.DeltaCommits += st.DeltaCommits
+	c.Mutations.Compactions += st.Compactions
+	c.Mutations.ChainDepth += st.ChainDepth
+	c.Mutations.Checkpoints += st.Checkpoints
+	c.Mutations.CheckpointErrors += st.CheckpointErrors
+}
+
 // replicationMetrics is the replication block of /metrics.
 type replicationMetrics struct {
-	Role string `json:"role"`
+	Role string `json:"role" prom:"role,gauge,role"`
 	// Feeds is per-dataset feed state on a primary: the committed epoch the
 	// feed advertises, live subscriber count, and subscribers dropped for
 	// falling behind.
-	Feeds map[string]feedMetrics `json:"feeds,omitempty"`
+	Feeds map[string]feedMetrics `json:"feeds,omitempty" prom:"replication_feed_,dataset"`
 	// Followers is per-dataset progress on a replica; Lag is the epoch
 	// distance behind the primary as of the last frame seen.
-	Followers map[string]followerMetrics `json:"followers,omitempty"`
+	Followers map[string]followerMetrics `json:"followers,omitempty" prom:"replication_,dataset"`
 }
 
 type feedMetrics struct {
-	Epoch       uint64 `json:"epoch"`
-	Subscribers int    `json:"subscribers"`
-	Drops       uint64 `json:"drops"`
+	Epoch       uint64 `json:"epoch" prom:"epoch,gauge"`
+	Subscribers int    `json:"subscribers" prom:"subscribers,gauge"`
+	Drops       uint64 `json:"drops" prom:"drops_total,counter"`
 }
 
 type followerMetrics struct {
-	LastAppliedEpoch uint64 `json:"last_applied_epoch"`
-	PrimaryEpoch     uint64 `json:"primary_epoch"`
-	Lag              uint64 `json:"lag"`
-	Reconnects       uint64 `json:"reconnects"`
-	Bootstraps       uint64 `json:"bootstraps"`
-	BatchesApplied   uint64 `json:"batches_applied"`
-}
-
-// datasetMetrics is the per-dataset block of the /metrics payload.
-type datasetMetrics struct {
-	Epoch    uint64  `json:"epoch"`
-	N        int     `json:"n"`
-	M        int     `json:"m"`
-	Requests uint64  `json:"requests"`
-	QPS60S   float64 `json:"qps_last_60s"`
-	Jobs     struct {
-		Queued    int    `json:"queued"`
-		Running   int    `json:"running"`
-		Submitted uint64 `json:"submitted"`
-		Completed uint64 `json:"completed"`
-		Cancelled uint64 `json:"cancelled"`
-		Failed    uint64 `json:"failed"`
-		Rejected  uint64 `json:"rejected"`
-	} `json:"jobs"`
-	Cache struct {
-		Hits        uint64 `json:"hits"`
-		Misses      uint64 `json:"misses"`
-		Len         int    `json:"len"`
-		Invalidated uint64 `json:"invalidated"`
-		Warmed      uint64 `json:"warmed"`
-	} `json:"cache"`
-	Anytime struct {
-		Estimates    uint64 `json:"estimates"`
-		SamplesUsed  uint64 `json:"samples_used"`
-		SamplesSaved uint64 `json:"samples_saved"`
-	} `json:"anytime"`
-	Mutations struct {
-		Applies uint64 `json:"applies"`
-		Applied uint64 `json:"applied"`
-		// ReplicatedApplies/ReplicatedApplied count batches and mutations
-		// that arrived through the replication feed (ApplyReplicated plus
-		// snapshot resets) — zero on a primary, where Applies counts local
-		// writes instead.
-		ReplicatedApplies uint64 `json:"replicated_applies"`
-		ReplicatedApplied uint64 `json:"replicated_applied"`
-		// DeltaCommits/Compactions/ChainDepth report the delta-epoch commit
-		// machinery: batches committed as O(batch) overlay layers, folds of
-		// the layer chain back into a flat CSR, and the current chain depth
-		// (0 = serving a flat snapshot).
-		DeltaCommits uint64 `json:"delta_commits"`
-		Compactions  uint64 `json:"compactions"`
-		ChainDepth   int    `json:"chain_depth"`
-	} `json:"mutations"`
+	LastAppliedEpoch uint64 `json:"last_applied_epoch" prom:"last_applied_epoch,gauge"`
+	PrimaryEpoch     uint64 `json:"primary_epoch" prom:"primary_epoch,gauge"`
+	Lag              uint64 `json:"lag" prom:"lag,gauge"`
+	Reconnects       uint64 `json:"reconnects" prom:"reconnects_total,counter"`
+	Bootstraps       uint64 `json:"bootstraps" prom:"bootstraps_total,counter"`
+	BatchesApplied   uint64 `json:"batches_applied" prom:"batches_applied_total,counter"`
 }
 
 // snapshot assembles the /metrics payload, folding in live engine stats
@@ -380,24 +413,11 @@ func (m *metrics) snapshot(catalog *repro.Catalog) metricsResponse {
 		dc.window.advance(now.Unix())
 		perDataset[name] = dsReq{requests: dc.requests, last60: dc.window.last60()}
 	}
-	retired := m.retired
-	resp.Anytime.PrecisionSheds = m.precisionSheds
-	m.mu.Unlock()
-
 	// Seed the global totals with the retained counters of closed
 	// datasets; live engines add on top below.
-	resp.Jobs.Submitted = retired.SubmittedJobs
-	resp.Jobs.Completed = retired.CompletedJobs
-	resp.Jobs.Cancelled = retired.CancelledJobs
-	resp.Jobs.Failed = retired.FailedJobs
-	resp.Jobs.Rejected = retired.RejectedJobs
-	resp.Cache.Hits = retired.CacheHits
-	resp.Cache.Misses = retired.CacheMisses
-	resp.Cache.Invalidated = retired.CacheInvalidated
-	resp.Cache.Warmed = retired.CacheWarmed
-	resp.Anytime.Estimates = retired.AnytimeEstimates
-	resp.Anytime.SamplesUsed = retired.AnytimeSamplesUsed
-	resp.Anytime.SamplesSaved = retired.AnytimeSamplesSaved
+	total := m.retired
+	resp.Anytime.PrecisionSheds = m.precisionSheds
+	m.mu.Unlock()
 
 	if resp.UptimeS > 0 {
 		resp.QPS.Lifetime = float64(resp.Requests.Total) / resp.UptimeS
@@ -424,44 +444,17 @@ func (m *metrics) snapshot(catalog *repro.Catalog) metricsResponse {
 			continue // closed while List ran inside the locked section
 		}
 		st := eng.Stats()
-		resp.Jobs.Queued += st.QueuedJobs
-		resp.Jobs.Running += st.RunningJobs
-		resp.Jobs.Submitted += st.SubmittedJobs
-		resp.Jobs.Completed += st.CompletedJobs
-		resp.Jobs.Cancelled += st.CancelledJobs
-		resp.Jobs.Failed += st.FailedJobs
-		resp.Jobs.Rejected += st.RejectedJobs
-		resp.Cache.Hits += st.CacheHits
-		resp.Cache.Misses += st.CacheMisses
-		resp.Cache.Len += st.CacheLen
-		resp.Cache.Cap += st.CacheCap
-		resp.Cache.Invalidated += st.CacheInvalidated
-		resp.Cache.Warmed += st.CacheWarmed
-		resp.Anytime.Estimates += st.AnytimeEstimates
-		resp.Anytime.SamplesUsed += st.AnytimeSamplesUsed
-		resp.Anytime.SamplesSaved += st.AnytimeSamplesSaved
-
-		var dm datasetMetrics
-		dm.Epoch = info.Epoch
-		dm.N, dm.M = info.Nodes, info.Edges
+		total.add(st)
+		dm := datasetMetrics{Epoch: info.Epoch, N: info.Nodes, M: info.Edges}
 		if rq, ok := perDataset[info.Name]; ok {
 			dm.Requests = rq.requests
 			dm.QPS60S = float64(rq.last60) / 60
 		}
-		dm.Jobs.Queued, dm.Jobs.Running = st.QueuedJobs, st.RunningJobs
-		dm.Jobs.Submitted, dm.Jobs.Completed = st.SubmittedJobs, st.CompletedJobs
-		dm.Jobs.Cancelled, dm.Jobs.Failed, dm.Jobs.Rejected = st.CancelledJobs, st.FailedJobs, st.RejectedJobs
-		dm.Cache.Hits, dm.Cache.Misses = st.CacheHits, st.CacheMisses
-		dm.Cache.Len, dm.Cache.Invalidated = st.CacheLen, st.CacheInvalidated
-		dm.Cache.Warmed = st.CacheWarmed
-		dm.Anytime.Estimates = st.AnytimeEstimates
-		dm.Anytime.SamplesUsed, dm.Anytime.SamplesSaved = st.AnytimeSamplesUsed, st.AnytimeSamplesSaved
-		dm.Mutations.Applies, dm.Mutations.Applied = st.Applies, st.MutationsApplied
-		dm.Mutations.ReplicatedApplies, dm.Mutations.ReplicatedApplied = st.ReplicatedApplies, st.ReplicatedMutations
-		dm.Mutations.DeltaCommits, dm.Mutations.Compactions = st.DeltaCommits, st.Compactions
-		dm.Mutations.ChainDepth = st.ChainDepth
+		dm.add(st)
 		resp.Datasets[info.Name] = dm
 	}
+	resp.Jobs, resp.Cache.cacheCounters, resp.Cache.Cap = total.Jobs, total.Cache, total.cacheCap
+	resp.Anytime.anytimeCounters = total.Anytime
 	return resp
 }
 

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -30,51 +32,175 @@ func wantsPrometheus(r *http.Request) bool {
 	return jsonIdx == -1 || strings.Index(accept, "text/plain") < jsonIdx
 }
 
-// promWriter accumulates Prometheus text exposition. The text format
-// requires every sample of a metric family to form one group under its
-// TYPE line, so samples are buffered per family and written family by
-// family, in the order each family was first sampled — whatever order the
-// callers' per-dataset or per-backend loops sample them in.
-type promWriter struct {
-	order []string
-	fams  map[string]*strings.Builder
+// promSample is one Prometheus sample and the JSON key path of the leaf it
+// renders.
+type promSample struct {
+	family, typ string
+	labels      string // rendered {k="v",...}, keys sorted; empty for none
+	value       float64
+	path        string
 }
 
-func (p *promWriter) sample(name, typ string, labels map[string]string, value float64) {
-	b := p.fams[name]
-	if b == nil {
-		if p.fams == nil {
-			p.fams = make(map[string]*strings.Builder)
-		}
-		b = &strings.Builder{}
-		fmt.Fprintf(b, "# TYPE %s %s\n", name, typ)
-		p.fams[name] = b
-		p.order = append(p.order, name)
-	}
-	b.WriteString(name)
-	if len(labels) > 0 {
-		keys := make([]string, 0, len(labels))
-		for k := range labels {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		parts := make([]string, len(keys))
-		for i, k := range keys {
-			parts[i] = fmt.Sprintf(`%s="%s"`, k, escapeLabel(labels[k]))
-		}
-		b.WriteString("{" + strings.Join(parts, ",") + "}")
-	}
-	// %g keeps integers integral and floats compact; Prometheus parses both.
-	fmt.Fprintf(b, " %g\n", value)
+// promTag is a parsed prom struct tag. A /metrics payload is a typed
+// struct, and each of its fields declares both renderings: the json tag
+// names the JSON key, and the prom tag the Prometheus series,
+//
+//	prom:"name[,counter|gauge][,label...][,label=value...][,if=Field]"
+//
+// On a numeric or bool leaf, counter or gauge exposes the field, and name
+// is its family after the "relmaxd_" prefix and the names of the enclosing
+// struct, pointer, map and slice fields, which act as prefixes. A map's
+// keys are the values of the first label its tag names; maps nested in it
+// take the remaining names in turn. A string field with a family is an
+// info series: its value labels a sample of 1. A string field with a label
+// but no family labels every series of its struct, so a slice element can
+// name itself. label=value adds a constant label, and if=Field exposes the
+// leaf only while its sibling Field is non-zero. A leaf without counter or
+// gauge, and an unexported field, is not exposed.
+type promTag struct {
+	name, typ, cond string
+	labels          []string // label names, taken in turn by maps and strings
+	consts          []promLabel
 }
 
-// write serves the buffered families as a text exposition.
-func (p *promWriter) write(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	for _, name := range p.order {
-		_, _ = io.WriteString(w, p.fams[name].String())
+type promLabel struct{ name, value string }
+
+func parsePromTag(tag string) promTag {
+	items := strings.Split(tag, ",")
+	pt := promTag{name: items[0]}
+	for _, it := range items[1:] {
+		k, v, pair := strings.Cut(it, "=")
+		switch {
+		case it == "counter" || it == "gauge":
+			pt.typ = it
+		case !pair:
+			pt.labels = append(pt.labels, it)
+		case k == "if":
+			pt.cond = v
+		default:
+			pt.consts = append(pt.consts, promLabel{k, v})
+		}
 	}
+	return pt
+}
+
+// promSamples walks a payload's declared series in field order; map keys
+// iterate sorted, so identical state renders identically.
+func promSamples(payload any) []promSample {
+	var out []promSample
+	walkProm(reflect.ValueOf(payload), promTag{}, "relmaxd_", nil, "", &out)
+	return out
+}
+
+// walkProm renders v, the field declared by tag, whose family (or family
+// prefix) is name.
+func walkProm(v reflect.Value, tag promTag, name string, labels []promLabel, path string, out *[]promSample) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			walkProm(v.Elem(), tag, name, labels, path, out)
+		}
+	case reflect.Struct:
+		walkFields(v, name, labels, path, out)
+	case reflect.Map:
+		if len(tag.labels) == 0 {
+			return
+		}
+		keys := v.MapKeys()
+		sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
+		inner := tag
+		inner.labels = tag.labels[1:]
+		for _, k := range keys {
+			walkProm(v.MapIndex(k), inner, name,
+				withLabel(labels, tag.labels[0], k.String()), joinPath(path, k.String()), out)
+		}
+	case reflect.Slice:
+		for i := range v.Len() {
+			walkProm(v.Index(i), tag, name, labels, joinPath(path, strconv.Itoa(i)), out)
+		}
+	case reflect.String:
+		if tag.typ != "" {
+			*out = append(*out, promSample{name, tag.typ,
+				renderLabels(withLabel(labels, tag.labels[0], v.String())), 1, path})
+		}
+	default:
+		if tag.typ != "" {
+			*out = append(*out, promSample{name, tag.typ,
+				renderLabels(append(labels[:len(labels):len(labels)], tag.consts...)), promValue(v), path})
+		}
+	}
+}
+
+// walkFields renders a struct's fields under the family prefix.
+func walkFields(v reflect.Value, prefix string, labels []promLabel, path string, out *[]promSample) {
+	t := v.Type()
+	for i := range t.NumField() {
+		tag := parsePromTag(t.Field(i).Tag.Get("prom"))
+		if t.Field(i).Type.Kind() == reflect.String && tag.name == "" && len(tag.labels) > 0 {
+			labels = withLabel(labels, tag.labels[0], v.Field(i).String())
+		}
+	}
+	for i := range t.NumField() {
+		f := t.Field(i)
+		if !f.IsExported() && !f.Anonymous {
+			continue
+		}
+		tag := parsePromTag(f.Tag.Get("prom"))
+		if tag.cond != "" && v.FieldByName(tag.cond).IsZero() {
+			continue
+		}
+		p := path
+		if !f.Anonymous { // encoding/json promotes an embedded struct's keys
+			key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			if key == "" {
+				key = f.Name
+			}
+			p = joinPath(path, key)
+		}
+		walkProm(v.Field(i), tag, prefix+tag.name, labels, p, out)
+	}
+}
+
+func promValue(v reflect.Value) float64 {
+	switch {
+	case v.Kind() == reflect.Bool:
+		if v.Bool() {
+			return 1
+		}
+		return 0
+	case v.CanInt():
+		return float64(v.Int())
+	case v.CanUint():
+		return float64(v.Uint())
+	case v.CanFloat():
+		return v.Float()
+	}
+	panic("relmaxd: prom tag on a non-numeric field of type " + v.Type().String())
+}
+
+// withLabel returns labels plus one, never sharing the caller's backing
+// array with a sibling's.
+func withLabel(labels []promLabel, name, value string) []promLabel {
+	return append(labels[:len(labels):len(labels)], promLabel{name, value})
+}
+
+func joinPath(path, key string) string {
+	if path == "" {
+		return key
+	}
+	return path + "." + key
+}
+
+func renderLabels(labels []promLabel) string {
+	if len(labels) == 0 {
+		return ""
+	}
+	sort.Slice(labels, func(i, j int) bool { return labels[i].name < labels[j].name })
+	parts := make([]string, len(labels))
+	for i, l := range labels {
+		parts[i] = fmt.Sprintf(`%s="%s"`, l.name, escapeLabel(l.value))
+	}
+	return "{" + strings.Join(parts, ",") + "}"
 }
 
 func escapeLabel(v string) string {
@@ -83,111 +209,27 @@ func escapeLabel(v string) string {
 	return strings.ReplaceAll(v, `"`, `\"`)
 }
 
-// writePrometheus renders the /metrics payload in Prometheus text
-// exposition format. Label sets iterate in sorted order so consecutive
-// scrapes of identical state are byte-identical.
-func writePrometheus(w http.ResponseWriter, m metricsResponse) {
-	p := &promWriter{}
-
-	p.sample("relmaxd_uptime_seconds", "gauge", nil, m.UptimeS)
-	p.sample("relmaxd_requests_total", "counter", nil, float64(m.Requests.Total))
-	for _, k := range sortedKeys(m.Requests.PerEndpoint) {
-		p.sample("relmaxd_endpoint_requests_total", "counter",
-			map[string]string{"endpoint": k}, float64(m.Requests.PerEndpoint[k]))
-	}
-	for _, k := range sortedKeys(m.Requests.PerStatus) {
-		p.sample("relmaxd_status_requests_total", "counter",
-			map[string]string{"class": k}, float64(m.Requests.PerStatus[k]))
-	}
-	p.sample("relmaxd_qps_lifetime", "gauge", nil, m.QPS.Lifetime)
-	p.sample("relmaxd_qps_last_60s", "gauge", nil, m.QPS.Last60S)
-	p.sample("relmaxd_latency_window_samples", "gauge", nil, float64(m.LatencyMS.Window))
-	if m.LatencyMS.Window > 0 {
-		p.sample("relmaxd_latency_ms", "gauge", map[string]string{"quantile": "0.5"}, m.LatencyMS.P50)
-		p.sample("relmaxd_latency_ms", "gauge", map[string]string{"quantile": "0.9"}, m.LatencyMS.P90)
-		p.sample("relmaxd_latency_ms", "gauge", map[string]string{"quantile": "0.99"}, m.LatencyMS.P99)
-		p.sample("relmaxd_latency_ms_max", "gauge", nil, m.LatencyMS.Max)
-	}
-
-	p.sample("relmaxd_jobs_queued", "gauge", nil, float64(m.Jobs.Queued))
-	p.sample("relmaxd_jobs_running", "gauge", nil, float64(m.Jobs.Running))
-	p.sample("relmaxd_jobs_submitted_total", "counter", nil, float64(m.Jobs.Submitted))
-	p.sample("relmaxd_jobs_completed_total", "counter", nil, float64(m.Jobs.Completed))
-	p.sample("relmaxd_jobs_cancelled_total", "counter", nil, float64(m.Jobs.Cancelled))
-	p.sample("relmaxd_jobs_failed_total", "counter", nil, float64(m.Jobs.Failed))
-	p.sample("relmaxd_jobs_rejected_total", "counter", nil, float64(m.Jobs.Rejected))
-	p.sample("relmaxd_cache_hits_total", "counter", nil, float64(m.Cache.Hits))
-	p.sample("relmaxd_cache_misses_total", "counter", nil, float64(m.Cache.Misses))
-	p.sample("relmaxd_cache_invalidated_total", "counter", nil, float64(m.Cache.Invalidated))
-	p.sample("relmaxd_cache_warmed_total", "counter", nil, float64(m.Cache.Warmed))
-	p.sample("relmaxd_cache_entries", "gauge", nil, float64(m.Cache.Len))
-	p.sample("relmaxd_cache_capacity", "gauge", nil, float64(m.Cache.Cap))
-	p.sample("relmaxd_anytime_estimates_total", "counter", nil, float64(m.Anytime.Estimates))
-	p.sample("relmaxd_anytime_samples_used_total", "counter", nil, float64(m.Anytime.SamplesUsed))
-	p.sample("relmaxd_anytime_samples_saved_total", "counter", nil, float64(m.Anytime.SamplesSaved))
-	p.sample("relmaxd_precision_sheds_total", "counter", nil, float64(m.Anytime.PrecisionSheds))
-
-	for _, name := range sortedKeys(m.Datasets) {
-		dm := m.Datasets[name]
-		ls := map[string]string{"dataset": name}
-		p.sample("relmaxd_dataset_epoch", "gauge", ls, float64(dm.Epoch))
-		p.sample("relmaxd_dataset_nodes", "gauge", ls, float64(dm.N))
-		p.sample("relmaxd_dataset_edges", "gauge", ls, float64(dm.M))
-		p.sample("relmaxd_dataset_requests_total", "counter", ls, float64(dm.Requests))
-		p.sample("relmaxd_dataset_qps_last_60s", "gauge", ls, dm.QPS60S)
-		p.sample("relmaxd_dataset_jobs_queued", "gauge", ls, float64(dm.Jobs.Queued))
-		p.sample("relmaxd_dataset_jobs_running", "gauge", ls, float64(dm.Jobs.Running))
-		p.sample("relmaxd_dataset_jobs_submitted_total", "counter", ls, float64(dm.Jobs.Submitted))
-		p.sample("relmaxd_dataset_jobs_completed_total", "counter", ls, float64(dm.Jobs.Completed))
-		p.sample("relmaxd_dataset_jobs_cancelled_total", "counter", ls, float64(dm.Jobs.Cancelled))
-		p.sample("relmaxd_dataset_jobs_failed_total", "counter", ls, float64(dm.Jobs.Failed))
-		p.sample("relmaxd_dataset_jobs_rejected_total", "counter", ls, float64(dm.Jobs.Rejected))
-		p.sample("relmaxd_dataset_mutation_batches_total", "counter", ls, float64(dm.Mutations.Applies))
-		p.sample("relmaxd_dataset_mutations_applied_total", "counter", ls, float64(dm.Mutations.Applied))
-		p.sample("relmaxd_dataset_replicated_batches_total", "counter", ls, float64(dm.Mutations.ReplicatedApplies))
-		p.sample("relmaxd_dataset_replicated_mutations_total", "counter", ls, float64(dm.Mutations.ReplicatedApplied))
-		p.sample("relmaxd_dataset_delta_commits_total", "counter", ls, float64(dm.Mutations.DeltaCommits))
-		p.sample("relmaxd_dataset_compactions_total", "counter", ls, float64(dm.Mutations.Compactions))
-		p.sample("relmaxd_dataset_chain_depth", "gauge", ls, float64(dm.Mutations.ChainDepth))
-		p.sample("relmaxd_dataset_cache_hits_total", "counter", ls, float64(dm.Cache.Hits))
-		p.sample("relmaxd_dataset_cache_misses_total", "counter", ls, float64(dm.Cache.Misses))
-		p.sample("relmaxd_dataset_cache_invalidated_total", "counter", ls, float64(dm.Cache.Invalidated))
-		p.sample("relmaxd_dataset_cache_warmed_total", "counter", ls, float64(dm.Cache.Warmed))
-		p.sample("relmaxd_dataset_cache_entries", "gauge", ls, float64(dm.Cache.Len))
-		p.sample("relmaxd_dataset_anytime_estimates_total", "counter", ls, float64(dm.Anytime.Estimates))
-		p.sample("relmaxd_dataset_anytime_samples_used_total", "counter", ls, float64(dm.Anytime.SamplesUsed))
-		p.sample("relmaxd_dataset_anytime_samples_saved_total", "counter", ls, float64(dm.Anytime.SamplesSaved))
-	}
-
-	if m.Replication != nil {
-		p.sample("relmaxd_role", "gauge", map[string]string{"role": m.Replication.Role}, 1)
-		for _, name := range sortedKeys(m.Replication.Feeds) {
-			fm := m.Replication.Feeds[name]
-			ls := map[string]string{"dataset": name}
-			p.sample("relmaxd_replication_feed_epoch", "gauge", ls, float64(fm.Epoch))
-			p.sample("relmaxd_replication_feed_subscribers", "gauge", ls, float64(fm.Subscribers))
-			p.sample("relmaxd_replication_feed_drops_total", "counter", ls, float64(fm.Drops))
+// writePrometheus serves a payload's declared series as a text exposition.
+// The format requires every sample of a family to form one group under its
+// TYPE line, so samples are grouped per family, in the order each family
+// is first declared.
+func writePrometheus(w http.ResponseWriter, payload any) {
+	var order []string
+	fams := make(map[string]*strings.Builder)
+	for _, s := range promSamples(payload) {
+		b := fams[s.family]
+		if b == nil {
+			b = &strings.Builder{}
+			fmt.Fprintf(b, "# TYPE %s %s\n", s.family, s.typ)
+			fams[s.family] = b
+			order = append(order, s.family)
 		}
-		for _, name := range sortedKeys(m.Replication.Followers) {
-			fm := m.Replication.Followers[name]
-			ls := map[string]string{"dataset": name}
-			p.sample("relmaxd_replication_last_applied_epoch", "gauge", ls, float64(fm.LastAppliedEpoch))
-			p.sample("relmaxd_replication_primary_epoch", "gauge", ls, float64(fm.PrimaryEpoch))
-			p.sample("relmaxd_replication_lag", "gauge", ls, float64(fm.Lag))
-			p.sample("relmaxd_replication_reconnects_total", "counter", ls, float64(fm.Reconnects))
-			p.sample("relmaxd_replication_bootstraps_total", "counter", ls, float64(fm.Bootstraps))
-			p.sample("relmaxd_replication_batches_applied_total", "counter", ls, float64(fm.BatchesApplied))
-		}
+		// %g keeps integers integral and floats compact; Prometheus parses both.
+		fmt.Fprintf(b, "%s%s %g\n", s.family, s.labels, s.value)
 	}
-
-	p.write(w)
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	w.WriteHeader(http.StatusOK)
+	for _, name := range order {
+		_, _ = io.WriteString(w, fams[name].String())
 	}
-	sort.Strings(keys)
-	return keys
 }

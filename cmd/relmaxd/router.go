@@ -7,7 +7,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -308,10 +307,10 @@ func (rt *router) proxy(w http.ResponseWriter, r *http.Request, b backend, path 
 // /metrics: reachability plus per-dataset epochs, from which the router
 // derives replica lag without any backend-side coordination.
 type backendHealth struct {
-	Name    string            `json:"name"`
+	Name    string            `json:"name" prom:",backend"`
 	URL     string            `json:"url"`
-	Healthy bool              `json:"healthy"`
-	Epochs  map[string]uint64 `json:"epochs,omitempty"`
+	Healthy bool              `json:"healthy" prom:"router_backend_up,gauge"`
+	Epochs  map[string]uint64 `json:"epochs,omitempty" prom:"router_backend_epoch,gauge,dataset"`
 }
 
 // scrape collects every backend's /healthz dataset epochs.
@@ -390,62 +389,43 @@ func (rt *router) handleHealth(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// routerMetrics is the router's /metrics payload; its tags declare each
+// field's JSON key and Prometheus series like the server's metricsResponse.
+type routerMetrics struct {
+	Backends  []backendHealth `json:"backends"`
+	Balancing struct {
+		EligibleReplicas int    `json:"eligible_replicas" prom:"router_eligible_replicas,gauge"`
+		MaxLag           uint64 `json:"max_lag" prom:"router_max_lag,gauge"`
+		PrimaryFallbacks uint64 `json:"primary_fallbacks" prom:"router_primary_fallbacks_total,counter"`
+		SkippedLagging   uint64 `json:"skipped_lagging" prom:"router_skipped_total,counter,reason=lagging"`
+		SkippedUnhealthy uint64 `json:"skipped_unhealthy" prom:"router_skipped_total,counter,reason=unhealthy"`
+	} `json:"balancing"`
+	// Lag is each replica's epoch lag behind the primary, per dataset.
+	Lag     map[string]map[string]uint64 `json:"lag" prom:"replication_lag,gauge,dataset,backend"`
+	Role    string                       `json:"role" prom:"role,gauge,role"`
+	UptimeS float64                      `json:"uptime_s" prom:"uptime_seconds,gauge"`
+}
+
 // handleMetrics reports the router's backend topology and per-replica
 // epoch lag, in JSON or Prometheus exposition like the server's /metrics.
 func (rt *router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	backends := rt.refreshHealth(r.Context())
-	lag := lagOf(backends)
-	eligible := 0
-	if el := rt.eligible.Load(); el != nil {
-		eligible = len(*el)
+	resp := routerMetrics{
+		Backends: backends,
+		Lag:      lagOf(backends),
+		Role:     roleRouter,
+		UptimeS:  time.Since(rt.start).Seconds(),
 	}
-	if !wantsPrometheus(r) {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"role":     roleRouter,
-			"uptime_s": time.Since(rt.start).Seconds(),
-			"backends": backends,
-			"lag":      lag,
-			"balancing": map[string]any{
-				"max_lag":           rt.maxLag,
-				"eligible_replicas": eligible,
-				"skipped_unhealthy": rt.skippedUnhealthy.Load(),
-				"skipped_lagging":   rt.skippedLagging.Load(),
-				"primary_fallbacks": rt.primaryFallbacks.Load(),
-			},
-		})
+	if el := rt.eligible.Load(); el != nil {
+		resp.Balancing.EligibleReplicas = len(*el)
+	}
+	resp.Balancing.MaxLag = rt.maxLag
+	resp.Balancing.PrimaryFallbacks = rt.primaryFallbacks.Load()
+	resp.Balancing.SkippedLagging = rt.skippedLagging.Load()
+	resp.Balancing.SkippedUnhealthy = rt.skippedUnhealthy.Load()
+	if wantsPrometheus(r) {
+		writePrometheus(w, resp)
 		return
 	}
-	p := &promWriter{}
-	p.sample("relmaxd_role", "gauge", map[string]string{"role": roleRouter}, 1)
-	p.sample("relmaxd_uptime_seconds", "gauge", nil, time.Since(rt.start).Seconds())
-	p.sample("relmaxd_router_max_lag", "gauge", nil, float64(rt.maxLag))
-	p.sample("relmaxd_router_eligible_replicas", "gauge", nil, float64(eligible))
-	p.sample("relmaxd_router_skipped_total", "counter",
-		map[string]string{"reason": "unhealthy"}, float64(rt.skippedUnhealthy.Load()))
-	p.sample("relmaxd_router_skipped_total", "counter",
-		map[string]string{"reason": "lagging"}, float64(rt.skippedLagging.Load()))
-	p.sample("relmaxd_router_primary_fallbacks_total", "counter", nil, float64(rt.primaryFallbacks.Load()))
-	for _, b := range backends {
-		healthy := 0.0
-		if b.Healthy {
-			healthy = 1
-		}
-		p.sample("relmaxd_router_backend_up", "gauge", map[string]string{"backend": b.Name}, healthy)
-		for _, name := range sortedKeys(b.Epochs) {
-			p.sample("relmaxd_router_backend_epoch", "gauge",
-				map[string]string{"backend": b.Name, "dataset": name}, float64(b.Epochs[name]))
-		}
-	}
-	datasets := make([]string, 0, len(lag))
-	for name := range lag {
-		datasets = append(datasets, name)
-	}
-	sort.Strings(datasets)
-	for _, name := range datasets {
-		for _, bname := range sortedKeys(lag[name]) {
-			p.sample("relmaxd_replication_lag", "gauge",
-				map[string]string{"backend": bname, "dataset": name}, float64(lag[name][bname]))
-		}
-	}
-	p.write(w)
+	writeJSON(w, http.StatusOK, resp)
 }

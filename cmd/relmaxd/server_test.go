@@ -151,6 +151,13 @@ func TestErrorMapping(t *testing.T) {
 		{"v2 unknown aggregate", "/v2/jobs", `{"kind":"multi","sources":[0],"targets":[5],"aggregate":"median"}`, http.StatusBadRequest},
 		{"empty pairs", "/v1/estimate", `{"pairs":[]}`, http.StatusBadRequest},
 		{"estimate out of range", "/v1/estimate", `{"pairs":[[0,1000000]]}`, http.StatusBadRequest},
+		{"v2 solve out of range", "/v2/jobs", `{"kind":"solve","s":99999,"t":5}`, http.StatusBadRequest},
+		{"v2 solve same endpoints", "/v2/jobs", `{"kind":"solve","s":5,"t":5}`, http.StatusBadRequest},
+		{"v2 total-budget out of range", "/v2/jobs", `{"kind":"total-budget","s":99999,"t":5,"budget":1}`, http.StatusBadRequest},
+		{"v2 multi out of range", "/v2/jobs", `{"kind":"multi","sources":[99999],"targets":[5]}`, http.StatusBadRequest},
+		{"v2 multi empty", "/v2/jobs", `{"kind":"multi","sources":[],"targets":[]}`, http.StatusBadRequest},
+		{"v2 estimate negative", "/v2/jobs", `{"kind":"estimate","s":-1,"t":5}`, http.StatusBadRequest},
+		{"v2 estimate-many out of range", "/v2/jobs", `{"kind":"estimate-many","pairs":[[0,99999]]}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -101,7 +101,11 @@
 // while the job runs), record their solver progress events for streaming
 // (Job.Events), and report cache hits in their status. Engine.Stats
 // exposes the serving counters (queue gauges, job outcomes, cache
-// hit/miss, the current epoch) that back cmd/relmaxd's /metrics endpoint.
+// hit/miss, anytime samples, mutation and checkpoint counts, the current
+// epoch) that back cmd/relmaxd's /metrics endpoint. Each /metrics series is
+// declared once, as a field of a typed payload whose struct tags name both
+// its JSON key and its Prometheus family, so the JSON document and the
+// Prometheus exposition (?format=prometheus) always carry the same values.
 //
 // # Anytime queries
 //
@@ -248,9 +252,9 @@
 // retired dataset's bytes. cmd/relmaxd wires these to -data-dir: stored
 // datasets are recovered on boot (winning over same-named command-line
 // seeds) and DELETE /v2/datasets/{name} drops the stored state. Stats
-// reports Durable, Checkpoints and CheckpointErrors; a failed checkpoint
-// never fails an Apply (the WAL already holds the batch) and is retried
-// on the next one.
+// reports Durable, Checkpoints and CheckpointErrors (relmaxd's /metrics
+// shows the last two per dataset); a failed checkpoint never fails an
+// Apply (the WAL already holds the batch) and is retried on the next one.
 //
 // # Replication
 //

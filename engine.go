@@ -404,9 +404,24 @@ func (e *Engine) SolveTotalBudget(ctx context.Context, req BudgetRequest) (Total
 	return res.TotalBudget, err
 }
 
-func (s *engineSnapshot) checkNode(v NodeID) error {
-	if v < 0 || int(v) >= s.csr.N() {
-		return fmt.Errorf("repro: node %d out of range [0,%d): %w", v, s.csr.N(), ErrBadQuery)
+// checkNodes rejects a node outside the snapshot's graph.
+func (s *engineSnapshot) checkNodes(vs ...NodeID) error {
+	for _, v := range vs {
+		if v < 0 || int(v) >= s.csr.N() {
+			return fmt.Errorf("repro: node %d out of range [0,%d): %w", v, s.csr.N(), ErrBadQuery)
+		}
+	}
+	return nil
+}
+
+// checkPair rejects a solve's source or target outside the snapshot's
+// graph, and a source equal to its target.
+func (s *engineSnapshot) checkPair(src, dst NodeID) error {
+	if err := s.checkNodes(src, dst); err != nil {
+		return err
+	}
+	if src == dst {
+		return fmt.Errorf("repro: source equals target (%d): %w", src, ErrBadQuery)
 	}
 	return nil
 }

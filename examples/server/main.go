@@ -31,7 +31,8 @@
 // Start the server with -data-dir to make datasets durable: mutations
 // are WAL-logged and fsynced before acknowledgment, and a restart (even
 // after kill -9) recovers every dataset at its exact committed epoch —
-// see the kill→restart walkthrough in README.md.
+// see the durability section of scripts/relmaxd_smoke.sh, which mutates a
+// -data-dir dataset, stops the server and checks the restart.
 package main
 
 import (

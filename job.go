@@ -122,7 +122,9 @@ type Job struct {
 // most WithQueueDepth may wait; beyond that Submit fails fast with an
 // error wrapping ErrOverloaded. A query whose canonical fingerprint is
 // already in the result cache completes immediately (State JobDone,
-// CacheHit set) without consuming a queue slot.
+// CacheHit set) without consuming a queue slot. A query Canonicalize
+// rejects — an unknown kind, sampler or method, or a node outside the
+// graph — returns its error here, and no job is counted.
 func (e *Engine) Submit(ctx context.Context, q Query) (*Job, error) {
 	if e.closed.Load() {
 		return nil, fmt.Errorf("repro: Submit: %w", ErrClosed)

@@ -342,13 +342,8 @@ func TestSubmitBadQuery(t *testing.T) {
 	if _, err := eng.Submit(context.Background(), Query{Kind: "nope"}); !errors.Is(err, ErrBadQuery) {
 		t.Fatalf("unknown kind error %v does not wrap ErrBadQuery", err)
 	}
-	// Runtime errors surface as failed jobs.
 	j, err := eng.Submit(context.Background(), Query{Kind: QueryEstimate, S: -1, T: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := waitTerminal(t, j)
-	if st.State != JobFailed || !errors.Is(st.Err, ErrBadQuery) {
-		t.Fatalf("out-of-range estimate job: state %s err %v", st.State, st.Err)
+	if !errors.Is(err, ErrBadQuery) || j != nil {
+		t.Fatalf("out-of-range estimate: job %v, error %v; want no job and ErrBadQuery", j != nil, err)
 	}
 }

@@ -141,11 +141,13 @@ type AnytimeEstimate struct {
 // the epoch, so post-mutation queries fingerprint differently and never
 // hit pre-mutation cache entries. It also rejects what no job could run:
 // an unknown sampler kind (ErrUnknownSampler), solve method or multi
-// method (ErrUnknownMethod), multi aggregate or invalid probability
-// (ErrBadQuery), and a total budget that is not finite and positive
-// (ErrBudget). Engine.Run and Engine.Submit canonicalize internally, so
-// those errors come back synchronously; callers only need this to compute
-// fingerprints themselves.
+// method (ErrUnknownMethod); a multi aggregate, an invalid probability, a
+// node outside the pinned snapshot, a solve or total-budget source equal
+// to its target, or an empty multi source or target set (ErrBadQuery);
+// and a total budget that is not finite and positive (ErrBudget).
+// Engine.Run and Engine.Submit canonicalize internally, so those errors
+// come back synchronously; callers only need this to compute fingerprints
+// themselves.
 func (e *Engine) Canonicalize(q Query) (Query, error) {
 	snap := e.snap.Load()
 	out := Query{Kind: q.Kind, Progress: q.Progress, snap: snap, epoch: snap.csr.Epoch()}
@@ -167,6 +169,9 @@ func (e *Engine) Canonicalize(q Query) (Query, error) {
 	}
 	switch q.Kind {
 	case QuerySolve:
+		if err := snap.checkPair(q.S, q.T); err != nil {
+			return Query{}, err
+		}
 		out.S, out.T = q.S, q.T
 		out.Method = q.Method
 		if out.Method == "" {
@@ -177,6 +182,15 @@ func (e *Engine) Canonicalize(q Query) (Query, error) {
 		}
 		opt = opt.Normalized()
 	case QueryMulti:
+		if len(q.Sources) == 0 || len(q.Targets) == 0 {
+			return Query{}, fmt.Errorf("repro: empty source or target set: %w", ErrBadQuery)
+		}
+		if err := snap.checkNodes(q.Sources...); err != nil {
+			return Query{}, err
+		}
+		if err := snap.checkNodes(q.Targets...); err != nil {
+			return Query{}, err
+		}
 		out.Sources = append([]NodeID(nil), q.Sources...)
 		out.Targets = append([]NodeID(nil), q.Targets...)
 		out.Aggregate = q.Aggregate
@@ -198,12 +212,23 @@ func (e *Engine) Canonicalize(q Query) (Query, error) {
 		if err := core.CheckBudget(q.Budget); err != nil {
 			return Query{}, err
 		}
+		if err := snap.checkPair(q.S, q.T); err != nil {
+			return Query{}, err
+		}
 		out.S, out.T, out.Budget = q.S, q.T, q.Budget
 		opt = opt.Normalized()
 	case QueryEstimate, QueryEstimateMany:
 		if q.Kind == QueryEstimate {
+			if err := snap.checkNodes(q.S, q.T); err != nil {
+				return Query{}, err
+			}
 			out.S, out.T = q.S, q.T
 		} else {
+			for _, p := range q.Pairs {
+				if err := snap.checkNodes(p.S, p.T); err != nil {
+					return Query{}, err
+				}
+			}
 			out.Pairs = append([]PairQuery(nil), q.Pairs...)
 		}
 		// Estimation depends only on the sampler configuration; stripping
@@ -401,12 +426,6 @@ func (e *Engine) execute(ctx context.Context, q Query) (Result, error) {
 		res.TotalBudget = sol
 		return res, err
 	case QueryEstimate:
-		if err := snap.checkNode(q.S); err != nil {
-			return res, err
-		}
-		if err := snap.checkNode(q.T); err != nil {
-			return res, err
-		}
 		if opt.Precision > 0 {
 			est, err := e.anytimeEstimate(ctx, snap, opt, q.S, q.T, opt.Seed, opt.Progress)
 			if err != nil {
@@ -443,14 +462,6 @@ func (e *Engine) execute(ctx context.Context, q Query) (Result, error) {
 // estimateMany is the estimate-many execution: one batched parallel
 // sampler call, each query's full budget sharded across the pool.
 func (e *Engine) estimateMany(ctx context.Context, snap *engineSnapshot, opt Options, pairs []PairQuery) ([]float64, error) {
-	for _, q := range pairs {
-		if err := snap.checkNode(q.S); err != nil {
-			return nil, err
-		}
-		if err := snap.checkNode(q.T); err != nil {
-			return nil, err
-		}
-	}
 	if len(pairs) == 0 {
 		return nil, nil
 	}
@@ -526,14 +537,6 @@ func (e *Engine) anytimeEstimate(ctx context.Context, snap *engineSnapshot, opt 
 // pair's answer is independent of the batch composition (the same pair
 // alone or in any batch position i gets the same stream).
 func (e *Engine) anytimeEstimateMany(ctx context.Context, snap *engineSnapshot, opt Options, pairs []PairQuery) ([]float64, []AnytimeEstimate, error) {
-	for _, q := range pairs {
-		if err := snap.checkNode(q.S); err != nil {
-			return nil, nil, err
-		}
-		if err := snap.checkNode(q.T); err != nil {
-			return nil, nil, err
-		}
-	}
 	if len(pairs) == 0 {
 		return nil, nil, nil
 	}

@@ -271,10 +271,11 @@ func TestInvalidProbabilitiesAreBadQueries(t *testing.T) {
 
 // TestUnknownSamplerMethodAggregateRejectedUpFront: a solve, multi or
 // total-budget query naming a sampler kind the engine does not build —
-// including the retired "lazy" — or an unknown method or aggregate is
-// rejected synchronously by Canonicalize, Run and Submit, before any job
-// is counted, queued or cached. Each used to be accepted by Submit and
-// then fail on the job goroutine.
+// including the retired "lazy" — or an unknown method or aggregate, and a
+// query of any kind naming a node no job could run on, is rejected
+// synchronously by Canonicalize, Run and Submit, before any job is
+// counted, queued or cached. Each used to be accepted by Submit and then
+// fail on the job goroutine.
 func TestUnknownSamplerMethodAggregateRejectedUpFront(t *testing.T) {
 	eng, err := NewEngine(engineTestGraph(t), WithResultCache(16))
 	if err != nil {
@@ -309,6 +310,18 @@ func TestUnknownSamplerMethodAggregateRejectedUpFront(t *testing.T) {
 		Method: MethodIP}, ErrUnknownMethod)
 	check("multi aggregate", Query{Kind: QueryMulti, Sources: []NodeID{0}, Targets: []NodeID{39},
 		Aggregate: "median"}, ErrBadQuery)
+	for name, q := range map[string]Query{
+		"solve source out of range":        {Kind: QuerySolve, S: 99999, T: 39},
+		"solve source equals target":       {Kind: QuerySolve, S: 5, T: 5},
+		"total-budget source out of range": {Kind: QueryTotalBudget, S: 99999, T: 39, Budget: 1},
+		"multi source out of range":        {Kind: QueryMulti, Sources: []NodeID{0, 99999}, Targets: []NodeID{39}},
+		"multi empty sets":                 {Kind: QueryMulti},
+		"estimate negative source":         {Kind: QueryEstimate, S: -1, T: 39},
+		"estimate-many target out of range": {Kind: QueryEstimateMany,
+			Pairs: []PairQuery{{S: 0, T: 39}, {S: 0, T: 99999}}},
+	} {
+		check(name, q, ErrBadQuery)
+	}
 	st := eng.Stats()
 	if st.SubmittedJobs != 0 || st.FailedJobs != 0 || st.CacheHits != 0 || st.CacheMisses != 0 || st.CacheLen != 0 {
 		t.Fatalf("rejected queries reached the job or cache layer: %+v", st)
