@@ -609,19 +609,20 @@ func TestRouterHealthAwareBalancing(t *testing.T) {
 
 	rt.refreshHealth(context.Background())
 	el := rt.eligible.Load()
-	if el == nil || len(*el) != 1 || (*el)[0].name != "r2" {
+	if el == nil || len(el.replicas) != 1 || el.replicas[0].name != "r2" {
 		t.Fatalf("eligible after refresh: %+v", el)
-	}
-	if got := rt.skippedUnhealthy.Load(); got != 1 {
-		t.Fatalf("skippedUnhealthy = %d, want 1", got)
-	}
-	if got := rt.skippedLagging.Load(); got != 1 {
-		t.Fatalf("skippedLagging = %d, want 1", got)
 	}
 	for i := 0; i < 4; i++ {
 		if b := rt.pickRead(); b.name != "r2" {
 			t.Fatalf("read routed to %s, want the one healthy in-lag replica r2", b.name)
 		}
+	}
+	// Each of the 4 reads steered away from the dead and the stale replica.
+	if got := rt.skippedUnhealthy.Load(); got != 4 {
+		t.Fatalf("skippedUnhealthy = %d, want 4", got)
+	}
+	if got := rt.skippedLagging.Load(); got != 4 {
+		t.Fatalf("skippedLagging = %d, want 4", got)
 	}
 	if rt.primaryFallbacks.Load() != 0 {
 		t.Fatalf("unexpected primary fallback while r2 was eligible")
@@ -644,7 +645,7 @@ func TestRouterHealthAwareBalancing(t *testing.T) {
 	rtLoose := newRouter(primary.URL, []string{dead.URL, stale.URL}, 0)
 	rtLoose.logf = t.Logf
 	rtLoose.refreshHealth(context.Background())
-	if el := rtLoose.eligible.Load(); el == nil || len(*el) != 1 || (*el)[0].name != "r1" {
+	if el := rtLoose.eligible.Load(); el == nil || len(el.replicas) != 1 || el.replicas[0].name != "r1" {
 		t.Fatalf("max-lag=0 eligible: %+v", rtLoose.eligible.Load())
 	}
 
@@ -655,5 +656,44 @@ func TestRouterHealthAwareBalancing(t *testing.T) {
 	bal, _ := rm["balancing"].(map[string]any)
 	if bal == nil || bal["eligible_replicas"].(float64) != 1 {
 		t.Fatalf("metrics balancing block: %v", rm["balancing"])
+	}
+}
+
+// TestRouterSkipsCountReadsNotScrapes: health scrapes steer no read, so
+// /metrics scrapes over a dead replica leave the skip counter at 0, and
+// each routed read then counts the dead replica once.
+func TestRouterSkipsCountReadsNotScrapes(t *testing.T) {
+	primary := fakeHealthBackend(t, map[string]uint64{"lastfm": 1})
+	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "down", http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(dead.Close)
+	rt := newRouter(primary.URL, []string{dead.URL}, 0)
+	rt.logf = t.Logf
+	router := httptest.NewServer(rt.handler())
+	t.Cleanup(router.Close)
+
+	skipped := func() float64 {
+		t.Helper()
+		_, rm := getJSON(t, router.URL+"/metrics")
+		bal, _ := rm["balancing"].(map[string]any)
+		if bal == nil {
+			t.Fatalf("metrics carry no balancing block: %v", rm)
+		}
+		return bal["skipped_unhealthy"].(float64)
+	}
+	for i := 0; i < 6; i++ {
+		if got := skipped(); got != 0 {
+			t.Fatalf("scrape %d: skipped_unhealthy = %v after zero reads, want 0", i+1, got)
+		}
+	}
+	const reads = 5
+	for i := 0; i < reads; i++ {
+		if b := rt.pickRead(); b.name != "p" {
+			t.Fatalf("read routed to %s, want primary fallback", b.name)
+		}
+	}
+	if got := skipped(); got != reads {
+		t.Fatalf("skipped_unhealthy = %v after %d reads, want %d", got, reads, reads)
 	}
 }

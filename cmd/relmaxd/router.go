@@ -45,11 +45,20 @@ type router struct {
 	// falling back to the primary when it is empty. A nil eligible pointer
 	// (no scrape yet) routes over all replicas — the pre-health behavior.
 	maxLag   uint64
-	eligible atomic.Pointer[[]backend]
+	eligible atomic.Pointer[eligibleSet]
 
+	// Reads steered away from a replica, by reason: each routed read adds
+	// the excluded counts of the eligible set it was routed over.
 	skippedUnhealthy atomic.Uint64 // replicas excluded: /healthz unreachable
 	skippedLagging   atomic.Uint64 // replicas excluded: epoch lag > maxLag
 	primaryFallbacks atomic.Uint64 // reads routed to the primary for lack of an eligible replica
+}
+
+// eligibleSet is one health scrape's verdict: the replicas reads may go
+// to, and how many were excluded for each reason.
+type eligibleSet struct {
+	replicas           []backend
+	unhealthy, lagging uint64
 }
 
 // backend is one proxied relmaxd instance.
@@ -109,18 +118,22 @@ func (rt *router) handler() http.Handler {
 
 // pickRead chooses the next read backend round-robin over the healthy,
 // within-lag replicas (see refreshHealth), with the primary serving reads
-// when no replicas are configured or none is currently eligible.
+// when no replicas are configured or none is currently eligible. Each read
+// routed over a published eligible set adds that set's excluded replicas
+// to the per-reason skip counters.
 func (rt *router) pickRead() backend {
 	if len(rt.replicas) == 0 {
 		return rt.primary
 	}
 	pool := rt.replicas
 	if el := rt.eligible.Load(); el != nil {
-		if len(*el) == 0 {
+		rt.skippedUnhealthy.Add(el.unhealthy)
+		rt.skippedLagging.Add(el.lagging)
+		if len(el.replicas) == 0 {
 			rt.primaryFallbacks.Add(1)
 			return rt.primary
 		}
-		pool = *el
+		pool = el.replicas
 	}
 	n := rt.next.Add(1)
 	return pool[int((n-1)%uint64(len(pool)))]
@@ -128,26 +141,29 @@ func (rt *router) pickRead() backend {
 
 // refreshHealth scrapes every backend, recomputes the eligible read set —
 // replicas whose /healthz answers and whose worst per-dataset epoch lag is
-// within maxLag — and publishes it for pickRead. It returns the scraped
-// health view so the /healthz and /metrics handlers reuse one scrape.
+// within maxLag — and publishes it for pickRead, with the number of
+// replicas excluded for each reason. It counts no skip itself: a scrape
+// steers no read, so only pickRead adds to the skip counters. It returns
+// the scraped health view so the /healthz and /metrics handlers reuse one
+// scrape.
 func (rt *router) refreshHealth(ctx context.Context) []backendHealth {
 	backends := rt.scrape(ctx)
 	lag := lagOf(backends)
-	eligible := make([]backend, 0, len(rt.replicas))
+	el := &eligibleSet{replicas: make([]backend, 0, len(rt.replicas))}
 	for i, bh := range backends[1:] {
 		if !bh.Healthy {
-			rt.skippedUnhealthy.Add(1)
+			el.unhealthy++
 			continue
 		}
 		// Lag is measurable only against a reachable primary; with the
 		// primary down, a healthy replica keeps serving whatever it has.
 		if rt.maxLag > 0 && backends[0].Healthy && worstLag(lag, bh.Name) > rt.maxLag {
-			rt.skippedLagging.Add(1)
+			el.lagging++
 			continue
 		}
-		eligible = append(eligible, rt.replicas[i])
+		el.replicas = append(el.replicas, rt.replicas[i])
 	}
-	rt.eligible.Store(&eligible)
+	rt.eligible.Store(el)
 	return backends
 }
 
@@ -417,7 +433,7 @@ func (rt *router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		UptimeS:  time.Since(rt.start).Seconds(),
 	}
 	if el := rt.eligible.Load(); el != nil {
-		resp.Balancing.EligibleReplicas = len(*el)
+		resp.Balancing.EligibleReplicas = len(el.replicas)
 	}
 	resp.Balancing.MaxLag = rt.maxLag
 	resp.Balancing.PrimaryFallbacks = rt.primaryFallbacks.Load()

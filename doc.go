@@ -27,6 +27,15 @@
 // branch budget) is sampled; otherwise BE and IP selection draw no
 // randomness and depend only on the candidates and paths.
 //
+// A solve reports the s-t reliability before (Base) and after (After)
+// adding its edges. Step 1 already estimates Base twice, as the
+// reliability of t from s and of s to t, so Base is the mean of those two
+// estimates: unbiased and independent of the chosen edges, though its
+// noise is the noise the candidate ranking saw. After is sampled on a
+// held-out stream the selection never touches. Explicit candidate lists
+// and Options.NoElimination skip step 1, so there Base is sampled on that
+// held-out stream too.
+//
 // # Quick start: the Engine
 //
 // Engine is the primary entry point: built once per dataset, it pins an

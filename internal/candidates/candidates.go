@@ -6,8 +6,6 @@
 package candidates
 
 import (
-	"sort"
-
 	"repro/internal/pq"
 	"repro/internal/sampling"
 	"repro/internal/ugraph"
@@ -155,27 +153,40 @@ func topRPositive(rel []float64, r int) []ugraph.NodeID {
 
 // missingPairs emits the candidate edges C(s)×C(t) \ (E ∪ self-pairs),
 // subject to the h-hop constraint. For undirected graphs a pair eligible in
-// both orientations is emitted once.
+// both orientations is emitted once. Membership, adjacency and the hop
+// ball are node-indexed marks over the frozen CSR: each u stamps its
+// neighbours (and, for h > 0, its h-hop ball) once, and every pair then
+// costs two array reads.
 func missingPairs(g *ugraph.Graph, from, to []ugraph.NodeID, opt Options) []ugraph.Edge {
 	var out []ugraph.Edge
-	inFrom := make(map[ugraph.NodeID]bool, len(from))
+	c := g.Freeze()
+	n := g.N()
+	inFrom := make([]bool, n)
 	for _, u := range from {
 		inFrom[u] = true
 	}
-	inTo := make(map[ugraph.NodeID]bool, len(to))
+	inTo := make([]bool, n)
 	for _, v := range to {
 		inTo[v] = true
 	}
-	for _, u := range from {
-		var allowed map[ugraph.NodeID]bool
+	adj := make([]int32, n) // adj[v] == stamp: the edge (u, v) exists
+	var ball hopBall
+	if opt.H > 0 {
+		ball = newHopBall(n)
+	}
+	for i, u := range from {
+		stamp := int32(i + 1)
+		for _, a := range c.Out(u) {
+			adj[a.To] = stamp
+		}
 		if opt.H > 0 {
-			allowed = withinHopsUndirected(g, u, opt.H)
+			ball.fill(c, u, opt.H, stamp)
 		}
 		for _, v := range to {
-			if u == v || g.HasEdge(u, v) {
+			if u == v || adj[v] == stamp {
 				continue
 			}
-			if allowed != nil && !allowed[v] {
+			if opt.H > 0 && ball.mark[v] != stamp {
 				continue
 			}
 			if !g.Directed() && u > v && inFrom[v] && inTo[u] {
@@ -187,36 +198,42 @@ func missingPairs(g *ugraph.Graph, from, to []ugraph.NodeID, opt Options) []ugra
 	return out
 }
 
-// withinHopsUndirected BFS-explores the topology ignoring edge direction,
-// over the graph's cached CSR snapshot (candidate generation probes many
-// sources against the same frozen topology).
-func withinHopsUndirected(g *ugraph.Graph, src ugraph.NodeID, h int) map[ugraph.NodeID]bool {
-	c := g.Freeze()
-	dist := map[ugraph.NodeID]int{src: 0}
-	queue := []ugraph.NodeID{src}
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		if dist[u] >= h {
+// hopBall marks the nodes within h hops of a source, ignoring edge
+// direction, with a per-source stamp, so one allocation serves many
+// sources against the same frozen topology.
+type hopBall struct {
+	mark, dist []int32 // dist[v] is valid where mark[v] is the current stamp
+	queue      []ugraph.NodeID
+}
+
+func newHopBall(n int) hopBall {
+	return hopBall{mark: make([]int32, n), dist: make([]int32, n)}
+}
+
+// fill sets mark[v] = stamp for every v within h hops of src, by BFS over
+// both arc directions of c. stamp must differ from every earlier one.
+func (b *hopBall) fill(c *ugraph.CSR, src ugraph.NodeID, h int, stamp int32) {
+	b.mark[src], b.dist[src] = stamp, 0
+	b.queue = append(b.queue[:0], src)
+	for head := 0; head < len(b.queue); head++ {
+		u := b.queue[head]
+		if int(b.dist[u]) >= h {
 			continue
 		}
-		for _, a := range c.Out(u) {
-			if _, ok := dist[a.To]; !ok {
-				dist[a.To] = dist[u] + 1
-				queue = append(queue, a.To)
-			}
-		}
-		for _, a := range c.In(u) {
-			if _, ok := dist[a.To]; !ok {
-				dist[a.To] = dist[u] + 1
-				queue = append(queue, a.To)
-			}
+		b.visit(c.Out(u), b.dist[u]+1, stamp)
+		if c.Directed() {
+			b.visit(c.In(u), b.dist[u]+1, stamp)
 		}
 	}
-	out := make(map[ugraph.NodeID]bool, len(dist))
-	for v := range dist {
-		out[v] = true
+}
+
+func (b *hopBall) visit(arcs []ugraph.Arc, d, stamp int32) {
+	for _, a := range arcs {
+		if b.mark[a.To] != stamp {
+			b.mark[a.To], b.dist[a.To] = stamp, d
+			b.queue = append(b.queue, a.To)
+		}
 	}
-	return out
 }
 
 // AllMissing enumerates every missing edge whose endpoints are at most h
@@ -226,26 +243,24 @@ func withinHopsUndirected(g *ugraph.Graph, src ugraph.NodeID, h int) map[ugraph.
 func AllMissing(g *ugraph.Graph, h int, zeta float64) []ugraph.Edge {
 	var out []ugraph.Edge
 	n := g.N()
+	c := g.Freeze()
+	var ball hopBall
+	if h > 0 {
+		ball = newHopBall(n)
+	}
 	for ui := 0; ui < n; ui++ {
 		u := ugraph.NodeID(ui)
+		stamp := int32(ui + 1)
 		if h > 0 {
-			reach := withinHopsUndirected(g, u, h)
-			targets := make([]ugraph.NodeID, 0, len(reach))
-			for v := range reach {
-				targets = append(targets, v)
+			ball.fill(c, u, h, stamp)
+		}
+		for vi := 0; vi < n; vi++ {
+			v := ugraph.NodeID(vi)
+			if h > 0 && ball.mark[v] != stamp {
+				continue
 			}
-			sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
-			for _, v := range targets {
-				if emitMissing(g, u, v) {
-					out = append(out, ugraph.Edge{U: u, V: v, P: zeta})
-				}
-			}
-		} else {
-			for vi := 0; vi < n; vi++ {
-				v := ugraph.NodeID(vi)
-				if emitMissing(g, u, v) {
-					out = append(out, ugraph.Edge{U: u, V: v, P: zeta})
-				}
+			if emitMissing(g, u, v) {
+				out = append(out, ugraph.Edge{U: u, V: v, P: zeta})
 			}
 		}
 	}

@@ -224,7 +224,12 @@ type Solution struct {
 	// Edges are the chosen new edges (≤ K, each with its probability).
 	Edges []ugraph.Edge
 	// Base and After are the s-t reliabilities before and after adding
-	// Edges, estimated on the full graph with a held-out sampler.
+	// Edges. When search-space elimination ran, Base is the mean of its two
+	// estimates of R(s, t) on G, FromRel[t] and ToRel[s]: unbiased and
+	// independent of the chosen edges, though its noise is the noise the
+	// candidate ranking saw. With explicit Candidates or NoElimination,
+	// Base is sampled on the held-out evaluation stream. After is always
+	// estimated on the full graph plus Edges with that held-out sampler.
 	Base, After float64
 	// Gain = After − Base.
 	Gain float64
@@ -265,10 +270,11 @@ func Solve(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, method Meth
 	}
 
 	elimStart := time.Now()
-	cands, err := candidateSet(g, s, t, elim, opt)
+	res, err := candidateSet(g, s, t, elim, opt)
 	if err != nil {
 		return Solution{}, err
 	}
+	cands := res.Edges
 	elimTime := time.Since(elimStart)
 	opt.emit(ProgressEvent{Stage: StageEliminate, Candidates: len(cands)})
 	if cerr := ctx.Err(); cerr != nil {
@@ -325,8 +331,7 @@ func Solve(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, method Meth
 	if err != nil {
 		return Solution{}, err
 	}
-	sol.Base = eval.Reliability(g, s, t)
-	sol.After = eval.ReliabilityCSR(g.Freeze().WithEdges(edges), s, t)
+	sol.Base, sol.After = evaluate(eval, g, s, t, res, edges)
 	if cerr := ctx.Err(); cerr != nil {
 		sol.Base, sol.After = 0, 0 // interrupted estimates are not meaningful
 		return sol, interrupted("evaluation", cerr)
@@ -350,8 +355,10 @@ func checkQuery(g *ugraph.Graph, s, t ugraph.NodeID) error {
 
 // candidateSet materializes E+ for the query per the configured policy.
 // smp is the elimination estimator (opt.elimSampler) — only consulted when
-// Algorithm 4 actually runs.
-func candidateSet(g *ugraph.Graph, s, t ugraph.NodeID, smp sampling.BatchSampler, opt Options) ([]ugraph.Edge, error) {
+// Algorithm 4 actually runs, and only then does the Result carry the
+// FromRel and ToRel vectors; explicit candidates and NoElimination return
+// Edges alone.
+func candidateSet(g *ugraph.Graph, s, t ugraph.NodeID, smp sampling.BatchSampler, opt Options) (candidates.Result, error) {
 	if opt.Candidates != nil {
 		out := make([]ugraph.Edge, 0, len(opt.Candidates))
 		for _, e := range opt.Candidates {
@@ -363,11 +370,25 @@ func candidateSet(g *ugraph.Graph, s, t ugraph.NodeID, smp sampling.BatchSampler
 			}
 			out = append(out, e)
 		}
-		return out, nil
+		return candidates.Result{Edges: out}, nil
 	}
 	if opt.NoElimination {
-		return candidates.AllMissing(g, opt.H, opt.Zeta), nil
+		return candidates.Result{Edges: candidates.AllMissing(g, opt.H, opt.Zeta)}, nil
 	}
-	res := candidates.Eliminate(g, s, t, smp, candidates.Options{R: opt.R, H: opt.H, Zeta: opt.Zeta})
-	return res.Edges, nil
+	return candidates.Eliminate(g, s, t, smp, candidates.Options{R: opt.R, H: opt.H, Zeta: opt.Zeta}), nil
+}
+
+// evaluate estimates the s–t reliability before and after adding edges.
+// When Algorithm 4 ran, elim's vectors already hold two estimates of Base
+// on G, FromRel[t] and ToRel[s], and Base is their mean: it is unbiased and
+// independent of the chosen edges, though its noise is the noise the
+// candidate ranking saw. Otherwise eval samples Base first. eval always
+// samples After.
+func evaluate(eval sampling.Sampler, g *ugraph.Graph, s, t ugraph.NodeID, elim candidates.Result, edges []ugraph.Edge) (base, after float64) {
+	if elim.FromRel != nil {
+		base = (elim.FromRel[t] + elim.ToRel[s]) / 2
+	} else {
+		base = eval.Reliability(g, s, t)
+	}
+	return base, eval.ReliabilityCSR(g.Freeze().WithEdges(edges), s, t)
 }

@@ -297,10 +297,14 @@ func TestCandidateOverrideFiltering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands, err := candidateSet(g, 0, 3, smp, opt.withDefaults())
+	res, err := candidateSet(g, 0, 3, smp, opt.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.FromRel != nil || res.ToRel != nil {
+		t.Fatalf("explicit candidates returned elimination vectors")
+	}
+	cands := res.Edges
 	if len(cands) != 2 {
 		t.Fatalf("candidates = %v, want 2 survivors", cands)
 	}

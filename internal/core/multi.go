@@ -459,7 +459,7 @@ func batchSelect(ctx context.Context, a augmented, pool []paths.Path, opt Option
 	}
 	slices.Sort(ids)
 	for _, id := range ids {
-		out = append(out, a.cand[id])
+		out = append(out, a.spec(id))
 	}
 	return out
 }
@@ -525,8 +525,8 @@ func multiMinMaxBE(ctx context.Context, g *ugraph.Graph, sources, targets []ugra
 }
 
 func candidateRound(g *ugraph.Graph, s, t ugraph.NodeID, elim sampling.BatchSampler, opt Options) []ugraph.Edge {
-	cands, _ := candidateSet(g, s, t, elim, opt)
-	return cands
+	res, _ := candidateSet(g, s, t, elim, opt)
+	return res.Edges
 }
 
 // pickPairSkipping returns the index of the min (AggMin) or max (AggMax)

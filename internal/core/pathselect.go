@@ -14,18 +14,22 @@ import (
 type augmented struct {
 	g     *ugraph.Graph
 	origM int32
-	cand  map[int32]ugraph.Edge // candidate edge ID in g → original spec
+	cand  []ugraph.Edge // cand[eid-origM] is candidate edge eid's original spec
 }
 
 func augment(g *ugraph.Graph, cands []ugraph.Edge) augmented {
-	a := augmented{g: g.WithEdges(cands), origM: int32(g.M()), cand: make(map[int32]ugraph.Edge, len(cands))}
+	a := augmented{g: g.WithEdges(cands), origM: int32(g.M())}
 	// WithEdges adds the new candidates in order as IDs origM, origM+1, ...
 	// and records each exactly as given.
-	for eid := a.origM; eid < int32(a.g.M()); eid++ {
-		a.cand[eid] = a.g.Endpoints(eid)
+	a.cand = make([]ugraph.Edge, int32(a.g.M())-a.origM)
+	for i := range a.cand {
+		a.cand[i] = a.g.Endpoints(a.origM + int32(i))
 	}
 	return a
 }
+
+// spec returns candidate edge eid's original spec; eid must be >= origM.
+func (a augmented) spec(eid int32) ugraph.Edge { return a.cand[eid-a.origM] }
 
 // label extracts the sorted candidate-edge IDs on a path — the path batch
 // label of Algorithm 6.

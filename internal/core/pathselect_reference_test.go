@@ -159,7 +159,7 @@ func referencePathSelect(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeI
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		out = append(out, a.cand[id])
+		out = append(out, a.spec(id))
 	}
 	return out, pathCount
 }

@@ -11,7 +11,9 @@ const (
 	StagePaths Stage = "paths"
 	// StageSelect is the greedy edge/batch selection loop.
 	StageSelect Stage = "select"
-	// StageEvaluate is the held-out before/after evaluation.
+	// StageEvaluate is the held-out evaluation: After is sampled, and so
+	// is Base when elimination did not run (otherwise Base comes from the
+	// elimination vectors).
 	StageEvaluate Stage = "evaluate"
 	// StageEstimate is anytime reliability estimation: events stream the
 	// narrowing confidence interval while the adaptive sampler runs.

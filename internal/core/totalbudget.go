@@ -18,8 +18,10 @@ type TotalBudgetSolution struct {
 	Edges []ugraph.Edge
 	// Spent is the total probability mass allocated (≤ Budget).
 	Spent float64
-	// Base, After, Gain are the s-t reliabilities before/after, measured
-	// on the full graph with a held-out sampler.
+	// Base, After, Gain are the s-t reliabilities before/after. Base comes
+	// from search-space elimination when it ran, and from the held-out
+	// sampler otherwise; After always comes from the held-out sampler (see
+	// Solution.Base).
 	Base, After, Gain float64
 	Elapsed           time.Duration
 }
@@ -69,11 +71,11 @@ func SolveTotalBudget(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, 
 	if err != nil {
 		return TotalBudgetSolution{}, err
 	}
-	cands, err := candidateSet(g, s, t, elim, candOpt)
+	res, err := candidateSet(g, s, t, elim, candOpt)
 	if err != nil {
 		return TotalBudgetSolution{}, err
 	}
-	a := augment(g, cands)
+	a := augment(g, res.Edges)
 	pool := paths.TopL(ctx, a.g, s, t, opt.L)
 	sol := TotalBudgetSolution{}
 	if len(pool) > 0 {
@@ -87,8 +89,7 @@ func SolveTotalBudget(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, 
 	if err != nil {
 		return TotalBudgetSolution{}, err
 	}
-	sol.Base = eval.Reliability(g, s, t)
-	sol.After = eval.ReliabilityCSR(g.Freeze().WithEdges(sol.Edges), s, t)
+	sol.Base, sol.After = evaluate(eval, g, s, t, res, sol.Edges)
 	sol.Elapsed = time.Since(start)
 	if cerr := ctx.Err(); cerr != nil {
 		sol.Base, sol.After = 0, 0
@@ -124,7 +125,7 @@ func allocateBudget(ctx context.Context, a augmented, pool []paths.Path, s, t ug
 				continue
 			}
 			seen[eid] = true
-			slots = append(slots, budgetSlot{spec: a.cand[eid], eid: eid})
+			slots = append(slots, budgetSlot{spec: a.spec(eid), eid: eid})
 		}
 	}
 	if len(slots) == 0 {
