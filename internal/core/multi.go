@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"time"
 
@@ -412,6 +413,9 @@ func batchSelect(ctx context.Context, a augmented, pool []paths.Path, opt Option
 					}
 				}
 			}
+			// Each evaluation is a scheduling point: exact path-set scoring
+			// draws no samples, so no sampler block check yields here.
+			runtime.Gosched()
 			gain := objective(trial) - current
 			score := gain
 			if batch && newEdges > 0 {

@@ -9,6 +9,7 @@ package paths
 import (
 	"context"
 	"math"
+	"runtime"
 
 	"repro/internal/pq"
 	"repro/internal/ugraph"
@@ -184,8 +185,14 @@ func TopL(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, l int) []Pat
 	seen := map[string]bool{pathKey(first): true}
 	var candidates pq.Heap[Path]
 	for len(result) < l {
-		if ctx != nil && ctx.Err() != nil {
-			break
+		if ctx != nil {
+			// Each deviation round is a scheduling point, like a
+			// sampler's block check: requests served beside a long search
+			// get the processor between rounds, not at a preemption tick.
+			runtime.Gosched()
+			if ctx.Err() != nil {
+				break
+			}
 		}
 		prev := result[len(result)-1]
 		for i := 0; i+1 < len(prev.Nodes); i++ {

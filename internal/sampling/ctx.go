@@ -1,6 +1,9 @@
 package sampling
 
-import "context"
+import (
+	"context"
+	"runtime"
+)
 
 // ctxCheckBlock is the number of samples drawn between context checks in
 // the estimation loops. Cancellation is cooperative and block-granular:
@@ -9,6 +12,15 @@ import "context"
 // branch per sample and consumes exactly the same randomness as an unbound
 // sampler (bit-identical results — pinned by the differential suites).
 // A cancelled estimate returns within one block of walks.
+//
+// Each check is also a scheduling point: a bound sampler yields the
+// processor (runtime.Gosched) before it polls. A served estimate or solve is
+// CPU-bound for many milliseconds, and without a yield a request that
+// arrives beside it on a small GOMAXPROCS (a mutation, a health probe) waits
+// for the runtime's 10 ms preemption tick before its handler runs. Yielding
+// never changes a result; it costs one scheduler pass per block. Unbound
+// samplers, which serve batch runs with the process to themselves, neither
+// poll nor yield.
 const ctxCheckBlock = 64
 
 // canceller is the shared SetContext state embedded by every built-in
@@ -43,11 +55,13 @@ func (cc *canceller) SetContext(ctx context.Context) {
 
 // cancelled reports whether the bound context has fired. Called once per
 // sample block; the nil fast path keeps unbound samplers at a single
-// pointer compare, and bound samplers pay one non-blocking receive.
+// pointer compare, and bound samplers yield (see ctxCheckBlock) and pay one
+// non-blocking receive.
 func (cc *canceller) cancelled() bool {
 	if cc.done == nil {
 		return false
 	}
+	runtime.Gosched()
 	select {
 	case <-cc.done:
 		return true

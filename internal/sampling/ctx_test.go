@@ -2,6 +2,8 @@ package sampling
 
 import (
 	"context"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -189,4 +191,41 @@ func TestNewSerialTypedNil(t *testing.T) {
 	if smp != nil {
 		t.Fatalf("NewSerial error path returned non-nil interface: %#v", smp)
 	}
+}
+
+// TestBoundSamplerYields pins the scheduling half of the block check: on
+// one processor, a goroutine made runnable just before a bound estimate
+// runs while the estimate is still in flight, although the estimate is far
+// shorter than the runtime's 10 ms preemption tick.
+func TestBoundSamplerYields(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	g := benchGraph(256, false)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, kind := range []string{"mc", "rss", "mcvec"} {
+		smp, err := NewSerial(kind, 1024, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		smp.SetContext(ctx)
+		smp.Reliability(g, 0, 255) // warm up: a first call's allocations may reschedule
+		if !ranDuring(func() { smp.Reliability(g, 0, 255) }) {
+			t.Errorf("%s: a runnable goroutine waited for the whole bound estimate", kind)
+		}
+	}
+}
+
+// ranDuring reports whether a goroutine started just before fn ran before
+// fn returned.
+func ranDuring(fn func()) bool {
+	var finished, early atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		early.Store(!finished.Load())
+		close(done)
+	}()
+	fn()
+	finished.Store(true)
+	<-done
+	return early.Load()
 }
