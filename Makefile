@@ -14,12 +14,13 @@ test:
 	$(GO) test ./...
 
 # Race-check the concurrency-bearing packages: parallel sampler, solvers,
-# the anytime controller and candidate elimination (both fan out through
-# the sharded ParallelSampler), the root package (Engine's concurrent-use
-# contract, including the durability tests), the persistence layer, the
-# replication subsystem and the HTTP server.
+# the path search (its searchers are pooled across callers), the anytime
+# controller and candidate elimination (both fan out through the sharded
+# ParallelSampler), the root package (Engine's concurrent-use contract,
+# including the durability tests), the persistence layer, the replication
+# subsystem and the HTTP server.
 race:
-	$(GO) test -race . ./internal/sampling/... ./internal/core/... ./internal/anytime ./internal/candidates ./internal/store ./internal/replication ./cmd/relmaxd
+	$(GO) test -race . ./internal/sampling/... ./internal/core/... ./internal/paths ./internal/anytime ./internal/candidates ./internal/store ./internal/replication ./cmd/relmaxd
 
 # Full benchmark run with stable settings for recording numbers.
 bench:
@@ -83,7 +84,8 @@ smoke-relmaxd:
 
 # Short fuzz smoke: each target fuzzes for 10s on top of the checked-in
 # seed corpus, catching shallow regressions in the I/O, Freeze and
-# durability-decode paths and in the exact path-subgraph objective.
+# durability-decode paths, in the exact path-subgraph objective and in the
+# top-l search over G ∪ E+.
 fuzz-smoke:
 	$(GO) test ./internal/ugraph -run '^$$' -fuzz '^FuzzEdgeListRoundTrip$$' -fuzztime 10s
 	$(GO) test ./internal/ugraph -run '^$$' -fuzz '^FuzzFreezeConsistency$$' -fuzztime 10s
@@ -92,6 +94,7 @@ fuzz-smoke:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime 10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzPathReliability$$' -fuzztime 10s
+	$(GO) test ./internal/paths -run '^$$' -fuzz '^FuzzTopLWithMatchesReference$$' -fuzztime 10s
 
 # perfbench is a nested module (repro/perfbench, replace repro => ../), so
 # the root `go build ./...` and `go test ./...` skip it. It calls internal

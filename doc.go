@@ -12,7 +12,9 @@
 //  1. reliability-based search space elimination (top-r nodes most
 //     reliable from s and to t, optional h-hop constraint on new edges),
 //  2. top-l most reliable path extraction over the candidate-augmented
-//     graph, and
+//     graph G+ = G ∪ E+, which is never materialised: the path search
+//     walks packed rows holding each node's arcs of G and then its
+//     candidate arcs, in the arc order G+ would have, and
 //  3. greedy path-batch selection (BE) under the budget k — with
 //     individual-path selection (IP), the exact polynomial solver for the
 //     restricted most-reliable-path problem (MRP), the §3 baselines

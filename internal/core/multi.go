@@ -213,14 +213,14 @@ func multiAvgBE(ctx context.Context, g *ugraph.Graph, sources, targets []ugraph.
 				// reports the interruption after selection unwinds.
 				break
 			}
-			pool = append(pool, paths.TopL(ctx, a.g, s, t, opt.L)...)
+			pool = append(pool, a.topL(ctx, s, t, opt.L)...)
 		}
 	}
 	opt.emit(ProgressEvent{Stage: StagePaths, Paths: len(pool), Candidates: len(cands)})
 	if len(pool) == 0 {
 		return nil, nil
 	}
-	ev := &multiEvaluator{gPlus: a.g, sources: sources, targets: targets, smp: smp}
+	ev := &multiEvaluator{gPlus: a, sources: sources, targets: targets, smp: smp}
 	edges := batchSelect(ctx, a, pool, opt, ev.avgReliability, true)
 	return edges, nil
 }
@@ -230,7 +230,7 @@ func multiAvgBE(ctx context.Context, g *ugraph.Graph, sources, targets []ugraph.
 // pathEvaluator it factors each pair exactly, and samples the induced
 // subgraph only when the selection is too large for that.
 type multiEvaluator struct {
-	gPlus            *ugraph.Graph
+	gPlus            augmented
 	sources, targets []ugraph.NodeID
 	smp              sampling.Sampler
 	exact            pathGraph
@@ -290,7 +290,7 @@ func (ev *multiEvaluator) exactAvg(selected []paths.Path) (float64, bool) {
 // inducedSubgraph builds the subgraph induced by a path set, returning the
 // node remapping. The path objectives build it only for selections too
 // large to factor exactly (see pathGraph), to sample it.
-func inducedSubgraph(gPlus *ugraph.Graph, selected []paths.Path) (*ugraph.Graph, map[ugraph.NodeID]ugraph.NodeID) {
+func inducedSubgraph(gPlus augmented, selected []paths.Path) (*ugraph.Graph, map[ugraph.NodeID]ugraph.NodeID) {
 	remap := make(map[ugraph.NodeID]ugraph.NodeID)
 	nodeOf := func(v ugraph.NodeID) ugraph.NodeID {
 		if id, ok := remap[v]; ok {
@@ -463,7 +463,7 @@ func batchSelect(ctx context.Context, a augmented, pool []paths.Path, opt Option
 	}
 	slices.Sort(ids)
 	for _, id := range ids {
-		out = append(out, a.spec(id))
+		out = append(out, a.Endpoints(id))
 	}
 	return out
 }

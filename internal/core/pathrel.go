@@ -39,7 +39,7 @@ type pathGraph struct {
 
 // load collects the distinct edges of selected, with their probabilities
 // in gPlus. It reports false when they number more than exactEdgeCap.
-func (pg *pathGraph) load(gPlus *ugraph.Graph, selected []paths.Path) bool {
+func (pg *pathGraph) load(gPlus augmented, selected []paths.Path) bool {
 	pg.directed = gPlus.Directed()
 	pg.m, pg.n = 0, 0
 	for _, p := range selected {

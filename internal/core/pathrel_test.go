@@ -126,7 +126,7 @@ func decodeSelection(data []byte, maxEdges int) (g *ugraph.Graph, selected []pat
 func exactSelection(t *testing.T, g *ugraph.Graph, selected []paths.Path, s, dst ugraph.NodeID) float64 {
 	t.Helper()
 	var pg pathGraph
-	if !pg.load(g, selected) {
+	if !pg.load(augment(g, nil), selected) {
 		t.Fatalf("selection of %d paths does not fit %d edges", len(selected), exactEdgeCap)
 	}
 	r, ok := pg.reliability(s, dst)
@@ -231,7 +231,7 @@ func TestPathGraphMatchesMC(t *testing.T) {
 			continue
 		}
 		checked++
-		sub, remap := inducedSubgraph(g, sel)
+		sub, remap := inducedSubgraph(augment(g, nil), sel)
 		got := sampling.NewMonteCarlo(z, int64(i)).Reliability(sub, remap[s], remap[dst])
 		if sigma := math.Sqrt(want * (1 - want) / z); math.Abs(got-want) > 4*sigma {
 			t.Errorf("case %d: mc %v vs exact %v: more than 4σ (σ=%v)", i, got, want, sigma)
@@ -241,7 +241,7 @@ func TestPathGraphMatchesMC(t *testing.T) {
 
 func TestPathEvaluatorExactAllocationFree(t *testing.T) {
 	g, sel := parallelPaths(false)
-	ev := &pathEvaluator{gPlus: g, s: 0, t: 5}
+	ev := &pathEvaluator{gPlus: augment(g, nil), s: 0, t: 5}
 	var r float64
 	if allocs := testing.AllocsPerRun(100, func() { r = ev.reliability(sel) }); allocs != 0 {
 		t.Fatalf("exact objective allocates %v times per call", allocs)
@@ -249,7 +249,7 @@ func TestPathEvaluatorExactAllocationFree(t *testing.T) {
 	if want := bruteSelection(g, sel, 0, 5); math.Abs(r-want) > 1e-12 {
 		t.Fatalf("exact objective %v, brute force %v", r, want)
 	}
-	mev := &multiEvaluator{gPlus: g, sources: []ugraph.NodeID{0, 1}, targets: []ugraph.NodeID{5, 4}}
+	mev := &multiEvaluator{gPlus: augment(g, nil), sources: []ugraph.NodeID{0, 1}, targets: []ugraph.NodeID{5, 4}}
 	if allocs := testing.AllocsPerRun(100, func() { r = mev.avgReliability(sel) }); allocs != 0 {
 		t.Fatalf("exact average objective allocates %v times per call", allocs)
 	}
@@ -311,19 +311,20 @@ func TestMultiAvgExactMatchesFallback(t *testing.T) {
 	var pool []paths.Path
 	for _, s := range sources {
 		for _, dst := range targets {
-			pool = append(pool, paths.TopL(context.Background(), a.g, s, dst, 4)...)
+			pool = append(pool, a.topL(context.Background(), s, dst, 4)...)
 		}
 	}
 	const z = 100_000
-	exact := &multiEvaluator{gPlus: a.g, sources: sources, targets: targets, smp: noSampler{t: t}}
-	sampled := &multiEvaluator{gPlus: a.g, sources: sources, targets: targets, smp: sampling.NewMonteCarlo(z, 3)}
+	plus := g.WithEdges(cands)
+	exact := &multiEvaluator{gPlus: a, sources: sources, targets: targets, smp: noSampler{t: t}}
+	sampled := &multiEvaluator{gPlus: a, sources: sources, targets: targets, smp: sampling.NewMonteCarlo(z, 3)}
 	for k := 1; k <= len(pool); k += 3 {
 		sel := pool[:k]
 		got := exact.avgReliability(sel)
 		want := 0.0
 		for _, s := range sources {
 			for _, dst := range targets {
-				want += bruteSelection(a.g, sel, s, dst)
+				want += bruteSelection(plus, sel, s, dst)
 			}
 		}
 		want /= float64(len(sources) * len(targets))
@@ -343,7 +344,7 @@ func TestMultiAvgExactMatchesFallback(t *testing.T) {
 func TestAllocateBudgetExactMatchesFallback(t *testing.T) {
 	g, cands := example3Graph()
 	a := augment(g, cands)
-	pool := paths.TopL(context.Background(), a.g, ex3S, ex3T, 3)
+	pool := a.topL(context.Background(), ex3S, ex3T, 3)
 	opt := ex3Options()
 	for _, budget := range []float64{0.5, 1, 1.5} {
 		exactEdges, exactSpent := allocateBudget(context.Background(), a, pool, ex3S, ex3T, budget, opt, noSampler{t: t})

@@ -9,27 +9,86 @@ import (
 	"repro/internal/ugraph"
 )
 
-// augmented is G+ = G ∪ E+ with bookkeeping to recognize candidate edges by
-// edge ID.
+// augmented is G+ = G ∪ E+ without materialising it: the base graph and
+// the deduplicated candidate list E+, whose candidate i is edge origM+i of
+// G+. Edge IDs, endpoints and probabilities are those of g.WithEdges(E+).
 type augmented struct {
 	g     *ugraph.Graph
 	origM int32
-	cand  []ugraph.Edge // cand[eid-origM] is candidate edge eid's original spec
+	cand  []ugraph.Edge
 }
 
+// augment drops from cands what g.WithEdges(cands) would skip: edges of g,
+// and every repeat of a pair (in either orientation, for undirected
+// graphs) after its first occurrence. Both are found per first node u of a
+// pair's key, by stamping u's neighbours in g and then each pair's second
+// node in a node-indexed array.
 func augment(g *ugraph.Graph, cands []ugraph.Edge) augmented {
-	a := augmented{g: g.WithEdges(cands), origM: int32(g.M())}
-	// WithEdges adds the new candidates in order as IDs origM, origM+1, ...
-	// and records each exactly as given.
-	a.cand = make([]ugraph.Edge, int32(a.g.M())-a.origM)
-	for i := range a.cand {
-		a.cand[i] = a.g.Endpoints(a.origM + int32(i))
+	n := g.N()
+	key := func(e ugraph.Edge) (ugraph.NodeID, ugraph.NodeID) {
+		if !g.Directed() && e.V < e.U {
+			return e.V, e.U
+		}
+		return e.U, e.V
+	}
+	// head[u] lists, through next and in candidate order, the candidates
+	// whose key starts at u.
+	head := make([]int32, n)
+	for u := range head {
+		head[u] = -1
+	}
+	next := make([]int32, len(cands))
+	for i := len(cands) - 1; i >= 0; i-- {
+		u, _ := key(cands[i])
+		next[i], head[u] = head[u], int32(i)
+	}
+	keep := make([]bool, len(cands))
+	stamp := make([]int32, n) // stamp[v] == u+1: pair (u, v) is in G+ so far
+	for u, i := range head {
+		if i < 0 {
+			continue
+		}
+		for _, a := range g.Out(ugraph.NodeID(u)) {
+			stamp[a.To] = int32(u) + 1
+		}
+		for ; i >= 0; i = next[i] {
+			_, v := key(cands[i])
+			keep[i] = stamp[v] != int32(u)+1
+			stamp[v] = int32(u) + 1
+		}
+	}
+	a := augmented{g: g, origM: int32(g.M()), cand: make([]ugraph.Edge, 0, len(cands))}
+	for i, e := range cands {
+		if keep[i] {
+			a.cand = append(a.cand, e)
+		}
 	}
 	return a
 }
 
-// spec returns candidate edge eid's original spec; eid must be >= origM.
-func (a augmented) spec(eid int32) ugraph.Edge { return a.cand[eid-a.origM] }
+// Directed reports whether G+ is directed.
+func (a augmented) Directed() bool { return a.g.Directed() }
+
+// Prob returns the probability of edge eid of G+.
+func (a augmented) Prob(eid int32) float64 {
+	if eid >= a.origM {
+		return a.cand[eid-a.origM].P
+	}
+	return a.g.Prob(eid)
+}
+
+// Endpoints returns edge eid of G+; for a candidate, its spec as given.
+func (a augmented) Endpoints(eid int32) ugraph.Edge {
+	if eid >= a.origM {
+		return a.cand[eid-a.origM]
+	}
+	return a.g.Endpoints(eid)
+}
+
+// topL extracts the top-l most reliable s-t paths in G+.
+func (a augmented) topL(ctx context.Context, s, t ugraph.NodeID, l int) []paths.Path {
+	return paths.TopLWith(ctx, a.g, a.cand, s, t, l)
+}
 
 // label extracts the sorted candidate-edge IDs on a path — the path batch
 // label of Algorithm 6.
@@ -58,7 +117,7 @@ func labelKey(ids []int32) string {
 // selection is too large for that (more than exactEdgeCap distinct edges or
 // exactMaxCalls factoring calls).
 type pathEvaluator struct {
-	gPlus *ugraph.Graph
+	gPlus augmented
 	s, t  ugraph.NodeID
 	smp   sampling.Sampler
 	exact pathGraph
@@ -96,12 +155,12 @@ func (ev *pathEvaluator) reliability(selected []paths.Path) float64 {
 // historical standalone loop by TestPathSelectMatchesReference.
 func pathSelect(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, cands []ugraph.Edge, smp sampling.Sampler, opt Options, batch bool) ([]ugraph.Edge, int) {
 	a := augment(g, cands)
-	pool := paths.TopL(ctx, a.g, s, t, opt.L)
+	pool := a.topL(ctx, s, t, opt.L)
 	pathCount := len(pool)
 	opt.emit(ProgressEvent{Stage: StagePaths, Paths: pathCount, Candidates: len(cands)})
 	if pathCount == 0 {
 		return nil, 0
 	}
-	ev := &pathEvaluator{gPlus: a.g, s: s, t: t, smp: smp}
+	ev := &pathEvaluator{gPlus: a, s: s, t: t, smp: smp}
 	return batchSelect(ctx, a, pool, opt, ev.reliability, batch), pathCount
 }

@@ -21,12 +21,12 @@ import (
 // one extra or reordered estimate would silently shift every later result.
 func referencePathSelect(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, cands []ugraph.Edge, smp sampling.Sampler, opt Options, batch bool) ([]ugraph.Edge, int) {
 	a := augment(g, cands)
-	pool := paths.TopL(ctx, a.g, s, t, opt.L)
+	pool := a.topL(ctx, s, t, opt.L)
 	pathCount := len(pool)
 	if pathCount == 0 {
 		return nil, 0
 	}
-	ev := pathEvaluator{gPlus: a.g, s: s, t: t, smp: smp}
+	ev := pathEvaluator{gPlus: a, s: s, t: t, smp: smp}
 
 	type group struct {
 		label []int32
@@ -159,7 +159,7 @@ func referencePathSelect(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeI
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		out = append(out, a.spec(id))
+		out = append(out, a.Endpoints(id))
 	}
 	return out, pathCount
 }

@@ -76,7 +76,7 @@ func SolveTotalBudget(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, 
 		return TotalBudgetSolution{}, err
 	}
 	a := augment(g, res.Edges)
-	pool := paths.TopL(ctx, a.g, s, t, opt.L)
+	pool := a.topL(ctx, s, t, opt.L)
 	sol := TotalBudgetSolution{}
 	if len(pool) > 0 {
 		sol.Edges, sol.Spent = allocateBudget(ctx, a, pool, s, t, budget, opt, smp)
@@ -125,14 +125,14 @@ func allocateBudget(ctx context.Context, a augmented, pool []paths.Path, s, t ug
 				continue
 			}
 			seen[eid] = true
-			slots = append(slots, budgetSlot{spec: a.spec(eid), eid: eid})
+			slots = append(slots, budgetSlot{spec: a.Endpoints(eid), eid: eid})
 		}
 	}
 	if len(slots) == 0 {
 		return nil, 0
 	}
 	var pg pathGraph
-	if pg.load(a.g, pool) {
+	if pg.load(a, pool) {
 		setProb := func(eid int32, p float64) { pg.p[pg.local(eid)] = p }
 		if greedyAllocate(ctx, slots, budget, setProb, func() (float64, bool) { return pg.reliability(s, t) }) {
 			return budgetEdges(slots)
@@ -140,7 +140,7 @@ func allocateBudget(ctx context.Context, a augmented, pool []paths.Path, s, t ug
 	}
 	// Sampled: candidate edges start at probability 0 in the induced
 	// subgraph and receive budget increments.
-	sub, remap := inducedSubgraph(a.g, pool)
+	sub, remap := inducedSubgraph(a, pool)
 	ss, okS := remap[s]
 	tt, okT := remap[t]
 	if !okS || !okT {
@@ -148,7 +148,7 @@ func allocateBudget(ctx context.Context, a augmented, pool []paths.Path, s, t ug
 	}
 	setProb := func(eid int32, p float64) {
 		// Every pool edge is in sub, so the lookup cannot miss.
-		e := a.g.Endpoints(eid)
+		e := a.Endpoints(eid)
 		subEID, _ := sub.EdgeID(remap[e.U], remap[e.V])
 		if err := sub.SetProb(subEID, p); err != nil {
 			panic(err)

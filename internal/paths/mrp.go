@@ -41,29 +41,31 @@ func ImproveMostReliablePath(ctx context.Context, g *ugraph.Graph, candidates []
 	if k < 0 {
 		k = 0
 	}
-	c := g.Freeze() // blue-edge relaxations walk the flat snapshot
+	var blue rows // blue arcs carry w = −log p, +Inf when p = 0
+	blue.pack(g, nil)
 	n := g.N()
 	layers := k + 1
 	// Red adjacency: candidate edges by source node (both directions for
-	// undirected graphs).
+	// undirected graphs), each with its weight −log P.
 	type redArc struct {
 		to  ugraph.NodeID
 		idx int32
+		w   float64
 	}
 	redOut := make([][]redArc, n)
 	for i, e := range candidates {
 		if e.P <= 0 {
 			continue
 		}
-		redOut[e.U] = append(redOut[e.U], redArc{to: e.V, idx: int32(i)})
+		w := -math.Log(e.P)
+		redOut[e.U] = append(redOut[e.U], redArc{to: e.V, idx: int32(i), w: w})
 		if !g.Directed() {
-			redOut[e.V] = append(redOut[e.V], redArc{to: e.U, idx: int32(i)})
+			redOut[e.V] = append(redOut[e.V], redArc{to: e.U, idx: int32(i), w: w})
 		}
 	}
 	dist := make([]float64, layers*n)
 	parent := make([]int32, layers*n)
 	parentRed := make([]int32, layers*n) // candidate index used to arrive, or -1
-	done := make([]bool, layers*n)
 	for i := range dist {
 		dist[i] = math.Inf(1)
 		parent[i] = -1
@@ -77,24 +79,20 @@ func ImproveMostReliablePath(ctx context.Context, g *ugraph.Graph, candidates []
 	settled := 0
 	for h.Len() > 0 {
 		d, st := h.Pop()
-		if done[st] || d > dist[st] {
+		// Weights are non-negative, so a settled state is never offered a
+		// shorter distance: only stale heap entries fail this test.
+		if d > dist[st] {
 			continue
 		}
-		done[st] = true
 		settled++
 		if settled&4095 == 0 && ctx != nil && ctx.Err() != nil {
 			return MRPResult{}
 		}
 		layer := int(st) / n
 		u := ugraph.NodeID(int(st) % n)
-		for _, a := range c.Out(u) {
-			p := c.Prob(a.EID)
-			if p <= 0 {
-				continue
-			}
-			ns := state(a.To, layer)
-			nd := d - math.Log(p)
-			if nd < dist[ns] {
+		for _, a := range blue.row(u) {
+			ns := state(a.to, layer)
+			if nd := d + a.w; nd < dist[ns] {
 				dist[ns] = nd
 				parent[ns] = st
 				parentRed[ns] = -1
@@ -103,10 +101,8 @@ func ImproveMostReliablePath(ctx context.Context, g *ugraph.Graph, candidates []
 		}
 		if layer < k {
 			for _, ra := range redOut[u] {
-				e := candidates[ra.idx]
 				ns := state(ra.to, layer+1)
-				nd := d - math.Log(e.P)
-				if nd < dist[ns] {
+				if nd := d + ra.w; nd < dist[ns] {
 					dist[ns] = nd
 					parent[ns] = st
 					parentRed[ns] = ra.idx

@@ -49,7 +49,7 @@ func referenceTopL(g *ugraph.Graph, s, t ugraph.NodeID, l int) []Path {
 			if !ok {
 				continue
 			}
-			total := joinPaths(g, rootNodes, rootEdges, spurPath)
+			total := joinPaths(g.Prob, rootNodes, rootEdges, spurPath)
 			key := pathKey(total)
 			if seen[key] {
 				continue
@@ -116,7 +116,7 @@ func referenceDijkstra(g *ugraph.Graph, s, t ugraph.NodeID, bannedEdge map[int32
 	if math.IsInf(dist[t], 1) {
 		return Path{}, false
 	}
-	return reconstruct(g, s, t, parent, parentEdge), true
+	return reconstruct(g.Prob, s, t, parent, parentEdge), true
 }
 
 // samePaths fails unless got and want list the same paths in the same
@@ -180,6 +180,171 @@ func TestTopLMatchesReference(t *testing.T) {
 		}
 		if gotOK {
 			samePaths(t, fmt.Sprintf("trial %d MostReliable", trial), []Path{got}, []Path{want})
+		}
+	}
+}
+
+// referenceImproveMostReliablePath is ImproveMostReliablePath as it was
+// before blue arcs moved onto the packed weighted rows, kept as the oracle
+// TestMRPMatchesReference pins it to: it takes math.Log of every arc it
+// relaxes and keeps a done flag per state.
+func referenceImproveMostReliablePath(ctx context.Context, g *ugraph.Graph, candidates []ugraph.Edge, s, t ugraph.NodeID, k int) MRPResult {
+	if k < 0 {
+		k = 0
+	}
+	c := g.Freeze() // blue-edge relaxations walk the flat snapshot
+	n := g.N()
+	layers := k + 1
+	// Red adjacency: candidate edges by source node (both directions for
+	// undirected graphs).
+	type redArc struct {
+		to  ugraph.NodeID
+		idx int32
+	}
+	redOut := make([][]redArc, n)
+	for i, e := range candidates {
+		if e.P <= 0 {
+			continue
+		}
+		redOut[e.U] = append(redOut[e.U], redArc{to: e.V, idx: int32(i)})
+		if !g.Directed() {
+			redOut[e.V] = append(redOut[e.V], redArc{to: e.U, idx: int32(i)})
+		}
+	}
+	dist := make([]float64, layers*n)
+	parent := make([]int32, layers*n)
+	parentRed := make([]int32, layers*n) // candidate index used to arrive, or -1
+	done := make([]bool, layers*n)
+	for i := range dist {
+		dist[i] = math.Inf(1)
+		parent[i] = -1
+		parentRed[i] = -1
+	}
+	state := func(v ugraph.NodeID, layer int) int32 { return int32(layer*n + int(v)) }
+	start := state(s, 0)
+	dist[start] = 0
+	var h pq.Heap[int32]
+	h.Push(0, start)
+	settled := 0
+	for h.Len() > 0 {
+		d, st := h.Pop()
+		if done[st] || d > dist[st] {
+			continue
+		}
+		done[st] = true
+		settled++
+		if settled&4095 == 0 && ctx != nil && ctx.Err() != nil {
+			return MRPResult{}
+		}
+		layer := int(st) / n
+		u := ugraph.NodeID(int(st) % n)
+		for _, a := range c.Out(u) {
+			p := c.Prob(a.EID)
+			if p <= 0 {
+				continue
+			}
+			ns := state(a.To, layer)
+			nd := d - math.Log(p)
+			if nd < dist[ns] {
+				dist[ns] = nd
+				parent[ns] = st
+				parentRed[ns] = -1
+				h.Push(nd, ns)
+			}
+		}
+		if layer < k {
+			for _, ra := range redOut[u] {
+				e := candidates[ra.idx]
+				ns := state(ra.to, layer+1)
+				nd := d - math.Log(e.P)
+				if nd < dist[ns] {
+					dist[ns] = nd
+					parent[ns] = st
+					parentRed[ns] = ra.idx
+					h.Push(nd, ns)
+				}
+			}
+		}
+	}
+	res := MRPResult{}
+	if !math.IsInf(dist[state(t, 0)], 1) {
+		res.BaseProb = math.Exp(-dist[state(t, 0)])
+	}
+	bestLayer, bestDist := -1, math.Inf(1)
+	for layer := 0; layer < layers; layer++ {
+		if d := dist[state(t, layer)]; d < bestDist {
+			bestDist = d
+			bestLayer = layer
+		}
+	}
+	if bestLayer < 0 {
+		return res // t unreachable even with every candidate
+	}
+	res.Prob = math.Exp(-bestDist)
+	for st := state(t, bestLayer); st != start && st >= 0; st = parent[st] {
+		if idx := parentRed[st]; idx >= 0 {
+			res.Chosen = append(res.Chosen, candidates[idx])
+		}
+	}
+	// Reverse for s→t order.
+	for i, j := 0, len(res.Chosen)-1; i < j; i, j = i+1, j-1 {
+		res.Chosen[i], res.Chosen[j] = res.Chosen[j], res.Chosen[i]
+	}
+	return res
+}
+
+// TestMRPMatchesReference pins ImproveMostReliablePath to the reference on
+// seeded random graphs of both orientations, with p = 0 edges and, on half
+// the graphs, dyadic probabilities on edges and candidates so equal-weight
+// ties are common: the chosen edges and both probabilities must match bit
+// for bit.
+func TestMRPMatchesReference(t *testing.T) {
+	dyadic := []float64{0.25, 0.5, 0.75, 1}
+	for trial := 0; trial < 200; trial++ {
+		r := rand.New(rand.NewSource(int64(trial)))
+		directed := trial%2 == 0
+		ties := trial%4 >= 2
+		n := 4 + r.Intn(9)
+		g := randomGraph(r, n, n+r.Intn(2*n), directed)
+		for eid := int32(0); eid < int32(g.M()); eid++ {
+			switch {
+			case r.Intn(8) == 0:
+				if err := g.SetProb(eid, 0); err != nil {
+					t.Fatal(err)
+				}
+			case ties:
+				if err := g.SetProb(eid, dyadic[r.Intn(len(dyadic))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		var cands []ugraph.Edge
+		for i := 0; i < 3*n; i++ {
+			u, v := ugraph.NodeID(r.Intn(n)), ugraph.NodeID(r.Intn(n))
+			if u == v || g.HasEdge(u, v) {
+				continue
+			}
+			p := 0.05 + 0.9*r.Float64()
+			switch {
+			case r.Intn(8) == 0:
+				p = 0
+			case ties:
+				p = dyadic[r.Intn(len(dyadic))]
+			}
+			cands = append(cands, ugraph.Edge{U: u, V: v, P: p})
+		}
+		s, tt := ugraph.NodeID(r.Intn(n)), ugraph.NodeID(r.Intn(n))
+		if s == tt {
+			tt = (tt + 1) % ugraph.NodeID(n)
+		}
+		for _, k := range []int{0, 1, 2, 4} {
+			got := ImproveMostReliablePath(context.Background(), g, cands, s, tt, k)
+			want := referenceImproveMostReliablePath(context.Background(), g, cands, s, tt, k)
+			if fmt.Sprint(got.Chosen) != fmt.Sprint(want.Chosen) ||
+				math.Float64bits(got.Prob) != math.Float64bits(want.Prob) ||
+				math.Float64bits(got.BaseProb) != math.Float64bits(want.BaseProb) {
+				t.Fatalf("trial %d (n=%d directed=%v) %d->%d k=%d: %+v, reference %+v", trial, n, directed, s, tt, k, got, want)
+			}
 		}
 	}
 }

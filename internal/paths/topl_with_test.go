@@ -1,0 +1,170 @@
+package paths
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"repro/internal/candidates"
+	"repro/internal/datasets"
+	"repro/internal/sampling"
+	"repro/internal/ugraph"
+)
+
+// TestTopLMatchesReferenceOnServedPools pins TopLWith to the reference run
+// on the materialised G+ on the pools a served BE solve extracts: 20 pairs
+// 3–5 hops apart on lastfm×0.08 (undirected) and astopo×0.08 (directed),
+// with E+ as elimination keeps it at the engine defaults (r = 100, ζ = 0.5,
+// mcvec at z = 500). Each dataset runs as generated, then again after half
+// its edges are re-probed to p ∈ [0.1, 0.9) the way a served dataset's
+// writer re-probes them.
+func TestTopLMatchesReferenceOnServedPools(t *testing.T) {
+	for _, name := range []string{"lastfm", "astopo"} {
+		g, err := datasets.Load(name, 0.08, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs := datasets.Queries(g, 20, 3, 5, 1)
+		if len(qs) != 20 {
+			t.Fatalf("%s: %d query pairs, want 20", name, len(qs))
+		}
+		for _, state := range []string{"generated", "re-probed"} {
+			if state == "re-probed" {
+				r := rand.New(rand.NewSource(2))
+				for eid := int32(0); eid < int32(g.M()); eid++ {
+					if r.Intn(2) == 0 {
+						continue
+					}
+					if err := g.SetProb(eid, float64(100+r.Intn(800))/1000); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for i, q := range qs {
+				res := candidates.Eliminate(g, q.S, q.T, sampling.NewMCVec(500, 7), candidates.Options{R: 100, Zeta: 0.5})
+				plus := g.WithEdges(res.Edges)
+				if plus.M() != g.M()+len(res.Edges) {
+					t.Fatalf("%s %s pair %d: elimination kept an edge WithEdges skips", name, state, i)
+				}
+				label := fmt.Sprintf("%s %s pair %d (%d->%d, |E+|=%d)", name, state, i, q.S, q.T, len(res.Edges))
+				got := TopLWith(context.Background(), g, res.Edges, q.S, q.T, 30)
+				if len(got) == 0 {
+					t.Fatalf("%s: no path", label)
+				}
+				samePaths(t, label, got, referenceTopL(plus, q.S, q.T, 30))
+			}
+		}
+	}
+}
+
+// FuzzTopLWithMatchesReference decodes a small graph, a list of extra
+// edges, a pair and l, and checks that TopLWith over the extra edges finds
+// what the reference finds on the materialised g.WithEdges(extra). The
+// extra edges keep what WithEdges would add (no self-loops, no edge of g,
+// each pair once), as TopLWith requires.
+func FuzzTopLWithMatchesReference(f *testing.F) {
+	f.Add([]byte{6, 0, 1, 2, 1, 2, 3, 2, 3, 4, 0, 4, 5, 1, 0, 5, 2, 3})
+	f.Add([]byte{7, 1, 0, 1, 2, 1, 2, 1, 2, 3, 3, 0, 3, 0, 3, 6, 2, 5, 6, 1, 6, 5, 2, 1, 4})
+	f.Add([]byte{5, 0, 0, 1, 0, 1, 2, 2, 2, 3, 1, 3, 4, 2, 0, 4, 2, 4, 0, 3, 0, 2, 2})
+	dyadic := []float64{0, 0.25, 0.5, 0.75, 1}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		n := 2 + int(data[0])%9
+		directed := data[1]%2 == 1
+		nBase := int(data[2]) % 16
+		rest := data[3:]
+		edge := func() (ugraph.Edge, bool) {
+			if len(rest) < 3 {
+				return ugraph.Edge{}, false
+			}
+			e := ugraph.Edge{
+				U: ugraph.NodeID(int(rest[0]) % n),
+				V: ugraph.NodeID(int(rest[1]) % n),
+				P: dyadic[int(rest[2])%len(dyadic)],
+			}
+			rest = rest[3:]
+			return e, true
+		}
+		g := ugraph.New(n, directed)
+		for i := 0; i < nBase; i++ {
+			e, ok := edge()
+			if !ok {
+				break
+			}
+			if e.U != e.V && !g.HasEdge(e.U, e.V) {
+				g.MustAddEdge(e.U, e.V, e.P)
+			}
+		}
+		var extra []ugraph.Edge
+		plus := g.Clone()
+		for len(rest) > 3 {
+			e, _ := edge()
+			if e.U != e.V && !plus.HasEdge(e.U, e.V) {
+				plus.MustAddEdge(e.U, e.V, e.P)
+				extra = append(extra, e)
+			}
+		}
+		s, tt, l := ugraph.NodeID(0), ugraph.NodeID(n-1), 1
+		if len(rest) > 0 {
+			l += int(rest[0]) % 12
+		}
+		label := fmt.Sprintf("n=%d directed=%v base=%v extra=%v l=%d", n, directed, g.Edges(), extra, l)
+		samePaths(t, label, TopLWith(context.Background(), g, extra, s, tt, l), referenceTopL(g.WithEdges(extra), s, tt, l))
+	})
+}
+
+// TestTopLConcurrentCalls runs TopLWith and MostReliable from several
+// goroutines at once over graphs of different sizes, so pooled searchers
+// move between graphs and callers, and checks every answer against the
+// one a lone call gives.
+func TestTopLConcurrentCalls(t *testing.T) {
+	type query struct {
+		g     *ugraph.Graph
+		extra []ugraph.Edge
+		want  []Path
+	}
+	var qs []query
+	for trial := 0; trial < 12; trial++ {
+		r := rand.New(rand.NewSource(int64(trial)))
+		n := 6 + 4*(trial%4)
+		g := randomGraph(r, n, 2*n, trial%2 == 0)
+		plus := g.Clone()
+		var extra []ugraph.Edge
+		for len(extra) < n/2 {
+			e := ugraph.Edge{U: ugraph.NodeID(r.Intn(n)), V: ugraph.NodeID(r.Intn(n)), P: 0.5}
+			if e.U != e.V && !plus.HasEdge(e.U, e.V) {
+				plus.MustAddEdge(e.U, e.V, e.P)
+				extra = append(extra, e)
+			}
+		}
+		qs = append(qs, query{g: g, extra: extra, want: referenceTopL(plus, 0, ugraph.NodeID(n-1), 8)})
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 4*len(qs))
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range qs {
+				q := qs[(i+w)%len(qs)]
+				tt := ugraph.NodeID(q.g.N() - 1)
+				got := TopLWith(context.Background(), q.g, q.extra, 0, tt, 8)
+				if fmt.Sprint(got) != fmt.Sprint(q.want) {
+					errs <- fmt.Sprintf("worker %d query %d: %v, reference %v", w, (i+w)%len(qs), got, q.want)
+				}
+				if p, ok := MostReliable(q.g, 0, tt); ok && p.Prob > q.want[0].Prob {
+					errs <- fmt.Sprintf("worker %d query %d: MostReliable on G beats G+", w, (i+w)%len(qs))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}
