@@ -85,7 +85,8 @@ smoke-relmaxd:
 # Short fuzz smoke: each target fuzzes for 10s on top of the checked-in
 # seed corpus, catching shallow regressions in the I/O, Freeze and
 # durability-decode paths, in the exact path-subgraph objective and in the
-# top-l search over G ∪ E+.
+# top-l search over G ∪ E+, with E+ listed and with E+ as elimination's
+# implicit pair set.
 fuzz-smoke:
 	$(GO) test ./internal/ugraph -run '^$$' -fuzz '^FuzzEdgeListRoundTrip$$' -fuzztime 10s
 	$(GO) test ./internal/ugraph -run '^$$' -fuzz '^FuzzFreezeConsistency$$' -fuzztime 10s
@@ -95,6 +96,7 @@ fuzz-smoke:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzPathReliability$$' -fuzztime 10s
 	$(GO) test ./internal/paths -run '^$$' -fuzz '^FuzzTopLWithMatchesReference$$' -fuzztime 10s
+	$(GO) test ./internal/paths -run '^$$' -fuzz '^FuzzTopLPairsMatchesReference$$' -fuzztime 10s
 
 # perfbench is a nested module (repro/perfbench, replace repro => ../), so
 # the root `go build ./...` and `go test ./...` skip it. It calls internal

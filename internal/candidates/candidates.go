@@ -6,6 +6,9 @@
 package candidates
 
 import (
+	"math/bits"
+	"sort"
+
 	"repro/internal/pq"
 	"repro/internal/sampling"
 	"repro/internal/ugraph"
@@ -39,17 +42,42 @@ type Result struct {
 	// FromS and ToT are C(s) and C(t): the top-r nodes by reliability
 	// from s / to t (always containing s resp. t).
 	FromS, ToT []ugraph.NodeID
-	// Edges is the relevant candidate edge set E+, each with probability
-	// Zeta.
+	// Pairs is the relevant candidate edge set E+ in implicit form, nil
+	// when E+ did not come from elimination.
+	Pairs *Pairs
+	// Edges is E+ listed, each edge with probability Zeta, in Pairs'
+	// candidate order. EliminatePairs and EliminateMultiPairs leave it nil.
 	Edges []ugraph.Edge
 	// FromRel and ToRel are the full reliability vectors used for the
 	// selection (indexed by node).
 	FromRel, ToRel []float64
 }
 
+// Len returns |E+|.
+func (r Result) Len() int {
+	if r.Pairs != nil {
+		return r.Pairs.Len()
+	}
+	return len(r.Edges)
+}
+
+// List returns E+ as a list: Edges when it is set, else Pairs listed.
+func (r Result) List() []ugraph.Edge {
+	if r.Edges == nil && r.Pairs != nil {
+		return r.Pairs.List()
+	}
+	return r.Edges
+}
+
 // Eliminate runs Algorithm 4 for a single s-t query using the given
-// reliability sampler.
+// reliability sampler, and lists E+ in Edges.
 func Eliminate(g *ugraph.Graph, s, t ugraph.NodeID, smp sampling.Sampler, opt Options) Result {
+	return listed(EliminatePairs(g, s, t, smp, opt))
+}
+
+// EliminatePairs is Eliminate with E+ left implicit in Pairs, for callers
+// that never need it as a list.
+func EliminatePairs(g *ugraph.Graph, s, t ugraph.NodeID, smp sampling.Sampler, opt Options) Result {
 	opt = opt.withDefaults()
 	fromRel := smp.ReliabilityFrom(g, s)
 	toRel := smp.ReliabilityTo(g, t)
@@ -62,12 +90,23 @@ func Eliminate(g *ugraph.Graph, s, t ugraph.NodeID, smp sampling.Sampler, opt Op
 // symmetrically for the target side. The reliability vectors returned are
 // the element-wise minima over the respective sets, so downstream ranking
 // favours nodes reliable with respect to the whole set. All member
-// vectors are evaluated in one batch per side.
+// vectors are evaluated in one batch per side. E+ is listed in Edges.
 func EliminateMulti(g *ugraph.Graph, sources, targets []ugraph.NodeID, smp sampling.BatchSampler, opt Options) Result {
+	return listed(EliminateMultiPairs(g, sources, targets, smp, opt))
+}
+
+// EliminateMultiPairs is EliminateMulti with E+ left implicit in Pairs.
+func EliminateMultiPairs(g *ugraph.Graph, sources, targets []ugraph.NodeID, smp sampling.BatchSampler, opt Options) Result {
 	opt = opt.withDefaults()
 	fromRel := intersectTopR(g, sources, opt.R, smp.ReliabilityFromMany(g, sources))
 	toRel := intersectTopR(g, targets, opt.R, smp.ReliabilityToMany(g, targets))
 	return eliminateWith(g, fromRel, toRel, opt)
+}
+
+// listed fills r.Edges from r.Pairs.
+func listed(r Result) Result {
+	r.Edges = r.Pairs.List()
+	return r
 }
 
 // intersectTopR folds the per-member reliability vectors into the
@@ -110,7 +149,7 @@ func eliminateWith(g *ugraph.Graph, fromRel, toRel []float64, opt Options) Resul
 	// zero are excluded to keep the candidate set meaningful.
 	res.FromS = topRPositive(fromRel, opt.R)
 	res.ToT = topRPositive(toRel, opt.R)
-	res.Edges = missingPairs(g, res.FromS, res.ToT, opt)
+	res.Pairs = NewPairs(g, res.FromS, res.ToT, opt)
 	return res
 }
 
@@ -151,14 +190,33 @@ func topRPositive(rel []float64, r int) []ugraph.NodeID {
 	return out
 }
 
-// missingPairs emits the candidate edges C(s)×C(t) \ (E ∪ self-pairs),
-// subject to the h-hop constraint. For undirected graphs a pair eligible in
-// both orientations is emitted once. Membership, adjacency and the hop
-// ball are node-indexed marks over the frozen CSR: each u stamps its
-// neighbours (and, for h > 0, its h-hop ball) once, and every pair then
-// costs two array reads.
-func missingPairs(g *ugraph.Graph, from, to []ugraph.NodeID, opt Options) []ugraph.Edge {
-	var out []ugraph.Edge
+// Pairs is Algorithm 4's candidate edge set E+ left implicit: the pairs
+// (FromS[i], ToT[j]) that NewPairs admits, each a new edge of
+// probability Zeta. Candidate k is the k-th admitted pair in row-major
+// order of (i, j): the k-th edge List returns, and edge g.M()+k of
+// G+ = g.WithEdges(List()), which adds every one of them.
+type Pairs struct {
+	FromS, ToT []ugraph.NodeID
+	Zeta       float64
+	// bits holds a bit per pair, rows of stride words: pair (i, j) is
+	// admitted iff bit j%64 of bits[i*stride+j/64] is set. before[w] counts
+	// the admitted pairs in bits[:w], before[len(bits)] all of them.
+	stride int
+	bits   []uint64
+	before []int32
+}
+
+// NewPairs builds the candidate set from × to \ (E ∪ self-pairs) on g,
+// subject to the h-hop constraint, each pair an edge of probability
+// opt.Zeta; elimination calls it with C(s) and C(t). from and to must each
+// hold distinct nodes. For undirected graphs a pair eligible in both
+// orientations is admitted once, as (u, v) with u < v. Membership,
+// adjacency and the hop ball are node-indexed marks over the frozen CSR:
+// each u stamps its neighbours (and, for h > 0, its h-hop ball) once, and
+// every pair then costs two array reads.
+func NewPairs(g *ugraph.Graph, from, to []ugraph.NodeID, opt Options) *Pairs {
+	stride := (len(to) + 63) / 64
+	ps := &Pairs{FromS: from, ToT: to, Zeta: opt.Zeta, stride: stride, bits: make([]uint64, len(from)*stride)}
 	c := g.Freeze()
 	n := g.N()
 	inFrom := make([]bool, n)
@@ -182,7 +240,8 @@ func missingPairs(g *ugraph.Graph, from, to []ugraph.NodeID, opt Options) []ugra
 		if opt.H > 0 {
 			ball.fill(c, u, opt.H, stamp)
 		}
-		for _, v := range to {
+		row := ps.Row(i)
+		for j, v := range to {
 			if u == v || adj[v] == stamp {
 				continue
 			}
@@ -190,9 +249,57 @@ func missingPairs(g *ugraph.Graph, from, to []ugraph.NodeID, opt Options) []ugra
 				continue
 			}
 			if !g.Directed() && u > v && inFrom[v] && inTo[u] {
-				continue // the (v,u) orientation is emitted instead
+				continue // the (v,u) orientation is admitted instead
 			}
-			out = append(out, ugraph.Edge{U: u, V: v, P: opt.Zeta})
+			row[j/64] |= 1 << (j % 64)
+		}
+	}
+	ps.before = make([]int32, len(ps.bits)+1)
+	for w, word := range ps.bits {
+		ps.before[w+1] = ps.before[w] + int32(bits.OnesCount64(word))
+	}
+	return ps
+}
+
+// Len returns |E+|, the number of admitted pairs.
+func (ps *Pairs) Len() int { return int(ps.before[len(ps.bits)]) }
+
+// Row returns row i of the pair bits, one bit per ToT[j] (bit j%64 of word
+// j/64), set where the pair (i, j) is admitted. It has (len(ToT)+63)/64
+// words, and its bits past len(ToT) are zero.
+func (ps *Pairs) Row(i int) []uint64 { return ps.bits[i*ps.stride : (i+1)*ps.stride] }
+
+// Rank returns the candidate index k of the admitted pair (i, j).
+func (ps *Pairs) Rank(i, j int) int {
+	w := i*ps.stride + j/64
+	return int(ps.before[w]) + bits.OnesCount64(ps.bits[w]&(1<<(j%64)-1))
+}
+
+// Edge returns candidate k as the edge (FromS[i], ToT[j], Zeta).
+func (ps *Pairs) Edge(k int) ugraph.Edge {
+	// The word holding candidate k is the last w with before[w] <= k.
+	w := sort.Search(len(ps.bits), func(w int) bool { return int(ps.before[w+1]) > k })
+	word := ps.bits[w]
+	for r := k - int(ps.before[w]); r > 0; r-- {
+		word &= word - 1 // drop an admitted pair before k
+	}
+	return ps.edge(w, bits.TrailingZeros64(word))
+}
+
+// edge returns the pair of bit b of word w as an edge.
+func (ps *Pairs) edge(w, b int) ugraph.Edge {
+	return ugraph.Edge{U: ps.FromS[w/ps.stride], V: ps.ToT[(w%ps.stride)*64+b], P: ps.Zeta}
+}
+
+// List returns E+ as edges, in candidate order.
+func (ps *Pairs) List() []ugraph.Edge {
+	var out []ugraph.Edge
+	if k := ps.Len(); k > 0 {
+		out = make([]ugraph.Edge, 0, k)
+	}
+	for w, word := range ps.bits {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, ps.edge(w, bits.TrailingZeros64(word)))
 		}
 	}
 	return out

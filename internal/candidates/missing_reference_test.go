@@ -10,8 +10,9 @@ import (
 	"repro/internal/ugraph"
 )
 
-// referenceMissingPairs is the map-based missingPairs that the mark-based
-// one replaced, kept as the oracle for its output and order.
+// referenceMissingPairs is the map-based candidate listing that the
+// mark-based NewPairs replaced, kept as the oracle for its output and
+// order.
 func referenceMissingPairs(g *ugraph.Graph, from, to []ugraph.NodeID, opt Options) []ugraph.Edge {
 	var out []ugraph.Edge
 	inFrom := make(map[ugraph.NodeID]bool, len(from))
@@ -116,7 +117,7 @@ func randomSide(rnd *rand.Rand, n, k int) []ugraph.NodeID {
 	return side
 }
 
-// TestMissingPairsMatchesReference: the mark-based missingPairs and
+// TestMissingPairsMatchesReference: the mark-based NewPairs, listed, and
 // AllMissing emit exactly the reference implementation's edges, in the same
 // order, on directed and undirected graphs, with and without the hop
 // constraint, including overlapping and disjoint sides.
@@ -130,15 +131,50 @@ func TestMissingPairsMatchesReference(t *testing.T) {
 				name := fmt.Sprintf("directed=%v/h=%d/trial=%d", directed, h, trial)
 				opt := Options{H: h, Zeta: 0.5}
 				from, to := randomSide(rnd, n, 1+rnd.Intn(n)), randomSide(rnd, n, 1+rnd.Intn(n))
-				if got, want := missingPairs(g, from, to, opt), referenceMissingPairs(g, from, to, opt); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: missingPairs\n got %v\nwant %v", name, got, want)
+				if got, want := NewPairs(g, from, to, opt).List(), referenceMissingPairs(g, from, to, opt); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: NewPairs\n got %v\nwant %v", name, got, want)
 				}
 				// Identical sides exercise the undirected one-orientation rule.
-				if got, want := missingPairs(g, from, from, opt), referenceMissingPairs(g, from, from, opt); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: missingPairs on equal sides\n got %v\nwant %v", name, got, want)
+				if got, want := NewPairs(g, from, from, opt).List(), referenceMissingPairs(g, from, from, opt); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: NewPairs on equal sides\n got %v\nwant %v", name, got, want)
 				}
 				if got, want := AllMissing(g, h, 0.3), referenceAllMissing(g, h, 0.3); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: AllMissing\n got %v\nwant %v", name, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestPairsIndexMatchesList: on the sets TestMissingPairsMatchesReference
+// draws, candidate k of Pairs is the k-th listed edge both ways round —
+// Edge(k) returns it and Rank maps its pair back to k — and Len counts the
+// list.
+func TestPairsIndexMatchesList(t *testing.T) {
+	rnd := rand.New(rand.NewSource(6))
+	for _, directed := range []bool{false, true} {
+		for trial := 0; trial < 16; trial++ {
+			n := 2 + rnd.Intn(150)
+			g := randomGraph(rnd, n, n+rnd.Intn(2*n), directed)
+			from, to := randomSide(rnd, n, 1+rnd.Intn(n)), randomSide(rnd, n, 1+rnd.Intn(n))
+			ps := NewPairs(g, from, to, Options{H: trial % 3, Zeta: 0.25})
+			list := ps.List()
+			if ps.Len() != len(list) {
+				t.Fatalf("directed=%v trial %d: Len %d, list %d", directed, trial, ps.Len(), len(list))
+			}
+			fromIdx, toIdx := map[ugraph.NodeID]int{}, map[ugraph.NodeID]int{}
+			for i, u := range from {
+				fromIdx[u] = i
+			}
+			for j, v := range to {
+				toIdx[v] = j
+			}
+			for k, e := range list {
+				if got := ps.Edge(k); got != e {
+					t.Fatalf("directed=%v trial %d: Edge(%d) = %v, listed %v", directed, trial, k, got, e)
+				}
+				if got := ps.Rank(fromIdx[e.U], toIdx[e.V]); got != k {
+					t.Fatalf("directed=%v trial %d: Rank of %v = %d, want %d", directed, trial, e, got, k)
 				}
 			}
 		}

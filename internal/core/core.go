@@ -233,7 +233,10 @@ type Solution struct {
 	Base, After float64
 	// Gain = After − Base.
 	Gain float64
-	// CandidateCount is |E+| after search space elimination.
+	// CandidateCount is |E+|: the pairs search space elimination admits,
+	// counted from its pair set without listing them, or the length of the
+	// candidate list that explicit Candidates (repeats included) or
+	// NoElimination give.
 	CandidateCount int
 	// PathCount is |P|, the number of extracted most reliable paths
 	// (path-based methods only).
@@ -274,11 +277,11 @@ func Solve(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, method Meth
 	if err != nil {
 		return Solution{}, err
 	}
-	cands := res.Edges
+	count := res.Len()
 	elimTime := time.Since(elimStart)
-	opt.emit(ProgressEvent{Stage: StageEliminate, Candidates: len(cands)})
+	opt.emit(ProgressEvent{Stage: StageEliminate, Candidates: count})
 	if cerr := ctx.Err(); cerr != nil {
-		return Solution{Method: method, CandidateCount: len(cands), ElimTime: elimTime},
+		return Solution{Method: method, CandidateCount: count, ElimTime: elimTime},
 			interrupted("candidate elimination", cerr)
 	}
 
@@ -287,23 +290,23 @@ func Solve(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, method Meth
 	var pathCount int
 	switch method {
 	case MethodIndividualTopK:
-		edges = individualTopK(ctx, g, s, t, cands, smp, opt)
+		edges = individualTopK(ctx, g, s, t, res.List(), smp, opt)
 	case MethodHillClimbing:
-		edges = hillClimbing(ctx, g, s, t, cands, smp, opt)
+		edges = hillClimbing(ctx, g, s, t, res.List(), smp, opt)
 	case MethodDegree:
-		edges = centralityEdges(ctx, g, cands, opt, false)
+		edges = centralityEdges(ctx, g, res.List(), opt, false)
 	case MethodBetweenness:
-		edges = centralityEdges(ctx, g, cands, opt, true)
+		edges = centralityEdges(ctx, g, res.List(), opt, true)
 	case MethodEigen:
-		edges = eigenEdges(ctx, g, cands, opt)
+		edges = eigenEdges(ctx, g, res.List(), opt)
 	case MethodMRP:
-		edges = mrpEdges(ctx, g, s, t, cands, opt)
+		edges = mrpEdges(ctx, g, s, t, res.List(), opt)
 	case MethodIP:
-		edges, pathCount = pathSelect(ctx, g, s, t, cands, smp, opt, false)
+		edges, pathCount = pathSelect(ctx, g, s, t, res, smp, opt, false)
 	case MethodBE:
-		edges, pathCount = pathSelect(ctx, g, s, t, cands, smp, opt, true)
+		edges, pathCount = pathSelect(ctx, g, s, t, res, smp, opt, true)
 	case MethodExact:
-		edges, err = exactSearch(ctx, g, s, t, cands, smp, opt)
+		edges, err = exactSearch(ctx, g, s, t, res.List(), smp, opt)
 		if err != nil {
 			return Solution{}, err
 		}
@@ -315,7 +318,7 @@ func Solve(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, method Meth
 	sol := Solution{
 		Method:         method,
 		Edges:          edges,
-		CandidateCount: len(cands),
+		CandidateCount: count,
 		PathCount:      pathCount,
 		ElimTime:       elimTime,
 		SelectTime:     selTime,
@@ -326,7 +329,7 @@ func Solve(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, method Meth
 		return sol, interrupted("edge selection", cerr)
 	}
 	// Held-out evaluation with an independent stream.
-	opt.emit(ProgressEvent{Stage: StageEvaluate, Edges: len(edges), Candidates: len(cands), Paths: pathCount})
+	opt.emit(ProgressEvent{Stage: StageEvaluate, Edges: len(edges), Candidates: count, Paths: pathCount})
 	eval, err := opt.NewSampler(ctx, 2)
 	if err != nil {
 		return Solution{}, err
@@ -353,12 +356,23 @@ func checkQuery(g *ugraph.Graph, s, t ugraph.NodeID) error {
 	return nil
 }
 
-// candidateSet materializes E+ for the query per the configured policy.
-// smp is the elimination estimator (opt.elimSampler) — only consulted when
-// Algorithm 4 actually runs, and only then does the Result carry the
-// FromRel and ToRel vectors; explicit candidates and NoElimination return
-// Edges alone.
+// candidateSet builds E+ for the query per the configured policy: the
+// listed candidates when the query fixes them (see listedCandidates), else
+// Algorithm 4's pairs, left implicit. smp is the elimination estimator
+// (opt.elimSampler) — only consulted when Algorithm 4 actually runs, and
+// only then does the Result carry the FromRel and ToRel vectors.
 func candidateSet(g *ugraph.Graph, s, t ugraph.NodeID, smp sampling.BatchSampler, opt Options) (candidates.Result, error) {
+	if cands, ok := listedCandidates(g, opt); ok {
+		return candidates.Result{Edges: cands}, nil
+	}
+	return candidates.EliminatePairs(g, s, t, smp, candidates.Options{R: opt.R, H: opt.H, Zeta: opt.Zeta}), nil
+}
+
+// listedCandidates returns E+ when a query fixes it without Algorithm 4:
+// the explicit Candidates less self-loops and edges of g, with ζ for a
+// non-positive probability, or under NoElimination every missing edge
+// within H hops. ok is false when elimination is to run.
+func listedCandidates(g *ugraph.Graph, opt Options) (cands []ugraph.Edge, ok bool) {
 	if opt.Candidates != nil {
 		out := make([]ugraph.Edge, 0, len(opt.Candidates))
 		for _, e := range opt.Candidates {
@@ -370,12 +384,12 @@ func candidateSet(g *ugraph.Graph, s, t ugraph.NodeID, smp sampling.BatchSampler
 			}
 			out = append(out, e)
 		}
-		return candidates.Result{Edges: out}, nil
+		return out, true
 	}
 	if opt.NoElimination {
-		return candidates.Result{Edges: candidates.AllMissing(g, opt.H, opt.Zeta)}, nil
+		return candidates.AllMissing(g, opt.H, opt.Zeta), true
 	}
-	return candidates.Eliminate(g, s, t, smp, candidates.Options{R: opt.R, H: opt.H, Zeta: opt.Zeta}), nil
+	return nil, false
 }
 
 // evaluate estimates the s–t reliability before and after adding edges.

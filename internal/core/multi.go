@@ -145,8 +145,7 @@ func SolveMulti(ctx context.Context, g *ugraph.Graph, sources, targets []ugraph.
 	case MethodHillClimbing:
 		edges, err = multiHillClimbing(ctx, g, sources, targets, agg, smp, elim, opt)
 	case MethodEigen:
-		cands := multiCandidates(g, sources, targets, elim, opt)
-		edges = eigenEdges(ctx, g, cands, opt)
+		edges = eigenEdges(ctx, g, multiCandidates(g, sources, targets, elim, opt).List(), opt)
 	default:
 		err = fmt.Errorf("core: method %q not supported for multi-source-target queries: %w", method, ErrUnknownMethod)
 	}
@@ -172,27 +171,14 @@ func SolveMulti(ctx context.Context, g *ugraph.Graph, sources, targets []ugraph.
 	return sol, nil
 }
 
-// multiCandidates materializes E+ for a multi-pair query; smp is the
-// elimination estimator (opt.elimSampler).
-func multiCandidates(g *ugraph.Graph, sources, targets []ugraph.NodeID, smp sampling.BatchSampler, opt Options) []ugraph.Edge {
-	if opt.Candidates != nil {
-		out := make([]ugraph.Edge, 0, len(opt.Candidates))
-		for _, e := range opt.Candidates {
-			if e.U == e.V || g.HasEdge(e.U, e.V) {
-				continue
-			}
-			if e.P <= 0 {
-				e.P = opt.Zeta
-			}
-			out = append(out, e)
-		}
-		return out
+// multiCandidates builds E+ for a multi-pair query like candidateSet,
+// running the multi-pair elimination when the query lists no candidates;
+// smp is the elimination estimator (opt.elimSampler).
+func multiCandidates(g *ugraph.Graph, sources, targets []ugraph.NodeID, smp sampling.BatchSampler, opt Options) candidates.Result {
+	if cands, ok := listedCandidates(g, opt); ok {
+		return candidates.Result{Edges: cands}
 	}
-	if opt.NoElimination {
-		return candidates.AllMissing(g, opt.H, opt.Zeta)
-	}
-	res := candidates.EliminateMulti(g, sources, targets, smp, candidates.Options{R: opt.R, H: opt.H, Zeta: opt.Zeta})
-	return res.Edges
+	return candidates.EliminateMultiPairs(g, sources, targets, smp, candidates.Options{R: opt.R, H: opt.H, Zeta: opt.Zeta})
 }
 
 // multiAvgBE implements §6.1: candidate edges from the multi-source
@@ -200,8 +186,8 @@ func multiCandidates(g *ugraph.Graph, sources, targets []ugraph.NodeID, smp samp
 // average reliability over all pairs on the selected-path subgraph.
 func multiAvgBE(ctx context.Context, g *ugraph.Graph, sources, targets []ugraph.NodeID, smp, elim sampling.BatchSampler, opt Options) ([]ugraph.Edge, error) {
 	cands := multiCandidates(g, sources, targets, elim, opt)
-	opt.emit(ProgressEvent{Stage: StageEliminate, Candidates: len(cands)})
-	a := augment(g, cands)
+	opt.emit(ProgressEvent{Stage: StageEliminate, Candidates: cands.Len()})
+	a := gPlus(g, cands)
 	var pool []paths.Path
 	for _, s := range sources {
 		for _, t := range targets {
@@ -216,7 +202,7 @@ func multiAvgBE(ctx context.Context, g *ugraph.Graph, sources, targets []ugraph.
 			pool = append(pool, a.topL(ctx, s, t, opt.L)...)
 		}
 	}
-	opt.emit(ProgressEvent{Stage: StagePaths, Paths: len(pool), Candidates: len(cands)})
+	opt.emit(ProgressEvent{Stage: StagePaths, Paths: len(pool), Candidates: cands.Len()})
 	if len(pool) == 0 {
 		return nil, nil
 	}
@@ -501,7 +487,7 @@ func multiMinMaxBE(ctx context.Context, g *ugraph.Graph, sources, targets []ugra
 		round := opt
 		round.K = minInt(k1, budget)
 		round.Candidates = nil
-		cands := candidateRound(work, s, t, elim, round)
+		cands, _ := candidateSet(work, s, t, elim, round)
 		edges, _ := pathSelect(ctx, work, s, t, cands, smp, round, true)
 		if len(edges) == 0 {
 			// This pair cannot be improved on the current graph; try
@@ -526,11 +512,6 @@ func multiMinMaxBE(ctx context.Context, g *ugraph.Graph, sources, targets []ugra
 		}
 	}
 	return all, nil
-}
-
-func candidateRound(g *ugraph.Graph, s, t ugraph.NodeID, elim sampling.BatchSampler, opt Options) []ugraph.Edge {
-	res, _ := candidateSet(g, s, t, elim, opt)
-	return res.Edges
 }
 
 // pickPairSkipping returns the index of the min (AggMin) or max (AggMax)
@@ -566,7 +547,7 @@ func pickPairSkipping(matrix [][]float64, agg Aggregate, skip map[[2]int]bool) (
 
 // multiHillClimbing generalizes Algorithm 1 to the aggregate objective.
 func multiHillClimbing(ctx context.Context, g *ugraph.Graph, sources, targets []ugraph.NodeID, agg Aggregate, smp, elim sampling.BatchSampler, opt Options) ([]ugraph.Edge, error) {
-	cands := multiCandidates(g, sources, targets, elim, opt)
+	cands := multiCandidates(g, sources, targets, elim, opt).List()
 	work := g.Clone()
 	var chosen []ugraph.Edge
 	remaining := append([]ugraph.Edge(nil), cands...)

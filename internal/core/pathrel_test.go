@@ -296,7 +296,7 @@ func TestServedSelectionNeverSamples(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, batch := range []bool{true, false} {
-			edges, n := pathSelect(ctx, g, q.S, q.T, res.Edges, noSampler{t: t}, opt, batch)
+			edges, n := pathSelect(ctx, g, q.S, q.T, res, noSampler{t: t}, opt, batch)
 			if n == 0 || len(edges) == 0 {
 				t.Fatalf("%d→%d batch=%v: %d paths, %d edges; want a real selection", q.S, q.T, batch, n, len(edges))
 			}

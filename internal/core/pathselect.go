@@ -4,18 +4,30 @@ import (
 	"context"
 	"sort"
 
+	"repro/internal/candidates"
 	"repro/internal/paths"
 	"repro/internal/sampling"
 	"repro/internal/ugraph"
 )
 
 // augmented is G+ = G ∪ E+ without materialising it: the base graph and
-// the deduplicated candidate list E+, whose candidate i is edge origM+i of
-// G+. Edge IDs, endpoints and probabilities are those of g.WithEdges(E+).
+// E+, either as a deduplicated list or as elimination's implicit pair set.
+// Candidate i is edge origM+i of G+; edge IDs, endpoints and probabilities
+// are those of g.WithEdges on the list (for a pair set, on its List()).
 type augmented struct {
 	g     *ugraph.Graph
 	origM int32
 	cand  []ugraph.Edge
+	pairs *candidates.Pairs // when non-nil, E+ is implicit and cand is nil
+}
+
+// gPlus returns G+ for a candidate set: over elimination's pairs when it
+// ran, and over the deduplicated list otherwise.
+func gPlus(g *ugraph.Graph, res candidates.Result) augmented {
+	if res.Pairs != nil {
+		return augmented{g: g, origM: int32(g.M()), pairs: res.Pairs}
+	}
+	return augment(g, res.Edges)
 }
 
 // augment drops from cands what g.WithEdges(cands) would skip: edges of g,
@@ -71,22 +83,31 @@ func (a augmented) Directed() bool { return a.g.Directed() }
 
 // Prob returns the probability of edge eid of G+.
 func (a augmented) Prob(eid int32) float64 {
-	if eid >= a.origM {
-		return a.cand[eid-a.origM].P
+	switch {
+	case eid < a.origM:
+		return a.g.Prob(eid)
+	case a.pairs != nil:
+		return a.pairs.Zeta
 	}
-	return a.g.Prob(eid)
+	return a.cand[eid-a.origM].P
 }
 
 // Endpoints returns edge eid of G+; for a candidate, its spec as given.
 func (a augmented) Endpoints(eid int32) ugraph.Edge {
-	if eid >= a.origM {
-		return a.cand[eid-a.origM]
+	switch {
+	case eid < a.origM:
+		return a.g.Endpoints(eid)
+	case a.pairs != nil:
+		return a.pairs.Edge(int(eid - a.origM))
 	}
-	return a.g.Endpoints(eid)
+	return a.cand[eid-a.origM]
 }
 
 // topL extracts the top-l most reliable s-t paths in G+.
 func (a augmented) topL(ctx context.Context, s, t ugraph.NodeID, l int) []paths.Path {
+	if a.pairs != nil {
+		return paths.TopLPairs(ctx, a.g, a.pairs, s, t, l)
+	}
 	return paths.TopLWith(ctx, a.g, a.cand, s, t, l)
 }
 
@@ -145,19 +166,20 @@ func (ev *pathEvaluator) reliability(selected []paths.Path) float64 {
 }
 
 // pathSelect implements Algorithms 5 and 6: extract the top-l most reliable
-// paths in G+ and greedily select paths (batch=false, Individual Path-based
-// Edge Selection) or path batches (batch=true, Path Batches-based Edge
-// Selection) maximizing the reliability of the selected-path subgraph while
-// keeping at most K candidate edges. The greedy loop itself is batchSelect —
-// one implementation shared with the Problem 4 solvers — driven by the
+// paths in G+ = G ∪ E+ (E+ being cands) and greedily select paths
+// (batch=false, Individual Path-based Edge Selection) or path batches
+// (batch=true, Path Batches-based Edge Selection) maximizing the
+// reliability of the selected-path subgraph while keeping at most K
+// candidate edges. The greedy loop itself is batchSelect — one
+// implementation shared with the Problem 4 solvers — driven by the
 // single-pair objective, which is exact unless a selection is too large to
 // factor; the sampled fallback's RNG call order is pinned against the
 // historical standalone loop by TestPathSelectMatchesReference.
-func pathSelect(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, cands []ugraph.Edge, smp sampling.Sampler, opt Options, batch bool) ([]ugraph.Edge, int) {
-	a := augment(g, cands)
+func pathSelect(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, cands candidates.Result, smp sampling.Sampler, opt Options, batch bool) ([]ugraph.Edge, int) {
+	a := gPlus(g, cands)
 	pool := a.topL(ctx, s, t, opt.L)
 	pathCount := len(pool)
-	opt.emit(ProgressEvent{Stage: StagePaths, Paths: pathCount, Candidates: len(cands)})
+	opt.emit(ProgressEvent{Stage: StagePaths, Paths: pathCount, Candidates: cands.Len()})
 	if pathCount == 0 {
 		return nil, 0
 	}

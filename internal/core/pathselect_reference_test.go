@@ -225,7 +225,7 @@ func TestPathSelectMatchesReference(t *testing.T) {
 				wantEdges, wantPaths := referencePathSelect(ctx, g, 0, ugraph.NodeID(g.N()-1), cands, refRec, opt, batch)
 
 				gotRec := &recordingSampler{Sampler: sampling.NewRSS(opt.Z, opt.Seed)}
-				gotEdges, gotPaths := pathSelect(ctx, g, 0, ugraph.NodeID(g.N()-1), cands, gotRec, opt, batch)
+				gotEdges, gotPaths := pathSelect(ctx, g, 0, ugraph.NodeID(g.N()-1), candidates.Result{Edges: cands}, gotRec, opt, batch)
 
 				if wantPaths != gotPaths {
 					t.Fatalf("directed=%v batch=%v seed=%d: path count %d != reference %d",

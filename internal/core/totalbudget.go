@@ -75,7 +75,7 @@ func SolveTotalBudget(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, 
 	if err != nil {
 		return TotalBudgetSolution{}, err
 	}
-	a := augment(g, res.Edges)
+	a := gPlus(g, res)
 	pool := a.topL(ctx, s, t, opt.L)
 	sol := TotalBudgetSolution{}
 	if len(pool) > 0 {

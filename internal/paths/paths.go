@@ -9,9 +9,11 @@ package paths
 import (
 	"context"
 	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 
+	"repro/internal/candidates"
 	"repro/internal/pq"
 	"repro/internal/ugraph"
 )
@@ -35,7 +37,7 @@ func (p Path) Weight() float64 {
 // MostReliable returns the most reliable path from s to t (Equation 5), or
 // ok=false if t is unreachable through positive-probability edges.
 func MostReliable(g *ugraph.Graph, s, t ugraph.NodeID) (Path, bool) {
-	sr := newSearcher(g, nil)
+	sr := newSearcher(g, nil, nil)
 	defer sr.release()
 	return sr.search(s, t)
 }
@@ -134,9 +136,10 @@ func weight(p float64) float64 {
 }
 
 // searcher runs repeated most-reliable-path searches over the packed rows
-// of G ∪ extra — the Yen-style top-l enumeration re-runs the search once
-// per deviation. Everything a search needs is built once per searcher, in
-// arrays that a pooled searcher keeps from its last use.
+// of G ∪ extra, or of G with an implicit E+ — the Yen-style top-l
+// enumeration re-runs the search once per deviation. Everything a search
+// needs is built once per searcher, in arrays that a pooled searcher keeps
+// from its last use.
 //
 // A single test nd < dist[v] decides each relaxation, where nd = d + w is
 // bit for bit the d − log p of a search over log-probabilities. Weights are
@@ -148,6 +151,7 @@ type searcher struct {
 	g     *ugraph.Graph
 	extra []ugraph.Edge
 	rows
+	pairArcs
 
 	// bannedEdge excludes edges from the next search; callers set and
 	// clear it, and ban nodes through dist, around each call (s itself is
@@ -170,9 +174,10 @@ type searcher struct {
 // MostReliable call to the next.
 var searchers sync.Pool
 
-// newSearcher returns a searcher over G ∪ extra with nothing banned; hand
-// it back with release.
-func newSearcher(g *ugraph.Graph, extra []ugraph.Edge) *searcher {
+// newSearcher returns a searcher over G ∪ extra, or over G ∪ set when set
+// is non-nil (extra is then nil), with nothing banned; hand it back with
+// release.
+func newSearcher(g *ugraph.Graph, extra []ugraph.Edge, set *candidates.Pairs) *searcher {
 	sr, _ := searchers.Get().(*searcher)
 	if sr == nil {
 		sr = new(searcher)
@@ -180,7 +185,12 @@ func newSearcher(g *ugraph.Graph, extra []ugraph.Edge) *searcher {
 	n := g.N()
 	sr.g, sr.extra = g, extra
 	sr.pack(g, extra)
-	sr.bannedEdge = resize(sr.bannedEdge, g.M()+len(extra))
+	sr.pairArcs.load(g, set)
+	m := g.M() + len(extra)
+	if set != nil {
+		m += set.Len()
+	}
+	sr.bannedEdge = resize(sr.bannedEdge, m)
 	clear(sr.bannedEdge)
 	sr.dist = resize(sr.dist, n)
 	for i := range sr.dist {
@@ -194,13 +204,16 @@ func newSearcher(g *ugraph.Graph, extra []ugraph.Edge) *searcher {
 // release returns sr to the pool. The paths it found share no memory
 // with it.
 func (sr *searcher) release() {
-	sr.g, sr.extra = nil, nil
+	sr.g, sr.extra, sr.set = nil, nil, nil
 	searchers.Put(sr)
 }
 
-// prob returns the probability of edge eid of G ∪ extra.
+// prob returns the probability of edge eid of G ∪ extra (or G ∪ set).
 func (sr *searcher) prob(eid int32) float64 {
 	if m := int32(sr.g.M()); eid >= m {
+		if sr.set != nil {
+			return sr.set.Zeta
+		}
 		return sr.extra[eid-m].P
 	}
 	return sr.g.Prob(eid)
@@ -215,6 +228,9 @@ func (sr *searcher) search(s, t ugraph.NodeID) (Path, bool) {
 	h := &sr.h
 	h.Reset()
 	h.Push(0, s)
+	if sr.set != nil {
+		sr.pairArcs.reset()
+	}
 	for h.Len() > 0 {
 		d, u := h.Pop()
 		if d > dist[u] {
@@ -229,14 +245,11 @@ func (sr *searcher) search(s, t ugraph.NodeID) (Path, bool) {
 				if sr.bannedEdge[a.eid] {
 					continue
 				}
-				if math.IsInf(dist[a.to], 1) {
-					sr.touched = append(sr.touched, a.to)
-				}
-				dist[a.to] = nd
-				sr.parent[a.to] = int32(u)
-				sr.parentEdge[a.to] = a.eid
-				h.Push(nd, a.to)
+				sr.reach(u, a.to, a.eid, nd)
 			}
+		}
+		if sr.set != nil {
+			sr.relaxPairs(u, d)
 		}
 	}
 	found := !math.IsInf(dist[t], 1)
@@ -247,6 +260,192 @@ func (sr *searcher) search(s, t ugraph.NodeID) (Path, bool) {
 		return Path{}, false
 	}
 	return reconstruct(sr.prob, s, t, sr.parent, sr.parentEdge), true
+}
+
+// reach records that v is reached from u over edge eid at distance nd,
+// and queues it.
+func (sr *searcher) reach(u, v ugraph.NodeID, eid int32, nd float64) {
+	if math.IsInf(sr.dist[v], 1) {
+		sr.touched = append(sr.touched, v)
+	}
+	sr.dist[v] = nd
+	sr.parent[v] = int32(u)
+	sr.parentEdge[v] = eid
+	sr.h.Push(nd, v)
+}
+
+// pairArcs is the arc side of an implicit E+, a candidates.Pairs: the arcs
+// FromS[i] → ToT[j] of its admitted pairs, and for undirected graphs their
+// reverses, all of weight w = −log ζ, with edge ID origM + Rank(i, j).
+//
+// A search relaxes them without trying every one. Dijkstra settles nodes
+// in non-decreasing distance d and every candidate arc weighs the same w,
+// so once a candidate arc into v has been tried at d, dist[v] <= d + w
+// stays true, and no candidate arc from a node settled later can relax v:
+// its d' + w is no smaller. The same holds once v itself has settled. So
+// each search keeps, over FromS and over ToT, the heads not yet tried
+// (pendFrom, pendTo), tries only pending heads of admitted pairs, and drops
+// a head once tried. A head stays pending only when its arc was banned
+// (the ban lasts one search; another arc into it may succeed) or not
+// admitted. Every arc skipped is one whose relaxation would fail, so
+// the search pushes the nodes, distances and parents a search over the
+// listed rows pushes, in the same order, and ties leave the heap alike.
+type pairArcs struct {
+	set            *candidates.Pairs
+	w              float64
+	origM          int32
+	fromIdx, toIdx []int32 // node → its index in FromS / ToT, or −1
+
+	// cols is set's bits by column, for undirected graphs: the admitted i
+	// of ToT[j] are the bits of cols[j*colStride : (j+1)*colStride].
+	cols      []uint64
+	colStride int
+
+	pendFrom, pendTo []uint64
+}
+
+// load makes p the arc side of set on g; a nil set leaves p empty.
+func (p *pairArcs) load(g *ugraph.Graph, set *candidates.Pairs) {
+	p.set = set
+	if set == nil {
+		return
+	}
+	p.w, p.origM = weight(set.Zeta), int32(g.M())
+	p.fromIdx = indexOf(p.fromIdx, g.N(), set.FromS)
+	p.toIdx = indexOf(p.toIdx, g.N(), set.ToT)
+	p.pendFrom = resize(p.pendFrom, (len(set.FromS)+63)/64)
+	p.pendTo = resize(p.pendTo, (len(set.ToT)+63)/64)
+	p.cols = p.cols[:0]
+	if g.Directed() {
+		return
+	}
+	p.colStride = len(p.pendFrom)
+	p.cols = resize(p.cols, len(set.ToT)*p.colStride)
+	clear(p.cols)
+	for i := range set.FromS {
+		for w, word := range set.Row(i) {
+			for ; word != 0; word &= word - 1 {
+				j := w*64 + bits.TrailingZeros64(word)
+				p.cols[j*p.colStride+i/64] |= 1 << (i % 64)
+			}
+		}
+	}
+}
+
+// indexOf returns idx resized to n, holding each node's index in nodes and
+// −1 for nodes not in it.
+func indexOf(idx []int32, n int, nodes []ugraph.NodeID) []int32 {
+	idx = resize(idx, n)
+	for v := range idx {
+		idx[v] = -1
+	}
+	for i, v := range nodes {
+		idx[v] = int32(i)
+	}
+	return idx
+}
+
+// reset makes every node pending, for a new search.
+func (p *pairArcs) reset() {
+	fill(p.pendFrom, len(p.set.FromS))
+	fill(p.pendTo, len(p.set.ToT))
+}
+
+// fill sets bits [0, k) of words, which has (k+63)/64 of them.
+func fill(words []uint64, k int) {
+	for w := range words {
+		words[w] = math.MaxUint64
+		if rest := k - 64*w; rest < 64 {
+			words[w] = 1<<rest - 1
+		}
+	}
+}
+
+// drop ends v's pending state: no candidate arc can relax it any more.
+func (p *pairArcs) drop(v ugraph.NodeID) {
+	if i := p.fromIdx[v]; i >= 0 {
+		p.pendFrom[i/64] &^= 1 << (i % 64)
+	}
+	if j := p.toIdx[v]; j >= 0 {
+		p.pendTo[j/64] &^= 1 << (j % 64)
+	}
+}
+
+// relaxPairs relaxes the candidate arcs of u, just settled at d, in the
+// order u's listed row holds them: reverse arcs of the pairs (i', j) with
+// FromS[i'] before u, u's own pairs in ToT order, then the remaining
+// reverse arcs (for u = ToT[j], u = FromS[i]; (i, j) itself is the
+// self-pair, never admitted).
+func (sr *searcher) relaxPairs(u ugraph.NodeID, d float64) {
+	p := &sr.pairArcs
+	i, j := int(p.fromIdx[u]), int(p.toIdx[u])
+	if i < 0 && j < 0 {
+		return
+	}
+	p.drop(u)
+	nd := d + p.w
+	undirected := j >= 0 && !sr.g.Directed()
+	if i < 0 {
+		if undirected {
+			sr.relaxCol(u, j, 0, len(p.set.FromS), nd)
+		}
+		return
+	}
+	if undirected {
+		sr.relaxCol(u, j, 0, i, nd)
+	}
+	sr.relaxRow(u, i, nd)
+	if undirected {
+		sr.relaxCol(u, j, i+1, len(p.set.FromS), nd)
+	}
+}
+
+// relaxRow tries the arcs u = FromS[i] → ToT[j'] of the admitted pairs
+// (i, j') whose heads are pending, in increasing j'.
+func (sr *searcher) relaxRow(u ugraph.NodeID, i int, nd float64) {
+	p := &sr.pairArcs
+	for w, word := range p.set.Row(i) {
+		// Trying a head drops only its own bits, so the word read here
+		// stays current for the rest of the loop.
+		for word &= p.pendTo[w]; word != 0; word &= word - 1 {
+			j := w*64 + bits.TrailingZeros64(word)
+			sr.tryPair(u, p.set.ToT[j], i, j, nd)
+		}
+	}
+}
+
+// relaxCol tries the reverse arcs u = ToT[j] → FromS[i'] of the admitted
+// pairs (i', j), lo <= i' < hi, whose heads are pending, in increasing i'.
+func (sr *searcher) relaxCol(u ugraph.NodeID, j, lo, hi int, nd float64) {
+	p := &sr.pairArcs
+	col := p.cols[j*p.colStride : (j+1)*p.colStride]
+	for w := lo / 64; w*64 < hi; w++ {
+		word := col[w] & p.pendFrom[w]
+		if w == lo/64 {
+			word &^= 1<<(lo%64) - 1
+		}
+		if hi < 64*(w+1) {
+			word &= 1<<(hi%64) - 1
+		}
+		for ; word != 0; word &= word - 1 {
+			i := w*64 + bits.TrailingZeros64(word)
+			sr.tryPair(u, p.set.FromS[i], i, j, nd)
+		}
+	}
+}
+
+// tryPair relaxes the candidate arc u → v of pair (i, j) at distance nd,
+// and drops v unless the arc is banned.
+func (sr *searcher) tryPair(u, v ugraph.NodeID, i, j int, nd float64) {
+	p := &sr.pairArcs
+	if nd < sr.dist[v] {
+		eid := p.origM + int32(p.set.Rank(i, j))
+		if sr.bannedEdge[eid] {
+			return
+		}
+		sr.reach(u, v, eid, nd)
+	}
+	p.drop(v)
 }
 
 func reconstruct(prob func(int32) float64, s, t ugraph.NodeID, parent, parentEdge []int32) Path {
@@ -298,8 +497,28 @@ func TopLWith(ctx context.Context, g *ugraph.Graph, extra []ugraph.Edge, s, t ug
 	if l <= 0 {
 		return nil
 	}
-	sr := newSearcher(g, extra)
+	sr := newSearcher(g, extra, nil)
 	defer sr.release()
+	return sr.topL(ctx, s, t, l)
+}
+
+// TopLPairs is TopLWith over an elimination's candidate set left implicit:
+// it returns what TopLWith returns with extra = set.List(), candidate k
+// being edge g.M()+k, bit for bit, without listing E+ or packing it into
+// rows. Its searches relax candidate arcs as pairArcs describes, and so
+// try only the arcs whose relaxation can succeed. set must have been built
+// on g.
+func TopLPairs(ctx context.Context, g *ugraph.Graph, set *candidates.Pairs, s, t ugraph.NodeID, l int) []Path {
+	if l <= 0 {
+		return nil
+	}
+	sr := newSearcher(g, nil, set)
+	defer sr.release()
+	return sr.topL(ctx, s, t, l)
+}
+
+// topL runs Yen's deviation search on sr.
+func (sr *searcher) topL(ctx context.Context, s, t ugraph.NodeID, l int) []Path {
 	first, ok := sr.search(s, t)
 	if !ok {
 		return nil
