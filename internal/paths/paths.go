@@ -505,9 +505,8 @@ func TopLWith(ctx context.Context, g *ugraph.Graph, extra []ugraph.Edge, s, t ug
 // TopLPairs is TopLWith over an elimination's candidate set left implicit:
 // it returns what TopLWith returns with extra = set.List(), candidate k
 // being edge g.M()+k, bit for bit, without listing E+ or packing it into
-// rows. Its searches relax candidate arcs as pairArcs describes, and so
-// try only the arcs whose relaxation can succeed. set must have been built
-// on g.
+// rows. Its searches relax candidate arcs as pairArcs describes, skipping
+// those whose relaxation cannot succeed. set must have been built on g.
 func TopLPairs(ctx context.Context, g *ugraph.Graph, set *candidates.Pairs, s, t ugraph.NodeID, l int) []Path {
 	if l <= 0 {
 		return nil
