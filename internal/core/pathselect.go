@@ -166,12 +166,11 @@ func (ev *pathEvaluator) reliability(selected []paths.Path) float64 {
 }
 
 // pathSelect implements Algorithms 5 and 6: extract the top-l most reliable
-// paths in G+ = G ∪ E+ (E+ being cands) and greedily select paths
-// (batch=false, Individual Path-based Edge Selection) or path batches
-// (batch=true, Path Batches-based Edge Selection) maximizing the
-// reliability of the selected-path subgraph while keeping at most K
-// candidate edges. The greedy loop itself is batchSelect — one
-// implementation shared with the Problem 4 solvers — driven by the
+// paths in G+ and greedily select paths (batch=false, Individual Path-based
+// Edge Selection) or path batches (batch=true, Path Batches-based Edge
+// Selection) maximizing the reliability of the selected-path subgraph while
+// keeping at most K candidate edges. The greedy loop itself is batchSelect —
+// one implementation shared with the Problem 4 solvers — driven by the
 // single-pair objective, which is exact unless a selection is too large to
 // factor; the sampled fallback's RNG call order is pinned against the
 // historical standalone loop by TestPathSelectMatchesReference.
