@@ -486,7 +486,6 @@ func multiMinMaxBE(ctx context.Context, g *ugraph.Graph, sources, targets []ugra
 		}
 		round := opt
 		round.K = minInt(k1, budget)
-		round.Candidates = nil
 		cands, _ := candidateSet(work, s, t, elim, round)
 		edges, _ := pathSelect(ctx, work, s, t, cands, smp, round, true)
 		if len(edges) == 0 {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/datasets"
 	"repro/internal/rng"
 	"repro/internal/sampling"
 	"repro/internal/ugraph"
@@ -193,5 +194,31 @@ func TestMultiAvgMatchesSinglePair(t *testing.T) {
 	}
 	if math.Abs(single.Gain-multi.Gain) > 0.12 {
 		t.Fatalf("single gain %v vs multi 1:1 gain %v diverge", single.Gain, multi.Gain)
+	}
+}
+
+// TestMultiMinMaxBEKeepsExplicitCandidates: explicit Options.Candidates
+// override elimination in every multi-min and multi-max BE round, as they
+// do for multi-avg BE and single-pair solves.
+func TestMultiMinMaxBEKeepsExplicitCandidates(t *testing.T) {
+	g, err := datasets.Load("lastfm", 0.08, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := datasets.Queries(g, 3, 3, 5, 1)
+	var sources, targets []ugraph.NodeID
+	for _, q := range qs {
+		sources, targets = append(sources, q.S), append(targets, q.T)
+	}
+	only := ugraph.Edge{U: sources[0], V: targets[0], P: 0.5}
+	opt := Options{Workers: 1, Z: 200, Candidates: []ugraph.Edge{only}}
+	for _, agg := range []Aggregate{AggMin, AggMax} {
+		sol, err := SolveMulti(context.Background(), g, sources, targets, agg, MethodBE, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", agg, err)
+		}
+		if len(sol.Edges) != 1 || sol.Edges[0] != only {
+			t.Errorf("multi-%s BE chose %v, want only the candidate %v", agg, sol.Edges, only)
+		}
 	}
 }
