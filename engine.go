@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/sampling"
 	"repro/internal/store"
 )
@@ -105,6 +106,9 @@ type Engine struct {
 	// would have drawn but the early stop saved.
 	anytimeEstimates, anytimeSamplesUsed, anytimeSamplesSaved atomic.Uint64
 
+	// vecCounts tallies the lookups of every snapshot's vector memo.
+	vecCounts core.MemoCounts
+
 	// Durable storage; nil for in-memory engines. store and the policy
 	// fields are fixed at construction; the pending counters are guarded by
 	// applyMu. See durability.go.
@@ -124,13 +128,18 @@ type Engine struct {
 // (see ugraph.CSR.Delta). Estimates read the CSR directly. mat memoizes
 // the mutable-Graph form that solvers, compaction, checkpoints and flat
 // commits need; it is built at most once under matOnce, and the snapshot
-// is immutable once published.
+// is immutable once published. vecs memoizes elimination's reliability
+// vectors on mat, built on first use; it lives and dies with the snapshot,
+// so a new epoch, or a compacted twin of one, starts with none.
 type engineSnapshot struct {
 	csr *CSR
 
 	matOnce sync.Once
 	mat     *Graph
 	matErr  error
+
+	vecsOnce sync.Once
+	vecs     *core.VectorMemo
 }
 
 // newFlatSnapshot pins a flat epoch: g IS the epoch's graph and freezes to
@@ -159,6 +168,13 @@ func (s *engineSnapshot) graph() (*Graph, error) {
 		s.mat = g
 	})
 	return s.mat, s.matErr
+}
+
+// vectors returns the snapshot's memo of elimination vectors on g, which
+// must be the snapshot's graph; its lookups count into counts.
+func (s *engineSnapshot) vectors(g *Graph, counts *core.MemoCounts) *core.VectorMemo {
+	s.vecsOnce.Do(func() { s.vecs = core.NewVectorMemo(g, counts) })
+	return s.vecs
 }
 
 // EngineOption configures NewEngine.

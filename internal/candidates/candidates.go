@@ -78,10 +78,16 @@ func Eliminate(g *ugraph.Graph, s, t ugraph.NodeID, smp sampling.Sampler, opt Op
 // EliminatePairs is Eliminate with E+ left implicit in Pairs, for callers
 // that never need it as a list.
 func EliminatePairs(g *ugraph.Graph, s, t ugraph.NodeID, smp sampling.Sampler, opt Options) Result {
-	opt = opt.withDefaults()
 	fromRel := smp.ReliabilityFrom(g, s)
 	toRel := smp.ReliabilityTo(g, t)
-	return eliminateWith(g, fromRel, toRel, opt)
+	return EliminateVectors(g, fromRel, toRel, opt)
+}
+
+// EliminateVectors is EliminatePairs on vectors already sampled: fromRel
+// from s and toRel to t, as a sampler's ReliabilityFrom and ReliabilityTo
+// return them. The Result holds both, unmodified.
+func EliminateVectors(g *ugraph.Graph, fromRel, toRel []float64, opt Options) Result {
+	return eliminateWith(g, fromRel, toRel, opt.withDefaults())
 }
 
 // EliminateMulti runs the §6 generalization for source set S and target set

@@ -115,6 +115,12 @@ type Options struct {
 	// Engine sets this so repeated queries reuse sampler scratch memory;
 	// it never affects results. Ignored when the kinds mismatch.
 	Scratch *sampling.SharedScratch
+	// Vectors, when non-nil, memoises search-space elimination's From(s)
+	// and To(t) vectors for Solve and SolveTotalBudget on the graph it was
+	// built for; solves on any other graph ignore it. A long-lived Engine
+	// sets one per epoch so solves sharing an endpoint sample its vector
+	// once; it never affects results.
+	Vectors *VectorMemo
 	// Progress, when non-nil, receives solver progress notifications
 	// (stage boundaries and per-round selection progress). Callbacks run
 	// inline on the solving goroutine and cannot perturb results.
@@ -196,7 +202,16 @@ func (o Options) Validate(n int) error {
 // The estimator is a sampling.ParallelSampler with Workers workers,
 // leasing them from opt.Scratch when one of the matching kind is supplied.
 func (o Options) NewSampler(ctx context.Context, stream int64) (sampling.BatchSampler, error) {
-	smp, err := sampling.New(o.Sampler, o.Z, rng.Split(o.Seed, stream).Int63(), o.Workers, o.Scratch)
+	smp, err := o.parallelSampler(ctx, o.Sampler, stream)
+	if err != nil {
+		return nil, err // a nil interface, not a typed nil
+	}
+	return smp, nil
+}
+
+// parallelSampler is NewSampler for an estimator of the given kind.
+func (o Options) parallelSampler(ctx context.Context, kind string, stream int64) (*sampling.ParallelSampler, error) {
+	smp, err := sampling.New(kind, o.Z, rng.Split(o.Seed, stream).Int63(), o.Workers, o.Scratch)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -211,10 +226,8 @@ func (o Options) NewSampler(ctx context.Context, stream int64) (sampling.BatchSa
 // stream (7 — distinct from every pipeline's selection and evaluation
 // streams), so elimination never perturbs the randomness the selection
 // stages consume. Results remain deterministic per (Seed, Options).
-func (o Options) elimSampler(ctx context.Context) (sampling.BatchSampler, error) {
-	elim := o
-	elim.Sampler = "mcvec"
-	return elim.NewSampler(ctx, 7)
+func (o Options) elimSampler(ctx context.Context) (*sampling.ParallelSampler, error) {
+	return o.parallelSampler(ctx, "mcvec", 7)
 }
 
 // Solution is the outcome of a Problem 1 query.
@@ -273,7 +286,7 @@ func Solve(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, method Meth
 	}
 
 	elimStart := time.Now()
-	res, err := candidateSet(g, s, t, elim, opt)
+	res, err := candidateSet(ctx, g, s, t, elim, opt)
 	if err != nil {
 		return Solution{}, err
 	}
@@ -360,12 +373,19 @@ func checkQuery(g *ugraph.Graph, s, t ugraph.NodeID) error {
 // listed candidates when the query fixes them (see listedCandidates), else
 // Algorithm 4's pairs, left implicit. smp is the elimination estimator
 // (opt.elimSampler) — only consulted when Algorithm 4 actually runs, and
-// only then does the Result carry the FromRel and ToRel vectors.
-func candidateSet(g *ugraph.Graph, s, t ugraph.NodeID, smp sampling.BatchSampler, opt Options) (candidates.Result, error) {
+// only then does the Result carry the FromRel and ToRel vectors, taken
+// from opt.Vectors when it memoises g.
+func candidateSet(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, smp *sampling.ParallelSampler, opt Options) (candidates.Result, error) {
 	if cands, ok := listedCandidates(g, opt); ok {
 		return candidates.Result{Edges: cands}, nil
 	}
-	return candidates.EliminatePairs(g, s, t, smp, candidates.Options{R: opt.R, H: opt.H, Zeta: opt.Zeta}), nil
+	copt := candidates.Options{R: opt.R, H: opt.H, Zeta: opt.Zeta}
+	if m := opt.Vectors; m != nil && m.g == g {
+		from := m.vector(ctx, smp, s, true, opt)
+		to := m.vector(ctx, smp, t, false, opt)
+		return candidates.EliminateVectors(g, from, to, copt), nil
+	}
+	return candidates.EliminatePairs(g, s, t, smp, copt), nil
 }
 
 // listedCandidates returns E+ when a query fixes it without Algorithm 4:

@@ -458,7 +458,7 @@ func batchSelect(ctx context.Context, a augmented, pool []paths.Path, opt Option
 // currently minimum (resp. maximum) reliability and improve it with the
 // single-pair BE solver under a per-round budget k1 = K1Ratio·k, until the
 // total budget k is spent or no further improvement is possible.
-func multiMinMaxBE(ctx context.Context, g *ugraph.Graph, sources, targets []ugraph.NodeID, agg Aggregate, smp, elim sampling.BatchSampler, opt Options) ([]ugraph.Edge, error) {
+func multiMinMaxBE(ctx context.Context, g *ugraph.Graph, sources, targets []ugraph.NodeID, agg Aggregate, smp sampling.BatchSampler, elim *sampling.ParallelSampler, opt Options) ([]ugraph.Edge, error) {
 	work := g.Clone()
 	budget := opt.K
 	k1 := int(math.Round(opt.K1Ratio * float64(opt.K)))
@@ -486,7 +486,7 @@ func multiMinMaxBE(ctx context.Context, g *ugraph.Graph, sources, targets []ugra
 		}
 		round := opt
 		round.K = minInt(k1, budget)
-		cands, _ := candidateSet(work, s, t, elim, round)
+		cands, _ := candidateSet(ctx, work, s, t, elim, round)
 		edges, _ := pathSelect(ctx, work, s, t, cands, smp, round, true)
 		if len(edges) == 0 {
 			// This pair cannot be improved on the current graph; try

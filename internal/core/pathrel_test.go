@@ -291,7 +291,7 @@ func TestServedSelectionNeverSamples(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range qs {
-		res, err := candidateSet(g, q.S, q.T, elim, opt)
+		res, err := candidateSet(ctx, g, q.S, q.T, elim, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

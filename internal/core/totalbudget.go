@@ -71,7 +71,7 @@ func SolveTotalBudget(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, 
 	if err != nil {
 		return TotalBudgetSolution{}, err
 	}
-	res, err := candidateSet(g, s, t, elim, candOpt)
+	res, err := candidateSet(ctx, g, s, t, elim, candOpt)
 	if err != nil {
 		return TotalBudgetSolution{}, err
 	}

@@ -210,6 +210,11 @@ func (ps *ParallelSampler) nextCallSeed() int64 {
 	return rng.SplitSeed(ps.seed.Load(), ps.call.Add(1))
 }
 
+// SkipCall consumes the next call index without estimating: a caller that
+// takes one estimate of a fixed call sequence from elsewhere keeps every
+// later call on the index, and so the result, it would have had.
+func (ps *ParallelSampler) SkipCall() { ps.call.Add(1) }
+
 // fanOut runs fn(smp, i) for i in [0, n) on up to ps.workers goroutines;
 // one worker runs inline, on the calling goroutine. Each goroutine leases
 // one serial sampler from the pool for its lifetime and binds it to the

@@ -463,6 +463,11 @@ type EngineStats struct {
 	// AnytimeSamplesSaved the samples their MaxZ budgets allowed but the
 	// early precision stop avoided — the adaptive win over fixed budgets.
 	AnytimeEstimates, AnytimeSamplesUsed, AnytimeSamplesSaved uint64
+	// VectorHits and VectorMisses count the lookups of candidate
+	// elimination's From(s) and To(t) reliability vectors in the per-epoch
+	// memo: a hit reuses a vector an earlier solve on the same epoch
+	// sampled, a miss samples it.
+	VectorHits, VectorMisses uint64
 	// Durable reports whether the engine persists its graph (WithStorage);
 	// Checkpoints counts checkpoints cut (including the initial one) and
 	// CheckpointErrors the checkpoint attempts that failed (the batches stay
@@ -497,6 +502,8 @@ func (e *Engine) Stats() EngineStats {
 		AnytimeEstimates:    e.anytimeEstimates.Load(),
 		AnytimeSamplesUsed:  e.anytimeSamplesUsed.Load(),
 		AnytimeSamplesSaved: e.anytimeSamplesSaved.Load(),
+		VectorHits:          e.vecCounts.Hits.Load(),
+		VectorMisses:        e.vecCounts.Misses.Load(),
 		Durable:             e.store != nil,
 		Checkpoints:         e.checkpoints.Load(),
 		CheckpointErrors:    e.checkpointErrors.Load(),

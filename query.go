@@ -153,6 +153,7 @@ func (e *Engine) Canonicalize(q Query) (Query, error) {
 	out := Query{Kind: q.Kind, Progress: q.Progress, snap: snap, epoch: snap.csr.Epoch()}
 	opt := e.options(q.Options)
 	opt.Scratch = nil
+	opt.Vectors = nil
 	opt.Progress = nil
 	if opt.Candidates != nil {
 		// Copy like Sources/Targets/Pairs below: a queued job must not see
@@ -400,6 +401,7 @@ func (e *Engine) execute(ctx context.Context, q Query) (Result, error) {
 		if err != nil {
 			return res, err
 		}
+		opt.Vectors = snap.vectors(g, &e.vecCounts)
 		sol, err := core.Solve(ctx, g, q.S, q.T, q.Method, opt)
 		res.Solution = sol
 		if err == nil && sol.PathCount == 0 && (q.Method == MethodIP || q.Method == MethodBE) {
@@ -422,6 +424,7 @@ func (e *Engine) execute(ctx context.Context, q Query) (Result, error) {
 		if err != nil {
 			return res, err
 		}
+		opt.Vectors = snap.vectors(g, &e.vecCounts)
 		sol, err := core.SolveTotalBudget(ctx, g, q.S, q.T, q.Budget, opt)
 		res.TotalBudget = sol
 		return res, err
