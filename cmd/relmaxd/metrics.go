@@ -241,6 +241,7 @@ type engineCounters struct {
 	Jobs      jobCounters      `json:"jobs"`
 	Cache     cacheCounters    `json:"cache"`
 	Anytime   anytimeCounters  `json:"anytime"`
+	Vectors   vectorCounters   `json:"elim_vectors"`
 	Mutations mutationCounters `json:"mutations"`
 	// cacheCap feeds the global cache capacity; dataset blocks omit it.
 	cacheCap int
@@ -273,6 +274,14 @@ type anytimeCounters struct {
 	Estimates    uint64 `json:"estimates" prom:"anytime_estimates_total,counter"`
 	SamplesUsed  uint64 `json:"samples_used" prom:"anytime_samples_used_total,counter"`
 	SamplesSaved uint64 `json:"samples_saved" prom:"anytime_samples_saved_total,counter"`
+}
+
+// vectorCounters count the lookups of candidate elimination's reliability
+// vectors in the engines' per-epoch memo: hits reuse a vector an earlier
+// solve on the epoch sampled, misses sample it.
+type vectorCounters struct {
+	Hits   uint64 `json:"hits" prom:"elim_vector_hits_total,counter"`
+	Misses uint64 `json:"misses" prom:"elim_vector_misses_total,counter"`
 }
 
 type mutationCounters struct {
@@ -316,6 +325,8 @@ func (c *engineCounters) add(st repro.EngineStats) {
 	c.Anytime.Estimates += st.AnytimeEstimates
 	c.Anytime.SamplesUsed += st.AnytimeSamplesUsed
 	c.Anytime.SamplesSaved += st.AnytimeSamplesSaved
+	c.Vectors.Hits += st.VectorHits
+	c.Vectors.Misses += st.VectorMisses
 	c.Mutations.Applies += st.Applies
 	c.Mutations.Applied += st.MutationsApplied
 	c.Mutations.ReplicatedApplies += st.ReplicatedApplies

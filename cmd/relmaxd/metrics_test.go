@@ -285,15 +285,22 @@ func TestMetricsLeavesMatchSeries(t *testing.T) {
 	epoch := mutate(t, primary.URL, 0.4)
 	waitEpoch(t, replica.URL, "lastfm", epoch)
 	// Queries fill the latency windows, whose quantiles are exposed only
-	// when non-empty, and an anytime estimate moves the anytime counters.
+	// when non-empty, an anytime estimate moves the anytime counters, and
+	// two solves from one source move both elimination vector counters.
 	for _, base := range []string{primary.URL, replica.URL} {
 		for _, q := range []struct{ path, body string }{
 			{"/v1/solve", `{"dataset":"lastfm","s":0,"t":5,"method":"be","k":2}`},
+			{"/v1/solve", `{"dataset":"lastfm","s":0,"t":9,"method":"be","k":2}`},
 			{"/v1/estimate", `{"dataset":"lastfm","pairs":[[0,9]],"precision":0.05}`},
 		} {
 			if status, data := post(t, base+q.path, q.body); status != http.StatusOK {
 				t.Fatalf("%s: HTTP %d: %s", q.path, status, data)
 			}
+		}
+		_, body := getJSON(t, base+"/metrics")
+		vecs := body["datasets"].(map[string]any)["lastfm"].(map[string]any)["elim_vectors"].(map[string]any)
+		if vecs["hits"] != 1.0 || vecs["misses"] != 3.0 {
+			t.Fatalf("%s: elim_vectors = %v, want 1 hit and 3 misses", base, vecs)
 		}
 	}
 	rt := newRouter(primary.URL, []string{replica.URL}, 0)
