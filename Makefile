@@ -3,7 +3,7 @@
 
 GO ?= go
 BENCH_COUNT ?= 6
-BENCH_PATTERN ?= BenchmarkParallelReliability|BenchmarkEstimateMany|BenchmarkEstimateEdges|BenchmarkCSRvsLegacy|BenchmarkCandidateEval|BenchmarkVectorMC|BenchmarkAnytimeEstimate|BenchmarkApply|BenchmarkTopL|BenchmarkReseed|BenchmarkSolveWorkers|BenchmarkServedSolve
+BENCH_PATTERN ?= BenchmarkParallelReliability|BenchmarkEstimateMany|BenchmarkEstimateEdges|BenchmarkCSRvsLegacy|BenchmarkCandidateEval|BenchmarkVectorMC|BenchmarkAnytimeEstimate|BenchmarkApply|BenchmarkTopL|BenchmarkReseed|BenchmarkSolveWorkers|BenchmarkServedSolve|BenchmarkServedSolveStream
 
 .PHONY: build test race bench bench-smoke bench-baseline bench-compare bench-gate fuzz-smoke smoke-relmaxd perfbench-check cover lint fmt ci
 
