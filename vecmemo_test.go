@@ -2,7 +2,6 @@ package repro
 
 import (
 	"context"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -144,39 +143,6 @@ func TestEngineVectorMemoCancelled(t *testing.T) {
 		}
 		if !sameSolution(got, want[i]) {
 			t.Fatalf("pair %v after cancelled solves: %+v, want %+v", p, got, want[i])
-		}
-	}
-}
-
-// TestEngineVectorMemoMulti: multi-pair solves on an engine whose memo
-// holds vectors for their sources and targets match memo-free solves.
-func TestEngineVectorMemoMulti(t *testing.T) {
-	g := engineTestGraph(t)
-	opt := Options{K: 2, Z: 150, Seed: 7, R: 8, L: 8, Workers: 1}
-	eng, err := NewEngine(g, WithSolverDefaults(opt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	ctx := context.Background()
-	for _, p := range memoPairs {
-		if _, err := eng.Solve(ctx, Request{S: p.S, T: p.T, Method: MethodBE}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sources, targets := []NodeID{0, 3, 5}, []NodeID{17, 23}
-	for _, agg := range []Aggregate{AggMin, AggMax, AggAvg} {
-		want, err := SolveMulti(g, sources, targets, agg, MethodBE, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := eng.SolveMulti(ctx, MultiRequest{Sources: sources, Targets: targets, Aggregate: agg, Method: MethodBE})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got.Elapsed, want.Elapsed = 0, 0
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("multi-%s: engine %+v, legacy %+v", agg, got, want)
 		}
 	}
 }
