@@ -91,6 +91,15 @@
 // Engine.SolveMulti under Average, Minimum and Maximum aggregates, and the
 // §9 total-probability-budget extension by Engine.SolveTotalBudget.
 //
+// Solves on one epoch share candidate elimination's reliability vectors.
+// The From(s) and To(t) vectors of step 1 depend on the epoch, Seed, Z
+// and their own endpoint only, so each snapshot memoises them, keyed by
+// (Seed, Z, direction, node), for Solve and SolveTotalBudget: a stream of
+// solves that shares sources or targets samples each vector once per
+// epoch. A memoised vector is the one the solve would have sampled, so the
+// memo never changes a result; a new epoch, or its compacted twin, starts
+// with none. Engine.Stats counts the hits and misses.
+//
 // # Queries, jobs and the result cache
 //
 // Underneath the five typed methods sits one unified query surface: a
