@@ -90,18 +90,14 @@ func EliminateVectors(g *ugraph.Graph, fromRel, toRel []float64, opt Options) Re
 	return eliminateWith(g, fromRel, toRel, opt.withDefaults())
 }
 
-// EliminateMulti runs the §6 generalization for source set S and target set
-// T: a node is kept on the source side if it is among the top-r most
-// reliable from every s ∈ S (the paper's "u ∈ C(s) ∀s ∈ S"), and
+// EliminateMultiPairs runs the §6 generalization for source set S and
+// target set T: a node is kept on the source side if it is among the top-r
+// most reliable from every s ∈ S (the paper's "u ∈ C(s) ∀s ∈ S"), and
 // symmetrically for the target side. The reliability vectors returned are
 // the element-wise minima over the respective sets, so downstream ranking
 // favours nodes reliable with respect to the whole set. All member
-// vectors are evaluated in one batch per side. E+ is listed in Edges.
-func EliminateMulti(g *ugraph.Graph, sources, targets []ugraph.NodeID, smp sampling.BatchSampler, opt Options) Result {
-	return listed(EliminateMultiPairs(g, sources, targets, smp, opt))
-}
-
-// EliminateMultiPairs is EliminateMulti with E+ left implicit in Pairs.
+// vectors are evaluated in one batch per side. E+ is left implicit in
+// Pairs; List() lists it.
 func EliminateMultiPairs(g *ugraph.Graph, sources, targets []ugraph.NodeID, smp sampling.BatchSampler, opt Options) Result {
 	opt = opt.withDefaults()
 	fromRel := intersectTopR(g, sources, opt.R, smp.ReliabilityFromMany(g, sources))

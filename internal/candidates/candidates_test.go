@@ -188,11 +188,12 @@ func TestEliminateMultiIntersection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := EliminateMulti(g, []ugraph.NodeID{0, 1}, []ugraph.NodeID{6, 7}, smp, Options{R: 4, Zeta: 0.5})
-	if len(res.Edges) == 0 {
+	res := EliminateMultiPairs(g, []ugraph.NodeID{0, 1}, []ugraph.NodeID{6, 7}, smp, Options{R: 4, Zeta: 0.5})
+	cands := res.List()
+	if len(cands) == 0 {
 		t.Fatal("no candidates proposed for multi query")
 	}
-	for _, e := range res.Edges {
+	for _, e := range cands {
 		if g.HasEdge(e.U, e.V) || e.U == e.V {
 			t.Fatalf("bad candidate %+v", e)
 		}

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/candidates"
 	"repro/internal/datasets"
 	"repro/internal/paths"
 	"repro/internal/rng"
@@ -126,7 +127,7 @@ func decodeSelection(data []byte, maxEdges int) (g *ugraph.Graph, selected []pat
 func exactSelection(t *testing.T, g *ugraph.Graph, selected []paths.Path, s, dst ugraph.NodeID) float64 {
 	t.Helper()
 	var pg pathGraph
-	if !pg.load(augment(g, nil), selected) {
+	if !pg.load(gPlus(g, candidates.Result{}), selected) {
 		t.Fatalf("selection of %d paths does not fit %d edges", len(selected), exactEdgeCap)
 	}
 	r, ok := pg.reliability(s, dst)
@@ -231,7 +232,7 @@ func TestPathGraphMatchesMC(t *testing.T) {
 			continue
 		}
 		checked++
-		sub, remap := inducedSubgraph(augment(g, nil), sel)
+		sub, remap := inducedSubgraph(gPlus(g, candidates.Result{}), sel)
 		got := sampling.NewMonteCarlo(z, int64(i)).Reliability(sub, remap[s], remap[dst])
 		if sigma := math.Sqrt(want * (1 - want) / z); math.Abs(got-want) > 4*sigma {
 			t.Errorf("case %d: mc %v vs exact %v: more than 4σ (σ=%v)", i, got, want, sigma)
@@ -241,7 +242,7 @@ func TestPathGraphMatchesMC(t *testing.T) {
 
 func TestPathEvaluatorExactAllocationFree(t *testing.T) {
 	g, sel := parallelPaths(false)
-	ev := &pathEvaluator{gPlus: augment(g, nil), s: 0, t: 5}
+	ev := &pathEvaluator{gPlus: gPlus(g, candidates.Result{}), s: 0, t: 5}
 	var r float64
 	if allocs := testing.AllocsPerRun(100, func() { r = ev.reliability(sel) }); allocs != 0 {
 		t.Fatalf("exact objective allocates %v times per call", allocs)
@@ -249,7 +250,7 @@ func TestPathEvaluatorExactAllocationFree(t *testing.T) {
 	if want := bruteSelection(g, sel, 0, 5); math.Abs(r-want) > 1e-12 {
 		t.Fatalf("exact objective %v, brute force %v", r, want)
 	}
-	mev := &multiEvaluator{gPlus: augment(g, nil), sources: []ugraph.NodeID{0, 1}, targets: []ugraph.NodeID{5, 4}}
+	mev := &multiEvaluator{gPlus: gPlus(g, candidates.Result{}), sources: []ugraph.NodeID{0, 1}, targets: []ugraph.NodeID{5, 4}}
 	if allocs := testing.AllocsPerRun(100, func() { r = mev.avgReliability(sel) }); allocs != 0 {
 		t.Fatalf("exact average objective allocates %v times per call", allocs)
 	}
@@ -307,7 +308,7 @@ func TestServedSelectionNeverSamples(t *testing.T) {
 func TestMultiAvgExactMatchesFallback(t *testing.T) {
 	g, sources, targets := multiTestGraph()
 	cands := []ugraph.Edge{{U: 2, V: 5, P: 0.6}, {U: 3, V: 5, P: 0.6}, {U: 0, V: 4, P: 0.6}, {U: 8, V: 9, P: 0.6}}
-	a := augment(g, cands)
+	a := gPlus(g, candidates.Result{Edges: cands})
 	var pool []paths.Path
 	for _, s := range sources {
 		for _, dst := range targets {
@@ -343,7 +344,7 @@ func TestMultiAvgExactMatchesFallback(t *testing.T) {
 
 func TestAllocateBudgetExactMatchesFallback(t *testing.T) {
 	g, cands := example3Graph()
-	a := augment(g, cands)
+	a := gPlus(g, candidates.Result{Edges: cands})
 	pool := a.topL(context.Background(), ex3S, ex3T, 3)
 	opt := ex3Options()
 	for _, budget := range []float64{0.5, 1, 1.5} {

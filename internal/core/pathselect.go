@@ -10,72 +10,24 @@ import (
 	"repro/internal/ugraph"
 )
 
-// augmented is G+ = G ∪ E+ without materialising it: the base graph and
-// E+, either as a deduplicated list or as elimination's implicit pair set.
-// Candidate i is edge origM+i of G+; edge IDs, endpoints and probabilities
-// are those of g.WithEdges on the list (for a pair set, on its List()).
+// augmented is G+ = G ∪ E+, whose first origM edges are G's. With E+
+// listed, g is G+ itself, built by WithEdges on the list. With E+ as
+// elimination's implicit pair set, g is G, and candidate k is edge
+// origM+k with the endpoints and probability it has in
+// g.WithEdges(pairs.List()).
 type augmented struct {
 	g     *ugraph.Graph
 	origM int32
-	cand  []ugraph.Edge
-	pairs *candidates.Pairs // when non-nil, E+ is implicit and cand is nil
+	pairs *candidates.Pairs // when non-nil, E+ is implicit and g is G
 }
 
-// gPlus returns G+ for a candidate set: over elimination's pairs when it
-// ran, and over the deduplicated list otherwise.
+// gPlus returns G+ for a candidate set: G over elimination's pairs when it
+// ran, and g.WithEdges of the list otherwise.
 func gPlus(g *ugraph.Graph, res candidates.Result) augmented {
 	if res.Pairs != nil {
 		return augmented{g: g, origM: int32(g.M()), pairs: res.Pairs}
 	}
-	return augment(g, res.Edges)
-}
-
-// augment drops from cands what g.WithEdges(cands) would skip: edges of g,
-// and every repeat of a pair (in either orientation, for undirected
-// graphs) after its first occurrence. Both are found per first node u of a
-// pair's key, by stamping u's neighbours in g and then each pair's second
-// node in a node-indexed array.
-func augment(g *ugraph.Graph, cands []ugraph.Edge) augmented {
-	n := g.N()
-	key := func(e ugraph.Edge) (ugraph.NodeID, ugraph.NodeID) {
-		if !g.Directed() && e.V < e.U {
-			return e.V, e.U
-		}
-		return e.U, e.V
-	}
-	// head[u] lists, through next and in candidate order, the candidates
-	// whose key starts at u.
-	head := make([]int32, n)
-	for u := range head {
-		head[u] = -1
-	}
-	next := make([]int32, len(cands))
-	for i := len(cands) - 1; i >= 0; i-- {
-		u, _ := key(cands[i])
-		next[i], head[u] = head[u], int32(i)
-	}
-	keep := make([]bool, len(cands))
-	stamp := make([]int32, n) // stamp[v] == u+1: pair (u, v) is in G+ so far
-	for u, i := range head {
-		if i < 0 {
-			continue
-		}
-		for _, a := range g.Out(ugraph.NodeID(u)) {
-			stamp[a.To] = int32(u) + 1
-		}
-		for ; i >= 0; i = next[i] {
-			_, v := key(cands[i])
-			keep[i] = stamp[v] != int32(u)+1
-			stamp[v] = int32(u) + 1
-		}
-	}
-	a := augmented{g: g, origM: int32(g.M()), cand: make([]ugraph.Edge, 0, len(cands))}
-	for i, e := range cands {
-		if keep[i] {
-			a.cand = append(a.cand, e)
-		}
-	}
-	return a
+	return augmented{g: g.WithEdges(res.Edges), origM: int32(g.M())}
 }
 
 // Directed reports whether G+ is directed.
@@ -83,24 +35,18 @@ func (a augmented) Directed() bool { return a.g.Directed() }
 
 // Prob returns the probability of edge eid of G+.
 func (a augmented) Prob(eid int32) float64 {
-	switch {
-	case eid < a.origM:
-		return a.g.Prob(eid)
-	case a.pairs != nil:
+	if a.pairs != nil && eid >= a.origM {
 		return a.pairs.Zeta
 	}
-	return a.cand[eid-a.origM].P
+	return a.g.Prob(eid)
 }
 
 // Endpoints returns edge eid of G+; for a candidate, its spec as given.
 func (a augmented) Endpoints(eid int32) ugraph.Edge {
-	switch {
-	case eid < a.origM:
-		return a.g.Endpoints(eid)
-	case a.pairs != nil:
+	if a.pairs != nil && eid >= a.origM {
 		return a.pairs.Edge(int(eid - a.origM))
 	}
-	return a.cand[eid-a.origM]
+	return a.g.Endpoints(eid)
 }
 
 // topL extracts the top-l most reliable s-t paths in G+.
@@ -108,7 +54,7 @@ func (a augmented) topL(ctx context.Context, s, t ugraph.NodeID, l int) []paths.
 	if a.pairs != nil {
 		return paths.TopLPairs(ctx, a.g, a.pairs, s, t, l)
 	}
-	return paths.TopLWith(ctx, a.g, a.cand, s, t, l)
+	return paths.TopL(ctx, a.g, s, t, l)
 }
 
 // label extracts the sorted candidate-edge IDs on a path — the path batch

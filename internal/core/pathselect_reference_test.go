@@ -20,7 +20,7 @@ import (
 // estimates (same subgraphs, same order), because the sampler is stateful —
 // one extra or reordered estimate would silently shift every later result.
 func referencePathSelect(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, cands []ugraph.Edge, smp sampling.Sampler, opt Options, batch bool) ([]ugraph.Edge, int) {
-	a := augment(g, cands)
+	a := gPlus(g, candidates.Result{Edges: cands})
 	pool := a.topL(ctx, s, t, opt.L)
 	pathCount := len(pool)
 	if pathCount == 0 {

@@ -47,13 +47,13 @@ func runMultiMethod(ctx context.Context, g *ugraph.Graph, q datasets.MultiQuery,
 		if serr != nil {
 			return nil, 0, serr
 		}
-		res := candidates.EliminateMulti(g, q.Sources, q.Targets, smp,
-			candidates.Options{R: opt.R, H: opt.H, Zeta: opt.Zeta})
+		cands := candidates.EliminateMultiPairs(g, q.Sources, q.Targets, smp,
+			candidates.Options{R: opt.R, H: opt.H, Zeta: opt.Zeta}).List()
 		cfg := influence.Config{Z: opt.Z, Seed: opt.Seed}
 		if name == "ESSSP" {
-			edges = influence.ESSSP(ctx, g, q.Sources, q.Targets, res.Edges, opt.K, cfg)
+			edges = influence.ESSSP(ctx, g, q.Sources, q.Targets, cands, opt.K, cfg)
 		} else {
-			edges = influence.IMA(ctx, g, q.Sources, q.Targets, res.Edges, opt.K, cfg)
+			edges = influence.IMA(ctx, g, q.Sources, q.Targets, cands, opt.K, cfg)
 		}
 	default:
 		err = fmt.Errorf("exp: unknown multi method %q", name)

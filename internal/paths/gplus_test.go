@@ -13,14 +13,15 @@ import (
 	"repro/internal/ugraph"
 )
 
-// TestTopLMatchesReferenceOnServedPools pins TopLWith and TopLPairs to the
-// reference run on the materialised G+ on the pools a served BE solve
-// extracts: 20 pairs 3–5 hops apart on lastfm×0.08 and dblp×0.08
-// (undirected) and astopo×0.08 and twitter×0.08 (directed), with E+ as
-// elimination keeps it at the engine defaults (r = 100, ζ = 0.5, mcvec at
-// z = 500). The first 5 pairs also run at ζ = 0.3 and at h = 2. Each
-// dataset runs as generated, then again after half its edges are re-probed
-// to p ∈ [0.1, 0.9) the way a served dataset's writer re-probes them.
+// TestTopLMatchesReferenceOnServedPools pins TopL on the materialised G+,
+// and TopLPairs on G with the pair set, to the reference run on the
+// materialised G+, on the pools a served BE solve extracts: 20 pairs 3–5
+// hops apart on lastfm×0.08 and dblp×0.08 (undirected) and astopo×0.08
+// and twitter×0.08 (directed), with E+ as elimination keeps it at the
+// engine defaults (r = 100, ζ = 0.5, mcvec at z = 500). The first 5 pairs
+// also run at ζ = 0.3 and at h = 2. Each dataset runs as generated, then
+// again after half its edges are re-probed to p ∈ [0.1, 0.9) the way a
+// served dataset's writer re-probes them.
 func TestTopLMatchesReferenceOnServedPools(t *testing.T) {
 	configs := []struct {
 		name  string
@@ -64,7 +65,7 @@ func TestTopLMatchesReferenceOnServedPools(t *testing.T) {
 					if len(want) == 0 {
 						t.Fatalf("%s: no path", label)
 					}
-					samePaths(t, label+" TopLWith", TopLWith(context.Background(), g, res.Edges, q.S, q.T, 30), want)
+					samePaths(t, label+" TopL", TopL(context.Background(), plus, q.S, q.T, 30), want)
 					samePaths(t, label+" TopLPairs", TopLPairs(context.Background(), g, res.Pairs, q.S, q.T, 30), want)
 				}
 			}
@@ -73,10 +74,10 @@ func TestTopLMatchesReferenceOnServedPools(t *testing.T) {
 }
 
 // FuzzTopLWithMatchesReference decodes a small graph, a list of extra
-// edges, a pair and l, and checks that TopLWith over the extra edges finds
-// what the reference finds on the materialised g.WithEdges(extra). The
-// extra edges keep what WithEdges would add (no self-loops, no edge of g,
-// each pair once), as TopLWith requires.
+// edges, a pair and l, and checks that TopL on the materialised
+// g.WithEdges(extra), G+ with E+ listed, finds what the reference finds
+// there. The extra edges keep what WithEdges would add (no self-loops, no
+// edge of g, each pair once).
 func FuzzTopLWithMatchesReference(f *testing.F) {
 	f.Add([]byte{6, 0, 1, 2, 1, 2, 3, 2, 3, 4, 0, 4, 5, 1, 0, 5, 2, 3})
 	f.Add([]byte{7, 1, 0, 1, 2, 1, 2, 1, 2, 3, 3, 0, 3, 0, 3, 6, 2, 5, 6, 1, 6, 5, 2, 1, 4})
@@ -126,7 +127,8 @@ func FuzzTopLWithMatchesReference(f *testing.F) {
 			l += int(rest[0]) % 12
 		}
 		label := fmt.Sprintf("n=%d directed=%v base=%v extra=%v l=%d", n, directed, g.Edges(), extra, l)
-		samePaths(t, label, TopLWith(context.Background(), g, extra, s, tt, l), referenceTopL(g.WithEdges(extra), s, tt, l))
+		plus = g.WithEdges(extra)
+		samePaths(t, label, TopL(context.Background(), plus, s, tt, l), referenceTopL(plus, s, tt, l))
 	})
 }
 
@@ -198,14 +200,13 @@ func FuzzTopLPairsMatchesReference(f *testing.F) {
 	})
 }
 
-// TestTopLConcurrentCalls runs TopLWith, TopLPairs and MostReliable from
-// several goroutines at once over graphs of different sizes, so pooled
-// searchers move between graphs, callers and forms of E+, and checks every
-// answer against the one a lone call gives.
+// TestTopLConcurrentCalls runs TopL on a materialised G+, TopLPairs and
+// MostReliable from several goroutines at once over graphs of different
+// sizes, so pooled searchers move between graphs, callers and forms of E+,
+// and checks every answer against the one a lone call gives.
 func TestTopLConcurrentCalls(t *testing.T) {
 	type query struct {
-		g               *ugraph.Graph
-		extra           []ugraph.Edge
+		g, plus         *ugraph.Graph
 		set             *candidates.Pairs
 		want, wantPairs []Path
 	}
@@ -215,12 +216,10 @@ func TestTopLConcurrentCalls(t *testing.T) {
 		n := 6 + 4*(trial%4)
 		g := randomGraph(r, n, 2*n, trial%2 == 0)
 		plus := g.Clone()
-		var extra []ugraph.Edge
-		for len(extra) < n/2 {
+		for plus.M() < g.M()+n/2 {
 			e := ugraph.Edge{U: ugraph.NodeID(r.Intn(n)), V: ugraph.NodeID(r.Intn(n)), P: 0.5}
 			if e.U != e.V && !plus.HasEdge(e.U, e.V) {
 				plus.MustAddEdge(e.U, e.V, e.P)
-				extra = append(extra, e)
 			}
 		}
 		side := func() []ugraph.NodeID {
@@ -232,7 +231,7 @@ func TestTopLConcurrentCalls(t *testing.T) {
 		}
 		set := candidates.NewPairs(g, side(), side(), candidates.Options{Zeta: 0.25})
 		tt := ugraph.NodeID(n - 1)
-		qs = append(qs, query{g: g, extra: extra, set: set,
+		qs = append(qs, query{g: g, plus: plus, set: set,
 			want: referenceTopL(plus, 0, tt, 8), wantPairs: referenceTopL(g.WithEdges(set.List()), 0, tt, 8)})
 	}
 	var wg sync.WaitGroup
@@ -244,7 +243,7 @@ func TestTopLConcurrentCalls(t *testing.T) {
 			for i := range qs {
 				q := qs[(i+w)%len(qs)]
 				tt := ugraph.NodeID(q.g.N() - 1)
-				got := TopLWith(context.Background(), q.g, q.extra, 0, tt, 8)
+				got := TopL(context.Background(), q.plus, 0, tt, 8)
 				if fmt.Sprint(got) != fmt.Sprint(q.want) {
 					errs <- fmt.Sprintf("worker %d query %d: %v, reference %v", w, (i+w)%len(qs), got, q.want)
 				}

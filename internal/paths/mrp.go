@@ -42,7 +42,7 @@ func ImproveMostReliablePath(ctx context.Context, g *ugraph.Graph, candidates []
 		k = 0
 	}
 	var blue rows // blue arcs carry w = −log p, +Inf when p = 0
-	blue.pack(g, nil)
+	blue.pack(g)
 	n := g.N()
 	layers := k + 1
 	// Red adjacency: candidate edges by source node (both directions for

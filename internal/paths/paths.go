@@ -1,7 +1,9 @@
 // Package paths implements the path machinery of §4-5 of the paper: most
 // reliable paths via Dijkstra over −log p weights, top-l most reliable
 // simple path enumeration (used in place of Eppstein's algorithm; exact,
-// loopless, Yen-style deviation search), and the layered-graph polynomial
+// loopless, Yen-style deviation search) over a graph, or over G+ = G ∪ E+
+// with elimination's E+ left implicit as its pair set (a listed E+ is
+// searched on g.WithEdges(E+)), and the layered-graph polynomial
 // algorithm for the restricted "improve the most reliable path" problem
 // (Algorithm 3, Theorem 3).
 package paths
@@ -37,7 +39,7 @@ func (p Path) Weight() float64 {
 // MostReliable returns the most reliable path from s to t (Equation 5), or
 // ok=false if t is unreachable through positive-probability edges.
 func MostReliable(g *ugraph.Graph, s, t ugraph.NodeID) (Path, bool) {
-	sr := newSearcher(g, nil, nil)
+	sr := newSearcher(g, nil)
 	defer sr.release()
 	return sr.search(s, t)
 }
@@ -50,66 +52,38 @@ type arc struct {
 	w   float64
 }
 
-// rows is the packed weighted adjacency of G ∪ extra. Row u holds u's arcs
-// of g in g's order, then u's arcs of extra in list order (at both ends for
-// undirected graphs): the arc order of g.WithEdges(extra), so a search over
-// the rows relaxes arcs in the same order as one over that graph.
+// rows is the packed weighted adjacency of a graph: row u holds u's arcs
+// in the graph's order, so a search over the rows relaxes arcs in the same
+// order as one over the graph.
 type rows struct {
 	off  []int32 // row u is arcs[off[u]:off[u+1]]
 	arcs []arc
 
-	// Packing scratch: the weight of each edge of g, and where each row's
-	// next extra arc goes.
-	w    []float64
-	next []int32
+	// w is packing scratch: the weight of each edge of g, computed once
+	// per edge rather than once per arc.
+	w []float64
 }
 
-// pack rebuilds r as the rows of G ∪ extra, where extra[i] is edge
-// g.M()+i, reusing r's arrays where they are large enough.
-func (r *rows) pack(g *ugraph.Graph, extra []ugraph.Edge) {
+// pack rebuilds r as the rows of g, reusing r's arrays where they are
+// large enough.
+func (r *rows) pack(g *ugraph.Graph) {
 	c := g.Freeze()
-	n, m := g.N(), g.M()
-	r.w = resize(r.w, m)
+	n := g.N()
+	r.w = resize(r.w, g.M())
 	for eid := range r.w {
 		r.w[eid] = weight(c.Prob(int32(eid)))
 	}
 	r.off = resize(r.off, n+1)
 	r.off[0] = 0
 	for u := 0; u < n; u++ {
-		r.off[u+1] = int32(len(c.Out(ugraph.NodeID(u))))
-	}
-	for _, e := range extra {
-		r.off[e.U+1]++
-		if !g.Directed() {
-			r.off[e.V+1]++
-		}
-	}
-	for u := 0; u < n; u++ {
-		r.off[u+1] += r.off[u]
+		r.off[u+1] = r.off[u] + int32(len(c.Out(ugraph.NodeID(u))))
 	}
 	r.arcs = resize(r.arcs, int(r.off[n]))
-	r.next = resize(r.next, n)
-	for u := range r.next {
-		i := r.off[u]
+	i := 0
+	for u := 0; u < n; u++ {
 		for _, a := range c.Out(ugraph.NodeID(u)) {
 			r.arcs[i] = arc{to: a.To, eid: a.EID, w: r.w[a.EID]}
 			i++
-		}
-		r.next[u] = i
-	}
-	// Candidate edges mostly share one probability, ζ: reuse its weight.
-	lastP, lastW := math.NaN(), 0.0
-	for i, e := range extra {
-		if e.P != lastP {
-			lastP, lastW = e.P, weight(e.P)
-		}
-		a := arc{to: e.V, eid: int32(m + i), w: lastW}
-		r.arcs[r.next[e.U]] = a
-		r.next[e.U]++
-		if !g.Directed() {
-			a.to = e.U
-			r.arcs[r.next[e.V]] = a
-			r.next[e.V]++
 		}
 	}
 }
@@ -136,7 +110,7 @@ func weight(p float64) float64 {
 }
 
 // searcher runs repeated most-reliable-path searches over the packed rows
-// of G ∪ extra, or of G with an implicit E+ — the Yen-style top-l
+// of G, with or without an implicit E+ — the Yen-style top-l
 // enumeration re-runs the search once per deviation. Everything a search
 // needs is built once per searcher, in arrays that a pooled searcher keeps
 // from its last use.
@@ -148,8 +122,7 @@ func weight(p float64) float64 {
 // a banned node holds dist = −Inf while it is banned, so nothing relaxes
 // into it. Banned edges are checked only when a relaxation would succeed.
 type searcher struct {
-	g     *ugraph.Graph
-	extra []ugraph.Edge
+	g *ugraph.Graph
 	rows
 	pairArcs
 
@@ -174,19 +147,18 @@ type searcher struct {
 // MostReliable call to the next.
 var searchers sync.Pool
 
-// newSearcher returns a searcher over G ∪ extra, or over G ∪ set when set
-// is non-nil (extra is then nil), with nothing banned; hand it back with
-// release.
-func newSearcher(g *ugraph.Graph, extra []ugraph.Edge, set *candidates.Pairs) *searcher {
+// newSearcher returns a searcher over G, or over G ∪ set when set is
+// non-nil, with nothing banned; hand it back with release.
+func newSearcher(g *ugraph.Graph, set *candidates.Pairs) *searcher {
 	sr, _ := searchers.Get().(*searcher)
 	if sr == nil {
 		sr = new(searcher)
 	}
 	n := g.N()
-	sr.g, sr.extra = g, extra
-	sr.pack(g, extra)
+	sr.g = g
+	sr.pack(g)
 	sr.pairArcs.load(g, set)
-	m := g.M() + len(extra)
+	m := g.M()
 	if set != nil {
 		m += set.Len()
 	}
@@ -204,17 +176,14 @@ func newSearcher(g *ugraph.Graph, extra []ugraph.Edge, set *candidates.Pairs) *s
 // release returns sr to the pool. The paths it found share no memory
 // with it.
 func (sr *searcher) release() {
-	sr.g, sr.extra, sr.set = nil, nil, nil
+	sr.g, sr.set = nil, nil
 	searchers.Put(sr)
 }
 
-// prob returns the probability of edge eid of G ∪ extra (or G ∪ set).
+// prob returns the probability of edge eid of G (or G ∪ set).
 func (sr *searcher) prob(eid int32) float64 {
-	if m := int32(sr.g.M()); eid >= m {
-		if sr.set != nil {
-			return sr.set.Zeta
-		}
-		return sr.extra[eid-m].P
+	if eid >= int32(sr.g.M()) {
+		return sr.set.Zeta
 	}
 	return sr.g.Prob(eid)
 }
@@ -288,8 +257,9 @@ func (sr *searcher) reach(u, v ugraph.NodeID, eid int32, nd float64) {
 // a head once tried. A head stays pending only when its arc was banned
 // (the ban lasts one search; another arc into it may succeed) or not
 // admitted. Every arc skipped is one whose relaxation would fail, so
-// the search pushes the nodes, distances and parents a search over the
-// listed rows pushes, in the same order, and ties leave the heap alike.
+// the search pushes the nodes, distances and parents a search over
+// g.WithEdges(set.List()) pushes, in the same order, and ties leave the
+// heap alike.
 type pairArcs struct {
 	set            *candidates.Pairs
 	w              float64
@@ -372,7 +342,7 @@ func (p *pairArcs) drop(v ugraph.NodeID) {
 }
 
 // relaxPairs relaxes the candidate arcs of u, just settled at d, in the
-// order u's listed row holds them: reverse arcs of the pairs (i', j) with
+// order u's row of g.WithEdges(set.List()) holds them: reverse arcs of the pairs (i', j) with
 // FromS[i'] before u, u's own pairs in ToT order, then the remaining
 // reverse arcs (for u = ToT[j], u = FromS[i]; (i, j) itself is the
 // self-pair, never admitted).
@@ -473,19 +443,9 @@ func reconstruct(prob func(int32) float64, s, t ugraph.NodeID, parent, parentEdg
 	return Path{Nodes: nodes, Edges: edges, Prob: p}
 }
 
-// TopL returns up to l most reliable simple paths from s to t in g, in
-// decreasing probability order, the path set P of §5.1.2. It is TopLWith
-// with no extra edges.
-func TopL(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, l int) []Path {
-	return TopLWith(ctx, g, nil, s, t, l)
-}
-
-// TopLWith returns up to l most reliable simple s-t paths in G ∪ extra in
-// decreasing probability order, without materialising that graph: extra[i]
-// is edge g.M()+i, and the paths, edge IDs and probabilities are those TopL
-// finds on g.WithEdges(extra). extra must therefore hold what WithEdges
-// would add: no self-loops, no edge of g, and each pair once (in either
-// orientation, for undirected graphs), with probabilities in [0, 1].
+// TopL returns up to l most reliable simple s-t paths in g in decreasing
+// probability order, the path set P of §5.1.2. To search G+ = G ∪ E+ with
+// E+ listed, pass g.WithEdges(E+).
 //
 // It uses Yen's deviation algorithm with most-reliable-path Dijkstra as
 // the subroutine; the output is exact. Paths of equal probability are not
@@ -493,25 +453,26 @@ func TopL(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, l int) []Pat
 // heaps and of the arc rows, the order the test reference pins. Extraction
 // polls ctx between paths: a cancelled context stops the enumeration and
 // returns the (still exact, still sorted) prefix found so far.
-func TopLWith(ctx context.Context, g *ugraph.Graph, extra []ugraph.Edge, s, t ugraph.NodeID, l int) []Path {
+func TopL(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, l int) []Path {
 	if l <= 0 {
 		return nil
 	}
-	sr := newSearcher(g, extra, nil)
+	sr := newSearcher(g, nil)
 	defer sr.release()
 	return sr.topL(ctx, s, t, l)
 }
 
-// TopLPairs is TopLWith over an elimination's candidate set left implicit:
-// it returns what TopLWith returns with extra = set.List(), candidate k
-// being edge g.M()+k, bit for bit, without listing E+ or packing it into
-// rows. Its searches relax candidate arcs as pairArcs describes, skipping
-// those whose relaxation cannot succeed. set must have been built on g.
+// TopLPairs is TopL over G ∪ E+ with an elimination's candidate set left
+// implicit: it returns what TopL returns on g.WithEdges(set.List()),
+// candidate k being edge g.M()+k, bit for bit, without listing E+ or
+// building that graph. Its searches relax candidate arcs as pairArcs
+// describes, skipping those whose relaxation cannot succeed. set must have
+// been built on g.
 func TopLPairs(ctx context.Context, g *ugraph.Graph, set *candidates.Pairs, s, t ugraph.NodeID, l int) []Path {
 	if l <= 0 {
 		return nil
 	}
-	sr := newSearcher(g, nil, set)
+	sr := newSearcher(g, set)
 	defer sr.release()
 	return sr.topL(ctx, s, t, l)
 }
