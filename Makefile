@@ -16,11 +16,12 @@ test:
 # Race-check the concurrency-bearing packages: parallel sampler, solvers,
 # the path search (its searchers are pooled across callers), the anytime
 # controller and candidate elimination (both fan out through the sharded
-# ParallelSampler), the root package (Engine's concurrent-use contract,
-# including the durability tests), the persistence layer, the replication
-# subsystem and the HTTP server.
+# ParallelSampler), the graph snapshots (concurrent WithEdges views share
+# their base's rows copy-on-write), the root package (Engine's
+# concurrent-use contract, including the durability tests), the
+# persistence layer, the replication subsystem and the HTTP server.
 race:
-	$(GO) test -race . ./internal/sampling/... ./internal/core/... ./internal/paths ./internal/anytime ./internal/candidates ./internal/store ./internal/replication ./cmd/relmaxd
+	$(GO) test -race . ./internal/sampling/... ./internal/core/... ./internal/paths ./internal/anytime ./internal/candidates ./internal/ugraph ./internal/store ./internal/replication ./cmd/relmaxd
 
 # Full benchmark run with stable settings for recording numbers.
 bench:

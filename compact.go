@@ -95,6 +95,9 @@ func (e *Engine) compactLocked() (*engineSnapshot, error) {
 		return nil, err
 	}
 	flat := newFlatSnapshot(g)
+	// The twin is published over the same *Graph, so cur's memoised
+	// vectors stay correct for it.
+	flat.vecsOnce.Do(func() { flat.vecs = cur.vectors(g, &e.vecCounts) })
 	e.snap.Store(flat)
 	e.compactions.Add(1)
 	return flat, nil

@@ -360,9 +360,10 @@
 // already handed out remain valid — an Engine clones the graph at
 // construction, so its snapshots are isolated from caller mutations, and
 // Engine.Apply only ever swaps in freshly built ones. Candidate-evaluation
-// loops derive lightweight overlay views (one candidate edge over a shared
-// base snapshot) instead of cloning the graph, which is what makes the
-// batched EstimateEdges path cheap.
+// loops derive lightweight views with CSR.WithEdges (one candidate edge
+// added as a delta layer over a shared base snapshot, the same layer Apply
+// commits) instead of cloning the graph, which is what makes the batched
+// EstimateEdges path cheap.
 //
 // Dataset stand-ins for the paper's evaluation graphs and the full
 // experiment harness (one runner per table/figure) are exposed via

@@ -129,8 +129,9 @@ type Engine struct {
 // the mutable-Graph form that solvers, compaction, checkpoints and flat
 // commits need; it is built at most once under matOnce, and the snapshot
 // is immutable once published. vecs memoizes elimination's reliability
-// vectors on mat, built on first use; it lives and dies with the snapshot,
-// so a new epoch, or a compacted twin of one, starts with none.
+// vectors on mat, built on first use. A new epoch starts with none; a
+// compacted twin shares its layered snapshot's memo, since both are over
+// the same mat.
 type engineSnapshot struct {
 	csr *CSR
 

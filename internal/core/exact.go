@@ -30,8 +30,8 @@ func exactSearch(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, cands
 	best := -1.0
 	var bestSet []ugraph.Edge
 	current := make([]ugraph.Edge, 0, k)
-	// Freeze once; every combination is evaluated on a CSR overlay instead
-	// of cloning and re-indexing the whole graph per combination.
+	// Freeze once; every combination is evaluated on a CSR.WithEdges view
+	// instead of cloning and re-indexing the whole graph per combination.
 	base := g.Freeze()
 	evaluated := 0
 	stopped := false

@@ -85,8 +85,8 @@ func ESSSP(ctx context.Context, g *ugraph.Graph, sources, targets []ugraph.NodeI
 
 // greedyMaximize runs k rounds of marginal-gain edge selection for an
 // arbitrary snapshot objective (higher is better). Each round freezes the
-// working graph once and scores every remaining candidate on a CSR overlay
-// of that snapshot, so the per-candidate cost is the estimate alone — no
+// working graph once and scores every remaining candidate on a
+// CSR.WithEdges view of that snapshot, so the per-candidate cost is the estimate alone — no
 // clone, no snapshot rebuild. A cancelled ctx stops between candidates and
 // returns the greedy prefix committed in completed rounds.
 func greedyMaximize(ctx context.Context, g *ugraph.Graph, cands []ugraph.Edge, k int, objective func(*ugraph.CSR) float64) []ugraph.Edge {

@@ -59,6 +59,8 @@ func newLive(t *testing.T, kind string, z int, seed int64) Sampler {
 		return NewMonteCarlo(z, seed)
 	case "rss":
 		return NewRSS(z, seed)
+	case "mcvec":
+		return NewMCVec(z, seed)
 	}
 	t.Fatalf("unknown kind %q", kind)
 	return nil
@@ -95,9 +97,11 @@ func TestSamplersBitIdenticalToReference(t *testing.T) {
 // TestOverlayEstimatesBitIdentical checks the candidate-evaluation fast
 // path: estimating on a WithEdges CSR overlay must equal (bit for bit)
 // estimating on the fully cloned-and-refrozen graph, and equal the legacy
-// engine on that clone.
+// engine on that clone where the kind has one.
 func TestOverlayEstimatesBitIdentical(t *testing.T) {
-	for _, kind := range []string{"mc", "rss"} {
+	for _, kind := range []string{"mc", "rss", "mcvec"} {
+		// mcvec has no legacy reference; it is checked against the clone.
+		hasRef := kind != "mcvec"
 		r := rng.New(22)
 		for trial := 0; trial < 6; trial++ {
 			directed := trial%2 == 1
@@ -119,21 +123,29 @@ func TestOverlayEstimatesBitIdentical(t *testing.T) {
 			cs := newLive(t, kind, 300, seed).(Sampler)
 			onOverlay := cs.ReliabilityCSR(overlay, s, tt)
 			onClone := newLive(t, kind, 300, seed).Reliability(clone, s, tt)
-			legacy := newRef(kind, 300, seed).Reliability(clone, s, tt)
-			if onOverlay != onClone || onOverlay != legacy {
-				t.Fatalf("%s trial %d: overlay=%v clone=%v legacy=%v", kind, trial, onOverlay, onClone, legacy)
+			if onOverlay != onClone {
+				t.Fatalf("%s trial %d: overlay=%v clone=%v", kind, trial, onOverlay, onClone)
+			}
+			if hasRef {
+				if legacy := newRef(kind, 300, seed).Reliability(clone, s, tt); onOverlay != legacy {
+					t.Fatalf("%s trial %d: overlay=%v legacy=%v", kind, trial, onOverlay, legacy)
+				}
 			}
 
 			cs.Reseed(seed)
 			fromOverlay := cs.ReliabilityFromCSR(overlay, s)
-			fromLegacy := newRef(kind, 300, seed).ReliabilityFrom(clone, s)
-			if !equalVec(fromOverlay, fromLegacy) {
+			if !equalVec(fromOverlay, newLive(t, kind, 300, seed).ReliabilityFrom(clone, s)) {
+				t.Fatalf("%s trial %d: overlay ReliabilityFrom differs from clone", kind, trial)
+			}
+			if hasRef && !equalVec(fromOverlay, newRef(kind, 300, seed).ReliabilityFrom(clone, s)) {
 				t.Fatalf("%s trial %d: overlay ReliabilityFrom differs from legacy clone", kind, trial)
 			}
 			cs.Reseed(seed)
 			toOverlay := cs.ReliabilityToCSR(overlay, tt)
-			toLegacy := newRef(kind, 300, seed).ReliabilityTo(clone, tt)
-			if !equalVec(toOverlay, toLegacy) {
+			if !equalVec(toOverlay, newLive(t, kind, 300, seed).ReliabilityTo(clone, tt)) {
+				t.Fatalf("%s trial %d: overlay ReliabilityTo differs from clone", kind, trial)
+			}
+			if hasRef && !equalVec(toOverlay, newRef(kind, 300, seed).ReliabilityTo(clone, tt)) {
 				t.Fatalf("%s trial %d: overlay ReliabilityTo differs from legacy clone", kind, trial)
 			}
 		}
@@ -143,7 +155,7 @@ func TestOverlayEstimatesBitIdentical(t *testing.T) {
 // TestMultiSourceBitIdentical covers the influence-layer walks (multi-
 // source reach and expected pair hops): on a WithEdges overlay they must
 // estimate bit-identically to the cloned-and-refrozen graph, since the
-// overlay arcs follow each base row exactly as appended edges do. A
+// view's added arcs end each row exactly as appended edges do. A
 // single-source reach must also equal the MC From vector, whose walk
 // draws the same coins in the same order.
 func TestMultiSourceBitIdentical(t *testing.T) {

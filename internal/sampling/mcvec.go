@@ -242,7 +242,6 @@ func (v *MCVec) block(c *ugraph.CSR, src, t ugraph.NodeID, forward bool, lanes u
 		counts[src] += float64(bits.OnesCount64(lanes))
 	}
 	var tmask uint64
-	hasX := c.HasOverlay()
 	r := &v.r
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
@@ -251,133 +250,115 @@ func (v *MCVec) block(c *ugraph.CSR, src, t ugraph.NodeID, forward bool, lanes u
 		nu.pend = 0
 		rescan := nu.scanEp == epoch
 		nu.scanEp = epoch
-		var arcs, extra []ugraph.Arc
-		var probs, xprobs []float64
+		var arcs []ugraph.Arc
+		var probs []float64
 		if forward {
 			arcs = c.Out(u)
-			if hasX {
-				extra = c.OutOverlay(u)
-			}
 			if !rescan {
 				probs = c.OutProbs(u)
-				if hasX {
-					xprobs = c.OutOverlayProbs(u)
-				}
 			}
 		} else {
 			arcs = c.In(u)
-			if hasX {
-				extra = c.InOverlay(u)
-			}
 			if !rescan {
 				probs = c.InProbs(u)
-				if hasX {
-					xprobs = c.InOverlayProbs(u)
-				}
 			}
 		}
-		for {
-			if rescan {
-				for _, a := range arcs {
-					m := f & edges[a.EID].mask
+		if rescan {
+			for _, a := range arcs {
+				m := f & edges[a.EID].mask
+				if m == 0 {
+					continue
+				}
+				w := a.To
+				nw := &nodes[w]
+				if nw.ep == epoch {
+					m &^= nw.vis
 					if m == 0 {
 						continue
 					}
-					w := a.To
-					nw := &nodes[w]
-					if nw.ep == epoch {
-						m &^= nw.vis
-						if m == 0 {
-							continue
-						}
-						nw.vis |= m
-					} else {
-						*nw = laneNode{ep: epoch, vis: m}
-					}
-					if counts != nil {
-						counts[w] += float64(bits.OnesCount64(m))
-					}
-					if w == t {
-						tmask |= m
-						if tmask == lanes {
-							sc.queue = queue
-							return tmask
-						}
-						continue
-					}
-					if nw.pend == 0 {
-						queue = append(queue, w)
-					}
-					nw.pend |= m
+					nw.vis |= m
+				} else {
+					*nw = laneNode{ep: epoch, vis: m}
 				}
-			} else {
-				for i, a := range arcs {
-					e := &edges[a.EID]
-					em := e.mask
-					if e.ep != epoch {
-						// Inline rng.BernoulliMask fast path: p's binary
-						// expansion packed MSB-first into one digit
-						// register (fits whenever p >= 2^-11); identical
-						// digit steps and word consumption to the library
-						// function, which remains the cold path.
-						p := probs[i]
-						em = 0
-						if p >= 1 {
-							em = fullLanes
-						} else if p > 0 {
-							if pb := math.Float64bits(p); pb>>52 >= 1011 {
-								dig := (pb&(1<<52-1) | 1<<52) << (pb>>52 - 1011)
-								und := fullLanes
-								for und != 0 && dig != 0 {
-									w := r.Uint64()
-									d := -(dig >> 63)
-									em |= und & d &^ w
-									und &= w ^ ^d
-									dig <<= 1
-								}
-							} else {
-								em = rng.BernoulliMask(r, p)
+				if counts != nil {
+					counts[w] += float64(bits.OnesCount64(m))
+				}
+				if w == t {
+					tmask |= m
+					if tmask == lanes {
+						sc.queue = queue
+						return tmask
+					}
+					continue
+				}
+				if nw.pend == 0 {
+					queue = append(queue, w)
+				}
+				nw.pend |= m
+			}
+		} else {
+			for i, a := range arcs {
+				e := &edges[a.EID]
+				em := e.mask
+				if e.ep != epoch {
+					// Inline rng.BernoulliMask fast path: p's binary
+					// expansion packed MSB-first into one digit
+					// register (fits whenever p >= 2^-11); identical
+					// digit steps and word consumption to the library
+					// function, which remains the cold path.
+					p := probs[i]
+					em = 0
+					if p >= 1 {
+						em = fullLanes
+					} else if p > 0 {
+						if pb := math.Float64bits(p); pb>>52 >= 1011 {
+							dig := (pb&(1<<52-1) | 1<<52) << (pb>>52 - 1011)
+							und := fullLanes
+							for und != 0 && dig != 0 {
+								w := r.Uint64()
+								d := -(dig >> 63)
+								em |= und & d &^ w
+								und &= w ^ ^d
+								dig <<= 1
 							}
+						} else {
+							em = rng.BernoulliMask(r, p)
 						}
-						e.mask = em
-						e.ep = epoch
 					}
-					m := f & em
+					e.mask = em
+					e.ep = epoch
+				}
+				m := f & em
+				if m == 0 {
+					continue
+				}
+				w := a.To
+				nw := &nodes[w]
+				if nw.ep == epoch {
+					m &^= nw.vis
 					if m == 0 {
 						continue
 					}
-					w := a.To
-					nw := &nodes[w]
-					if nw.ep == epoch {
-						m &^= nw.vis
-						if m == 0 {
-							continue
-						}
-						nw.vis |= m
-					} else {
-						*nw = laneNode{ep: epoch, vis: m}
-					}
-					if counts != nil {
-						counts[w] += float64(bits.OnesCount64(m))
-					}
-					if w == t {
-						tmask |= m
-						if tmask == lanes {
-							sc.queue = queue
-							return tmask
-						}
-						continue
-					}
-					if nw.pend == 0 {
-						queue = append(queue, w)
-					}
-					nw.pend |= m
+					nw.vis |= m
+				} else {
+					*nw = laneNode{ep: epoch, vis: m}
 				}
+				if counts != nil {
+					counts[w] += float64(bits.OnesCount64(m))
+				}
+				if w == t {
+					tmask |= m
+					if tmask == lanes {
+						sc.queue = queue
+						return tmask
+					}
+					continue
+				}
+				if nw.pend == 0 {
+					queue = append(queue, w)
+				}
+				nw.pend |= m
 			}
-			if len(extra) == 0 {
-				break
-			}
-			arcs, probs, extra = extra, xprobs, nil
 		}
 	}
 	sc.queue = queue

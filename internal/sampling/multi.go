@@ -7,7 +7,7 @@ import "repro/internal/ugraph"
 // activation probability of the independent cascade process (§8.4.2): in
 // a possible world, v is active iff some source reaches it. Greedy
 // influence loops freeze once and evaluate candidate edges on WithEdges
-// overlays.
+// views.
 func (mc *MonteCarlo) MultiSourceReachCSR(c *ugraph.CSR, sources []ugraph.NodeID) []float64 {
 	mc.sc.reset(c.N(), c.EdgeIDBound())
 	counts := make([]float64, c.N())
@@ -41,38 +41,26 @@ func (mc *MonteCarlo) multiWalk(c *ugraph.CSR, sources []ugraph.NodeID, counts [
 			sc.queue = append(sc.queue, s)
 		}
 	}
-	hasX := c.HasOverlay()
 	for head := 0; head < len(sc.queue); head++ {
 		u := sc.queue[head]
-		arcs, probs := c.Out(u), c.OutProbs(u)
-		var extra []ugraph.Arc
-		var xprobs []float64
-		if hasX {
-			extra, xprobs = c.OutOverlay(u), c.OutOverlayProbs(u)
-		}
-		for {
-			for i, a := range arcs {
-				if sc.nodeEp[a.To] == sc.epoch {
+		probs := c.OutProbs(u)
+		for i, a := range c.Out(u) {
+			if sc.nodeEp[a.To] == sc.epoch {
+				continue
+			}
+			if st := sc.edgeSt[a.EID]; st != sc.epoch && st != -sc.epoch {
+				if mc.r.Float64() < probs[i] {
+					sc.edgeSt[a.EID] = sc.epoch
+				} else {
+					sc.edgeSt[a.EID] = -sc.epoch
 					continue
 				}
-				if st := sc.edgeSt[a.EID]; st != sc.epoch && st != -sc.epoch {
-					if mc.r.Float64() < probs[i] {
-						sc.edgeSt[a.EID] = sc.epoch
-					} else {
-						sc.edgeSt[a.EID] = -sc.epoch
-						continue
-					}
-				} else if st != sc.epoch {
-					continue
-				}
-				sc.nodeEp[a.To] = sc.epoch
-				counts[a.To]++
-				sc.queue = append(sc.queue, a.To)
+			} else if st != sc.epoch {
+				continue
 			}
-			if len(extra) == 0 {
-				break
-			}
-			arcs, probs, extra = extra, xprobs, nil
+			sc.nodeEp[a.To] = sc.epoch
+			counts[a.To]++
+			sc.queue = append(sc.queue, a.To)
 		}
 	}
 }
@@ -122,38 +110,26 @@ func (mc *MonteCarlo) walkDistances(c *ugraph.CSR, s ugraph.NodeID, dist []int32
 	dist[s] = 0
 	sc.nodeEp[s] = sc.epoch
 	sc.queue = append(sc.queue, s)
-	hasX := c.HasOverlay()
 	for head := 0; head < len(sc.queue); head++ {
 		u := sc.queue[head]
-		arcs, probs := c.Out(u), c.OutProbs(u)
-		var extra []ugraph.Arc
-		var xprobs []float64
-		if hasX {
-			extra, xprobs = c.OutOverlay(u), c.OutOverlayProbs(u)
-		}
-		for {
-			for i, a := range arcs {
-				if sc.nodeEp[a.To] == sc.epoch {
+		probs := c.OutProbs(u)
+		for i, a := range c.Out(u) {
+			if sc.nodeEp[a.To] == sc.epoch {
+				continue
+			}
+			if st := sc.edgeSt[a.EID]; st != sc.epoch && st != -sc.epoch {
+				if mc.r.Float64() < probs[i] {
+					sc.edgeSt[a.EID] = sc.epoch
+				} else {
+					sc.edgeSt[a.EID] = -sc.epoch
 					continue
 				}
-				if st := sc.edgeSt[a.EID]; st != sc.epoch && st != -sc.epoch {
-					if mc.r.Float64() < probs[i] {
-						sc.edgeSt[a.EID] = sc.epoch
-					} else {
-						sc.edgeSt[a.EID] = -sc.epoch
-						continue
-					}
-				} else if st != sc.epoch {
-					continue
-				}
-				sc.nodeEp[a.To] = sc.epoch
-				dist[a.To] = dist[u] + 1
-				sc.queue = append(sc.queue, a.To)
+			} else if st != sc.epoch {
+				continue
 			}
-			if len(extra) == 0 {
-				break
-			}
-			arcs, probs, extra = extra, xprobs, nil
+			sc.nodeEp[a.To] = sc.epoch
+			dist[a.To] = dist[u] + 1
+			sc.queue = append(sc.queue, a.To)
 		}
 	}
 }

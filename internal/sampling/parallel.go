@@ -352,7 +352,7 @@ func (ps *ParallelSampler) Reliability(g *ugraph.Graph, s, t ugraph.NodeID) floa
 }
 
 // ReliabilityCSR implements Sampler on an already-frozen snapshot (or a
-// WithEdges overlay).
+// WithEdges view).
 func (ps *ParallelSampler) ReliabilityCSR(c *ugraph.CSR, s, t ugraph.NodeID) float64 {
 	if s == t {
 		return 1
@@ -492,8 +492,8 @@ func (ps *ParallelSampler) EstimateManyCSR(c *ugraph.CSR, queries []PairQuery) [
 }
 
 // EstimateEdges implements BatchSampler: the base graph is frozen once,
-// candidate edge e is evaluated on a lightweight CSR overlay (no per-
-// candidate clone or snapshot rebuild), and — like EstimateMany — the
+// candidate edge e is evaluated on a lightweight CSR.WithEdges view (no
+// per-candidate clone or snapshot rebuild), and — like EstimateMany — the
 // fan-out covers the (candidate, shard) product so small candidate sets
 // still saturate the pool. This is the batched form of the hill-climbing /
 // individual-top-k inner loop.

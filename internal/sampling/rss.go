@@ -114,37 +114,24 @@ func (rs *RSS) ReliabilityToCSR(c *ugraph.CSR, t ugraph.NodeID) []float64 {
 // valid. The caller owns the arena range [lo, len(arena)) it grew.
 func (rs *RSS) pushBoundary(c *ugraph.CSR, reach []ugraph.NodeID, forward bool) {
 	lo := len(rs.arena)
-	hasX := c.HasOverlay()
 	for _, u := range reach {
-		var arcs, extra []ugraph.Arc
+		var arcs []ugraph.Arc
 		if forward {
 			arcs = c.Out(u)
-			if hasX {
-				extra = c.OutOverlay(u)
-			}
 		} else {
 			arcs = c.In(u)
-			if hasX {
-				extra = c.InOverlay(u)
-			}
 		}
-		for {
-			for _, a := range arcs {
-				if rs.sc.nodeEp[a.To] == rs.sc.epoch {
-					continue // both endpoints inside the region
-				}
-				if rs.status[a.EID] != 0 {
-					continue
-				}
-				rs.arena = append(rs.arena, a.EID)
-				if len(rs.arena)-lo >= DefaultRSSWidth {
-					return
-				}
+		for _, a := range arcs {
+			if rs.sc.nodeEp[a.To] == rs.sc.epoch {
+				continue // both endpoints inside the region
 			}
-			if len(extra) == 0 {
-				break
+			if rs.status[a.EID] != 0 {
+				continue
 			}
-			arcs, extra = extra, nil
+			rs.arena = append(rs.arena, a.EID)
+			if len(rs.arena)-lo >= DefaultRSSWidth {
+				return
+			}
 		}
 	}
 }

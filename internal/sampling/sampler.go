@@ -15,7 +15,7 @@
 // sampler draws one Float64, so the two consume different randomness and
 // their estimates differ within Monte Carlo error at equal Z. MCVec's own
 // determinism contract matches every other sampler's: a fixed seed yields
-// bit-identical estimates across runs, across Graph/CSR/overlay entry
+// bit-identical estimates across runs, across Graph/CSR/view entry
 // points, and — through ParallelSampler's 64-aligned shard budgets — at
 // any worker count. Budgets are processed in blocks of 64 lanes with the
 // final block masked down to z%64 lanes, so any Z is honored exactly.
@@ -36,7 +36,7 @@
 // are thin wrappers that call Graph.Freeze (cached on the graph, rebuilt
 // only after a mutation) and delegate to them. Hot callers that evaluate
 // many candidate edges against one base graph freeze once and use
-// CSR.WithEdges overlays, so no snapshot is rebuilt per candidate.
+// CSR.WithEdges views, so no snapshot is rebuilt per candidate.
 // Estimates on a CSR are bit-identical to estimates on the Graph it was
 // frozen from at the same seed: freezing preserves arc order, so the
 // samplers consume randomness identically.
@@ -83,7 +83,7 @@ type Sampler interface {
 	ReliabilityTo(g *ugraph.Graph, t ugraph.NodeID) []float64
 	// ReliabilityCSR, ReliabilityFromCSR and ReliabilityToCSR are the
 	// same estimates on an already-frozen snapshot or a CSR.WithEdges
-	// overlay of one; the Graph-taking methods above are exactly these
+	// view of one; the Graph-taking methods above are exactly these
 	// on g.Freeze().
 	ReliabilityCSR(c *ugraph.CSR, s, t ugraph.NodeID) float64
 	ReliabilityFromCSR(c *ugraph.CSR, s ugraph.NodeID) []float64
@@ -141,7 +141,7 @@ type BatchSampler interface {
 	// EstimateEdges estimates R(s, t, G ∪ {e}) for each candidate edge e
 	// in isolation — the inner loop of the greedy and top-k baselines.
 	// The graph is frozen once and each candidate is evaluated on a
-	// lightweight CSR overlay, budget-sharded like EstimateMany.
+	// lightweight CSR.WithEdges view, budget-sharded like EstimateMany.
 	EstimateEdges(g *ugraph.Graph, s, t ugraph.NodeID, edges []ugraph.Edge) []float64
 	// ReliabilityFromMany estimates one ReliabilityFrom vector per
 	// source. Statistically equivalent to per-source calls but drawn
@@ -173,7 +173,7 @@ func (sc *scratch) reset(n, m int) {
 	// When the epoch counter restarts, EVERY mark array must be zeroed —
 	// not just the one that grew. A stale mark equal to a reused low epoch
 	// would make the BFS skip an unvisited node (e.g. a base-graph call
-	// followed by a one-edge-larger overlay call reallocates edgeSt only,
+	// followed by a one-edge-larger view call reallocates edgeSt only,
 	// while nodeEp still holds marks from the previous epochs).
 	if len(sc.nodeEp) < n || len(sc.edgeSt) < m {
 		if len(sc.nodeEp) < n {
@@ -213,8 +213,7 @@ func (sc *scratch) nextEpoch() {
 // closure walk behind the MC From/To vectors. Edge states are sampled
 // lazily and memoized per walk via the signed epoch array, so an
 // undirected edge examined from both endpoints gets one consistent coin
-// flip. Overlay arcs are visited after the base row of each node, matching
-// mutable-Graph arc order.
+// flip. Each row is visited in mutable-Graph arc order, added edges last.
 func sampledWalk(sc *scratch, r *rng.Source, c *ugraph.CSR, src ugraph.NodeID, forward bool, counts []float64) {
 	sc.nextEpoch()
 	// Hoist the scratch fields into locals: the loop below is the hottest
@@ -226,45 +225,32 @@ func sampledWalk(sc *scratch, r *rng.Source, c *ugraph.CSR, src ugraph.NodeID, f
 	queue = append(queue, src)
 	nodeEp[src] = epoch
 	counts[src]++
-	hasX := c.HasOverlay()
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
-		var arcs, extra []ugraph.Arc
-		var probs, xprobs []float64
+		var arcs []ugraph.Arc
+		var probs []float64
 		if forward {
 			arcs, probs = c.Out(u), c.OutProbs(u)
-			if hasX {
-				extra, xprobs = c.OutOverlay(u), c.OutOverlayProbs(u)
-			}
 		} else {
 			arcs, probs = c.In(u), c.InProbs(u)
-			if hasX {
-				extra, xprobs = c.InOverlay(u), c.InOverlayProbs(u)
-			}
 		}
-		for {
-			for i, a := range arcs {
-				if nodeEp[a.To] == epoch {
+		for i, a := range arcs {
+			if nodeEp[a.To] == epoch {
+				continue
+			}
+			if st := edgeSt[a.EID]; st != epoch && st != -epoch {
+				if r.Float64() < probs[i] {
+					edgeSt[a.EID] = epoch
+				} else {
+					edgeSt[a.EID] = -epoch
 					continue
 				}
-				if st := edgeSt[a.EID]; st != epoch && st != -epoch {
-					if r.Float64() < probs[i] {
-						edgeSt[a.EID] = epoch
-					} else {
-						edgeSt[a.EID] = -epoch
-						continue
-					}
-				} else if st != epoch {
-					continue
-				}
-				nodeEp[a.To] = epoch
-				counts[a.To]++
-				queue = append(queue, a.To)
+			} else if st != epoch {
+				continue
 			}
-			if len(extra) == 0 {
-				break
-			}
-			arcs, probs, extra = extra, xprobs, nil
+			nodeEp[a.To] = epoch
+			counts[a.To]++
+			queue = append(queue, a.To)
 		}
 	}
 	sc.queue = queue
@@ -281,48 +267,35 @@ func sampledWalkPlain(sc *scratch, r *rng.Source, c *ugraph.CSR, src, t ugraph.N
 	queue := sc.queue[:0]
 	queue = append(queue, src)
 	nodeEp[src] = epoch
-	hasX := c.HasOverlay()
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
-		var arcs, extra []ugraph.Arc
-		var probs, xprobs []float64
+		var arcs []ugraph.Arc
+		var probs []float64
 		if forward {
 			arcs, probs = c.Out(u), c.OutProbs(u)
-			if hasX {
-				extra, xprobs = c.OutOverlay(u), c.OutOverlayProbs(u)
-			}
 		} else {
 			arcs, probs = c.In(u), c.InProbs(u)
-			if hasX {
-				extra, xprobs = c.InOverlay(u), c.InOverlayProbs(u)
-			}
 		}
-		for {
-			for i, a := range arcs {
-				if nodeEp[a.To] == epoch {
+		for i, a := range arcs {
+			if nodeEp[a.To] == epoch {
+				continue
+			}
+			if st := edgeSt[a.EID]; st != epoch && st != -epoch {
+				if r.Float64() < probs[i] {
+					edgeSt[a.EID] = epoch
+				} else {
+					edgeSt[a.EID] = -epoch
 					continue
 				}
-				if st := edgeSt[a.EID]; st != epoch && st != -epoch {
-					if r.Float64() < probs[i] {
-						edgeSt[a.EID] = epoch
-					} else {
-						edgeSt[a.EID] = -epoch
-						continue
-					}
-				} else if st != epoch {
-					continue
-				}
-				nodeEp[a.To] = epoch
-				if a.To == t {
-					sc.queue = queue
-					return true
-				}
-				queue = append(queue, a.To)
+			} else if st != epoch {
+				continue
 			}
-			if len(extra) == 0 {
-				break
+			nodeEp[a.To] = epoch
+			if a.To == t {
+				sc.queue = queue
+				return true
 			}
-			arcs, probs, extra = extra, xprobs, nil
+			queue = append(queue, a.To)
 		}
 	}
 	sc.queue = queue
@@ -348,40 +321,27 @@ func deterministicReach(sc *scratch, c *ugraph.CSR, src, target ugraph.NodeID, f
 		sc.queue = queue
 		return queue
 	}
-	hasX := c.HasOverlay()
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
-		var arcs, extra []ugraph.Arc
+		var arcs []ugraph.Arc
 		if forward {
 			arcs = c.Out(u)
-			if hasX {
-				extra = c.OutOverlay(u)
-			}
 		} else {
 			arcs = c.In(u)
-			if hasX {
-				extra = c.InOverlay(u)
-			}
 		}
-		for {
-			for _, a := range arcs {
-				if nodeEp[a.To] == epoch {
-					continue
-				}
-				st := status[a.EID]
-				if st == 1 || (optimistic && st == 0) {
-					nodeEp[a.To] = epoch
-					queue = append(queue, a.To)
-					if a.To == target {
-						sc.queue = queue
-						return queue
-					}
+		for _, a := range arcs {
+			if nodeEp[a.To] == epoch {
+				continue
+			}
+			st := status[a.EID]
+			if st == 1 || (optimistic && st == 0) {
+				nodeEp[a.To] = epoch
+				queue = append(queue, a.To)
+				if a.To == target {
+					sc.queue = queue
+					return queue
 				}
 			}
-			if len(extra) == 0 {
-				break
-			}
-			arcs, extra = extra, nil
 		}
 	}
 	sc.queue = queue
@@ -399,55 +359,42 @@ func sampledWalkCond(sc *scratch, r *rng.Source, c *ugraph.CSR, src, t ugraph.No
 	queue := sc.queue[:0]
 	queue = append(queue, src)
 	nodeEp[src] = epoch
-	hasX := c.HasOverlay()
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
-		var arcs, extra []ugraph.Arc
-		var probs, xprobs []float64
+		var arcs []ugraph.Arc
+		var probs []float64
 		if forward {
 			arcs, probs = c.Out(u), c.OutProbs(u)
-			if hasX {
-				extra, xprobs = c.OutOverlay(u), c.OutOverlayProbs(u)
-			}
 		} else {
 			arcs, probs = c.In(u), c.InProbs(u)
-			if hasX {
-				extra, xprobs = c.InOverlay(u), c.InOverlayProbs(u)
-			}
 		}
-		for {
-			for i, a := range arcs {
-				if nodeEp[a.To] == epoch {
-					continue
-				}
-				switch status[a.EID] {
-				case 1:
-					goto traverse
-				case -1:
-					continue
-				}
-				if st := edgeSt[a.EID]; st != epoch && st != -epoch {
-					if r.Float64() < probs[i] {
-						edgeSt[a.EID] = epoch
-					} else {
-						edgeSt[a.EID] = -epoch
-						continue
-					}
-				} else if st != epoch {
-					continue
-				}
-			traverse:
-				nodeEp[a.To] = epoch
-				if a.To == t {
-					sc.queue = queue
-					return true
-				}
-				queue = append(queue, a.To)
+		for i, a := range arcs {
+			if nodeEp[a.To] == epoch {
+				continue
 			}
-			if len(extra) == 0 {
-				break
+			switch status[a.EID] {
+			case 1:
+				goto traverse
+			case -1:
+				continue
 			}
-			arcs, probs, extra = extra, xprobs, nil
+			if st := edgeSt[a.EID]; st != epoch && st != -epoch {
+				if r.Float64() < probs[i] {
+					edgeSt[a.EID] = epoch
+				} else {
+					edgeSt[a.EID] = -epoch
+					continue
+				}
+			} else if st != epoch {
+				continue
+			}
+		traverse:
+			nodeEp[a.To] = epoch
+			if a.To == t {
+				sc.queue = queue
+				return true
+			}
+			queue = append(queue, a.To)
 		}
 	}
 	sc.queue = queue

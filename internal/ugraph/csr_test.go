@@ -1,7 +1,10 @@
 package ugraph
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -51,13 +54,13 @@ func arcsEqual(a, b []Arc) bool {
 	return true
 }
 
-// fullRow is the complete adjacency row of a CSR view: base then overlay,
-// the order the samplers traverse in.
+// fullRow is the complete adjacency row of a CSR or view, in the order the
+// samplers traverse it.
 func fullRow(c *CSR, u NodeID, forward bool) []Arc {
 	if forward {
-		return append(append([]Arc(nil), c.Out(u)...), c.OutOverlay(u)...)
+		return c.Out(u)
 	}
-	return append(append([]Arc(nil), c.In(u)...), c.InOverlay(u)...)
+	return c.In(u)
 }
 
 // assertCSRMatchesGraph checks every accessor of the snapshot against the
@@ -160,6 +163,100 @@ func TestCSROverlayMatchesClone(t *testing.T) {
 			}
 		}
 		assertCSRMatchesGraph(t, overlay.WithEdges(extra2), clone.WithEdges(extra2))
+	}
+}
+
+// viewFingerprint renders every accessor a sampler or solver reads from a
+// view — rows with aligned probabilities, Prob and EdgeID — as one string.
+func viewFingerprint(c *CSR) string {
+	var b strings.Builder
+	for u := NodeID(0); int(u) < c.N(); u++ {
+		fmt.Fprint(&b, c.Out(u), c.OutProbs(u), c.In(u), c.InProbs(u))
+		for v := NodeID(0); int(v) < c.N(); v++ {
+			eid, ok := c.EdgeID(u, v)
+			fmt.Fprint(&b, eid, ok)
+		}
+	}
+	for eid := int32(0); int(eid) < c.EdgeIDBound(); eid++ {
+		fmt.Fprint(&b, c.Prob(eid))
+	}
+	return b.String()
+}
+
+// TestWithEdgesConcurrentViews builds and reads views from 8 goroutines
+// over one shared flat snapshot and one shared layered snapshot: a view
+// copies the rows it adds to and shares every other row with its base,
+// including the layered base's own rows, so concurrent views must neither
+// race (run under -race) nor see each other's edges. Each view must match
+// the same view built serially, and the bases must stay unchanged.
+func TestWithEdgesConcurrentViews(t *testing.T) {
+	for _, directed := range []bool{false, true} {
+		r := rand.New(rand.NewSource(5))
+		const n = 24
+		g := randomTestGraph(t, r, n, 3*n, directed)
+		flat := g.Freeze()
+		e0, e1 := g.Endpoints(0), g.Endpoints(1)
+		absent := Edge{U: 0, V: 1, P: 0.3}
+		for flat.HasEdge(absent.U, absent.V) {
+			absent.V++
+		}
+		layered, err := flat.Delta([]DeltaEdit{
+			{Op: DeltaSetProb, U: e0.U, V: e0.V, P: 0.125},
+			{Op: DeltaRemove, U: e1.U, V: e1.V},
+			{Op: DeltaAdd, U: absent.U, V: absent.V, P: absent.P},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Candidate sets touch the rows the delta materialized, so views
+		// of the layered base privatize shared rows.
+		sets := [][]Edge{
+			{{U: e0.U, V: absent.V, P: 0.5}},
+			{{U: e1.U, V: e1.V, P: 0.75}, {U: absent.U, V: e0.V, P: 0.25}},
+		}
+		for i := 0; i < 6; i++ {
+			sets = append(sets, []Edge{
+				{U: NodeID(r.Intn(n)), V: NodeID(n - 1), P: r.Float64()},
+				{U: e0.V, V: NodeID(r.Intn(n - 1)), P: r.Float64()},
+			})
+		}
+		for i := range sets {
+			for j := range sets[i] {
+				if sets[i][j].U == sets[i][j].V {
+					sets[i][j].V = (sets[i][j].U + 1) % n
+				}
+			}
+		}
+		bases := []*CSR{flat, layered}
+		baseWant := make([]string, len(bases))
+		want := make([][]string, len(bases))
+		for b, base := range bases {
+			baseWant[b] = viewFingerprint(base)
+			for _, set := range sets {
+				want[b] = append(want[b], viewFingerprint(base.WithEdges(set)))
+			}
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for k := range sets {
+					i := (k + w) % len(sets)
+					for b, base := range bases {
+						if got := viewFingerprint(base.WithEdges(sets[i])); got != want[b][i] {
+							t.Errorf("directed=%v worker %d base %d set %d: view differs from the serial build", directed, w, b, i)
+						}
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		for b, base := range bases {
+			if viewFingerprint(base) != baseWant[b] {
+				t.Errorf("directed=%v base %d changed under concurrent views", directed, b)
+			}
+		}
 	}
 }
 

@@ -5,9 +5,11 @@ import (
 	"math"
 )
 
-// Delta epochs: a CSR can carry a persistent overlay layer (deltaState)
-// recording an ordered batch of edge mutations over a flat base snapshot,
-// instead of re-flattening the whole graph per commit. The layered snapshot
+// Delta layers: a CSR can carry a persistent layer (deltaState) recording
+// an ordered batch of edge mutations over a flat base snapshot, instead of
+// re-flattening the whole graph per commit. Delta commits a batch as a new
+// epoch; WithEdges adds candidate edges the same way for a scratch view
+// that keeps its snapshot's epoch. The layered snapshot
 // shares the base's flat arrays and materializes only the adjacency rows the
 // batch touched — exactly the rows a full rebuild would have produced, in
 // the same arc order — so every walk entry point (Out/OutProbs/In/InProbs)
@@ -59,9 +61,10 @@ func (e *DeltaError) Error() string { return e.Err.Error() }
 // Unwrap exposes the underlying validation error for errors.Is/As.
 func (e *DeltaError) Unwrap() error { return e.Err }
 
-// deltaState is the persistent overlay layer of a delta snapshot. It is
-// immutable once Delta returns (the same freeze contract as the CSR arrays)
-// and shared by any further WithEdges views derived from the snapshot.
+// deltaState is the persistent layer of a delta snapshot or WithEdges
+// view. It is immutable once Delta or WithEdges returns (the same freeze
+// contract as the CSR arrays); a further layer copies its bookkeeping and
+// shares its rows copy-on-write.
 type deltaState struct {
 	depth    int     // layers committed since the flat base (flat = 0)
 	idBase   int32   // len(base p): added edges draw IDs idBase, idBase+1, ...
@@ -94,24 +97,7 @@ type deltaState struct {
 // mutable Graph would have produced (out-of-range endpoint, self-loop,
 // probability outside [0,1], duplicate add, missing edge).
 func (c *CSR) Delta(edits []DeltaEdit) (*CSR, error) {
-	if c.HasOverlay() {
-		// Candidate overlay views are ephemeral scratch, never graph states.
-		panic("ugraph: Delta on a WithEdges overlay view")
-	}
-	v := &CSR{
-		directed: c.directed,
-		n:        c.n,
-		epoch:    c.epoch + uint64(len(edits)),
-		p:        c.p,
-		ends:     c.ends,
-		outArcs:  c.outArcs,
-		outP:     c.outP,
-		outOff:   c.outOff,
-		inArcs:   c.inArcs,
-		inP:      c.inP,
-		inOff:    c.inOff,
-		d:        cloneDeltaState(c),
-	}
+	v := c.layer(c.epoch + uint64(len(edits)))
 	for i, e := range edits {
 		if err := v.applyEdit(e); err != nil {
 			return nil, &DeltaError{Index: i, Err: err}
@@ -126,6 +112,25 @@ func (c *CSR) Delta(edits []DeltaEdit) (*CSR, error) {
 		d.arcs += len(r)
 	}
 	return v, nil
+}
+
+// layer returns an empty child layer of c at the given epoch, sharing c's
+// flat arrays; Delta and WithEdges then apply their edits to it.
+func (c *CSR) layer(epoch uint64) *CSR {
+	return &CSR{
+		directed: c.directed,
+		n:        c.n,
+		epoch:    epoch,
+		p:        c.p,
+		ends:     c.ends,
+		outArcs:  c.outArcs,
+		outP:     c.outP,
+		outOff:   c.outOff,
+		inArcs:   c.inArcs,
+		inP:      c.inP,
+		inOff:    c.inOff,
+		d:        cloneDeltaState(c),
+	}
 }
 
 // cloneDeltaState starts the child layer: the parent's delta merged in so
@@ -407,15 +412,12 @@ func (c *CSR) deltaInProbs(u NodeID) []float64 {
 	return c.inP[c.inOff[u]:c.inOff[u+1]]
 }
 
-// deltaProb resolves Prob on a layered snapshot: adds (and overlay extras
-// above them), re-probed base edges, then the base array.
+// deltaProb resolves Prob on a layered snapshot: adds, re-probed base
+// edges, then the base array.
 func (c *CSR) deltaProb(eid int32) float64 {
 	d := c.d
 	if eid >= d.idBase {
-		if i := int(eid - d.idBase); i < len(d.adds) {
-			return d.adds[i].P
-		}
-		return c.xp[int(eid)-int(d.idBase)-len(d.adds)]
+		return d.adds[eid-d.idBase].P
 	}
 	if i, ok := d.probOv.get(eid); ok {
 		return d.ovP[i]
@@ -426,10 +428,7 @@ func (c *CSR) deltaProb(eid int32) float64 {
 func (c *CSR) deltaEndpoints(eid int32) Edge {
 	d := c.d
 	if eid >= d.idBase {
-		if i := int(eid - d.idBase); i < len(d.adds) {
-			return d.adds[i]
-		}
-		return c.xends[int(eid)-int(d.idBase)-len(d.adds)]
+		return d.adds[eid-d.idBase]
 	}
 	e := c.ends[eid]
 	if i, ok := d.probOv.get(eid); ok {
@@ -440,7 +439,8 @@ func (c *CSR) deltaEndpoints(eid int32) Edge {
 
 // Depth returns the number of delta layers committed over the flat base
 // snapshot (0 for a flat snapshot). The engine's compaction policy bounds
-// it.
+// it. Depth, DeltaArcs and DeltaFraction describe committed epochs; on a
+// WithEdges view, which is scratch, they carry no meaning.
 func (c *CSR) Depth() int {
 	if c.d == nil {
 		return 0
@@ -449,7 +449,7 @@ func (c *CSR) Depth() int {
 }
 
 // DeltaArcs returns the total arc count across the materialized delta rows
-// (0 for a flat snapshot) — the read-side weight of the overlay layer that,
+// (0 for a flat snapshot) — the read-side weight of the delta layer that,
 // as a fraction of the base arc array, triggers compaction.
 func (c *CSR) DeltaArcs() int {
 	if c.d == nil {
@@ -468,15 +468,11 @@ func (c *CSR) DeltaFraction() float64 {
 }
 
 // EdgeIDBound returns the exclusive upper bound on edge IDs present in the
-// snapshot, including overlay extras. Per-edge scratch (coin memos, lazy
-// schedules, RSS strata status) must size to this, not to M: layered
-// snapshots retire removed IDs without reuse, so IDs are sparse and the
-// bound exceeds the live edge count.
-func (c *CSR) EdgeIDBound() int { return c.addBase() + len(c.xp) }
-
-// addBase is the first edge ID available to WithEdges overlay extras: past
-// the base array and any delta adds.
-func (c *CSR) addBase() int {
+// snapshot, the next ID an add would draw. Per-edge scratch (coin memos,
+// RSS strata status) must size to this, not to M: layered snapshots retire
+// removed IDs without reuse, so IDs are sparse and the bound exceeds the
+// live edge count.
+func (c *CSR) EdgeIDBound() int {
 	if c.d != nil {
 		return int(c.d.idBase) + len(c.d.adds)
 	}
@@ -485,10 +481,10 @@ func (c *CSR) addBase() int {
 
 // Edges returns the snapshot's logical edge set in canonical order —
 // surviving base edges in base-ID order (re-probed values applied), then
-// surviving adds in commit order — excluding WithEdges overlay extras.
-// This is the order a checkpoint serializes and a rebuild replays, so two
-// snapshots of the same logical epoch return identical slices whether flat
-// or layered.
+// surviving adds in commit order; a WithEdges view lists its extras among
+// the adds, after the base edges. This is the order a checkpoint
+// serializes and a rebuild replays, so two snapshots of the same logical
+// epoch return identical slices whether flat or layered.
 func (c *CSR) Edges() []Edge {
 	if c.d == nil {
 		out := make([]Edge, len(c.ends))

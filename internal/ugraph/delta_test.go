@@ -318,7 +318,7 @@ func TestDeltaWithEdgesOverlay(t *testing.T) {
 		{U: 0, V: 1, P: 0.8}, // removed in the delta: insertable
 		{U: 0, V: 3, P: 0.4},
 	})
-	if !view.HasOverlay() {
+	if view == snap {
 		t.Fatalf("no overlay built")
 	}
 	if got := view.M(); got != 4 {

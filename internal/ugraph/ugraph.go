@@ -12,9 +12,10 @@
 // adjacency) serves construction and solver edge-insertion; Freeze
 // produces an immutable CSR snapshot — flat arc arrays with arc-aligned
 // probabilities — that the sampling hot loops traverse. The snapshot is
-// cached per graph version and shared by all readers; CSR.WithEdges
-// derives cheap overlay views for candidate evaluation. See the CSR type
-// for the lifecycle and concurrency contract.
+// cached per graph version and shared by all readers; CSR.Delta commits
+// edits as a delta layer over it, and CSR.WithEdges adds candidate edges
+// the same way for a cheap evaluation view. See the CSR type for the
+// lifecycle and concurrency contract.
 package ugraph
 
 import (

@@ -26,7 +26,7 @@ type (
 	// CSR is an immutable frozen snapshot of a Graph (Graph.Freeze):
 	// flat cache-friendly adjacency that samplers traverse without
 	// allocating, safe for unrestricted concurrent reads. CSR.WithEdges
-	// derives cheap overlay views for candidate evaluation.
+	// adds candidate edges as a cheap delta-layer view for evaluation.
 	CSR = ugraph.CSR
 )
 
@@ -174,7 +174,7 @@ func SolveTotalBudget(g *Graph, s, t NodeID, budget float64, opt Options) (Total
 }
 
 // Sampler estimates s-t reliability on a Graph or directly on a frozen
-// CSR snapshot (or a CSR.WithEdges overlay of one); see
+// CSR snapshot (or a CSR.WithEdges view of one); see
 // NewMonteCarloSampler and NewRSSSampler. The serial samplers are not safe
 // for concurrent use; NewParallelSampler wraps any of them into a
 // goroutine-safe, deterministic, batch-capable estimator.
