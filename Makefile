@@ -85,7 +85,8 @@ smoke-relmaxd:
 
 # Short fuzz smoke: each target fuzzes for 10s on top of the checked-in
 # seed corpus, catching shallow regressions in the I/O, Freeze and
-# durability-decode paths, in the exact path-subgraph objective and in the
+# durability-decode paths, in the replication feed's frame decoder
+# (FuzzFrameDecode), in the exact path-subgraph objective and in the
 # top-l search: on G ∪ E+ built as a graph from a listed E+, and on G with
 # E+ as elimination's implicit pair set.
 fuzz-smoke:
@@ -95,6 +96,7 @@ fuzz-smoke:
 	$(GO) test ./internal/rng -run '^$$' -fuzz '^FuzzSourceMatchesMathRand$$' -fuzztime 10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime 10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime 10s
+	$(GO) test ./internal/replication -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzPathReliability$$' -fuzztime 10s
 	$(GO) test ./internal/paths -run '^$$' -fuzz '^FuzzTopLWithMatchesReference$$' -fuzztime 10s
 	$(GO) test ./internal/paths -run '^$$' -fuzz '^FuzzTopLPairsMatchesReference$$' -fuzztime 10s

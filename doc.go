@@ -236,9 +236,6 @@
 // outright when the queue is full — and Stats counts the entries it
 // recomputed (CacheWarmed). A batch is all-or-nothing — the first invalid
 // mutation (ErrBadMutation) aborts it with the epoch unchanged.
-// Consecutive removals in one batch are compacted in a single O(N+M) pass
-// (Graph.RemoveEdges) on the flat path instead of paying the edge-ID
-// renumbering per edge, so bulk pruning costs the same as one removal.
 //
 // cmd/relmaxd exposes the whole lifecycle over HTTP: POST/GET/DELETE
 // /v2/datasets to create (from a built-in stand-in, a server-local file
@@ -264,11 +261,15 @@
 // fsynced, atomically renamed — and truncates the WAL, bounding recovery
 // time. A checkpoint of a delta-layered epoch folds the chain first, so
 // the file always describes the flat form and recovery is byte-identical
-// whether the epoch was committed layered or flat. Recovery loads the newest valid checkpoint and replays the WAL
-// through the same mutation machinery Apply uses, arriving at the exact
-// committed epoch; because edges replay in edge-ID order, the recovered
-// CSR is bit-identical and every query kind answers exactly as the
-// pre-crash engine did. A torn or corrupt WAL tail (a crash mid-append)
+// whether the epoch was committed layered or flat. Recovery loads the
+// newest valid checkpoint, checks that every WAL batch chains onto the
+// epoch before it, and commits all of them as one delta layer over the
+// checkpoint — the commit Apply makes, validated the same way — then
+// starts the engine on that layer's canonical rebuild, the flat graph
+// compaction would publish. It arrives at the exact committed epoch, its
+// CSR is bit-identical, and every query kind answers exactly as the
+// pre-crash engine did. A WAL batch that does not chain or cannot be
+// replayed fails recovery with store.ErrCorrupt naming its epoch. A torn or corrupt WAL tail (a crash mid-append)
 // is detected by CRC, truncated with a logged warning and never panics;
 // unacknowledged tail batches are the only thing lost.
 //

@@ -16,8 +16,8 @@ import (
 //     explicitly) serializes the current epoch's edge set to a snapshot
 //     file and truncates the WAL, bounding replay time.
 //   - OpenEngine (or Catalog.Restore) recovers: the newest valid checkpoint
-//     is loaded, the WAL since it replayed through the same mutation
-//     machinery Apply uses, and the engine arrives at the exact committed
+//     is loaded, the WAL since it replayed as one delta layer — the
+//     commit Apply makes — and the engine arrives at the exact committed
 //     epoch — answering every query bit-identically to the engine that
 //     crashed. A torn or corrupt WAL tail is truncated with a logged
 //     warning, never a panic.
@@ -199,8 +199,8 @@ func mutationFromStore(m store.Mut) Mutation {
 	}
 }
 
-// mutationsFromStore converts a recovered WAL batch's mutations for
-// applyMutationsTo (which batch-compacts removal runs during replay).
+// mutationsFromStore converts a WAL batch's mutations — recovered from
+// the log or received from a primary's feed — to the form Apply commits.
 func mutationsFromStore(muts []store.Mut) []Mutation {
 	out := make([]Mutation, len(muts))
 	for i, m := range muts {
@@ -243,11 +243,11 @@ func graphFromSnapshot(s *store.Snapshot) (*Graph, error) {
 
 // OpenEngine recovers a durable engine from the state WithStorage wrote
 // under dir: the newest valid checkpoint plus the WAL replayed through the
-// same mutation machinery Apply uses, arriving at the exact committed
-// epoch. A torn or corrupt WAL tail is truncated with a logged warning.
-// It fails with store.ErrNoState if dir holds no state (use NewEngine
-// with WithStorage to create one) and store.ErrCorrupt if no checkpoint
-// decodes.
+// delta commit Apply uses (see RecoverEngine), arriving at the exact
+// committed epoch. A torn or corrupt WAL tail is truncated with a logged
+// warning. It fails with store.ErrNoState if dir holds no state (use
+// NewEngine with WithStorage to create one) and store.ErrCorrupt if no
+// checkpoint decodes or the WAL cannot be replayed.
 func OpenEngine(dir string, opts ...EngineOption) (*Engine, error) {
 	fs, err := store.OpenFS(dir)
 	if err != nil {
@@ -262,8 +262,15 @@ func OpenEngine(dir string, opts ...EngineOption) (*Engine, error) {
 }
 
 // RecoverEngine recovers a durable engine from an already-open store:
-// checkpoint load, WAL replay, epoch checks. The engine owns s on success
-// (Engine.Close closes it); on error the caller keeps ownership.
+// checkpoint load, epoch checks, WAL replay. Every batch must chain onto
+// the epoch before it; the chained mutations then commit as one delta
+// layer over the checkpoint — the commit Apply makes, with the same
+// validation — and the engine starts on that layer's canonical rebuild,
+// the flat graph compaction would publish for the same epoch. A batch that
+// does not chain or cannot be replayed fails with store.ErrCorrupt naming
+// its epoch (and the offending mutation's index within it). The engine
+// owns s on success (Engine.Close closes it); on error the caller keeps
+// ownership.
 func RecoverEngine(s store.Store, opts ...EngineOption) (*Engine, error) {
 	snap, batches, err := s.Recover()
 	if err != nil {
@@ -273,21 +280,31 @@ func RecoverEngine(s store.Store, opts ...EngineOption) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint epoch %d: %w", snap.Epoch, err)
 	}
+	var muts []Mutation
 	var walBytes int64
+	epoch := g.Version()
 	for _, b := range batches {
-		if b.PrevEpoch() != g.Version() {
+		if b.PrevEpoch() != epoch {
 			return nil, fmt.Errorf("%w: WAL batch epoch %d does not chain from %d",
-				store.ErrCorrupt, b.Epoch, g.Version())
+				store.ErrCorrupt, b.Epoch, epoch)
 		}
-		if i, err := applyMutationsTo(nil, g, mutationsFromStore(b.Muts)); err != nil {
-			return nil, fmt.Errorf("%w: replaying batch epoch %d mutation %d: %v",
-				store.ErrCorrupt, b.Epoch, i, err)
-		}
-		if g.Version() != b.Epoch {
-			return nil, fmt.Errorf("%w: replay of batch epoch %d arrived at %d",
-				store.ErrCorrupt, b.Epoch, g.Version())
-		}
+		muts = append(muts, mutationsFromStore(b.Muts)...)
+		epoch = b.Epoch
 		walBytes += int64(store.EncodedBatchSize(b))
+	}
+	if len(muts) > 0 {
+		next, i, err := deltaSnapshot(newFlatSnapshot(g), muts)
+		if err != nil {
+			k := 0
+			for ; i >= len(batches[k].Muts); k++ {
+				i -= len(batches[k].Muts)
+			}
+			return nil, fmt.Errorf("%w: replaying batch epoch %d mutation %d: %v",
+				store.ErrCorrupt, batches[k].Epoch, i, err)
+		}
+		if g, err = next.graph(); err != nil {
+			return nil, fmt.Errorf("%w: %v", store.ErrCorrupt, err)
+		}
 	}
 	return NewEngine(g, append(append([]EngineOption(nil), opts...),
 		withRecoveredStore(s, len(batches), walBytes))...)

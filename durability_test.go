@@ -3,11 +3,13 @@ package repro
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/store"
@@ -259,6 +261,66 @@ func TestReopenBitIdentical(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRecoverRejectsUnreplayableWAL: WAL batches that decode but cannot be
+// replayed onto the checkpoint — a broken epoch chain, removing a missing
+// edge, re-adding an edge an earlier batch added, an endpoint outside the
+// graph — fail recovery with store.ErrCorrupt naming the batch epoch and
+// the mutation's index within its batch, never with a panic or an engine.
+func TestRecoverRejectsUnreplayableWAL(t *testing.T) {
+	g := durTestGraph(t)
+	snap := storeSnapshotOf(g.Freeze())
+	e := snap.Epoch
+	ring := store.Mut{Op: store.OpSetProb, U: 0, V: 1, P: 0.5}
+	add := func(u, v int32) store.Mut { return store.Mut{Op: store.OpAddEdge, U: u, V: v, P: 0.25} }
+	var freeU, freeV int32
+	for v := int32(2); ; v++ {
+		if !g.HasEdge(0, v) {
+			freeU, freeV = 0, v
+			break
+		}
+	}
+	first := store.Batch{Epoch: e + 1, Muts: []store.Mut{add(freeU, freeV)}}
+	for _, tc := range []struct {
+		name   string
+		second store.Batch
+		want   string
+	}{
+		{"epoch gap", store.Batch{Epoch: e + 3, Muts: []store.Mut{ring}},
+			fmt.Sprintf("WAL batch epoch %d does not chain from %d", e+3, e+1)},
+		{"remove missing", store.Batch{Epoch: e + 3, Muts: []store.Mut{ring, {Op: store.OpRemoveEdge, U: 3, V: 3}}},
+			fmt.Sprintf("batch epoch %d mutation 1:", e+3)},
+		{"add existing", store.Batch{Epoch: e + 3, Muts: []store.Mut{ring, add(freeV, freeU)}},
+			fmt.Sprintf("batch epoch %d mutation 1:", e+3)},
+		{"endpoint beyond N", store.Batch{Epoch: e + 4, Muts: []store.Mut{ring, ring, add(0, snap.N)}},
+			fmt.Sprintf("batch epoch %d mutation 2:", e+4)},
+		{"negative endpoint", store.Batch{Epoch: e + 2, Muts: []store.Mut{{Op: store.OpSetProb, U: -1, V: 1, P: 0.5}}},
+			fmt.Sprintf("batch epoch %d mutation 0:", e+2)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mem := store.NewMem()
+			if err := mem.Checkpoint(snap); err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range []store.Batch{first, tc.second} {
+				if err := mem.AppendBatch(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			eng, err := RecoverEngine(mem)
+			if err == nil {
+				eng.Close()
+				t.Fatal("recovered an unreplayable WAL")
+			}
+			if !errors.Is(err, store.ErrCorrupt) {
+				t.Fatalf("error %v is not store.ErrCorrupt", err)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not name %q", err, tc.want)
+			}
+		})
 	}
 }
 

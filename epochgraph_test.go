@@ -143,7 +143,9 @@ func requireSameFrozen(t *testing.T, stage string, got, want *Graph) {
 // re-probes, removals and re-adds of removed pairs — the Graph rebuilt
 // from a layered epoch's CSR freezes exactly like a clone of the base with
 // every committed mutation replayed onto it, and a solve on the layered
-// epoch matches a flat-commit oracle engine.
+// epoch matches a flat-commit oracle engine. Each chain also commits to a
+// durable twin, compacted mid-chain on every other chain; reopening it
+// replays the WAL and must land on the same frozen graph and solves.
 func TestRebuildMatchesReplay(t *testing.T) {
 	ctx := context.Background()
 	opt := Options{K: 2, Z: 100, Seed: 5, R: 6, L: 6}
@@ -160,6 +162,11 @@ func TestRebuildMatchesReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			dir := t.TempDir()
+			durable, err := NewEngine(g, WithSolverDefaults(opt), deltaHoldLayers(), WithStorage(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
 			replay := g.Clone()
 			model := newChainModel(g)
 			for b := 0; b < 12; b++ {
@@ -169,6 +176,14 @@ func TestRebuildMatchesReplay(t *testing.T) {
 				}
 				if _, err := oracle.Apply(ctx, muts...); err != nil {
 					t.Fatal(err)
+				}
+				if _, err := durable.Apply(ctx, muts...); err != nil {
+					t.Fatal(err)
+				}
+				if chain%2 == 1 && b == 5 {
+					if err := durable.Compact(); err != nil {
+						t.Fatal(err)
+					}
 				}
 				if i, err := applyMutationsTo(nil, replay, muts); err != nil {
 					t.Fatalf("replay mutation %d: %v", i, err)
@@ -183,19 +198,32 @@ func TestRebuildMatchesReplay(t *testing.T) {
 				}
 				requireSameFrozen(t, "rebuild", rebuilt, replay)
 			}
+			durable.Close()
+			recovered, err := OpenEngine(dir, WithSolverDefaults(opt))
+			if err != nil {
+				t.Fatalf("directed=%v chain %d: reopen: %v", directed, chain, err)
+			}
+			reg, err := recovered.snap.Load().graph()
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameFrozen(t, "recovery", reg, replay)
 			for _, st := range [][2]NodeID{{0, n - 1}, {1, n / 2}} {
 				req := Request{S: st[0], T: st[1], Method: MethodBE}
-				got, gerr := eng.Solve(ctx, req)
 				want, werr := oracle.Solve(ctx, req)
-				if (gerr == nil) != (werr == nil) {
-					t.Fatalf("directed=%v chain %d: solve errors %v vs oracle %v", directed, chain, gerr, werr)
-				}
-				if !sameSolution(got, want) {
-					t.Fatalf("directed=%v chain %d: layered solve %+v, oracle %+v", directed, chain, got, want)
+				for name, e := range map[string]*Engine{"layered": eng, "recovered": recovered} {
+					got, gerr := e.Solve(ctx, req)
+					if (gerr == nil) != (werr == nil) {
+						t.Fatalf("directed=%v chain %d: %s solve error %v, oracle %v", directed, chain, name, gerr, werr)
+					}
+					if !sameSolution(got, want) {
+						t.Fatalf("directed=%v chain %d: %s solve %+v, oracle %+v", directed, chain, name, got, want)
+					}
 				}
 			}
 			eng.Close()
 			oracle.Close()
+			recovered.Close()
 		}
 	}
 }

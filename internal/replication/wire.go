@@ -7,8 +7,8 @@
 // feeds. A replica join is exactly crash recovery run over the network:
 // Subscribe calls the inner store's Recover and ships the newest
 // checkpoint plus the WAL tail, then live batches as they commit. The
-// follower applies them through Engine.ApplyReplicated — the same
-// applyMutationTo machinery recovery replays — so a replica at epoch E
+// follower applies them through Engine.ApplyReplicated — the same delta
+// commit Apply makes and recovery replays through — so a replica at epoch E
 // answers every query bit-identically to the primary's pinned-epoch-E
 // snapshot.
 //
@@ -58,7 +58,11 @@ const (
 	// of ~64M edges, small enough that a corrupt length field cannot make
 	// a follower allocate unbounded memory.
 	maxFrameBytes = 1 << 30
-	heartbeatLen  = 8
+	// payloadStep is the first read of a frame payload; the buffer grows
+	// from it as bytes arrive (see readPayload), so a corrupt or hostile
+	// length field costs memory in proportion to the bytes actually sent.
+	payloadStep  = 1 << 20
+	heartbeatLen = 8
 )
 
 // ErrBadFrame reports a feed frame that fails strict decoding: unknown
@@ -144,11 +148,8 @@ func (fr *FrameReader) Next() (Frame, error) {
 	if plen > maxFrameBytes {
 		return Frame{}, fmt.Errorf("%w: payload length %d out of range", ErrBadFrame, plen)
 	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(fr.r, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
+	payload, err := readPayload(fr.r, int(plen))
+	if err != nil {
 		return Frame{}, err
 	}
 	switch kind {
@@ -173,4 +174,26 @@ func (fr *FrameReader) Next() (Frame, error) {
 		}
 		return Frame{Kind: FrameHeartbeat, Epoch: binary.LittleEndian.Uint64(payload)}, nil
 	}
+}
+
+// readPayload reads exactly n payload bytes. The buffer starts at
+// payloadStep and doubles only when the bytes already read fill it, so
+// memory tracks what the stream delivered rather than the declared n. A
+// stream that ends early is io.ErrUnexpectedEOF.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, payloadStep))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = append(make([]byte, 0, min(n, 2*cap(buf))), buf...)
+		}
+		got, err := io.ReadFull(r, buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	return buf, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 
 	"repro/internal/store"
@@ -113,6 +114,29 @@ func TestFrameTornStream(t *testing.T) {
 			}
 		} else if err != io.ErrUnexpectedEOF && !errors.Is(err, ErrBadFrame) {
 			t.Fatalf("cut mid-frame at %d: %v, want ErrUnexpectedEOF or ErrBadFrame", cut, err)
+		}
+	}
+}
+
+// TestFrameDeclaredLengthBoundsAllocation: a header declaring the largest
+// legal payload, followed by EOF or by a short run of payload bytes, is a
+// torn stream, and reading it allocates in proportion to the bytes that
+// arrived, never the declared length.
+func TestFrameDeclaredLengthBoundsAllocation(t *testing.T) {
+	for _, sent := range []int{0, payloadStep} {
+		data := make([]byte, frameHeaderLen+sent)
+		data[0] = byte(FrameSnapshot)
+		binary.LittleEndian.PutUint32(data[1:], maxFrameBytes)
+		fr := NewFrameReader(bytes.NewReader(data))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := fr.Next()
+		runtime.ReadMemStats(&after)
+		if err != io.ErrUnexpectedEOF {
+			t.Fatalf("%d payload bytes then EOF: %v, want io.ErrUnexpectedEOF", sent, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 8<<20 {
+			t.Fatalf("%d payload bytes then EOF allocated %d bytes", sent, alloc)
 		}
 	}
 }

@@ -66,21 +66,21 @@ func (e *DeltaError) Unwrap() error { return e.Err }
 // contract as the CSR arrays); a further layer copies its bookkeeping and
 // shares its rows copy-on-write.
 type deltaState struct {
-	depth    int     // layers committed since the flat base (flat = 0)
-	idBase   int32   // len(base p): added edges draw IDs idBase, idBase+1, ...
-	m        int     // logical edge count (base - removed + live adds)
-	arcs     int     // total arcs across materialized rows (compaction metric)
-	adds     []Edge  // added edges by ID-idBase; P=NaN tombstones a later removal
-	addsLive int     // adds not tombstoned
-	removed  *i32map // base edge ID -> 1 for removed base edges
-	probOv   *i32map // base edge ID -> index into ovP for re-probed base edges
+	depth    int    // layers committed since the flat base (flat = 0)
+	idBase   int32  // len(base p): added edges draw IDs idBase, idBase+1, ...
+	m        int    // logical edge count (base - removed + live adds)
+	arcs     int    // total arcs across materialized rows (compaction metric)
+	adds     []Edge // added edges by ID-idBase; P=NaN tombstones a later removal
+	addsLive int    // adds not tombstoned
+	removed  i32map // base edge ID -> 1 for removed base edges
+	probOv   i32map // base edge ID -> index into ovP for re-probed base edges
 	ovP      []float64
 
-	outRows    *i32map // node -> index into outRowArcs/outRowP
+	outRows    i32map // node -> index into outRowArcs/outRowP
 	outRowArcs [][]Arc
 	outRowP    [][]float64
-	outOwned   []bool  // row owned by this layer (false = shared with parent)
-	inRows     *i32map // directed only
+	outOwned   []bool // row owned by this layer (false = shared with parent)
+	inRows     i32map // directed only
 	inRowArcs  [][]Arc
 	inRowP     [][]float64
 	inOwned    []bool
@@ -143,15 +143,7 @@ func (c *CSR) layer(epoch uint64) *CSR {
 // immutable once Delta returns, so sharing is safe.
 func cloneDeltaState(c *CSR) *deltaState {
 	if c.d == nil {
-		return &deltaState{
-			depth:   1,
-			idBase:  int32(len(c.p)),
-			m:       len(c.p),
-			removed: newI32map(4),
-			probOv:  newI32map(4),
-			outRows: newI32map(4),
-			inRows:  newI32map(4),
-		}
+		return &deltaState{depth: 1, idBase: int32(len(c.p)), m: len(c.p)}
 	}
 	p := c.d
 	return &deltaState{
@@ -519,23 +511,13 @@ func (c *CSR) Edges() []Edge {
 // i32map is a small open-addressing int32 -> int32 map (linear probing,
 // power-of-two capacity, -1 empty slots). The delta read path probes it
 // once per node pop, so it avoids the hashing and bucket chasing of a Go
-// map; keys are node IDs or edge IDs, both non-negative.
+// map; keys are node IDs or edge IDs, both non-negative. The zero value is
+// an empty map that allocates on its first put, so a layer pays nothing
+// for the maps its edits never touch.
 type i32map struct {
 	keys []int32
 	vals []int32
 	n    int
-}
-
-func newI32map(hint int) *i32map {
-	capacity := 8
-	for capacity < hint*2 {
-		capacity *= 2
-	}
-	m := &i32map{keys: make([]int32, capacity), vals: make([]int32, capacity)}
-	for i := range m.keys {
-		m.keys[i] = -1
-	}
-	return m
 }
 
 func (m *i32map) slot(k int32) uint32 {
@@ -543,6 +525,9 @@ func (m *i32map) slot(k int32) uint32 {
 }
 
 func (m *i32map) get(k int32) (int32, bool) {
+	if m.n == 0 {
+		return 0, false
+	}
 	for i := m.slot(k); ; i = (i + 1) & uint32(len(m.keys)-1) {
 		switch m.keys[i] {
 		case k:
@@ -572,8 +557,9 @@ func (m *i32map) put(k, v int32) {
 
 func (m *i32map) grow() {
 	old := *m
-	m.keys = make([]int32, len(old.keys)*2)
-	m.vals = make([]int32, len(old.keys)*2)
+	size := max(8, 2*len(old.keys))
+	m.keys = make([]int32, size)
+	m.vals = make([]int32, size)
 	for i := range m.keys {
 		m.keys[i] = -1
 	}
@@ -585,8 +571,8 @@ func (m *i32map) grow() {
 	}
 }
 
-func (m *i32map) clone() *i32map {
-	return &i32map{
+func (m *i32map) clone() i32map {
+	return i32map{
 		keys: append([]int32(nil), m.keys...),
 		vals: append([]int32(nil), m.vals...),
 		n:    m.n,

@@ -355,7 +355,10 @@ func TestDeltaWithEdgesOverlay(t *testing.T) {
 // TestI32MapGrow exercises the open-addressing map through growth and
 // overwrite.
 func TestI32MapGrow(t *testing.T) {
-	m := newI32map(0)
+	var m i32map
+	if _, ok := m.get(0); ok {
+		t.Fatalf("zero map reports a key")
+	}
 	for i := int32(0); i < 1000; i++ {
 		m.put(i*7, i)
 	}

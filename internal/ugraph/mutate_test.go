@@ -1,9 +1,6 @@
 package ugraph
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 // sameTopology asserts g and want agree on every structural accessor the
 // samplers and solvers use: sizes, per-edge descriptors, adjacency rows.
@@ -159,124 +156,6 @@ func TestVersionAndEpoch(t *testing.T) {
 		t.Fatalf("overlay epoch %d, want base %d", overlay.Epoch(), g.Version())
 	}
 }
-
-// randomMutableGraph builds a random graph for the batch-removal
-// differentials, returning it plus its edge list in insertion order.
-func randomMutableGraph(r *rand.Rand, n, m int, directed bool) (*Graph, []Edge) {
-	if max := n * (n - 1) / 2; m > max {
-		m = max
-	}
-	g := New(n, directed)
-	var edges []Edge
-	for len(edges) < m {
-		u, v := NodeID(r.Intn(n)), NodeID(r.Intn(n))
-		if u == v || g.HasEdge(u, v) {
-			continue
-		}
-		e := Edge{U: u, V: v, P: 0.05 + 0.9*r.Float64()}
-		g.MustAddEdge(e.U, e.V, e.P)
-		edges = append(edges, e)
-	}
-	return g, edges
-}
-
-// TestRemoveEdgesMatchesSequential: the single-pass batch removal is
-// bit-identical — topology, index, probabilities, version — to the same
-// removals applied one RemoveEdge at a time, at any batch composition.
-func TestRemoveEdgesMatchesSequential(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 40; trial++ {
-		directed := trial%2 == 1
-		n := 5 + r.Intn(20)
-		m := 1 + r.Intn(3*n)
-		batch, edges := randomMutableGraph(r, n, m, directed)
-		seq := batch.Clone()
-		k := 1 + r.Intn(len(edges))
-		perm := r.Perm(len(edges))[:k]
-		pairs := make([][2]NodeID, 0, k)
-		for _, i := range perm {
-			pairs = append(pairs, [2]NodeID{edges[i].U, edges[i].V})
-		}
-		if err := batch.RemoveEdges(pairs); err != nil {
-			t.Fatalf("trial %d: batch removal: %v", trial, err)
-		}
-		for _, pr := range pairs {
-			if err := seq.RemoveEdge(pr[0], pr[1]); err != nil {
-				t.Fatalf("trial %d: sequential removal: %v", trial, err)
-			}
-		}
-		sameTopology(t, batch, seq)
-		if batch.Version() != seq.Version() {
-			t.Fatalf("trial %d: version %d vs sequential %d", trial, batch.Version(), seq.Version())
-		}
-	}
-}
-
-// TestRemoveEdgesErrors: a batch with a missing edge or a duplicate pair
-// is rejected whole — the graph and its version are untouched.
-func TestRemoveEdgesErrors(t *testing.T) {
-	build := func() *Graph {
-		g := New(4, false)
-		g.MustAddEdge(0, 1, 0.5)
-		g.MustAddEdge(1, 2, 0.6)
-		g.MustAddEdge(2, 3, 0.7)
-		return g
-	}
-	ref := build()
-	for name, pairs := range map[string][][2]NodeID{
-		"missing":            {{0, 1}, {0, 3}},
-		"duplicate":          {{0, 1}, {1, 0}},
-		"out-of-range":       {{0, 1}, {0, 99}},
-		"duplicate-reversed": {{1, 2}, {2, 1}},
-	} {
-		g := build()
-		if err := g.RemoveEdges(pairs); err == nil {
-			t.Fatalf("%s: batch accepted", name)
-		}
-		sameTopology(t, g, ref)
-		if g.Version() != ref.Version() {
-			t.Fatalf("%s: failed batch bumped version to %d", name, g.Version())
-		}
-	}
-	// Empty batches are free no-ops.
-	g := build()
-	if err := g.RemoveEdges(nil); err != nil || g.Version() != ref.Version() {
-		t.Fatalf("empty batch: err=%v version=%d", err, g.Version())
-	}
-}
-
-// Before/after benchmark for batch removal: k sequential RemoveEdge calls
-// pay the O(N+M) compaction k times, RemoveEdges once.
-func benchmarkRemoval(b *testing.B, batch bool) {
-	r := rand.New(rand.NewSource(7))
-	const n, m, k = 2000, 12000, 256
-	g, edges := randomMutableGraph(r, n, m, false)
-	perm := r.Perm(len(edges))[:k]
-	pairs := make([][2]NodeID, 0, k)
-	for _, i := range perm {
-		pairs = append(pairs, [2]NodeID{edges[i].U, edges[i].V})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		c := g.Clone()
-		b.StartTimer()
-		if batch {
-			if err := c.RemoveEdges(pairs); err != nil {
-				b.Fatal(err)
-			}
-		} else {
-			for _, pr := range pairs {
-				if err := c.RemoveEdge(pr[0], pr[1]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-}
-
-func BenchmarkRemoveEdgesSequential(b *testing.B) { benchmarkRemoval(b, false) }
-func BenchmarkRemoveEdgesBatch(b *testing.B)      { benchmarkRemoval(b, true) }
 
 // TestRemoveEdgeLeavesIssuedSnapshotsValid: a snapshot handed out before a
 // removal keeps serving the old topology.

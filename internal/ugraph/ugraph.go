@@ -228,89 +228,6 @@ func (g *Graph) RemoveEdge(u, v NodeID) error {
 	return nil
 }
 
-// RemoveEdges deletes a batch of edges in ONE adjacency compaction pass:
-// k removals cost O(N + M + k) total instead of the O(k·(N + M)) of k
-// sequential RemoveEdge calls. The resulting graph is bit-identical to
-// calling RemoveEdge once per pair in order — surviving edges keep their
-// relative order and are renumbered densely, per-row arc order is
-// preserved, and the version counter advances once per removed edge (so
-// durable WAL replay, which applies removals one at a time, arrives at
-// the same epoch). Unlike the sequential calls the batch is
-// all-or-nothing: every pair is validated against the batch (missing
-// edges and duplicate pairs are rejected) before anything is touched.
-func (g *Graph) RemoveEdges(pairs [][2]NodeID) error {
-	if len(pairs) == 0 {
-		return nil
-	}
-	// Validate the whole batch first. A duplicate pair is exactly what a
-	// second sequential RemoveEdge of the same edge would reject.
-	removed := make([]bool, len(g.p))
-	keys := make([]int64, len(pairs))
-	for i, pr := range pairs {
-		u, v := pr[0], pr[1]
-		if err := g.checkNode(u); err != nil {
-			return err
-		}
-		if err := g.checkNode(v); err != nil {
-			return err
-		}
-		key := g.key(u, v)
-		eid, ok := g.index[key]
-		if !ok || removed[eid] {
-			return fmt.Errorf("ugraph: no edge (%d,%d) to remove", u, v)
-		}
-		removed[eid] = true
-		keys[i] = key
-	}
-	// remap[old] is the edge's new dense ID, or -1 when removed.
-	remap := make([]int32, len(g.p))
-	next := int32(0)
-	for eid := range g.p {
-		if removed[eid] {
-			remap[eid] = -1
-			continue
-		}
-		remap[eid] = next
-		if next != int32(eid) {
-			g.p[next] = g.p[eid]
-			g.ends[next] = g.ends[eid]
-		}
-		next++
-	}
-	g.p = g.p[:next]
-	g.ends = g.ends[:next]
-	for _, key := range keys {
-		delete(g.index, key)
-	}
-	for k, id := range g.index {
-		g.index[k] = remap[id]
-	}
-	compactRowsBatch(g.out, remap)
-	if g.directed {
-		compactRowsBatch(g.in, remap)
-	}
-	// One version tick per removed edge, matching k sequential RemoveEdge
-	// calls.
-	g.version += uint64(len(pairs))
-	g.frozen.Store(nil)
-	return nil
-}
-
-// compactRowsBatch drops every arc whose edge was removed and renumbers
-// the survivors through remap, preserving per-row arc order.
-func compactRowsBatch(rows [][]Arc, remap []int32) {
-	for u, row := range rows {
-		w := row[:0]
-		for _, a := range row {
-			if id := remap[a.EID]; id >= 0 {
-				a.EID = id
-				w = append(w, a)
-			}
-		}
-		rows[u] = w
-	}
-}
-
 // compactRows drops every arc with the removed edge ID and renumbers the
 // IDs above it, preserving per-row arc order.
 func compactRows(rows [][]Arc, removed int32) {

@@ -171,8 +171,8 @@ func (e *Engine) Apply(ctx context.Context, muts ...Mutation) (uint64, error) {
 }
 
 // deltaSnapshot builds the snapshot committing muts over cur as one more
-// delta layer — the O(batch) commit path shared by Apply and
-// ApplyReplicated. On failure it returns the offending mutation's index
+// delta layer — the O(batch) commit path shared by Apply,
+// ApplyReplicated and WAL replay (RecoverEngine). On failure it returns the offending mutation's index
 // and the underlying cause; cur is untouched either way.
 func deltaSnapshot(cur *engineSnapshot, muts []Mutation) (*engineSnapshot, int, error) {
 	edits := make([]ugraph.DeltaEdit, len(muts))
@@ -209,49 +209,26 @@ func deltaEditOf(m Mutation) (ugraph.DeltaEdit, error) {
 }
 
 // applyMutationsTo executes a mutation batch in order against g — the
-// path flat commits (Apply and ApplyReplicated under WithFlatCommits) and
-// durable WAL replay (RecoverEngine) go through — batching every run of
-// consecutive remove-edge mutations into one Graph.RemoveEdges compaction
-// pass, so k removals in a batch cost O(N + M + k) instead of
-// O(k·(N + M)). The resulting graph (edge IDs, arc order, version
-// counter) is bit-identical to one-at-a-time application, so batches
-// written by one node replay identically everywhere. On error the returned index names the offending
-// mutation (the first of its run, for batched removals); the graph may be
-// partially mutated, which is fine because every caller mutates a clone
-// and discards it on error. ctx may be nil (replay paths).
+// flat commit of Apply and ApplyReplicated under WithFlatCommits, the
+// oracle the delta path is differentially tested against. On error the
+// returned index names the offending mutation; the graph may be partially
+// mutated, which is fine because both callers mutate a clone and discard
+// it on error. ctx may be nil (ApplyReplicated).
 func applyMutationsTo(ctx context.Context, g *Graph, muts []Mutation) (int, error) {
-	for i := 0; i < len(muts); {
+	for i, m := range muts {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return i, err
 			}
 		}
-		m := muts[i]
-		if m.Op != MutRemoveEdge {
-			if err := applyMutationTo(g, m); err != nil {
-				return i, err
-			}
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(muts) && muts[j].Op == MutRemoveEdge {
-			j++
-		}
-		pairs := make([][2]NodeID, j-i)
-		for k, r := range muts[i:j] {
-			pairs[k] = [2]NodeID{r.U, r.V}
-		}
-		if err := g.RemoveEdges(pairs); err != nil {
+		if err := applyMutationTo(g, m); err != nil {
 			return i, err
 		}
-		i = j
 	}
 	return len(muts), nil
 }
 
-// applyMutationTo executes one mutation against g; applyMutationsTo is
-// the batch path every committer routes through.
+// applyMutationTo executes one mutation against g.
 func applyMutationTo(g *Graph, m Mutation) error {
 	switch m.Op {
 	case MutAddEdge:
