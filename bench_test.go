@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/datasets"
 	"repro/internal/exp"
 )
 
@@ -475,6 +476,28 @@ func BenchmarkServedSolve(b *testing.B) {
 	b.ReportMetric(st.sel.Seconds()*1e3/solves, "select_ms")
 	b.ReportMetric(st.elim.Seconds()*1e3/solves, "elim_ms")
 	b.ReportMetric((st.wall-st.elim-st.sel).Seconds()*1e3/solves, "eval_ms")
+}
+
+// BenchmarkServedSolveAfterWrites is BenchmarkServedSolve on lastfm×0.08
+// after the 300 batches perfbench's solve-under-writes writer sends at seed
+// 1, applied directly on the graph: 20 pairs 3-5 hops apart, drawn before
+// the writes, one worker, a fresh engine per sweep. The writes grow the
+// path selections BE scores, so select_ms tracks the exact objective at
+// its largest.
+func BenchmarkServedSolveAfterWrites(b *testing.B) {
+	g, err := LoadDataset("lastfm", 0.08, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	qs := Queries(g, 20, 3, 5, 1)
+	if len(qs) != 20 {
+		b.Fatalf("%d query pairs, want 20", len(qs))
+	}
+	datasets.ApplyWrites(g, 300, 1_000_005)
+	st := benchServed(b, g, qs)
+	solves := float64(b.N * len(qs))
+	b.ReportMetric(st.sel.Seconds()*1e3/solves, "select_ms")
+	b.ReportMetric(st.elim.Seconds()*1e3/solves, "elim_ms")
 }
 
 // BenchmarkServedSolveStream replays a stream shaped like perfbench's

@@ -31,14 +31,8 @@ func servedGoldenRows(t *testing.T) []string {
 	t.Helper()
 	ctx := context.Background()
 	opt := Options{Workers: 1}
-	bits := func(x float64) string { return fmt.Sprintf("%016x", math.Float64bits(x)) }
 	solveRow := func(label string, g *ugraph.Graph, q datasets.Query, m Method, opt Options) string {
-		sol, err := Solve(ctx, g, q.S, q.T, m, opt)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		return fmt.Sprintf("%s %d->%d edges=%v paths=%d cands=%d base=%s after=%s",
-			label, q.S, q.T, sol.Edges, sol.PathCount, sol.CandidateCount, bits(sol.Base), bits(sol.After))
+		return servedSolveRow(t, label, g, q, m, opt)
 	}
 	var rows []string
 	var lastfm *ugraph.Graph
@@ -77,7 +71,7 @@ func servedGoldenRows(t *testing.T) []string {
 			t.Fatalf("multi-%s: %v", agg, err)
 		}
 		rows = append(rows, fmt.Sprintf("lastfm multi-%s be %v->%v edges=%v base=%s after=%s",
-			agg, sources, targets, sol.Edges, bits(sol.Base), bits(sol.After)))
+			agg, sources, targets, sol.Edges, floatBits(sol.Base), floatBits(sol.After)))
 	}
 	for _, budget := range []float64{1.0, 2.5} {
 		for _, q := range lastfmQs[:3] {
@@ -86,7 +80,64 @@ func servedGoldenRows(t *testing.T) []string {
 				t.Fatalf("total-budget %v: %v", budget, err)
 			}
 			rows = append(rows, fmt.Sprintf("lastfm total-budget-%v %d->%d edges=%v base=%s after=%s",
-				budget, q.S, q.T, sol.Edges, bits(sol.Base), bits(sol.After)))
+				budget, q.S, q.T, sol.Edges, floatBits(sol.Base), floatBits(sol.After)))
+		}
+	}
+	return rows
+}
+
+// floatBits renders a float64 by its bits, so a golden row pins it exactly.
+func floatBits(x float64) string { return fmt.Sprintf("%016x", math.Float64bits(x)) }
+
+// servedSolveRow solves one pair and renders the result as a golden row.
+func servedSolveRow(t *testing.T, label string, g *ugraph.Graph, q datasets.Query, m Method, opt Options) string {
+	t.Helper()
+	sol, err := Solve(context.Background(), g, q.S, q.T, m, opt)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	return fmt.Sprintf("%s %d->%d edges=%v paths=%d cands=%d base=%s after=%s",
+		label, q.S, q.T, sol.Edges, sol.PathCount, sol.CandidateCount, floatBits(sol.Base), floatBits(sol.After))
+}
+
+// afterWritesBatches and afterWritesSeed replay the writer of perfbench's
+// solve-under-writes at its seed 1: 300 batches of 1–4 edits.
+const (
+	afterWritesBatches = 300
+	afterWritesSeed    = 1_000_005
+)
+
+// graphAfterWrites returns lastfm×0.08 after the writer's batches, applied
+// directly on the graph, and 20 pairs 3–5 hops apart drawn before them, as
+// perfbench draws its pairs on the dataset it loads.
+func graphAfterWrites(t testing.TB) (*ugraph.Graph, []datasets.Query) {
+	t.Helper()
+	g, err := datasets.Load("lastfm", 0.08, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := datasets.Queries(g, 20, 3, 5, 1)
+	if len(qs) != 20 {
+		t.Fatalf("%d query pairs, want 20", len(qs))
+	}
+	datasets.ApplyWrites(g, afterWritesBatches, afterWritesSeed)
+	return g, qs
+}
+
+// servedAfterWritesGoldenFile holds one line per servedAfterWritesRows row.
+// Its selections grow to 13–20 distinct edges, so they are scored by the
+// exact objective at its largest (see TestPathGraphMatchesOracleAfterWrites).
+const servedAfterWritesGoldenFile = "testdata/served_goldens_after_writes.txt"
+
+// servedAfterWritesRows solves BE and IP on graphAfterWrites' pairs at the
+// engine defaults, rendered like servedGoldenRows.
+func servedAfterWritesRows(t *testing.T) []string {
+	t.Helper()
+	g, qs := graphAfterWrites(t)
+	var rows []string
+	for _, q := range qs {
+		for _, m := range []Method{MethodBE, MethodIP} {
+			rows = append(rows, servedSolveRow(t, "lastfm+writes "+string(m), g, q, m, Options{Workers: 1}))
 		}
 	}
 	return rows
@@ -95,7 +146,19 @@ func servedGoldenRows(t *testing.T) []string {
 // TestServedShapeGoldens pins every served solve shape, bit for bit, to the
 // results recorded in servedGoldenFile.
 func TestServedShapeGoldens(t *testing.T) {
-	f, err := os.Open(servedGoldenFile)
+	checkGoldens(t, servedGoldenFile, servedGoldenRows(t))
+}
+
+// TestServedGoldensAfterWrites pins BE and IP after perfbench's writer, bit
+// for bit, to the results recorded in servedAfterWritesGoldenFile.
+func TestServedGoldensAfterWrites(t *testing.T) {
+	checkGoldens(t, servedAfterWritesGoldenFile, servedAfterWritesRows(t))
+}
+
+// checkGoldens compares rows with the non-empty lines of the golden file.
+func checkGoldens(t *testing.T, file string, got []string) {
+	t.Helper()
+	f, err := os.Open(file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +174,6 @@ func TestServedShapeGoldens(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	got := servedGoldenRows(t)
 	if len(got) != len(want) {
 		t.Errorf("%d rows, want %d", len(got), len(want))
 	}

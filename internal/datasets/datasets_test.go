@@ -1,6 +1,7 @@
 package datasets
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -182,5 +183,30 @@ func TestMultiQueries(t *testing.T) {
 			}
 			seen[v] = true
 		}
+	}
+}
+
+func TestApplyWrites(t *testing.T) {
+	load := func() *ugraph.Graph {
+		g, err := Load("lastfm", 0.08, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	g, twin := load(), load()
+	m := g.M()
+	edits := ApplyWrites(g, 300, 7)
+	if edits < 300 || edits > 1200 {
+		t.Fatalf("%d edits over 300 batches of 1–4", edits)
+	}
+	if d := g.M() - m; d*10 > m || -d*10 > m {
+		t.Fatalf("edge count moved from %d to %d; the mix should keep it level", m, g.M())
+	}
+	if ApplyWrites(twin, 300, 7) != edits || !slices.Equal(g.Edges(), twin.Edges()) {
+		t.Fatal("the same seed applied different writes")
+	}
+	if slices.Equal(g.Edges(), load().Edges()) {
+		t.Fatal("the writes changed no edge")
 	}
 }
