@@ -86,9 +86,10 @@ smoke-relmaxd:
 # Short fuzz smoke: each target fuzzes for 10s on top of the checked-in
 # seed corpus, catching shallow regressions in the I/O, Freeze and
 # durability-decode paths, in the replication feed's frame decoder
-# (FuzzFrameDecode), in the exact path-subgraph objective and in the
-# top-l search: on G ∪ E+ built as a graph from a listed E+, and on G with
-# E+ as elimination's implicit pair set.
+# (FuzzFrameDecode), in the exact path-subgraph objective (its reducing
+# factoring against plain factoring up to 20 edges, and against brute force
+# up to 12) and in the top-l search: on G ∪ E+ built as a graph from a
+# listed E+, and on G with E+ as elimination's implicit pair set.
 fuzz-smoke:
 	$(GO) test ./internal/ugraph -run '^$$' -fuzz '^FuzzEdgeListRoundTrip$$' -fuzztime 10s
 	$(GO) test ./internal/ugraph -run '^$$' -fuzz '^FuzzFreezeConsistency$$' -fuzztime 10s

@@ -326,33 +326,36 @@ func batchSelect(ctx context.Context, a augmented, pool []paths.Path, opt Option
 		label []int32
 		paths []paths.Path
 	}
-	byKey := make(map[string]*group)
-	var groups []*group
+	// A group starts as a capped one-path view of pool, so only a batch
+	// that gains a second path copies.
+	byKey := make(map[string]int)
+	var groups []group
 	var selected []paths.Path
-	for _, p := range pool {
+	for i, p := range pool {
 		lbl := a.label(p)
 		if len(lbl) == 0 {
 			selected = append(selected, p)
 			continue
 		}
 		if !batch {
-			groups = append(groups, &group{label: lbl, paths: []paths.Path{p}})
+			groups = append(groups, group{label: lbl, paths: pool[i : i+1 : i+1]})
 			continue
 		}
 		key := labelKey(lbl)
-		gr, ok := byKey[key]
-		if !ok {
-			gr = &group{label: lbl}
-			byKey[key] = gr
-			groups = append(groups, gr)
+		if gi, ok := byKey[key]; ok {
+			groups[gi].paths = append(groups[gi].paths, p)
+			continue
 		}
-		gr.paths = append(gr.paths, p)
+		byKey[key] = len(groups)
+		groups = append(groups, group{label: lbl, paths: pool[i : i+1 : i+1]})
 	}
-	chosen := make(map[int32]bool)
+	// chosen holds the candidate edges committed so far, at most opt.K, so
+	// a linear scan is the cheapest membership test.
+	var chosen []int32
 	need := func(lbl []int32) int {
 		n := 0
 		for _, id := range lbl {
-			if !chosen[id] {
+			if !slices.Contains(chosen, id) {
 				n++
 			}
 		}
@@ -360,6 +363,11 @@ func batchSelect(ctx context.Context, a augmented, pool []paths.Path, opt Option
 	}
 	current := -1.0
 	round := 0
+	// trial and cohort are rebuilt for every group in the buffers the best
+	// so far does not hold; best becomes selected's buffer when a round
+	// commits.
+	var trial, best []paths.Path
+	var cohort, bestCohort []int
 	for len(chosen) < opt.K && len(groups) > 0 {
 		if ctx.Err() != nil {
 			break // keep the edges committed in completed rounds
@@ -368,27 +376,21 @@ func batchSelect(ctx context.Context, a augmented, pool []paths.Path, opt Option
 			current = objective(selected)
 		}
 		bestIdx, bestScore := -1, -1.0
-		var bestSelection []paths.Path
-		var bestCohort []int
 		for gi, gr := range groups {
 			newEdges := need(gr.label)
 			if len(chosen)+newEdges > opt.K {
 				continue // lines 11-16 of Algorithm 5: over budget
 			}
-			trial := append(append([]paths.Path(nil), selected...), gr.paths...)
-			var cohort []int
+			trial = append(append(trial[:0], selected...), gr.paths...)
+			cohort = cohort[:0]
 			if batch {
-				extra := make(map[int32]bool, len(gr.label))
-				for _, id := range gr.label {
-					extra[id] = true
-				}
 				for gj, other := range groups {
 					if gj == gi {
 						continue
 					}
 					coveredAll := true
 					for _, id := range other.label {
-						if !chosen[id] && !extra[id] {
+						if !slices.Contains(chosen, id) && !slices.Contains(gr.label, id) {
 							coveredAll = false
 							break
 						}
@@ -410,8 +412,8 @@ func batchSelect(ctx context.Context, a augmented, pool []paths.Path, opt Option
 			if score > bestScore {
 				bestScore = score
 				bestIdx = gi
-				bestSelection = trial
-				bestCohort = cohort
+				trial, best = best, trial
+				cohort, bestCohort = bestCohort, cohort
 			}
 		}
 		if bestIdx < 0 {
@@ -421,34 +423,28 @@ func batchSelect(ctx context.Context, a augmented, pool []paths.Path, opt Option
 			break // this round's scores are incomplete; discard them
 		}
 		for _, id := range groups[bestIdx].label {
-			chosen[id] = true
+			if !slices.Contains(chosen, id) {
+				chosen = append(chosen, id)
+			}
 		}
-		selected = bestSelection
+		selected, best = best, selected
 		current = -1
 		round++
 		opt.emit(ProgressEvent{
 			Stage: StageSelect, Round: round, Total: opt.K,
 			Batches: len(groups), Edges: len(chosen), Paths: len(pool),
 		})
-		drop := map[int]bool{bestIdx: true}
-		for _, gj := range bestCohort {
-			drop[gj] = true
-		}
 		kept := groups[:0]
 		for gi, gr := range groups {
-			if !drop[gi] {
+			if gi != bestIdx && !slices.Contains(bestCohort, gi) {
 				kept = append(kept, gr)
 			}
 		}
 		groups = kept
 	}
+	slices.Sort(chosen)
 	var out []ugraph.Edge
-	ids := make([]int32, 0, len(chosen))
-	for id := range chosen {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
+	for _, id := range chosen {
 		out = append(out, a.Endpoints(id))
 	}
 	return out

@@ -391,19 +391,39 @@ func TestGreedyAllocateGivesUpCleanly(t *testing.T) {
 	}
 }
 
-// FuzzPathReliability checks the exact path-subgraph objective against
-// brute-force enumeration on decoded graphs of at most 12 edges.
+// FuzzPathReliability checks the exact path-subgraph objective against the
+// plain factoring oracle on decoded graphs of at most 20 edges, and against
+// brute-force enumeration when the selection holds at most 12 of them.
 func FuzzPathReliability(f *testing.F) {
 	f.Add([]byte{1, 5, 0, 1, 128, 1, 2, 250, 0, 2, 90, 0, 2, 2, 0, 3, 0, 0, 0})
 	f.Add([]byte{12, 12, 0, 1, 60, 1, 2, 200, 2, 3, 8, 3, 4, 99, 0, 4, 255, 1, 3, 140, 0, 4, 5, 0, 4, 0, 0, 0, 0, 1, 4, 1, 1, 1, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, sel, s, dst, ok := decodeSelection(data, 12)
+		g, sel, s, dst, ok := decodeSelection(data, 20)
 		if !ok {
 			return
 		}
-		want := bruteSelection(g, sel, s, dst)
-		if got := exactSelection(t, g, sel, s, dst); math.Abs(got-want) > 1e-12 {
+		got := exactSelection(t, g, sel, s, dst)
+		if want, ok := oracleSelection(g, sel, s, dst); ok && math.Abs(got-want) > 1e-12 {
+			t.Fatalf("directed=%v m=%d %d→%d over %d paths: exact %v, oracle %v", g.Directed(), g.M(), s, dst, len(sel), got, want)
+		}
+		if selectionEdges(sel) > 12 {
+			return
+		}
+		if want := bruteSelection(g, sel, s, dst); math.Abs(got-want) > 1e-12 {
 			t.Fatalf("directed=%v m=%d %d→%d over %d paths: exact %v, brute force %v", g.Directed(), g.M(), s, dst, len(sel), got, want)
 		}
 	})
+}
+
+// selectionEdges counts the distinct edges of selected.
+func selectionEdges(selected []paths.Path) int {
+	var eids []int32
+	for _, p := range selected {
+		for _, eid := range p.Edges {
+			if !slices.Contains(eids, eid) {
+				eids = append(eids, eid)
+			}
+		}
+	}
+	return len(eids)
 }

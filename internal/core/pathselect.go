@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"sort"
+	"slices"
 
 	"repro/internal/candidates"
 	"repro/internal/paths"
@@ -66,7 +66,7 @@ func (a augmented) label(p paths.Path) []int32 {
 			ids = append(ids, eid)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -80,9 +80,11 @@ func labelKey(ids []int32) string {
 
 // pathEvaluator scores R(s, t, P1): the s-t reliability on the subgraph
 // induced by a set of selected paths (Problem 3's objective). It computes
-// it exactly by factoring, and samples the induced subgraph only when the
-// selection is too large for that (more than exactEdgeCap distinct edges or
-// exactMaxCalls factoring calls).
+// it exactly by factoring with series–parallel reductions before each
+// branch (Satyanarayana & Wood 1985; Page & Perry 1988; see pathGraph),
+// and samples the induced subgraph only when the selection is too large
+// for that (more than exactEdgeCap distinct edges or exactMaxCalls
+// factoring calls).
 type pathEvaluator struct {
 	gPlus augmented
 	s, t  ugraph.NodeID

@@ -11,8 +11,8 @@ import (
 // half re-probing a live edge to p ∈ [0.1, 0.9), a quarter adding an edge
 // and a quarter removing one, so the edge count stays level. The draws
 // follow that writer's edge model step for step, so seed 1_000_005 replays
-// the batches it sends at perfbench seed 1. It returns the number of edits.
-func ApplyWrites(g *ugraph.Graph, batches int, seed int64) int {
+// the batches it sends at perfbench seed 1.
+func ApplyWrites(g *ugraph.Graph, batches int, seed int64) {
 	norm := func(u, v ugraph.NodeID) [2]ugraph.NodeID {
 		if !g.Directed() && u > v {
 			u, v = v, u
@@ -28,7 +28,6 @@ func ApplyWrites(g *ugraph.Graph, batches int, seed int64) int {
 		pos[k] = i
 	}
 	r := rand.New(rand.NewSource(seed))
-	edits := 0
 	for b := 0; b < batches; b++ {
 		for size, done := 1+r.Intn(4), 0; done < size; {
 			p := float64(100+r.Intn(800)) / 1000
@@ -59,8 +58,6 @@ func ApplyWrites(g *ugraph.Graph, batches int, seed int64) int {
 				}
 			}
 			done++
-			edits++
 		}
 	}
-	return edits
 }
