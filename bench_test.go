@@ -395,9 +395,9 @@ func BenchmarkAnytimeEstimate(b *testing.B) {
 }
 
 // BenchmarkApply measures the mutation-commit path: batches of 1/16/256
-// mutations committed as persistent delta overlays (the default engine,
-// including its amortized background compaction) versus the legacy full
-// clone+rebuild commit (WithFlatCommits). The bench gate asserts delta
+// mutations committed by Apply as persistent delta overlays (including
+// its amortized background compaction) versus a full clone+rebuild of the
+// graph per batch (the flatCommit test oracle). The bench gate asserts delta
 // stays >=5x faster than clone on the small-batch shapes (b1, b16) and
 // publishes every pairing in BENCH_apply.json. The b256 pairing is
 // honest-cost reporting: a batch that touches a large fraction of the
@@ -414,17 +414,17 @@ func BenchmarkApply(b *testing.B) {
 		}
 		for _, mode := range []string{"delta", "clone"} {
 			b.Run(fmt.Sprintf("%s/b%d", mode, size), func(b *testing.B) {
-				var opts []EngineOption
-				if mode == "clone" {
-					opts = append(opts, WithFlatCommits(true))
-				}
-				eng, err := NewEngine(g, opts...)
+				eng, err := NewEngine(g)
 				if err != nil {
 					b.Fatal(err)
 				}
 				defer eng.Close()
-				muts := make([]Mutation, size)
 				ctx := context.Background()
+				commit := func(muts ...Mutation) (uint64, error) { return eng.Apply(ctx, muts...) }
+				if mode == "clone" {
+					commit = func(muts ...Mutation) (uint64, error) { return flatCommit(eng, muts...) }
+				}
+				muts := make([]Mutation, size)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -433,7 +433,7 @@ func BenchmarkApply(b *testing.B) {
 					for j := range muts {
 						muts[j] = SetProb(edges[j].U, edges[j].V, p)
 					}
-					if _, err := eng.Apply(ctx, muts...); err != nil {
+					if _, err := commit(muts...); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -36,19 +36,9 @@ const (
 // WithCompactionPolicy sets the delta-chain compaction thresholds: the
 // chain folds into a flat CSR when it reaches maxDepth layers or when the
 // overlay holds maxFraction times the base arc count, whichever trips
-// first. Values <= 0 select the defaults (16 layers, 0.25). Inert under
-// WithFlatCommits.
+// first. Values <= 0 select the defaults (16 layers, 0.25).
 func WithCompactionPolicy(maxDepth int, maxFraction float64) EngineOption {
 	return func(e *Engine) { e.compactDepth, e.compactFrac = maxDepth, maxFraction }
-}
-
-// WithFlatCommits makes every Apply commit the legacy way — clone the full
-// graph, mutate, freeze a complete flat CSR — instead of layering delta
-// epochs. Commits cost O(N+M) regardless of batch size, which is only
-// useful as a differential oracle and benchmark baseline for the delta
-// path; serving deployments should keep the default.
-func WithFlatCommits(on bool) EngineOption {
-	return func(e *Engine) { e.flatApply = on }
 }
 
 // WithCacheWarming re-warms the result cache after every epoch rotation:
@@ -65,8 +55,7 @@ func WithCacheWarming(n int) EngineOption {
 }
 
 // Compact forces the engine's delta chain to fold into a flat CSR at the
-// current epoch. On an already-flat snapshot (or a WithFlatCommits engine)
-// it is a no-op returning nil. It serializes with Apply; queries pinned to
+// current epoch. On an already-flat snapshot it is a no-op returning nil. It serializes with Apply; queries pinned to
 // the layered snapshot finish on it unperturbed.
 func (e *Engine) Compact() error {
 	e.applyMu.Lock()

@@ -107,7 +107,7 @@ func TestDeltaEpochDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := NewEngine(g, WithSampleSize(150), WithSeed(7), WithFlatCommits(true))
+	oracle, err := NewEngine(g, WithSampleSize(150), WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestDeltaEpochDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fe, err := oracle.Apply(ctx, muts...)
+		fe, err := flatCommit(oracle, muts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func TestDeltaEpochDifferential(t *testing.T) {
 	if _, err := eng.Apply(ctx, extra...); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := oracle.Apply(ctx, extra...); err != nil {
+	if _, err := flatCommit(oracle, extra...); err != nil {
 		t.Fatal(err)
 	}
 	if depth := eng.Snapshot().Depth(); depth != 1 {
@@ -288,16 +288,16 @@ func TestRecoverLayeredEpoch(t *testing.T) {
 }
 
 // TestApplyReplicatedDelta: replicas commit the primary's batches through
-// the same delta path and stay bit-identical to a flat-committing replica;
+// the same delta path and stay bit-identical to the flat-commit oracle;
 // batches that fail validation map to ErrReplicaGap without partial
-// application, exactly like the flat path.
+// application.
 func TestApplyReplicatedDelta(t *testing.T) {
 	g := durTestGraph(t)
 	delta, err := NewEngine(g, WithSeed(7), WithSampleSize(150), deltaHoldLayers())
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := NewEngine(g, WithSeed(7), WithSampleSize(150), WithFlatCommits(true))
+	flat, err := NewEngine(g, WithSeed(7), WithSampleSize(150))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestApplyReplicatedDelta(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fe, err := flat.ApplyReplicated(b)
+		fe, err := flatCommit(flat, muts...)
 		if err != nil {
 			t.Fatal(err)
 		}

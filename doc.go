@@ -211,15 +211,16 @@
 // rebuild, so the rebuild you avoided per commit is really amortized
 // across the chain — roughly rebuild/depth per commit — and a batch that
 // touches a large fraction of the graph approaches the rebuild cost
-// outright. WithFlatCommits restores the legacy rebuild-per-commit path
-// (it is the differential-test oracle and the BenchmarkApply baseline).
+// outright. Every commit takes this path — Apply, ApplyReplicated and WAL
+// replay alike; a clone+rebuild commit survives only in the tests, as the
+// differential oracle and the BenchmarkApply baseline.
 //
 // An epoch is its CSR. Estimates walk the layered snapshot directly and
-// never build a mutable Graph; a solve (and compaction, a checkpoint or a
-// flat commit) on a layered epoch rebuilds the Graph once per snapshot
-// from the CSR's canonical edge order — the same order a checkpoint
-// writes and recovery replays — so it freezes to exactly the layered
-// epoch's rows, probabilities and version.
+// never build a mutable Graph; a solve (and compaction or a checkpoint)
+// on a layered epoch rebuilds the Graph once per snapshot from the CSR's
+// canonical edge order — the same order a checkpoint writes and recovery
+// replays — so it freezes to exactly the layered epoch's rows,
+// probabilities and version.
 //
 // Readers never lock against writers: every query pins the snapshot
 // current at canonicalization (jobs pin at Submit), so work in flight
@@ -288,11 +289,11 @@
 // The durability primitives double as a replication substrate: the
 // store.Batch records a primary fsyncs to its WAL are exactly what a read
 // replica needs to mirror it. Engine.ApplyReplicated commits one such
-// batch through the same delta-overlay pipeline Apply uses (with the same
-// background compaction) — validated against the replica's current epoch
-// (b.PrevEpoch() must match, else ErrReplicaGap), never re-appended to a
-// local WAL, and counted in Stats as ReplicatedApplies/ReplicatedMutations
-// distinct from local traffic. Because the batch commits the same
+// batch through the commit Apply makes (the same delta overlay, background
+// compaction and, on a durable engine, WAL append) — validated against the
+// replica's current epoch (b.PrevEpoch() must match, else ErrReplicaGap)
+// and counted in Stats as ReplicatedApplies/ReplicatedMutations distinct
+// from local traffic. Because the batch commits the same
 // operations in the same order, a replica at epoch E answers every query
 // bit-identically to the primary's pinned-epoch-E snapshot.
 //
@@ -301,7 +302,9 @@
 // reproduces the primary's CSR byte for byte), Catalog.CreateFromSnapshot
 // registers it as a served dataset at the snapshot's exact epoch, and
 // Engine.ResetToSnapshot adopts one wholesale on a live engine, purging
-// the result cache (a re-bootstrap may move the epoch backwards).
+// the result cache (a re-bootstrap may move the epoch backwards); a
+// durable engine refuses it (ErrBadMutation), since its store would no
+// longer describe the graph.
 // Replica datasets are deliberately never durable: a replica's state is a
 // cache of the primary's log, rebuilt over the feed on restart, not a
 // second source of truth.

@@ -446,64 +446,74 @@ func TestCheckpointNoopWithoutStorage(t *testing.T) {
 }
 
 // TestDurableFaultAtEverySyscallSeam drives the engine over the real
-// filesystem store with an injected fault at each syscall seam in turn.
-// The invariant is end-to-end fsync ordering: whatever the seam, Apply
-// either acknowledges a batch (then it MUST survive reopen) or fails it
-// (then the epoch did not advance and reopen lands on the last
-// acknowledged epoch — never on a half-written one).
+// filesystem store with an injected fault at each syscall seam in turn,
+// committing the probe batches through Apply and through ApplyReplicated
+// (which share one commit). The invariant is end-to-end fsync ordering:
+// whatever the seam, a commit either acknowledges a batch (then it MUST
+// survive reopen) or fails it (then the epoch did not advance and reopen
+// lands on the last acknowledged epoch — never on a half-written one).
 func TestDurableFaultAtEverySyscallSeam(t *testing.T) {
 	ctx := context.Background()
 	for _, seam := range store.FSSeams {
 		t.Run(seam, func(t *testing.T) {
-			dir := t.TempDir()
-			fs, err := store.OpenFS(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fs.SetLogf(t.Logf)
-			g := durTestGraph(t)
-			eng, err := NewEngine(g, WithStore(fs), WithCheckpointEvery(2, 1<<40), WithSeed(5))
-			if err != nil {
-				t.Fatal(err)
-			}
-			// One clean batch, then arm the fault and apply until something
-			// fails (the checkpoint-path seams only fire on the policy
-			// boundary; checkpoint failures are deferred, so those seams
-			// never fail an Apply at all).
-			if _, err := eng.Apply(ctx, AddEdge(0, 13, 0.9)); err != nil {
-				t.Fatal(err)
-			}
-			injected := errors.New("injected " + seam)
-			fs.SetFault(func(op string) error {
-				if op == seam {
-					return injected
-				}
-				return nil
-			})
-			acked := eng.Epoch()
-			probe := []Mutation{AddEdge(0, 14, 0.8), AddEdge(0, 15, 0.7), AddEdge(0, 16, 0.6)}
-			for _, m := range probe {
-				ep, err := eng.Apply(ctx, m)
+			for _, replicated := range []bool{false, true} {
+				dir := t.TempDir()
+				fs, err := store.OpenFS(dir)
 				if err != nil {
-					if eng.Epoch() != acked {
-						t.Fatalf("failed Apply advanced epoch: %d, acknowledged %d", eng.Epoch(), acked)
-					}
-					break
+					t.Fatal(err)
 				}
-				acked = ep
-			}
-			ckptErrs := eng.Stats().CheckpointErrors
-			fs.SetFault(nil)
-			eng.Close()
+				fs.SetLogf(t.Logf)
+				g := durTestGraph(t)
+				eng, err := NewEngine(g, WithStore(fs), WithCheckpointEvery(2, 1<<40), WithSeed(5))
+				if err != nil {
+					t.Fatal(err)
+				}
+				commit := func(m Mutation) (uint64, error) {
+					if replicated {
+						return eng.ApplyReplicated(storeBatchOf(eng.Epoch()+1, m))
+					}
+					return eng.Apply(ctx, m)
+				}
+				// One clean batch, then arm the fault and commit until
+				// something fails (the checkpoint-path seams only fire on
+				// the policy boundary; checkpoint failures are deferred, so
+				// those seams never fail a commit at all).
+				if _, err := commit(AddEdge(0, 13, 0.9)); err != nil {
+					t.Fatal(err)
+				}
+				injected := errors.New("injected " + seam)
+				fs.SetFault(func(op string) error {
+					if op == seam {
+						return injected
+					}
+					return nil
+				})
+				acked := eng.Epoch()
+				probe := []Mutation{AddEdge(0, 14, 0.8), AddEdge(0, 15, 0.7), AddEdge(0, 16, 0.6)}
+				for _, m := range probe {
+					ep, err := commit(m)
+					if err != nil {
+						if eng.Epoch() != acked {
+							t.Fatalf("replicated=%v: failed commit advanced epoch: %d, acknowledged %d",
+								replicated, eng.Epoch(), acked)
+						}
+						break
+					}
+					acked = ep
+				}
+				ckptErrs := eng.Stats().CheckpointErrors
+				fs.SetFault(nil)
+				eng.Close()
 
-			re, err := OpenEngine(dir, WithSeed(5))
-			if err != nil {
-				t.Fatalf("reopen after %s fault: %v", seam, err)
-			}
-			defer re.Close()
-			if re.Epoch() != acked {
-				t.Fatalf("seam %s: recovered epoch %d, want last acknowledged %d (checkpoint errors: %d)",
-					seam, re.Epoch(), acked, ckptErrs)
+				re, err := OpenEngine(dir, WithSeed(5))
+				if err != nil {
+					t.Fatalf("replicated=%v: reopen after %s fault: %v", replicated, seam, err)
+				}
+				if re.Epoch() != acked {
+					t.Fatalf("replicated=%v, seam %s: recovered epoch %d, want last acknowledged %d (checkpoint errors: %d)",
+						replicated, seam, re.Epoch(), acked, ckptErrs)
+				}
+				re.Close()
 			}
 		})
 	}

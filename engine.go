@@ -50,9 +50,9 @@ type Engine struct {
 	// the compactor. Readers load it once per query and never see a torn
 	// state; old snapshots stay valid for the queries that pinned them.
 	snap atomic.Pointer[engineSnapshot]
-	// applyMu serializes Apply (and Close's terminal transition): clones
-	// build off the snapshot they loaded, so two concurrent Applies would
-	// otherwise lose one batch.
+	// applyMu serializes commits (and Close's terminal transition): a
+	// delta layer builds off the snapshot it loaded, so two concurrent
+	// commits would otherwise lose one batch.
 	applyMu sync.Mutex
 
 	opt     Options // defaults template; Sampler/Z/Seed resolved at build
@@ -87,12 +87,11 @@ type Engine struct {
 	applies, mutationsApplied                                             atomic.Uint64
 	replicatedApplies, replicatedMutations                                atomic.Uint64
 
-	// Delta-epoch commit machinery (see mutation.go and compact.go):
-	// flatApply forces the legacy clone+freeze commit path; the compact*
-	// fields are the fold-the-chain thresholds; compacting single-flights
-	// the background compactor. warmN is the cache-warming budget per epoch
-	// rotation (0 = disabled), warming its single-flight guard.
-	flatApply    bool
+	// Delta-epoch commit machinery (see mutation.go and compact.go): the
+	// compact* fields are the fold-the-chain thresholds; compacting
+	// single-flights the background compactor. warmN is the cache-warming
+	// budget per epoch rotation (0 = disabled), warming its single-flight
+	// guard.
 	compactDepth int
 	compactFrac  float64
 	compacting   atomic.Bool
@@ -126,10 +125,10 @@ type Engine struct {
 // engineSnapshot is one frozen graph epoch, and the epoch IS its CSR: a
 // flat CSR, or a delta CSR layering committed batches over a flat base
 // (see ugraph.CSR.Delta). Estimates read the CSR directly. mat memoizes
-// the mutable-Graph form that solvers, compaction, checkpoints and flat
-// commits need; it is built at most once under matOnce, and the snapshot
-// is immutable once published. vecs memoizes elimination's reliability
-// vectors on mat, built on first use. A new epoch starts with none; a
+// the mutable-Graph form that solvers, compaction and checkpoints need;
+// it is built at most once under matOnce, and the snapshot is immutable
+// once published. vecs memoizes elimination's reliability vectors on mat,
+// built on first use. A new epoch starts with none; a
 // compacted twin shares its layered snapshot's memo, since both are over
 // the same mat.
 type engineSnapshot struct {

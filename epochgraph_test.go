@@ -158,7 +158,7 @@ func TestRebuildMatchesReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracle, err := NewEngine(g, WithSolverDefaults(opt), WithFlatCommits(true))
+			oracle, err := NewEngine(g, WithSolverDefaults(opt))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +174,7 @@ func TestRebuildMatchesReplay(t *testing.T) {
 				if _, err := eng.Apply(ctx, muts...); err != nil {
 					t.Fatalf("directed=%v chain %d batch %d: %v", directed, chain, b, err)
 				}
-				if _, err := oracle.Apply(ctx, muts...); err != nil {
+				if _, err := flatCommit(oracle, muts...); err != nil {
 					t.Fatal(err)
 				}
 				if _, err := durable.Apply(ctx, muts...); err != nil {
@@ -185,7 +185,7 @@ func TestRebuildMatchesReplay(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if i, err := applyMutationsTo(nil, replay, muts); err != nil {
+				if i, err := applyMutationsTo(replay, muts); err != nil {
 					t.Fatalf("replay mutation %d: %v", i, err)
 				}
 				snap := eng.snap.Load()

@@ -102,20 +102,3 @@ func (ex *exactState) recurse(next int, weight float64) float64 {
 	ex.status[next] = 0
 	return total
 }
-
-// WorldProbability returns Pr(G_world) of the possible world selected by
-// present (indexed by edge ID), per Equation 1.
-func (g *Graph) WorldProbability(present []bool) (float64, error) {
-	if len(present) != g.M() {
-		return 0, fmt.Errorf("ugraph: world mask has %d entries, want %d", len(present), g.M())
-	}
-	prob := 1.0
-	for eid, p := range g.p {
-		if present[eid] {
-			prob *= p
-		} else {
-			prob *= 1 - p
-		}
-	}
-	return prob, nil
-}

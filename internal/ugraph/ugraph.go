@@ -406,19 +406,6 @@ func (g *Graph) HopDistances(src NodeID, maxHops int) []int32 {
 	return dist
 }
 
-// WithinHops returns the set of nodes whose hop distance from src is at most
-// h (including src), as a sorted slice.
-func (g *Graph) WithinHops(src NodeID, h int) []NodeID {
-	dist := g.HopDistances(src, h)
-	var out []NodeID
-	for v, d := range dist {
-		if d >= 0 {
-			out = append(out, NodeID(v))
-		}
-	}
-	return out
-}
-
 // Diameter returns the longest finite shortest-path hop distance over a
 // sample of sources (all nodes if sample <= 0 or >= N). It is used by the
 // dataset validators and by the h = diameter equivalence remark in §2.1.

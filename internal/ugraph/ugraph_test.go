@@ -150,10 +150,6 @@ func TestHopDistances(t *testing.T) {
 	if bounded[3] != -1 {
 		t.Errorf("maxHops=1 reached node 3 at %d", bounded[3])
 	}
-	within := g.WithinHops(0, 1)
-	if len(within) != 3 { // 0, 1, 2
-		t.Errorf("WithinHops(0,1) = %v", within)
-	}
 }
 
 func TestExactReliabilitySeriesParallel(t *testing.T) {
@@ -282,31 +278,6 @@ func TestExactReliabilityRefusesLargeGraphs(t *testing.T) {
 	}
 	if _, err := g.ExactReliability(0, 1); err == nil {
 		t.Fatal("want error for oversized exact computation")
-	}
-}
-
-func TestWorldProbability(t *testing.T) {
-	g := New(3, true)
-	g.MustAddEdge(0, 1, 0.3)
-	g.MustAddEdge(1, 2, 0.6)
-	p, err := g.WorldProbability([]bool{true, false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(p-0.3*0.4) > 1e-15 {
-		t.Fatalf("WorldProbability = %v, want 0.12", p)
-	}
-	if _, err := g.WorldProbability([]bool{true}); err == nil {
-		t.Fatal("want length-mismatch error")
-	}
-	// Probabilities over all worlds must sum to 1.
-	total := 0.0
-	for mask := 0; mask < 4; mask++ {
-		w, _ := g.WorldProbability([]bool{mask&1 != 0, mask&2 != 0})
-		total += w
-	}
-	if math.Abs(total-1) > 1e-12 {
-		t.Fatalf("world probabilities sum to %v", total)
 	}
 }
 

@@ -440,9 +440,8 @@ type EngineStats struct {
 	// mutations in them — replica-side traffic, disjoint from Applies /
 	// MutationsApplied which count only local Apply calls.
 	ReplicatedApplies, ReplicatedMutations uint64
-	// DeltaCommits counts the batches (local or replicated) committed as
-	// O(batch) delta layers rather than full clone+freeze rebuilds;
-	// Compactions the folds of a delta chain back into a flat CSR
+	// DeltaCommits counts the batches (local or replicated) committed, each
+	// as one O(batch) delta layer; Compactions the folds of a delta chain back into a flat CSR
 	// (threshold, checkpoint or Engine.Compact). ChainDepth is the current
 	// snapshot's layer count — 0 whenever the engine is serving a flat CSR.
 	DeltaCommits, Compactions uint64

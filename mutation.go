@@ -84,8 +84,7 @@ func RemoveEdge(u, v NodeID) Mutation {
 // it reaches the configured depth or delta-arc fraction (see
 // WithCompactionPolicy and Engine.Compact), amortizing the O(N + M)
 // rebuild over many commits. Reads on a layered epoch are bit-identical to
-// the flat rebuild (the differential suites pin this); WithFlatCommits
-// restores the legacy clone+freeze commit for oracle use.
+// a flat rebuild at the same epoch (the differential suites pin this).
 func (e *Engine) Apply(ctx context.Context, muts ...Mutation) (uint64, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -99,46 +98,44 @@ func (e *Engine) Apply(ctx context.Context, muts ...Mutation) (uint64, error) {
 	if len(muts) == 0 {
 		return cur.csr.Epoch(), nil
 	}
-	var next *engineSnapshot
-	if e.flatApply {
-		g, err := cur.graph()
-		if err != nil {
-			return 0, fmt.Errorf("repro: Apply: %w", err)
+	if cerr := ctx.Err(); cerr != nil {
+		return 0, fmt.Errorf("repro: Apply interrupted at mutation %d/%d: %w", 0, len(muts), cerr)
+	}
+	epoch, i, err := e.commitLocked(cur, muts)
+	if err != nil {
+		if i < 0 {
+			return 0, fmt.Errorf("repro: Apply: durable append: %w", err)
 		}
-		g = g.Clone()
-		if i, err := applyMutationsTo(ctx, g, muts); err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return 0, fmt.Errorf("repro: Apply interrupted at mutation %d/%d: %w", i, len(muts), cerr)
-			}
-			m := muts[i]
-			return 0, fmt.Errorf("repro: Apply: mutation %d (%s %d-%d): %v: %w",
-				i, m.Op, m.U, m.V, err, ErrBadMutation)
-		}
-		next = newFlatSnapshot(g)
-	} else {
-		if cerr := ctx.Err(); cerr != nil {
-			return 0, fmt.Errorf("repro: Apply interrupted at mutation %d/%d: %w", 0, len(muts), cerr)
-		}
-		snap, i, err := deltaSnapshot(cur, muts)
-		if err != nil {
-			m := muts[i]
-			return 0, fmt.Errorf("repro: Apply: mutation %d (%s %d-%d): %v: %w",
-				i, m.Op, m.U, m.V, err, ErrBadMutation)
-		}
-		next = snap
+		m := muts[i]
+		return 0, fmt.Errorf("repro: Apply: mutation %d (%s %d-%d): %v: %w",
+			i, m.Op, m.U, m.V, err, ErrBadMutation)
+	}
+	e.applies.Add(1)
+	e.mutationsApplied.Add(uint64(len(muts)))
+	return epoch, nil
+}
+
+// commitLocked commits muts over cur as one more delta layer and publishes
+// it — the one commit path of Apply and ApplyReplicated — and returns the
+// new epoch. A mutation the delta layer rejects fails the commit with its
+// index and cause; a failed durable append fails it with index -1. Either
+// way nothing is published and the epoch does not advance. Callers hold
+// applyMu and have checked that muts is non-empty.
+func (e *Engine) commitLocked(cur *engineSnapshot, muts []Mutation) (uint64, int, error) {
+	next, i, err := deltaSnapshot(cur, muts)
+	if err != nil {
+		return 0, i, err
 	}
 	// Durability barrier: the validated batch goes to the WAL — and is
 	// fsynced — before the snapshot rotates. If the append fails the epoch
 	// does not advance and the caller may retry; recovery can therefore
-	// never see an epoch the log does not carry, and every epoch Apply
-	// acknowledged survives a crash.
+	// never see an epoch the log does not carry, and every acknowledged
+	// epoch survives a crash.
 	var appended store.Batch
 	if e.store != nil {
-		b, err := e.appendToWAL(next.csr.Epoch(), muts)
-		if err != nil {
-			return 0, fmt.Errorf("repro: Apply: durable append: %w", err)
+		if appended, err = e.appendToWAL(next.csr.Epoch(), muts); err != nil {
+			return 0, -1, err
 		}
-		appended = b
 	}
 	// Rotate the cache epoch BEFORE publishing the snapshot: a query that
 	// canonicalizes against the new snapshot and races its result into the
@@ -150,29 +147,25 @@ func (e *Engine) Apply(ctx context.Context, muts ...Mutation) (uint64, error) {
 		e.cache.setEpoch(next.csr.Epoch())
 	}
 	e.snap.Store(next)
-	e.applies.Add(1)
-	e.mutationsApplied.Add(uint64(len(muts)))
-	if next.csr.Depth() != 0 {
-		e.deltaCommits.Add(1)
-	}
+	e.deltaCommits.Add(1)
 	if e.store != nil {
 		e.pendingBatches++
 		e.pendingBytes += int64(store.EncodedBatchSize(appended))
 		if e.pendingBatches >= e.ckptBatches || e.pendingBytes >= e.ckptBytes {
 			// Best-effort: the batch is already durable in the WAL, so a
-			// failed checkpoint does not fail the Apply — it shows up in
-			// Stats.CheckpointErrors and the next Apply retries.
+			// failed checkpoint does not fail the commit — it shows up in
+			// Stats.CheckpointErrors and the next commit retries.
 			_ = e.checkpointLocked()
 		}
 	}
 	e.maybeCompact(e.snap.Load())
 	e.maybeWarmCache(cur.csr.Epoch())
-	return next.csr.Epoch(), nil
+	return next.csr.Epoch(), 0, nil
 }
 
 // deltaSnapshot builds the snapshot committing muts over cur as one more
-// delta layer — the O(batch) commit path shared by Apply,
-// ApplyReplicated and WAL replay (RecoverEngine). On failure it returns the offending mutation's index
+// delta layer — the O(batch) commit of commitLocked and WAL replay
+// (RecoverEngine). On failure it returns the offending mutation's index
 // and the underlying cause; cur is untouched either way.
 func deltaSnapshot(cur *engineSnapshot, muts []Mutation) (*engineSnapshot, int, error) {
 	edits := make([]ugraph.DeltaEdit, len(muts))
@@ -205,44 +198,6 @@ func deltaEditOf(m Mutation) (ugraph.DeltaEdit, error) {
 		return ugraph.DeltaEdit{Op: ugraph.DeltaRemove, U: m.U, V: m.V}, nil
 	default:
 		return ugraph.DeltaEdit{}, fmt.Errorf("unknown op %q", m.Op)
-	}
-}
-
-// applyMutationsTo executes a mutation batch in order against g — the
-// flat commit of Apply and ApplyReplicated under WithFlatCommits, the
-// oracle the delta path is differentially tested against. On error the
-// returned index names the offending mutation; the graph may be partially
-// mutated, which is fine because both callers mutate a clone and discard
-// it on error. ctx may be nil (ApplyReplicated).
-func applyMutationsTo(ctx context.Context, g *Graph, muts []Mutation) (int, error) {
-	for i, m := range muts {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return i, err
-			}
-		}
-		if err := applyMutationTo(g, m); err != nil {
-			return i, err
-		}
-	}
-	return len(muts), nil
-}
-
-// applyMutationTo executes one mutation against g.
-func applyMutationTo(g *Graph, m Mutation) error {
-	switch m.Op {
-	case MutAddEdge:
-		_, err := g.AddEdge(m.U, m.V, m.P)
-		return err
-	case MutSetProb:
-		if eid, ok := g.EdgeID(m.U, m.V); ok {
-			return g.SetProb(eid, m.P)
-		}
-		return fmt.Errorf("no edge (%d,%d)", m.U, m.V)
-	case MutRemoveEdge:
-		return g.RemoveEdge(m.U, m.V)
-	default:
-		return fmt.Errorf("unknown op %q", m.Op)
 	}
 }
 

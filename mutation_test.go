@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -29,25 +30,65 @@ func applyTestMutations(t testing.TB, g *Graph) []Mutation {
 func mutatedClone(t testing.TB, g *Graph, muts []Mutation) *Graph {
 	t.Helper()
 	m := g.Clone()
-	for _, mu := range muts {
-		var err error
-		switch mu.Op {
-		case MutAddEdge:
-			_, err = m.AddEdge(mu.U, mu.V, mu.P)
-		case MutSetProb:
-			eid, ok := m.EdgeID(mu.U, mu.V)
-			if !ok {
-				t.Fatalf("oracle lost edge (%d,%d)", mu.U, mu.V)
-			}
-			err = m.SetProb(eid, mu.P)
-		case MutRemoveEdge:
-			err = m.RemoveEdge(mu.U, mu.V)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+	if i, err := applyMutationsTo(m, muts); err != nil {
+		t.Fatalf("oracle mutation %d: %v", i, err)
 	}
 	return m
+}
+
+// flatCommit is the differential oracle for the delta commit: it commits
+// muts on eng by cloning the epoch's graph, replaying the batch onto the
+// clone and freezing a complete flat CSR, and publishes the result as
+// Apply does, minus the WAL, the counters and compaction. A commit costs O(N+M) whatever the batch size, which makes
+// it BenchmarkApply's clone baseline too. On a bad mutation nothing is
+// published. eng must not be durable.
+func flatCommit(eng *Engine, muts ...Mutation) (uint64, error) {
+	eng.applyMu.Lock()
+	defer eng.applyMu.Unlock()
+	g, err := eng.snap.Load().graph()
+	if err != nil {
+		return 0, err
+	}
+	g = g.Clone()
+	if i, err := applyMutationsTo(g, muts); err != nil {
+		return 0, fmt.Errorf("mutation %d: %v: %w", i, err, ErrBadMutation)
+	}
+	next := newFlatSnapshot(g)
+	if eng.cache != nil {
+		eng.cache.setEpoch(next.csr.Epoch())
+	}
+	eng.snap.Store(next)
+	return next.csr.Epoch(), nil
+}
+
+// applyMutationsTo executes a mutation batch in order against g. On error
+// the returned index names the offending mutation; g may be partially
+// mutated, so callers mutate a clone.
+func applyMutationsTo(g *Graph, muts []Mutation) (int, error) {
+	for i, m := range muts {
+		if err := applyMutationTo(g, m); err != nil {
+			return i, err
+		}
+	}
+	return len(muts), nil
+}
+
+// applyMutationTo executes one mutation against g.
+func applyMutationTo(g *Graph, m Mutation) error {
+	switch m.Op {
+	case MutAddEdge:
+		_, err := g.AddEdge(m.U, m.V, m.P)
+		return err
+	case MutSetProb:
+		if eid, ok := g.EdgeID(m.U, m.V); ok {
+			return g.SetProb(eid, m.P)
+		}
+		return fmt.Errorf("no edge (%d,%d)", m.U, m.V)
+	case MutRemoveEdge:
+		return g.RemoveEdge(m.U, m.V)
+	default:
+		return fmt.Errorf("unknown op %q", m.Op)
+	}
 }
 
 // TestApplyAdvancesEpochAtomically: Apply commits whole batches (epoch

@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -130,6 +131,108 @@ func TestApplyReplicatedGaps(t *testing.T) {
 	replica.Close()
 	if _, err := replica.ApplyReplicated(storeBatchOf(cur+1, SetProb(0, 1, 0.7))); !errors.Is(err, ErrClosed) {
 		t.Fatalf("closed replica: err = %v, want ErrClosed", err)
+	}
+}
+
+// TestDurableReplicatedThenApplyReopens: a durable engine logs a
+// replicated batch exactly like a local one, so a replicated batch
+// followed by an Apply reopens at the epoch the Apply acknowledged, with
+// bit-identical estimates and the oracle's edge set.
+func TestDurableReplicatedThenApplyReopens(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	g := durTestGraph(t)
+	eng, err := NewEngine(g, WithStorage(dir), WithSeed(7), WithSampleSize(150))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := g.Clone()
+	r := rand.New(rand.NewSource(23))
+	muts := randomMutationBatch(t, r, oracle)
+	if _, err := eng.ApplyReplicated(storeBatchOf(eng.Epoch()+uint64(len(muts)), muts...)); err != nil {
+		t.Fatal(err)
+	}
+	acked, err := eng.Apply(ctx, randomMutationBatch(t, r, oracle)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits := estimateBits(t, eng, 0, 12)
+	eng.Close()
+
+	re, err := OpenEngine(dir, WithSeed(7), WithSampleSize(150))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Epoch() != acked {
+		t.Fatalf("reopened at epoch %d, acknowledged %d", re.Epoch(), acked)
+	}
+	if estimateBits(t, re, 0, 12) != bits {
+		t.Fatal("reopened estimate differs from the acknowledged epoch")
+	}
+	if !reflect.DeepEqual(re.Snapshot().Edges(), oracle.Freeze().Edges()) {
+		t.Fatal("reopened edge set differs from the oracle graph")
+	}
+}
+
+// dirFiles reads every file directly under dir, keyed by name.
+func dirFiles(t testing.TB, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = data
+	}
+	return files
+}
+
+// TestResetToSnapshotRefusesDurable: a durable engine refuses a reset with
+// ErrBadMutation, leaving its epoch, its counters and every stored byte as
+// they were, and keeps committing and reopening where it acknowledged.
+func TestResetToSnapshotRefusesDurable(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	eng, err := NewEngine(durTestGraph(t), WithStorage(dir), WithSeed(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Apply(ctx, SetProb(0, 1, 0.3)); err != nil {
+		t.Fatal(err)
+	}
+	before, stored := eng.Epoch(), dirFiles(t, dir)
+	source := durTestGraph(t)
+	source.RestoreVersion(before + 3)
+	if err := eng.ResetToSnapshot(storeSnapshotOf(source.Freeze())); !errors.Is(err, ErrBadMutation) {
+		t.Fatalf("durable reset: err = %v, want ErrBadMutation", err)
+	}
+	if eng.Epoch() != before {
+		t.Fatalf("refused reset moved the epoch: %d -> %d", before, eng.Epoch())
+	}
+	if st := eng.Stats(); st.ReplicatedApplies != 0 {
+		t.Fatalf("refused reset counted as a replicated apply: %+v", st)
+	}
+	if !reflect.DeepEqual(dirFiles(t, dir), stored) {
+		t.Fatal("refused reset changed the store")
+	}
+	acked, err := eng.Apply(ctx, SetProb(0, 1, 0.6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Close()
+	re, err := OpenEngine(dir, WithSeed(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Epoch() != acked {
+		t.Fatalf("reopened at epoch %d, acknowledged %d", re.Epoch(), acked)
 	}
 }
 
