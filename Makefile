@@ -104,9 +104,10 @@ fuzz-smoke:
 
 # perfbench is a nested module (repro/perfbench, replace repro => ../), so
 # the root `go build ./...` and `go test ./...` skip it. It calls internal
-# packages directly (core.Solve, candidates.Eliminate, paths.TopL, the
-# Sampler interface), so an internal signature change can pass the root
-# suite while breaking the benchmark; this target vets and tests it.
+# packages directly (core.Solve, candidates.Eliminate, paths.TopL,
+# sampling.NewParallel, the Sampler interface), so an internal signature
+# change can pass the root suite while breaking the benchmark; this target
+# vets and tests it.
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 

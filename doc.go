@@ -47,8 +47,9 @@
 // # Quick start: the Engine
 //
 // Engine is the primary entry point: built once per dataset, it pins an
-// immutable CSR snapshot of the graph and a reusable sampler pool, and
-// serves concurrent, cancellable queries:
+// immutable CSR snapshot of the graph and serves concurrent, cancellable
+// queries, sampling on per-kind warm sampler pools shared by the whole
+// process:
 //
 //	g := repro.NewGraph(4, false)
 //	g.MustAddEdge(2, 1, 0.9)

@@ -14,13 +14,12 @@ import (
 
 // Engine is the context-first entry point for serving reliability
 // maximization and estimation queries over one uncertain graph. Where the
-// legacy free functions re-freeze state and rebuild sampler pools on every
-// call, an Engine is built once per dataset and pins:
-//
-//   - a private clone of the graph (callers may keep mutating theirs) and
-//     its frozen CSR snapshot, shared read-only by all queries, and
-//   - a warm pool of per-worker serial samplers, leased per request by the
-//     sharded parallel sampler so repeated queries reuse scratch memory.
+// legacy free functions re-freeze their graph on every call, an Engine is
+// built once per dataset and pins a private clone of the graph (callers
+// may keep mutating theirs) and its frozen CSR snapshot, shared read-only
+// by all queries. Its request-scoped parallel samplers, like every other,
+// lease per-worker serial samplers from the process-wide warm pool of
+// their estimator kind, so repeated queries reuse scratch memory.
 //
 // The graph is mutable behind versioned snapshots: Apply commits a batch
 // of mutations by building the next frozen epoch and rotating it in
@@ -55,9 +54,7 @@ type Engine struct {
 	// commits would otherwise lose one batch.
 	applyMu sync.Mutex
 
-	opt     Options // defaults template; Sampler/Z/Seed resolved at build
-	method  Method
-	scratch *sampling.SharedScratch
+	opt Options // defaults template; Sampler/Z/Seed resolved at build
 
 	// id numbers the engine process-wide; job IDs embed it so they stay
 	// unique when one server hosts several engines.
@@ -206,12 +203,6 @@ func WithWorkers(n int) EngineOption {
 	return func(e *Engine) { e.opt.Workers = n }
 }
 
-// WithDefaultMethod sets the solver used when a Request leaves Method
-// empty (default MethodBE).
-func WithDefaultMethod(m Method) EngineOption {
-	return func(e *Engine) { e.method = m }
-}
-
 // WithSolverDefaults replaces the engine's whole Options template (budget
 // K, ζ, elimination width R, path count L, hop bound H, sampler config,
 // workers, ...). Later options still override individual fields.
@@ -254,13 +245,12 @@ func WithQueueDepth(n int) EngineOption {
 }
 
 // NewEngine builds a query engine over g: the graph is cloned and frozen
-// once, the sampler configuration validated, and (for Workers != 0) the
-// shared sampler pool created. On error the returned engine is nil.
+// once and the sampler kind validated. On error the returned engine is nil.
 func NewEngine(g *Graph, opts ...EngineOption) (*Engine, error) {
 	if g == nil {
 		return nil, fmt.Errorf("repro: NewEngine: nil graph: %w", ErrBadQuery)
 	}
-	e := &Engine{method: MethodBE}
+	e := &Engine{}
 	for _, o := range opts {
 		o(e)
 	}
@@ -276,11 +266,9 @@ func NewEngine(g *Graph, opts ...EngineOption) (*Engine, error) {
 	if e.opt.Seed == 0 {
 		e.opt.Seed = 1
 	}
-	scratch, err := sampling.NewSharedScratch(e.opt.Sampler)
-	if err != nil {
+	if err := sampling.CheckKind(e.opt.Sampler); err != nil {
 		return nil, fmt.Errorf("repro: NewEngine: %w", err)
 	}
-	e.scratch = scratch
 	if e.maxConcurrent <= 0 {
 		e.maxConcurrent = runtime.GOMAXPROCS(0)
 	}
@@ -323,8 +311,7 @@ func (e *Engine) Epoch() uint64 { return e.snap.Load().csr.Epoch() }
 // options resolves the effective Options for one request: nil uses the
 // engine defaults; a non-nil override is taken as-is except that zero
 // Sampler/Z/Seed/Workers inherit the engine configuration (so overriding
-// K or Zeta does not silently change the estimator). The engine's warm
-// sampler pool is attached by execute.
+// K or Zeta does not silently change the estimator).
 func (e *Engine) options(req *Options) Options {
 	opt := e.opt
 	if req != nil {
@@ -350,7 +337,7 @@ func (e *Engine) options(req *Options) Options {
 type Request struct {
 	// S and T are the query endpoints.
 	S, T NodeID
-	// Method selects the solver; empty uses the engine default.
+	// Method selects the solver; empty uses MethodBE.
 	Method Method
 	// Options overrides the engine's solver defaults for this request;
 	// nil uses them unchanged. Zero Sampler/Z/Seed/Workers fields inherit
@@ -368,7 +355,7 @@ type MultiRequest struct {
 	Sources, Targets []NodeID
 	// Aggregate selects the objective; empty uses AggAvg.
 	Aggregate Aggregate
-	// Method selects the solver; empty uses the engine default.
+	// Method selects the solver; empty uses MethodBE.
 	// Supported: MethodBE, MethodHillClimbing, MethodEigen.
 	Method   Method
 	Options  *Options

@@ -457,13 +457,11 @@ func TestEngineRejectsNonFiniteBudget(t *testing.T) {
 }
 
 // TestEngineSnapshotAndDefaultMethod covers the remaining construction
-// surface: the pinned snapshot accessor and the default-method option.
+// surface: the pinned snapshot accessor and the MethodBE default for
+// requests that leave Method empty.
 func TestEngineSnapshotAndDefaultMethod(t *testing.T) {
 	g := engineTestGraph(t)
-	eng, err := NewEngine(g,
-		WithDefaultMethod(MethodIndividualTopK),
-		WithSolverDefaults(Options{K: 1, Z: 100, Seed: 3, R: 5, L: 5}),
-		WithDefaultMethod(MethodMRP)) // later options win
+	eng, err := NewEngine(g, WithSolverDefaults(Options{K: 1, Z: 100, Seed: 3, R: 5, L: 5}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +476,7 @@ func TestEngineSnapshotAndDefaultMethod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Method != MethodMRP {
+	if sol.Method != MethodBE {
 		t.Fatalf("default method not applied: got %s", sol.Method)
 	}
 	// Estimate validation range checks.

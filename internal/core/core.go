@@ -109,12 +109,6 @@ type Options struct {
 	// fixed, seeded shards — not the worker count — fix the randomness, so
 	// results are bit-identical at every Workers value for a fixed Seed.
 	Workers int
-	// Scratch, when non-nil and built for the same Sampler kind, lets the
-	// parallel samplers lease their per-worker serial samplers from a
-	// shared warm pool instead of a cold per-solve one. A long-lived
-	// Engine sets this so repeated queries reuse sampler scratch memory;
-	// it never affects results. Ignored when the kinds mismatch.
-	Scratch *sampling.SharedScratch
 	// Vectors, when non-nil, memoises search-space elimination's From(s)
 	// and To(t) vectors for Solve and SolveTotalBudget on the graph it was
 	// built for; solves on any other graph ignore it. A long-lived Engine
@@ -199,8 +193,8 @@ func (o Options) Validate(n int) error {
 // NewSampler builds the reliability estimator configured by opt, with a
 // decorrelated stream index so different pipeline stages use independent
 // randomness, bound to ctx for block-granular cooperative cancellation.
-// The estimator is a sampling.ParallelSampler with Workers workers,
-// leasing them from opt.Scratch when one of the matching kind is supplied.
+// The estimator is a sampling.ParallelSampler with Workers workers, which
+// lease their serial samplers from the kind's process-wide warm pool.
 func (o Options) NewSampler(ctx context.Context, stream int64) (sampling.BatchSampler, error) {
 	smp, err := o.parallelSampler(ctx, o.Sampler, stream)
 	if err != nil {
@@ -211,7 +205,7 @@ func (o Options) NewSampler(ctx context.Context, stream int64) (sampling.BatchSa
 
 // parallelSampler is NewSampler for an estimator of the given kind.
 func (o Options) parallelSampler(ctx context.Context, kind string, stream int64) (*sampling.ParallelSampler, error) {
-	smp, err := sampling.New(kind, o.Z, rng.Split(o.Seed, stream).Int63(), o.Workers, o.Scratch)
+	smp, err := sampling.NewParallel(kind, o.Z, rng.Split(o.Seed, stream).Int63(), o.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

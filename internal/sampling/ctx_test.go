@@ -153,34 +153,6 @@ func TestParallelCancellationSkipsShards(t *testing.T) {
 	}
 }
 
-// TestSharedScratchPreservesEstimates: ParallelSamplers leasing workers
-// from a SharedScratch pool must return exactly what a privately pooled
-// sampler returns — including on the second request, when the leased
-// samplers carry scratch state from the first.
-func TestSharedScratchPreservesEstimates(t *testing.T) {
-	g := benchGraph(256, false)
-	s, tt := ugraph.NodeID(0), ugraph.NodeID(255)
-	for _, kind := range []string{"mc", "rss"} {
-		ss, err := NewSharedScratch(kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for call := 0; call < 3; call++ {
-			private, err := NewParallel(kind, 300, 11, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			shared := NewParallelShared(ss, 300, 11, 4)
-			if want, got := private.Reliability(g, s, tt), shared.Reliability(g, s, tt); got != want {
-				t.Fatalf("%s call %d: shared-pool %v != private-pool %v", kind, call, got, want)
-			}
-		}
-	}
-	if _, err := NewSharedScratch("bogus"); err == nil {
-		t.Fatal("NewSharedScratch accepted an unknown kind")
-	}
-}
-
 // TestNewSerialTypedNil: the error path must yield a true nil interface —
 // the typed-nil regression guard for the serial constructor.
 func TestNewSerialTypedNil(t *testing.T) {

@@ -61,11 +61,6 @@ func (v *MCVec) SetSampleSize(z int) { v.z = z }
 // Reseed implements Sampler.
 func (v *MCVec) Reseed(seed int64) { v.r.Seed(seed) }
 
-// budgetQuantum reports the sample-count granularity the estimator prefers:
-// ParallelSampler aligns shard budgets to it so interior shards run whole
-// lane blocks and only the final shard carries the z%64 tail.
-func (v *MCVec) budgetQuantum() int { return laneBlock }
-
 // Reliability implements Sampler.
 func (v *MCVec) Reliability(g *ugraph.Graph, s, t ugraph.NodeID) float64 {
 	return v.ReliabilityCSR(g.Freeze(), s, t)

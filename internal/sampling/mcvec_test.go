@@ -175,17 +175,6 @@ func TestMCVecParallelBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	// The shared-scratch construction must agree with the cold pools too.
-	ss, err := NewSharedScratch("mcvec")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := NewParallelShared(ss, z, 5, 4)
-	for call := 0; call < 3; call++ {
-		if got := ps.Reliability(g, s, tt); got != want[call] {
-			t.Errorf("shared pool call %d: %v != cold pool %v", call, got, want[call])
-		}
-	}
 }
 
 // TestMCVecShardBudgets pins the 64-aligned budget split: every mcvec shard

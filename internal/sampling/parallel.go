@@ -21,50 +21,61 @@ import (
 // goroutines race over them.
 const DefaultShards = 16
 
-// factory constructs a fresh serial Sampler of one built-in kind. A pool's
-// factory runs with placeholder budget and seed, overwritten per shard via
-// SetSampleSize and Reseed.
-type factory func(z int, seed int64) Sampler
-
 // ParallelSampler runs a serial estimator's sample budget across a worker
 // pool. It is safe for concurrent use: every public call freezes the graph
 // once (a cached CSR snapshot), atomically claims a call index (which
 // decorrelates successive calls, mirroring the advancing RNG state of a
-// serial sampler), takes per-worker serial samplers from an internal pool,
-// and merges per-shard results in a fixed order. For a given seed the i-th
-// call returns bit-identical results at any worker count; concurrent
-// callers are race-free but observe call indices in arrival order.
+// serial sampler), leases per-worker serial samplers from its kind's
+// process-wide warm pool, and merges per-shard results in a fixed order.
+// For a given seed the i-th call returns bit-identical results at any
+// worker count; concurrent callers are race-free but observe call indices
+// in arrival order.
 type ParallelSampler struct {
 	workers int
 	seed    atomic.Int64
 	z       atomic.Int64
 	call    atomic.Int64
-	// ss leases the per-worker serial samplers and fixes the estimator
-	// kind. Request-scoped ParallelSamplers derived by an Engine share one
-	// warm pool (New with a SharedScratch), so the leased samplers' scratch
-	// arrays stay sized to the graph across requests instead of being
-	// rebuilt.
-	ss *SharedScratch
+	kind    *estimatorKind
 	canceller
 }
 
 // ErrUnknownSampler marks an estimator kind this package does not build.
 var ErrUnknownSampler = errors.New("unknown sampler")
 
-// factoryFor maps an estimator kind ("mc", "rss" or "mcvec") to its serial
-// factory. Its error is the one place the kind list is spelled out; every
-// caller wraps it.
-func factoryFor(kind string) (factory, error) {
-	switch kind {
-	case "mc":
-		return func(z int, seed int64) Sampler { return NewMonteCarlo(z, seed) }, nil
-	case "rss":
-		return func(z int, seed int64) Sampler { return NewRSS(z, seed) }, nil
-	case "mcvec":
-		return func(z int, seed int64) Sampler { return NewMCVec(z, seed) }, nil
-	default:
-		return nil, fmt.Errorf("sampling: %w %q (want mc, rss or mcvec)", ErrUnknownSampler, kind)
+// estimatorKind is one row of the kind table: the serial constructor, the
+// budget quantum and the kind's warm pool.
+type estimatorKind struct {
+	name   string
+	newSmp func(z int, seed int64) Sampler
+	// quantum is the estimator's budget granularity (64 for mcvec's lane
+	// blocks, 1 for the scalar kinds); see shardBudgetsFor.
+	quantum int
+	// pool holds idle serial samplers, shared by every ParallelSampler of
+	// the kind in the process, so their scratch arrays (epoch-stamped
+	// visited/edge-state buffers, RSS arenas, lane scratch) stay sized to
+	// the graphs being served instead of being rebuilt per request.
+	// Pooling never affects results: a leased sampler is reseeded, resized
+	// and bound to its context before it estimates, and its scratch only
+	// grows.
+	pool sync.Pool
+}
+
+// kinds is the estimator kind table ("mc", "rss" and "mcvec").
+var kinds = []*estimatorKind{
+	{name: "mc", newSmp: func(z int, seed int64) Sampler { return NewMonteCarlo(z, seed) }, quantum: 1},
+	{name: "rss", newSmp: func(z int, seed int64) Sampler { return NewRSS(z, seed) }, quantum: 1},
+	{name: "mcvec", newSmp: func(z int, seed int64) Sampler { return NewMCVec(z, seed) }, quantum: laneBlock},
+}
+
+// kindOf looks an estimator kind up in the table. Its error is the one
+// place the kind list is spelled out; every caller wraps it.
+func kindOf(kind string) (*estimatorKind, error) {
+	for _, k := range kinds {
+		if k.name == kind {
+			return k, nil
+		}
 	}
+	return nil, fmt.Errorf("sampling: %w %q (want mc, rss or mcvec)", ErrUnknownSampler, kind)
 }
 
 // CheckKind returns nil if kind names a built-in estimator and an error
@@ -72,40 +83,8 @@ func factoryFor(kind string) (factory, error) {
 // canonicalization uses to reject unknown sampler overrides before any
 // work is queued.
 func CheckKind(kind string) error {
-	_, err := factoryFor(kind)
+	_, err := kindOf(kind)
 	return err
-}
-
-// budgetQuantizer is implemented by estimators whose work comes in fixed
-// sample-count blocks (MCVec's 64 lane worlds): ParallelSampler aligns
-// shard budgets to the quantum so interior shards run whole blocks and only
-// the final shard carries the z % quantum tail.
-type budgetQuantizer interface {
-	budgetQuantum() int
-}
-
-// quantumOf probes a factory for the estimator's budget quantum (1 for the
-// scalar samplers). The probe sampler is returned to the caller for pool
-// seeding so the construction-time allocation is not wasted.
-func quantumOf(newSmp factory) (int, Sampler) {
-	probe := newSmp(1, 0)
-	if q, ok := probe.(budgetQuantizer); ok {
-		return q.budgetQuantum(), probe
-	}
-	return 1, probe
-}
-
-// New builds the sampler a request runs on — the one place the kind,
-// worker count and warm pool are dispatched: a ParallelSampler of the kind
-// ("mc", "rss" or "mcvec") with that many workers (<= 0 selects
-// runtime.GOMAXPROCS(0)), leasing its serial samplers from ss when ss pools
-// the same kind and from a private pool otherwise. Neither the worker
-// count nor sharing ever changes a result.
-func New(kind string, z int, seed int64, workers int, ss *SharedScratch) (*ParallelSampler, error) {
-	if ss != nil && ss.kind == kind {
-		return NewParallelShared(ss, z, seed, workers), nil
-	}
-	return NewParallel(kind, z, seed, workers)
 }
 
 // NewSerial constructs a serial sampler of the named kind ("mc", "rss" or
@@ -113,74 +92,34 @@ func New(kind string, z int, seed int64, workers int, ss *SharedScratch) (*Paral
 // error the returned interface is nil (never a typed-nil concrete pointer),
 // so `smp == nil` is a valid failure check.
 func NewSerial(kind string, z int, seed int64) (Sampler, error) {
-	newSmp, err := factoryFor(kind)
+	k, err := kindOf(kind)
 	if err != nil {
 		return nil, err
 	}
-	return newSmp(z, seed), nil
+	return k.newSmp(z, seed), nil
 }
 
-// NewParallel wraps the named estimator kind ("mc", "rss" or "mcvec") in
-// a ParallelSampler with total budget z and a private pool.
-// workers <= 0 selects runtime.GOMAXPROCS(0).
+// NewParallel builds the sampler every solve and estimate runs on: a
+// ParallelSampler of the named kind ("mc", "rss" or "mcvec") with total
+// budget z and that many workers (<= 0 selects runtime.GOMAXPROCS(0)),
+// leasing its serial samplers from the kind's process-wide warm pool.
+// Neither the worker count nor the pool's history ever changes a result.
 func NewParallel(kind string, z int, seed int64, workers int) (*ParallelSampler, error) {
-	ss, err := NewSharedScratch(kind)
+	k, err := kindOf(kind)
 	if err != nil {
 		return nil, err
 	}
-	return NewParallelShared(ss, z, seed, workers), nil
-}
-
-// SharedScratch is a warm, goroutine-safe pool of serial samplers for one
-// estimator kind. ParallelSamplers built over it (New, NewParallelShared)
-// lease their per-worker samplers from the shared pool instead of a
-// private one, so a long-lived Engine serving many requests reuses the
-// samplers' scratch arrays (epoch-stamped visited/edge-state buffers, RSS
-// arenas) across requests. Sharing never affects results: every leased
-// sampler is fully reconfigured (Reseed + SetSampleSize + SetContext)
-// before estimating.
-type SharedScratch struct {
-	kind string
-	// quantum is the estimator's preferred budget granularity (64 for
-	// mcvec's lane blocks, 1 for the scalar kinds): ParallelSampler shard
-	// budgets are multiples of it except the last, which absorbs the tail.
-	quantum int
-	pool    sync.Pool
-}
-
-// NewSharedScratch validates the estimator kind and returns an empty warm
-// pool for it.
-func NewSharedScratch(kind string) (*SharedScratch, error) {
-	newSmp, err := factoryFor(kind)
-	if err != nil {
-		return nil, err
-	}
-	ss := &SharedScratch{kind: kind}
-	quantum, probe := quantumOf(newSmp)
-	ss.quantum = quantum
-	ss.pool.New = func() any { return newSmp(1, 0) }
-	ss.pool.Put(probe)
-	return ss, nil
-}
-
-// Kind returns the estimator kind the pool was built for.
-func (ss *SharedScratch) Kind() string { return ss.kind }
-
-// NewParallelShared is NewParallel leasing its serial samplers from the
-// shared pool; the pool's kind determines the estimator. Results are
-// bit-identical to an equally configured NewParallel sampler.
-func NewParallelShared(ss *SharedScratch, z int, seed int64, workers int) *ParallelSampler {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	ps := &ParallelSampler{workers: workers, ss: ss}
+	ps := &ParallelSampler{workers: workers, kind: k}
 	ps.seed.Store(seed)
 	ps.z.Store(int64(z))
-	return ps
+	return ps, nil
 }
 
 // Name implements Sampler.
-func (ps *ParallelSampler) Name() string { return ps.ss.kind }
+func (ps *ParallelSampler) Name() string { return ps.kind.name }
 
 // Workers returns the configured worker-pool size.
 func (ps *ParallelSampler) Workers() int { return ps.workers }
@@ -219,32 +158,32 @@ func (ps *ParallelSampler) SkipCall() { ps.call.Add(1) }
 // one worker runs inline, on the calling goroutine. Each goroutine leases
 // one serial sampler from the pool for its lifetime and binds it to the
 // ParallelSampler's context (cleared again before the sampler returns to
-// the — possibly shared — pool); fn must fully configure it (Reseed +
+// the kind's shared pool); fn must fully configure it (Reseed +
 // SetSampleSize) before estimating, so leftover pool state never leaks
 // into results. When the context fires, remaining work items are skipped:
 // the merged result is garbage, and the caller is expected to discard it
 // after observing ctx.Err().
 func (ps *ParallelSampler) fanOut(n int, fn func(smp Sampler, i int)) {
-	ss, workers := ps.ss, ps.workers
+	k, workers := ps.kind, ps.workers
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		smp := ss.lease(ps.ctx)
+		smp := k.lease(ps.ctx)
 		for i := 0; i < n && !ps.cancelled(); i++ {
 			fn(smp, i)
 		}
-		ss.release(smp)
+		k.release(smp)
 		return
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			smp := ss.lease(ps.ctx)
-			defer ss.release(smp)
+			smp := k.lease(ps.ctx)
+			defer k.release(smp)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n || ps.cancelled() {
@@ -259,16 +198,19 @@ func (ps *ParallelSampler) fanOut(n int, fn func(smp Sampler, i int)) {
 
 // lease takes a serial sampler from the pool and binds ctx so its sample
 // loops abort promptly on cancellation.
-func (ss *SharedScratch) lease(ctx context.Context) Sampler {
-	smp := ss.pool.Get().(Sampler)
+func (k *estimatorKind) lease(ctx context.Context) Sampler {
+	smp, ok := k.pool.Get().(Sampler)
+	if !ok {
+		smp = k.newSmp(1, 0)
+	}
 	smp.SetContext(ctx)
 	return smp
 }
 
 // release unbinds the context and returns the sampler to the pool.
-func (ss *SharedScratch) release(smp Sampler) {
+func (k *estimatorKind) release(smp Sampler) {
 	smp.SetContext(nil)
-	ss.pool.Put(smp)
+	k.pool.Put(smp)
 }
 
 // minShardBudget is the smallest per-shard sample budget worth the fan-out
@@ -311,7 +253,7 @@ func (ps *ParallelSampler) shardBudgetsFor(z, items int) []int {
 	if items < 1 {
 		items = 1
 	}
-	q := ps.ss.quantum
+	q := ps.kind.quantum
 	blocks := (z + q - 1) / q
 	unit := minShardBudget / q
 	if unit < 1 {

@@ -1,8 +1,10 @@
 package sampling
 
 import (
+	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -220,26 +222,19 @@ func TestParallelImplementsBatch(t *testing.T) {
 	}
 }
 
-// TestNewDispatch pins the one sampler constructor: every worker count
-// builds a ParallelSampler (<= 0 sized to GOMAXPROCS) that leases from ss
-// only when ss pools the same kind, with results bit-identical to a
-// one-worker NewParallel at the same seed either way; and an unknown kind
-// is a nil sampler plus an error.
+// TestNewDispatch pins the one parallel constructor: every worker count
+// builds a ParallelSampler (<= 0 sized to GOMAXPROCS) over its kind's row
+// of the kind table, with results bit-identical to a one-worker sampler at
+// the same seed; and an unknown kind is a nil sampler plus an error
+// wrapping ErrUnknownSampler.
 func TestNewDispatch(t *testing.T) {
 	r := rng.New(5)
 	g := randomSmallGraph(r, true)
 	c := g.Freeze()
 	s, tt := ugraph.NodeID(0), ugraph.NodeID(g.N()-1)
-	ss, err := NewSharedScratch("rss")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, kind := range []string{"mc", "rss", "mcvec"} {
 		for _, workers := range []int{0, -1, 3} {
-			ps, err := New(kind, 300, 9, workers, ss)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ps := newParallelT(t, kind, 300, 9, workers)
 			if ps.Name() != kind {
 				t.Fatalf("%s: workers=%d built a %s sampler", kind, workers, ps.Name())
 			}
@@ -250,16 +245,77 @@ func TestNewDispatch(t *testing.T) {
 			if ps.Workers() != pool {
 				t.Fatalf("%s: workers=%d sized the pool %d, want %d", kind, workers, ps.Workers(), pool)
 			}
-			if shared := ps.ss == ss; shared != (kind == ss.Kind()) {
-				t.Fatalf("%s: leases from the %s pool: %v", kind, ss.Kind(), shared)
+			if row, _ := kindOf(kind); ps.kind != row {
+				t.Fatalf("%s: workers=%d does not lease from the kind's pool", kind, workers)
 			}
 			want := newParallelT(t, kind, 300, 9, 1)
 			if a, b := ps.ReliabilityCSR(c, s, tt), want.ReliabilityCSR(c, s, tt); a != b {
-				t.Fatalf("%s w%d: New %v != one-worker NewParallel %v", kind, workers, a, b)
+				t.Fatalf("%s w%d: %v != one-worker result %v", kind, workers, a, b)
 			}
 		}
 	}
-	if smp, err := New("bogus", 10, 1, 2, ss); err == nil || smp != nil {
-		t.Fatalf("unknown kind: New = %#v, %v; want nil and an error", smp, err)
+	smp, err := NewParallel("bogus", 10, 1, 2)
+	if !errors.Is(err, ErrUnknownSampler) || smp != nil {
+		t.Fatalf("unknown kind: NewParallel = %#v, %v; want nil and ErrUnknownSampler", smp, err)
+	}
+}
+
+// coldParallel is NewParallel over a private, empty pool of the kind: the
+// reference the shared pool's history must never change.
+func coldParallel(t *testing.T, kind string, z int, seed int64, workers int) *ParallelSampler {
+	t.Helper()
+	ps := newParallelT(t, kind, z, seed, workers)
+	ps.kind = &estimatorKind{name: ps.kind.name, newSmp: ps.kind.newSmp, quantum: ps.kind.quantum}
+	return ps
+}
+
+// TestWarmPoolPreservesEstimates: a scalar estimate and the From/To
+// vectors on a small graph are bit-identical on a private cold pool, on
+// the shared pool, and on the shared pool again after it served a larger
+// graph and then a layered snapshot with a larger edge-ID bound. One
+// worker leases the same pooled sampler throughout, so its scratch is
+// regrown for the layered snapshot's edge IDs and then reused, larger and
+// stamped, for the small graph.
+func TestWarmPoolPreservesEstimates(t *testing.T) {
+	small := benchGraph(64, true)
+	c := small.Freeze()
+	s, tt := ugraph.NodeID(0), ugraph.NodeID(63)
+	bigG := benchGraph(1024, true)
+	big := bigG.Freeze()
+	var adds []ugraph.DeltaEdit
+	for v := ugraph.NodeID(3); v < 300; v++ {
+		if !bigG.HasEdge(2, v) {
+			adds = append(adds, ugraph.DeltaEdit{Op: ugraph.DeltaAdd, U: 2, V: v, P: 0.4})
+		}
+	}
+	layered, err := big.Delta(adds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if layered.EdgeIDBound() <= big.EdgeIDBound() {
+		t.Fatalf("layered edge-ID bound %d not above the base's %d", layered.EdgeIDBound(), big.EdgeIDBound())
+	}
+	type answer struct {
+		est      float64
+		from, to []float64
+	}
+	run := func(ps *ParallelSampler) answer {
+		return answer{ps.ReliabilityCSR(c, s, tt), ps.ReliabilityFromCSR(c, s), ps.ReliabilityToCSR(c, tt)}
+	}
+	same := func(a, b answer) bool {
+		return a.est == b.est && slices.Equal(a.from, b.from) && slices.Equal(a.to, b.to)
+	}
+	for _, kind := range []string{"mc", "rss", "mcvec"} {
+		want := run(coldParallel(t, kind, 300, 11, 1))
+		if got := run(newParallelT(t, kind, 300, 11, 1)); !same(got, want) {
+			t.Fatalf("%s: shared pool %v != cold pool %v", kind, got, want)
+		}
+		other := newParallelT(t, kind, 300, 3, 1)
+		other.ReliabilityFromCSR(big, 0)
+		other.ReliabilityToCSR(layered, 5)
+		other.ReliabilityCSR(layered, 2, 1000)
+		if got := run(newParallelT(t, kind, 300, 11, 1)); !same(got, want) {
+			t.Fatalf("%s: after larger snapshots %v != cold pool %v", kind, got, want)
+		}
 	}
 }

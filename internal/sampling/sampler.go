@@ -48,13 +48,17 @@
 // construction seed but are NOT safe for concurrent use: they reuse
 // internal scratch buffers (epoch-stamped visited/edge-state arrays, BFS
 // queue, RSS conditioning stack, MCVec lane scratch) across calls. They
-// are the shard workers of ParallelSampler, the one estimator New builds
-// for solves and estimates: it freezes the graph once per call, splits
-// the sample budget into fixed, seeded shards, runs them on a worker pool
-// and merges the shard estimates in shard order, so a fixed seed yields
-// bit-identical results at every worker count and GOMAXPROCS. Batched
-// evaluation of many queries, candidate edges or source/target vectors at
-// once goes through its BatchSampler methods.
+// are the shard workers of ParallelSampler, the one estimator NewParallel
+// builds for solves and estimates: it freezes the graph once per call,
+// splits the sample budget into fixed, seeded shards, runs them on a
+// worker pool and merges the shard estimates in shard order, so a fixed
+// seed yields bit-identical results at every worker count and GOMAXPROCS.
+// Its workers lease serial samplers from one process-wide warm pool per
+// estimator kind, so scratch stays sized across requests, engines and
+// solver stages; a leased sampler is reseeded, resized and bound to its
+// context before it estimates, so the pool's history never changes a
+// result. Batched evaluation of many queries, candidate edges or
+// source/target vectors at once goes through its BatchSampler methods.
 package sampling
 
 import (

@@ -61,8 +61,7 @@ type Query struct {
 	Budget float64
 	// Pairs are the estimate-many queries.
 	Pairs []PairQuery
-	// Method selects the solver for solve and multi; empty uses the engine
-	// default.
+	// Method selects the solver for solve and multi; empty uses MethodBE.
 	Method Method
 	// Options overrides the engine's solver defaults; nil uses them
 	// unchanged.
@@ -152,7 +151,6 @@ func (e *Engine) Canonicalize(q Query) (Query, error) {
 	snap := e.snap.Load()
 	out := Query{Kind: q.Kind, Progress: q.Progress, snap: snap, epoch: snap.csr.Epoch()}
 	opt := e.options(q.Options)
-	opt.Scratch = nil
 	opt.Vectors = nil
 	opt.Progress = nil
 	if opt.Candidates != nil {
@@ -176,7 +174,7 @@ func (e *Engine) Canonicalize(q Query) (Query, error) {
 		out.S, out.T = q.S, q.T
 		out.Method = q.Method
 		if out.Method == "" {
-			out.Method = e.method
+			out.Method = MethodBE
 		}
 		if !slices.Contains(core.Methods(), out.Method) {
 			return Query{}, fmt.Errorf("repro: method %q: %w", out.Method, ErrUnknownMethod)
@@ -200,7 +198,7 @@ func (e *Engine) Canonicalize(q Query) (Query, error) {
 		}
 		out.Method = q.Method
 		if out.Method == "" {
-			out.Method = e.method
+			out.Method = MethodBE
 		}
 		if !slices.Contains(core.MultiMethods(), out.Method) {
 			return Query{}, fmt.Errorf("repro: method %q not supported for multi-source-target queries: %w", out.Method, ErrUnknownMethod)
@@ -394,7 +392,6 @@ func (e *Engine) execute(ctx context.Context, q Query) (Result, error) {
 	snap := q.snap
 	opt := *q.Options
 	opt.Progress = q.Progress
-	opt.Scratch = e.scratch
 	switch q.Kind {
 	case QuerySolve:
 		g, err := snap.graph()
@@ -438,7 +435,7 @@ func (e *Engine) execute(ctx context.Context, q Query) (Result, error) {
 			res.Anytime = est
 			return res, nil
 		}
-		smp, err := e.estimatorFor(ctx, opt)
+		smp, err := estimatorFor(ctx, opt)
 		if err != nil {
 			return res, err
 		}
@@ -468,7 +465,7 @@ func (e *Engine) estimateMany(ctx context.Context, snap *engineSnapshot, opt Opt
 	if len(pairs) == 0 {
 		return nil, nil
 	}
-	smp, err := e.estimatorFor(ctx, opt)
+	smp, err := estimatorFor(ctx, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -482,12 +479,12 @@ func (e *Engine) estimateMany(ctx context.Context, snap *engineSnapshot, opt Opt
 }
 
 // estimatorFor builds the request-scoped reliability estimator for the
-// resolved options (see sampling.New): a parallel sampler leasing workers
-// from the engine's warm pool when the kinds match, a cold pool otherwise.
-// Each call starts from the resolved seed, so identical estimation
-// requests return identical values regardless of what ran before.
-func (e *Engine) estimatorFor(ctx context.Context, opt Options) (*sampling.ParallelSampler, error) {
-	smp, err := sampling.New(opt.Sampler, opt.Z, opt.Seed, opt.Workers, e.scratch)
+// resolved options: a parallel sampler whose workers lease from the kind's
+// process-wide warm pool (see sampling.NewParallel). Each call starts from
+// the resolved seed, so identical estimation requests return identical
+// values regardless of what ran before.
+func estimatorFor(ctx context.Context, opt Options) (*sampling.ParallelSampler, error) {
+	smp, err := sampling.NewParallel(opt.Sampler, opt.Z, opt.Seed, opt.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("repro: %w", err)
 	}

@@ -145,7 +145,7 @@ func ReadGraph(r io.Reader) (*Graph, error) { return ugraph.ReadEdgeList(r) }
 // Solve is the legacy non-cancellable entry point, kept for compatibility:
 // it runs under context.Background. New callers — and anything serving
 // queries — should construct an Engine and use Engine.Solve, which accepts
-// a context (cancellation, deadlines), reuses the sampler pool across
+// a context (cancellation, deadlines), reuses its frozen snapshot across
 // queries and returns the same results bit-for-bit at the same Options.
 func Solve(g *Graph, s, t NodeID, method Method, opt Options) (Solution, error) {
 	return core.Solve(context.Background(), g, s, t, method, opt)
