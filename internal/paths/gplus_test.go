@@ -73,6 +73,49 @@ func TestTopLMatchesReferenceOnServedPools(t *testing.T) {
 	}
 }
 
+// TestTopLServedTieBand pins the cut through a tie band on a served pool:
+// lastfm×0.08's first served pair, at the engine defaults, has more paths
+// of the 30th path's probability than fit in the top 30. TopLPairs at
+// l = 30 must return the first 30 of the full canonical list (which is
+// the reference's at l = 30 too), so the tied paths that make the cut are
+// the fewest-hop, lexicographically first ones.
+func TestTopLServedTieBand(t *testing.T) {
+	g, err := datasets.Load("lastfm", 0.08, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := datasets.Queries(g, 1, 3, 5, 1)[0]
+	res := candidates.EliminatePairs(g, q.S, q.T, sampling.NewMCVec(500, 7), candidates.Options{R: 100, Zeta: 0.5})
+	const l = 30
+	got := TopLPairs(context.Background(), g, res.Pairs, q.S, q.T, l)
+	long := TopLPairs(context.Background(), g, res.Pairs, q.S, q.T, 400)
+	if len(got) != l || len(long) <= l {
+		t.Fatalf("%d and %d paths", len(got), len(long))
+	}
+	tied := 0
+	for _, p := range long {
+		if p.Prob == got[l-1].Prob {
+			tied++
+		}
+	}
+	inCut := 0
+	for _, p := range got {
+		if p.Prob == got[l-1].Prob {
+			inCut++
+		}
+	}
+	if long[l].Prob != got[l-1].Prob || tied <= inCut {
+		t.Fatalf("fixture: the band of p=%v (%d paths, %d in the cut) no longer crosses l", got[l-1].Prob, tied, inCut)
+	}
+	for i := 1; i < len(long); i++ {
+		if !canonicalLess(long[i-1], long[i]) {
+			t.Fatalf("paths %d and %d out of canonical order: %v, %v", i-1, i, long[i-1], long[i])
+		}
+	}
+	samePaths(t, "prefix", got, long[:l])
+	samePaths(t, "reference", got, referenceTopL(g.WithEdges(res.Pairs.List()), q.S, q.T, l))
+}
+
 // FuzzTopLWithMatchesReference decodes a small graph, a list of extra
 // edges, a pair and l, and checks that TopL on the materialised
 // g.WithEdges(extra), G+ with E+ listed, finds what the reference finds

@@ -42,7 +42,7 @@ func ImproveMostReliablePath(ctx context.Context, g *ugraph.Graph, candidates []
 		k = 0
 	}
 	var blue rows // blue arcs carry w = −log p, +Inf when p = 0
-	blue.pack(g)
+	blue.pack(g.Freeze(), g.N(), weights(nil, g), (*ugraph.CSR).Out)
 	n := g.N()
 	layers := k + 1
 	// Red adjacency: candidate edges by source node (both directions for

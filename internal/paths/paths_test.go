@@ -2,7 +2,7 @@ package paths
 
 import (
 	"context"
-
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -98,27 +98,96 @@ func TestMostReliableUnreachable(t *testing.T) {
 	}
 }
 
+// canonical returns ps sorted by canonicalLess.
+func canonical(ps []Path) []Path {
+	sort.SliceStable(ps, func(i, j int) bool { return canonicalLess(ps[i], ps[j]) })
+	return ps
+}
+
+// TestTopLMatchesBruteForce pins TopL to every simple path sorted by the
+// canonical key. Odd trials draw probabilities from a few dyadic values,
+// so exact ties are common and the hop-count and node-sequence tie-breaks
+// decide which paths make the cut.
 func TestTopLMatchesBruteForce(t *testing.T) {
 	r := rng.New(42)
-	for trial := 0; trial < 25; trial++ {
+	dyadic := []float64{0.25, 0.5, 0.75, 1}
+	for trial := 0; trial < 40; trial++ {
 		g := randomGraph(r, 7, 14, trial%2 == 0)
-		s, tt := ugraph.NodeID(0), ugraph.NodeID(6)
-		all := allSimplePaths(g, s, tt)
-		sort.Slice(all, func(i, j int) bool { return all[i].Prob > all[j].Prob })
-		for _, l := range []int{1, 3, 10} {
-			got := TopL(context.Background(), g, s, tt, l)
-			wantLen := l
-			if len(all) < l {
-				wantLen = len(all)
-			}
-			if len(got) != wantLen {
-				t.Fatalf("trial %d l=%d: got %d paths, want %d", trial, l, len(got), wantLen)
-			}
-			for i := range got {
-				if math.Abs(got[i].Prob-all[i].Prob) > 1e-9 {
-					t.Fatalf("trial %d l=%d rank %d: prob %v, brute force %v", trial, l, i, got[i].Prob, all[i].Prob)
+		if trial%2 == 1 {
+			for eid := int32(0); eid < int32(g.M()); eid++ {
+				if err := g.SetProb(eid, dyadic[r.Intn(len(dyadic))]); err != nil {
+					t.Fatal(err)
 				}
 			}
+		}
+		s, tt := ugraph.NodeID(0), ugraph.NodeID(6)
+		all := canonical(allSimplePaths(g, s, tt))
+		for _, l := range []int{1, 3, 10} {
+			want := all[:min(l, len(all))]
+			samePaths(t, fmt.Sprintf("trial %d l=%d", trial, l), TopL(context.Background(), g, s, tt, l), want)
+		}
+	}
+}
+
+// TestTopLLastULP pins the order to the products, not the −log sums the
+// search ranks by: path 0→2 has the larger product and path 0→1→2 the
+// smaller sum, both by one unit in the last place, so the sums put the
+// one-hop path first and the canonical order the two-hop one.
+func TestTopLLastULP(t *testing.T) {
+	b, c := 0.366, 0.328
+	a := math.Nextafter(b*c, 0)
+	if -math.Log(a) >= -math.Log(b)-math.Log(c) {
+		t.Fatalf("fixture: the one-hop path no longer has the smaller sum")
+	}
+	for _, directed := range []bool{true, false} {
+		g := ugraph.New(3, directed)
+		g.MustAddEdge(0, 2, a)
+		g.MustAddEdge(0, 1, b)
+		g.MustAddEdge(1, 2, c)
+		got := TopL(context.Background(), g, 0, 2, 1)
+		if len(got) != 1 || len(got[0].Nodes) != 3 || got[0].Prob != b*c {
+			t.Fatalf("directed=%v: top path %v, want 0→1→2 with p=%v", directed, got, b*c)
+		}
+		samePaths(t, fmt.Sprintf("directed=%v l=1", directed), got, referenceTopL(g, 0, 2, 1))
+		samePaths(t, fmt.Sprintf("directed=%v l=2", directed), TopL(context.Background(), g, 0, 2, 2), canonical(allSimplePaths(g, 0, 2)))
+	}
+}
+
+// countdown is a context whose Err turns non-nil on its n-th call.
+type countdown struct {
+	context.Context
+	n int
+}
+
+func (c *countdown) Err() error {
+	if c.n--; c.n <= 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestTopLCancelledIsCanonicalPrefix cancels the enumeration after each
+// number of accepted paths in turn, and checks that it returns a prefix of
+// the full answer: the paths it has proved to come first, however few.
+func TestTopLCancelledIsCanonicalPrefix(t *testing.T) {
+	dyadic := []float64{0.25, 0.5, 0.75, 1}
+	for trial := 0; trial < 40; trial++ {
+		r := rand.New(rand.NewSource(int64(trial)))
+		g := randomGraph(r, 9, 20, trial%2 == 0)
+		if trial%4 >= 2 {
+			for eid := int32(0); eid < int32(g.M()); eid++ {
+				if err := g.SetProb(eid, dyadic[r.Intn(len(dyadic))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		full := TopL(context.Background(), g, 0, 8, 10)
+		for n := 1; n <= 12; n++ {
+			got := TopL(&countdown{context.Background(), n}, g, 0, 8, 10)
+			if len(got) > len(full) {
+				t.Fatalf("trial %d n=%d: cancelled run returned %d paths, full run %d", trial, n, len(got), len(full))
+			}
+			samePaths(t, fmt.Sprintf("trial %d n=%d", trial, n), got, full[:len(got)])
 		}
 	}
 }

@@ -5,20 +5,53 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/pq"
 	"repro/internal/ugraph"
 )
 
-// referenceTopL is the original top-l enumeration, kept as the oracle the
-// production searcher is pinned to: Dijkstra recomputes the log on every
-// relaxation, bans edges through a per-spur map and allocates its arrays
-// per call.
+// referenceTopL is the oracle the production enumeration is pinned to.
+// The original Yen-style enumeration finds the first l paths by −log of
+// their probability: Dijkstra recomputes the log on every relaxation, bans
+// edges through a per-spur map, allocates its arrays per call and drops
+// repeated spur paths through a seen-set. An exhaustive depth-first search
+// then lists every simple path whose weight lies within band of the l-th
+// path's, pruned by exact distances to t, so paths tied with the l-th are
+// all present however many there are (Yen itself would need a spur round
+// per tied path: thousands on some served pools). The union is sorted by
+// canonicalLess and cut at l.
 func referenceTopL(g *ugraph.Graph, s, t ugraph.NodeID, l int) []Path {
 	if l <= 0 {
 		return nil
 	}
+	yen := referenceYen(g, s, t, l)
+	if len(yen) < l {
+		// Yen ran out of simple paths: it found them all.
+		sort.SliceStable(yen, func(i, j int) bool { return canonicalLess(yen[i], yen[j]) })
+		return yen
+	}
+	limit := band(-math.Log(maxProb(yen[l-1].Prob)))
+	found := map[string]Path{}
+	for _, p := range yen {
+		found[pathKey(p)] = p
+	}
+	for _, p := range referenceWithin(g, s, t, limit) {
+		found[pathKey(p)] = p
+	}
+	all := make([]Path, 0, len(found))
+	for _, p := range found {
+		all = append(all, p)
+	}
+	sort.Slice(all, func(i, j int) bool { return canonicalLess(all[i], all[j]) })
+	return all[:l]
+}
+
+// referenceYen returns the first l paths of Yen's enumeration, keyed by
+// −log of their probability.
+func referenceYen(g *ugraph.Graph, s, t ugraph.NodeID, l int) []Path {
 	first, ok := referenceDijkstra(g, s, t, nil, nil)
 	if !ok {
 		return nil
@@ -64,6 +97,137 @@ func referenceTopL(g *ugraph.Graph, s, t ugraph.NodeID, l int) []Path {
 		result = append(result, best)
 	}
 	return result
+}
+
+// referenceWithin lists every simple s-t path of weight Σ −log p at most
+// limit, by depth-first search from s pruned by each node's exact distance
+// to t.
+func referenceWithin(g *ugraph.Graph, s, t ugraph.NodeID, limit float64) []Path {
+	c := g.Freeze()
+	toT := make([]float64, g.N())
+	for v := range toT {
+		toT[v] = math.Inf(1)
+	}
+	toT[t] = 0
+	var h pq.Heap[ugraph.NodeID]
+	h.Push(0, t)
+	for h.Len() > 0 {
+		d, v := h.Pop()
+		if d > toT[v] {
+			continue
+		}
+		for _, a := range c.In(v) {
+			if p := c.Prob(a.EID); p > 0 {
+				if nd := d - math.Log(p); nd < toT[a.To] {
+					toT[a.To] = nd
+					h.Push(nd, a.To)
+				}
+			}
+		}
+	}
+	var out []Path
+	onPath := make([]bool, g.N())
+	nodes := []ugraph.NodeID{s}
+	var edges []int32
+	var dfs func(u ugraph.NodeID, w float64)
+	dfs = func(u ugraph.NodeID, w float64) {
+		if u == t {
+			prob := 1.0
+			for _, eid := range edges {
+				prob *= g.Prob(eid)
+			}
+			out = append(out, Path{Nodes: slices.Clone(nodes), Edges: slices.Clone(edges), Prob: prob})
+			return
+		}
+		onPath[u] = true
+		for _, a := range c.Out(u) {
+			p := c.Prob(a.EID)
+			if onPath[a.To] || p <= 0 {
+				continue
+			}
+			if nw := w - math.Log(p); nw+toT[a.To] <= limit {
+				nodes, edges = append(nodes, a.To), append(edges, a.EID)
+				dfs(a.To, nw)
+				nodes, edges = nodes[:len(nodes)-1], edges[:len(edges)-1]
+			}
+		}
+		onPath[u] = false
+	}
+	dfs(s, 0)
+	return out
+}
+
+// canonicalLess is the canonical path order, written out for the tests:
+// probability descending, then hop count, then the node sequence.
+func canonicalLess(a, b Path) bool {
+	if a.Prob != b.Prob {
+		return a.Prob > b.Prob
+	}
+	if len(a.Nodes) != len(b.Nodes) {
+		return len(a.Nodes) < len(b.Nodes)
+	}
+	return slices.Compare(a.Nodes, b.Nodes) < 0
+}
+
+func maxProb(p float64) float64 {
+	if p <= 0 {
+		return math.SmallestNonzeroFloat64
+	}
+	return p
+}
+
+func pathHasPrefix(p Path, prefix []ugraph.NodeID) bool {
+	if len(p.Nodes) < len(prefix) {
+		return false
+	}
+	for i, v := range prefix {
+		if p.Nodes[i] != v {
+			return false
+		}
+	}
+	return true
+}
+
+func pathKey(p Path) string {
+	buf := make([]byte, 0, len(p.Nodes)*4)
+	for _, v := range p.Nodes {
+		buf = append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+	}
+	return string(buf)
+}
+
+func joinPaths(prob func(int32) float64, rootNodes []ugraph.NodeID, rootEdges []int32, spur Path) Path {
+	nodes := make([]ugraph.NodeID, 0, len(rootNodes)+len(spur.Nodes)-1)
+	nodes = append(nodes, rootNodes...)
+	nodes = append(nodes, spur.Nodes[1:]...)
+	edges := make([]int32, 0, len(rootEdges)+len(spur.Edges))
+	edges = append(edges, rootEdges...)
+	edges = append(edges, spur.Edges...)
+	p := 1.0
+	for _, eid := range edges {
+		p *= prob(eid)
+	}
+	return Path{Nodes: nodes, Edges: edges, Prob: p}
+}
+
+func reconstruct(prob func(int32) float64, s, t ugraph.NodeID, parent, parentEdge []int32) Path {
+	var nodes []ugraph.NodeID
+	var edges []int32
+	for v := t; ; {
+		nodes = append(nodes, v)
+		if v == s {
+			break
+		}
+		edges = append(edges, parentEdge[v])
+		v = ugraph.NodeID(parent[v])
+	}
+	slices.Reverse(nodes)
+	slices.Reverse(edges)
+	p := 1.0
+	for _, eid := range edges {
+		p *= prob(eid)
+	}
+	return Path{Nodes: nodes, Edges: edges, Prob: p}
 }
 
 func referenceDijkstra(g *ugraph.Graph, s, t ugraph.NodeID, bannedEdge map[int32]bool, bannedNode []bool) (Path, bool) {
@@ -135,12 +299,13 @@ func samePaths(t *testing.T, label string, got, want []Path) {
 	}
 }
 
-// TestTopLMatchesReference pins TopL and MostReliable to the reference on
-// seeded random graphs of both orientations. Some edges carry probability
-// zero (never traversable), and half the graphs draw probabilities from a
-// few dyadic values so equal-weight ties are common and the tie order must
-// match too. l runs up to one past the number of simple s-t paths, so
-// exhausting the enumeration is covered.
+// TestTopLMatchesReference pins TopL and MostReliable to the reference, and
+// TopL to every simple path sorted by the canonical key, on seeded random
+// graphs of both orientations. Some edges carry probability zero (never
+// traversable), and half the graphs draw probabilities from a few dyadic
+// values so exact ties are common and the tie order must match too. l runs
+// up to one past the number of simple s-t paths, so exhausting the
+// enumeration is covered.
 func TestTopLMatchesReference(t *testing.T) {
 	dyadic := []float64{0.25, 0.5, 0.75, 1}
 	for trial := 0; trial < 120; trial++ {
@@ -164,11 +329,13 @@ func TestTopLMatchesReference(t *testing.T) {
 		if s == tt {
 			tt = (tt + 1) % ugraph.NodeID(n)
 		}
-		simple := len(allSimplePaths(g, s, tt))
+		all := canonical(allSimplePaths(g, s, tt))
+		simple := len(all)
 		for _, l := range []int{1, 3, simple, simple + 1} {
 			label := fmt.Sprintf("trial %d (n=%d m=%d directed=%v) %d->%d l=%d", trial, n, g.M(), directed, s, tt, l)
 			got := TopL(context.Background(), g, s, tt, l)
 			samePaths(t, label, got, referenceTopL(g, s, tt, l))
+			samePaths(t, label+" brute force", got, all[:min(l, simple)])
 			if l > simple && len(got) != simple {
 				t.Fatalf("%s: %d paths, but the graph has %d simple ones", label, len(got), simple)
 			}
