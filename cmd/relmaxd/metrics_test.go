@@ -248,7 +248,41 @@ func TestMetricsGoldenDatasets(t *testing.T) {
 		`{"mutations":[{"op":"set-prob","u":0,"v":1,"p":0.5}]}`); status != http.StatusOK {
 		t.Fatalf("mutate: HTTP %d: %s", status, data)
 	}
+	// The mutation deepens tiny's chain past the compaction threshold, and
+	// the fold runs on its own goroutine: scrape only once it has settled.
+	waitCompacted(t, ts.URL, "tiny", 1)
 	checkGolden(t, "datasets", scrapeGolden(t, "server", ts.URL))
+}
+
+// waitCompacted polls a node's /metrics JSON until dataset has made
+// compactions compactions and its delta chain is folded away, and fails
+// the test if that takes past a deadline.
+func waitCompacted(t *testing.T, base, dataset string, compactions float64) {
+	t.Helper()
+	prefix := "datasets." + dataset + ".mutations."
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		resp, err := http.Get(base + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := readAll(t, resp)
+		resp.Body.Close()
+		var doc any
+		if err := json.Unmarshal([]byte(body), &doc); err != nil {
+			t.Fatalf("metrics JSON: %v", err)
+		}
+		leaves := make(map[string]any)
+		flattenJSON(doc, "", leaves)
+		made, depth := leaves[prefix+"compactions"], leaves[prefix+"chain_depth"]
+		if made == compactions && depth == 0.0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: compactions %v, chain depth %v; want %v and 0", dataset, made, depth, compactions)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // TestMetricsGoldenReplication: a durable primary with one feed
