@@ -15,12 +15,13 @@
 //     sets, a bit per eligible pair and ζ — instead of a list,
 //  2. top-l most reliable path extraction over the candidate-augmented
 //     graph G+ = G ∪ E+. After elimination G+ is never materialised: the
-//     path search walks packed rows of G's arcs and relaxes the candidate
-//     arcs straight from the pair set, trying only those whose relaxation
-//     can succeed (all carry the one weight −log ζ), with the results,
-//     edge IDs and tie order a search over G+'s arc order would give. G+
-//     is built as a graph only when a query lists its own candidates
-//     (explicit Candidates, or NoElimination), and
+//     path search walks packed rows of G's arcs and reads the candidate
+//     arcs straight from the pair set (all carry the one weight −log ζ),
+//     with the paths and edge IDs a search over G+ would give. The paths
+//     come in one canonical order, probability, then hop count, then node
+//     sequence, which also decides which equally reliable paths make the
+//     cut at l. G+ is built as a graph only when a query lists its own
+//     candidates (explicit Candidates, or NoElimination), and
 //  3. greedy path-batch selection (BE) under the budget k — with
 //     individual-path selection (IP), the exact polynomial solver for the
 //     restricted most-reliable-path problem (MRP), the §3 baselines

@@ -28,7 +28,7 @@ func BenchmarkTopL(b *testing.B) {
 			ctx := context.Background()
 			var ps []Path
 			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				ps = TopLPairs(ctx, g, res.Pairs, q.S, q.T, 30)
 			}
 			b.ReportMetric(float64(len(ps)), "paths")

@@ -153,7 +153,7 @@ type searcher struct {
 	touched    []ugraph.NodeID
 	parent     []int32 // predecessor node
 	parentEdge []int32 // edge used to arrive
-	heap       pq.Heap[ugraph.NodeID]
+	h          pq.Heap[ugraph.NodeID]
 
 	enumeration
 }
@@ -210,7 +210,7 @@ func (sr *searcher) search(s, t ugraph.NodeID) (float64, bool) {
 	dist := sr.dist
 	dist[s] = 0
 	sr.touched = append(sr.touched[:0], s)
-	h := &sr.heap
+	h := &sr.h
 	h.Reset()
 	h.Push(0, s)
 	if sr.set != nil {
@@ -267,7 +267,7 @@ func (sr *searcher) reach(u, v ugraph.NodeID, eid int32, nd float64) {
 	sr.dist[v] = nd
 	sr.parent[v] = int32(u)
 	sr.parentEdge[v] = eid
-	sr.heap.Push(nd, v)
+	sr.h.Push(nd, v)
 }
 
 // pairArcs is the arc side of an implicit E+, a candidates.Pairs: the arcs
@@ -353,8 +353,8 @@ func (p *pairArcs) drop(v ugraph.NodeID) {
 }
 
 // relaxPairs relaxes the candidate arcs of u, just settled at d, in the
-// order u's row of g.WithEdges(set.List()) holds them: reverse arcs of the
-// pairs (i', j) with FromS[i'] before u, u's own pairs in ToT order, then the remaining
+// order u's row of g.WithEdges(set.List()) holds them: reverse arcs of the pairs (i', j) with
+// FromS[i'] before u, u's own pairs in ToT order, then the remaining
 // reverse arcs (for u = ToT[j], u = FromS[i]; (i, j) itself is the
 // self-pair, never admitted).
 func (sr *searcher) relaxPairs(u ugraph.NodeID, d float64) {

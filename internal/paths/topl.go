@@ -68,12 +68,11 @@ type step struct {
 }
 
 // accepted is a path the enumeration has popped: steps[off : off+hops+1],
-// leaving its parent at position at (−1 for the tree path from s), with
-// the key it was ranked by and its probability, the product of its edges'
-// probabilities in path order.
+// with the key it was ranked by and its probability, the product of its
+// edges' probabilities in path order.
 type accepted struct {
-	off, hops, at int32
-	key, prob     float64
+	off, hops int32
+	key, prob float64
 }
 
 // deviation is a candidate entry: the simple paths that follow accepted
@@ -210,7 +209,7 @@ func (sr *searcher) tree(t ugraph.NodeID) {
 	dist := sr.dist
 	dist[t] = 0
 	sr.touched = append(sr.touched[:0], t)
-	h := &sr.heap
+	h := &sr.h
 	h.Reset()
 	h.Push(0, t)
 	if sr.set != nil {
@@ -264,7 +263,9 @@ func (sr *searcher) record(key float64) {
 }
 
 // accept stores the path just appended at steps[off:], ranked by key, and
-// queues its deviations.
+// queues its deviations: at each position i past at, the one where it left
+// its parent (−1 for the tree path from s), a sidetrack from the root
+// path[:i+1] over every arc but the path's own.
 func (sr *searcher) accept(off, at int32, key float64) {
 	path := sr.steps[off:]
 	hops := int32(len(path) - 1)
@@ -273,26 +274,20 @@ func (sr *searcher) accept(off, at int32, key float64) {
 		prob *= sr.prob(st.e)
 	}
 	from := int32(len(sr.paths))
-	sr.paths = append(sr.paths, accepted{off: off, hops: hops, at: at, key: key, prob: prob})
+	sr.paths = append(sr.paths, accepted{off: off, hops: hops, key: key, prob: prob})
 	rootW := 0.0
 	for i := int32(0); i < hops; i++ {
 		sr.onRoot[path[i].v] = true
 		if i > at {
-			sr.deviate(from, i, path[i].v, path[i+1].v, rootW)
+			sr.sidetracks(path[i].v, path[i+1].v, rootW, &sr.limit, func(y ugraph.NodeID, eid int32, key float64) {
+				sr.queue(from, i, y, eid, key)
+			})
 		}
 		rootW += sr.weightOf(path[i].e)
 	}
 	for _, st := range path[:hops] {
 		sr.onRoot[st.v] = false
 	}
-}
-
-// deviate queues the deviations of path from at position at, whose node u
-// is followed by next on the path and is reached at weight rootW.
-func (sr *searcher) deviate(from, at int32, u, next ugraph.NodeID, rootW float64) {
-	sr.sidetracks(u, next, rootW, &sr.limit, func(y ugraph.NodeID, eid int32, key float64) {
-		sr.queue(from, at, y, eid, key)
-	})
 }
 
 // sidetracks calls f for every arc (u, y) but the one into next whose head
@@ -357,11 +352,9 @@ func (sr *searcher) byToT(order []int32, nodes []ugraph.NodeID) []int32 {
 // queue queues the deviation of path from at position at over arc eid into
 // y, at key, exact if y's tree path avoids the root and lazy otherwise.
 func (sr *searcher) queue(from, at int32, y ugraph.NodeID, eid int32, key float64) {
-	d := deviation{from: from, at: at, eid: eid, y: y, spur: treeSpur}
-	if !sr.clear(y) {
-		d.spur = lazySpur
-	}
-	if d.spur == treeSpur {
+	d := deviation{from: from, at: at, eid: eid, y: y, spur: lazySpur}
+	if sr.clear(y) {
+		d.spur = treeSpur
 		sr.record(key)
 	}
 	sr.devs.Push(key, d)

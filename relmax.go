@@ -224,7 +224,7 @@ type Path = paths.Path
 func MostReliablePath(g *Graph, s, t NodeID) (Path, bool) { return paths.MostReliable(g, s, t) }
 
 // TopLPaths returns up to l most reliable simple s-t paths in decreasing
-// probability.
+// probability, equally reliable ones by hop count and then node sequence.
 func TopLPaths(g *Graph, s, t NodeID, l int) []Path {
 	return paths.TopL(context.Background(), g, s, t, l)
 }
