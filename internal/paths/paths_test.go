@@ -153,6 +153,36 @@ func TestTopLLastULP(t *testing.T) {
 	}
 }
 
+// TestTopLGridTieBandCapped runs TopL on a 12×12 grid whose edges all
+// carry p = 0.5: its 705,432 shortest corner-to-corner paths tie exactly,
+// far more than bandCap, so the enumeration must stop at the cap and still
+// return l of them, the same on every call.
+func TestTopLGridTieBandCapped(t *testing.T) {
+	const k, l = 12, 30
+	g := ugraph.New(k*k, false)
+	for v := 0; v < k*k; v++ {
+		if v%k+1 < k {
+			g.MustAddEdge(ugraph.NodeID(v), ugraph.NodeID(v+1), 0.5)
+		}
+		if v+k < k*k {
+			g.MustAddEdge(ugraph.NodeID(v), ugraph.NodeID(v+k), 0.5)
+		}
+	}
+	got := TopL(context.Background(), g, 0, k*k-1, l)
+	if len(got) != l {
+		t.Fatalf("%d paths, want %d", len(got), l)
+	}
+	for i, p := range got {
+		if len(p.Edges) != 2*(k-1) || p.Prob != math.Pow(0.5, 2*(k-1)) {
+			t.Fatalf("path %d: %d hops, p=%v; want a shortest path", i, len(p.Edges), p.Prob)
+		}
+		if i > 0 && !canonicalLess(got[i-1], p) {
+			t.Fatalf("paths %d and %d out of canonical order", i-1, i)
+		}
+	}
+	samePaths(t, "second call", TopL(context.Background(), g, 0, k*k-1, l), got)
+}
+
 // countdown is a context whose Err turns non-nil on its n-th call.
 type countdown struct {
 	context.Context

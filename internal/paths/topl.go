@@ -21,7 +21,11 @@ import (
 // The output is exact; see topL for the method. Extraction polls ctx once
 // per path it accepts: a cancelled context stops the enumeration and
 // returns the canonical prefix it has proved so far, which may be shorter
-// than the paths it has met.
+// than the paths it has met. One limit applies: the band of paths tied
+// with the l-th is ranked whole only up to bandCap paths. Past that (a
+// grid of equal probabilities has exponentially many tied shortest paths)
+// the enumeration stops, and the paths it met first, in its own
+// deterministic order, fill the last places.
 func TopL(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, l int) []Path {
 	if l <= 0 {
 		return nil
@@ -56,6 +60,11 @@ const (
 	bandRel = 1e-9
 	bandAbs = 1e-12
 )
+
+// bandCap bounds the paths accepted past the first l, and so the time and
+// memory a tie band can take. The served pools' largest bands, on
+// dblp×0.08, hold about 9,500 paths.
+const bandCap = 1 << 14
 
 // band returns the largest key ranked together with key w.
 func band(w float64) float64 { return w + bandRel*w + bandAbs }
@@ -153,7 +162,7 @@ func (sr *searcher) topL(ctx context.Context, s, t ugraph.NodeID, l int) []Path 
 	sr.accept(0, -1, sr.toT[s])
 
 	proved := math.Inf(1) // no path left unaccepted has a smaller key
-	for sr.devs.Len() > 0 {
+	for sr.devs.Len() > 0 && len(sr.paths)-l < bandCap {
 		key, d := sr.devs.Peek()
 		if key > sr.limit {
 			break
