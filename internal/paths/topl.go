@@ -118,7 +118,7 @@ type enumeration struct {
 	// its top is the l-th; limit is band of it, +Inf until l are seen.
 	worst pq.Heap[struct{}]
 	limit float64
-	order []int32
+	order []int32 // emit's selection of the first l
 }
 
 // topL enumerates simple s-t paths by sidetrack deviation (Martins,
@@ -135,10 +135,10 @@ type enumeration struct {
 // resolve) only when the entry reaches the top of the heap.
 //
 // Entries pop in key order. The enumeration stops once the top key lies
-// past band of the l-th smallest exact key seen, so it holds every path
-// whose key is within band of the l-th path's, sorts them by the canonical
-// key and keeps the first l. Entries already past that limit are never
-// queued.
+// past band of the l-th smallest exact key seen (or once bandCap paths
+// past the l-th are accepted), so it holds every path whose key is within
+// band of the l-th path's, sorts them by the canonical key and keeps the
+// first l. Entries already past that limit are never queued.
 func (sr *searcher) topL(ctx context.Context, s, t ugraph.NodeID, l int) []Path {
 	sr.tree(t)
 	if math.IsInf(sr.toT[s], 1) {
