@@ -15,7 +15,8 @@ import (
 
 // TestTopLMatchesReferenceOnServedPools pins TopL on the materialised G+,
 // and TopLPairs on G with the pair set, to the reference run on the
-// materialised G+, on the pools a served BE solve extracts: 20 pairs 3–5
+// materialised G+ (see samePool), and TopLPairs to TopL there bit for bit,
+// on the pools a served BE solve extracts: 20 pairs 3–5
 // hops apart on lastfm×0.08 and dblp×0.08 (undirected) and astopo×0.08
 // and twitter×0.08 (directed), with E+ as elimination keeps it at the
 // engine defaults (r = 100, ζ = 0.5, mcvec at z = 500). The first 5 pairs
@@ -65,8 +66,9 @@ func TestTopLMatchesReferenceOnServedPools(t *testing.T) {
 					if len(want) == 0 {
 						t.Fatalf("%s: no path", label)
 					}
-					samePaths(t, label+" TopL", TopL(context.Background(), plus, q.S, q.T, 30), want)
-					samePaths(t, label+" TopLPairs", TopLPairs(context.Background(), g, res.Pairs, q.S, q.T, 30), want)
+					got := TopL(context.Background(), plus, q.S, q.T, 30)
+					samePool(t, label+" TopL", plus, got, want)
+					samePaths(t, label+" TopLPairs", TopLPairs(context.Background(), g, res.Pairs, q.S, q.T, 30), got)
 				}
 			}
 		}
@@ -76,9 +78,9 @@ func TestTopLMatchesReferenceOnServedPools(t *testing.T) {
 // TestTopLServedTieBand pins the cut through a tie band on a served pool:
 // lastfm×0.08's first served pair, at the engine defaults, has more paths
 // of the 30th path's probability than fit in the top 30. TopLPairs at
-// l = 30 must return the first 30 of the full canonical list (which is
-// the reference's at l = 30 too), so the tied paths that make the cut are
-// the fewest-hop, lexicographically first ones.
+// l = 30 must return the first 30 of its list at l = 400, so the tied
+// paths that make the cut are the first the enumeration meets at any l,
+// and a valid top 30 by the reference.
 func TestTopLServedTieBand(t *testing.T) {
 	g, err := datasets.Load("lastfm", 0.08, 1)
 	if err != nil {
@@ -108,12 +110,13 @@ func TestTopLServedTieBand(t *testing.T) {
 		t.Fatalf("fixture: the band of p=%v (%d paths, %d in the cut) no longer crosses l", got[l-1].Prob, tied, inCut)
 	}
 	for i := 1; i < len(long); i++ {
-		if !canonicalLess(long[i-1], long[i]) {
-			t.Fatalf("paths %d and %d out of canonical order: %v, %v", i-1, i, long[i-1], long[i])
+		if classLess(long[i], long[i-1]) {
+			t.Fatalf("paths %d and %d out of order: %v, %v", i-1, i, long[i-1], long[i])
 		}
 	}
 	samePaths(t, "prefix", got, long[:l])
-	samePaths(t, "reference", got, referenceTopL(g.WithEdges(res.Pairs.List()), q.S, q.T, l))
+	plus := g.WithEdges(res.Pairs.List())
+	samePool(t, "reference", plus, got, referenceTopL(plus, q.S, q.T, l))
 }
 
 // FuzzTopLWithMatchesReference decodes a small graph, a list of extra
@@ -171,7 +174,7 @@ func FuzzTopLWithMatchesReference(f *testing.F) {
 		}
 		label := fmt.Sprintf("n=%d directed=%v base=%v extra=%v l=%d", n, directed, g.Edges(), extra, l)
 		plus = g.WithEdges(extra)
-		samePaths(t, label, TopL(context.Background(), plus, s, tt, l), referenceTopL(plus, s, tt, l))
+		samePool(t, label, plus, TopL(context.Background(), plus, s, tt, l), referenceTopL(plus, s, tt, l))
 	})
 }
 
@@ -179,7 +182,7 @@ func FuzzTopLWithMatchesReference(f *testing.F) {
 // sides (which may overlap, in any order, and whose pairs may already be
 // edges of g), ζ, a hop bound, a pair and l, and checks that TopLPairs over
 // candidates.NewPairs finds what the reference finds on the materialised
-// g.WithEdges of the listed pairs.
+// g.WithEdges of the listed pairs, and what TopL finds there, bit for bit.
 func FuzzTopLPairsMatchesReference(f *testing.F) {
 	f.Add([]byte{6, 0, 2, 0, 5, 0, 1, 2, 1, 2, 3, 2, 3, 4, 0, 4, 5, 1, 4, 0, 1, 2, 3, 4, 3, 4, 5, 2, 9})
 	f.Add([]byte{7, 1, 1, 0, 6, 0, 1, 2, 1, 2, 1, 2, 3, 3, 0, 3, 0, 3, 6, 2, 5, 3, 0, 2, 4, 5, 6, 5, 3, 1, 7})
@@ -239,7 +242,10 @@ func FuzzTopLPairsMatchesReference(f *testing.F) {
 		extra := set.List()
 		s, tt := ugraph.NodeID(0), ugraph.NodeID(n-1)
 		label := fmt.Sprintf("n=%d directed=%v base=%v from=%v to=%v zeta=%v h=%d extra=%v l=%d", n, directed, g.Edges(), from, to, zeta, h, extra, l)
-		samePaths(t, label, TopLPairs(context.Background(), g, set, s, tt, l), referenceTopL(g.WithEdges(extra), s, tt, l))
+		plus := g.WithEdges(extra)
+		got := TopLPairs(context.Background(), g, set, s, tt, l)
+		samePool(t, label, plus, got, referenceTopL(plus, s, tt, l))
+		samePaths(t, label+" TopL", got, TopL(context.Background(), plus, s, tt, l))
 	})
 }
 
@@ -274,8 +280,12 @@ func TestTopLConcurrentCalls(t *testing.T) {
 		}
 		set := candidates.NewPairs(g, side(), side(), candidates.Options{Zeta: 0.25})
 		tt := ugraph.NodeID(n - 1)
-		qs = append(qs, query{g: g, plus: plus, set: set,
-			want: referenceTopL(plus, 0, tt, 8), wantPairs: referenceTopL(g.WithEdges(set.List()), 0, tt, 8)})
+		q := query{g: g, plus: plus, set: set,
+			want: TopL(context.Background(), plus, 0, tt, 8), wantPairs: TopLPairs(context.Background(), g, set, 0, tt, 8)}
+		samePool(t, fmt.Sprintf("query %d", trial), plus, q.want, referenceTopL(plus, 0, tt, 8))
+		gp := g.WithEdges(set.List())
+		samePool(t, fmt.Sprintf("query %d pair set", trial), gp, q.wantPairs, referenceTopL(gp, 0, tt, 8))
+		qs = append(qs, q)
 	}
 	var wg sync.WaitGroup
 	errs := make(chan string, 3*4*len(qs)) // every check of every worker can fail

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
+	"repro/internal/candidates"
 	"repro/internal/rng"
 	"repro/internal/ugraph"
 )
@@ -98,15 +100,15 @@ func TestMostReliableUnreachable(t *testing.T) {
 	}
 }
 
-// canonical returns ps sorted by canonicalLess.
-func canonical(ps []Path) []Path {
-	sort.SliceStable(ps, func(i, j int) bool { return canonicalLess(ps[i], ps[j]) })
+// byClass returns ps sorted by classLess.
+func byClass(ps []Path) []Path {
+	sort.SliceStable(ps, func(i, j int) bool { return classLess(ps[i], ps[j]) })
 	return ps
 }
 
-// TestTopLMatchesBruteForce pins TopL to every simple path sorted by the
-// canonical key. Odd trials draw probabilities from a few dyadic values,
-// so exact ties are common and the hop-count and node-sequence tie-breaks
+// TestTopLMatchesBruteForce pins TopL to every simple path sorted by
+// class. Odd trials draw probabilities from a few dyadic values, so exact
+// ties are common and the hop-count tie-break and the enumeration's order
 // decide which paths make the cut.
 func TestTopLMatchesBruteForce(t *testing.T) {
 	r := rng.New(42)
@@ -121,16 +123,16 @@ func TestTopLMatchesBruteForce(t *testing.T) {
 			}
 		}
 		s, tt := ugraph.NodeID(0), ugraph.NodeID(6)
-		all := canonical(allSimplePaths(g, s, tt))
+		all := byClass(allSimplePaths(g, s, tt))
 		for _, l := range []int{1, 3, 10} {
 			want := all[:min(l, len(all))]
-			samePaths(t, fmt.Sprintf("trial %d l=%d", trial, l), TopL(context.Background(), g, s, tt, l), want)
+			samePool(t, fmt.Sprintf("trial %d l=%d", trial, l), g, TopL(context.Background(), g, s, tt, l), want)
 		}
 	}
 }
 
 // TestTopLLastULP pins the order to the products, not the −log sums the
-// search ranks by: path 0→2 has the larger product and path 0→1→2 the
+// search ranks by: path 0→1→2 has the larger product and path 0→2 the
 // smaller sum, both by one unit in the last place, so the sums put the
 // one-hop path first and the canonical order the two-hop one.
 func TestTopLLastULP(t *testing.T) {
@@ -148,26 +150,33 @@ func TestTopLLastULP(t *testing.T) {
 		if len(got) != 1 || len(got[0].Nodes) != 3 || got[0].Prob != b*c {
 			t.Fatalf("directed=%v: top path %v, want 0→1→2 with p=%v", directed, got, b*c)
 		}
-		samePaths(t, fmt.Sprintf("directed=%v l=1", directed), got, referenceTopL(g, 0, 2, 1))
-		samePaths(t, fmt.Sprintf("directed=%v l=2", directed), TopL(context.Background(), g, 0, 2, 2), canonical(allSimplePaths(g, 0, 2)))
+		samePool(t, fmt.Sprintf("directed=%v l=1", directed), g, got, referenceTopL(g, 0, 2, 1))
+		samePool(t, fmt.Sprintf("directed=%v l=2", directed), g, TopL(context.Background(), g, 0, 2, 2), byClass(allSimplePaths(g, 0, 2)))
 	}
 }
 
 // TestTopLGridTieBandCapped runs TopL on a 12×12 grid whose edges all
 // carry p = 0.5: its 705,432 shortest corner-to-corner paths tie exactly,
 // far more than bandCap, so the enumeration must stop at the cap and still
-// return l of them, the same on every call.
+// return l of them, the same on every call. The grid again, with the two
+// edges at the corner s left to a pair set (s to both neighbours, ζ =
+// 0.5), checks that TopLPairs still returns what TopL returns on G+ past
+// the cap.
 func TestTopLGridTieBandCapped(t *testing.T) {
 	const k, l = 12, 30
-	g := ugraph.New(k*k, false)
-	for v := 0; v < k*k; v++ {
-		if v%k+1 < k {
-			g.MustAddEdge(ugraph.NodeID(v), ugraph.NodeID(v+1), 0.5)
+	grid := func(skip func(u, v int) bool) *ugraph.Graph {
+		g := ugraph.New(k*k, false)
+		for v := 0; v < k*k; v++ {
+			if v%k+1 < k && !skip(v, v+1) {
+				g.MustAddEdge(ugraph.NodeID(v), ugraph.NodeID(v+1), 0.5)
+			}
+			if v+k < k*k && !skip(v, v+k) {
+				g.MustAddEdge(ugraph.NodeID(v), ugraph.NodeID(v+k), 0.5)
+			}
 		}
-		if v+k < k*k {
-			g.MustAddEdge(ugraph.NodeID(v), ugraph.NodeID(v+k), 0.5)
-		}
+		return g
 	}
+	g := grid(func(u, v int) bool { return false })
 	got := TopL(context.Background(), g, 0, k*k-1, l)
 	if len(got) != l {
 		t.Fatalf("%d paths, want %d", len(got), l)
@@ -176,11 +185,44 @@ func TestTopLGridTieBandCapped(t *testing.T) {
 		if len(p.Edges) != 2*(k-1) || p.Prob != math.Pow(0.5, 2*(k-1)) {
 			t.Fatalf("path %d: %d hops, p=%v; want a shortest path", i, len(p.Edges), p.Prob)
 		}
-		if i > 0 && !canonicalLess(got[i-1], p) {
-			t.Fatalf("paths %d and %d out of canonical order", i-1, i)
-		}
 	}
 	samePaths(t, "second call", TopL(context.Background(), g, 0, k*k-1, l), got)
+
+	g = grid(func(u, v int) bool { return u == 0 })
+	set := candidates.NewPairs(g, []ugraph.NodeID{0}, []ugraph.NodeID{k, 1}, candidates.Options{Zeta: 0.5})
+	pairs := TopLPairs(context.Background(), g, set, 0, k*k-1, l)
+	if len(pairs) != l || pairs[l-1].Prob != got[l-1].Prob {
+		t.Fatalf("pair set: %d paths, the last p=%v", len(pairs), pairs[len(pairs)-1].Prob)
+	}
+	samePaths(t, "pair set", pairs, TopL(context.Background(), g.WithEdges(set.List()), 0, k*k-1, l))
+}
+
+// TestTopLTiesSpreadFirstHops pins the tie order on six tied three-hop
+// paths s–{a,b,c}–{x,y}–t, all edges p = 0.5. The tree path, here
+// s–c–x–t, comes first; its deviations at s, over the lower edge ID
+// first, come before the one at c, so the top three leave s over three
+// different edges (node-sequence order would take s–a–x–t, s–a–y–t,
+// s–b–x–t). The deviations at the second node follow, in the order of
+// the paths they leave.
+func TestTopLTiesSpreadFirstHops(t *testing.T) {
+	const s, a, b, c, x, y, tt = 0, 1, 2, 3, 4, 5, 6
+	g := ugraph.New(7, false)
+	for _, e := range [][2]ugraph.NodeID{{s, a}, {s, b}, {s, c}, {a, x}, {a, y}, {b, x}, {b, y}, {c, x}, {c, y}, {x, tt}, {y, tt}} {
+		g.MustAddEdge(e[0], e[1], 0.5)
+	}
+	want := [][]ugraph.NodeID{{s, c, x, tt}, {s, a, x, tt}, {s, b, x, tt}, {s, c, y, tt}, {s, a, y, tt}, {s, b, y, tt}}
+	for _, l := range []int{3, 6} {
+		got := TopL(context.Background(), g, s, tt, l)
+		if len(got) != l {
+			t.Fatalf("l=%d: %d paths", l, len(got))
+		}
+		for i, p := range got {
+			if !slices.Equal(p.Nodes, want[i]) {
+				t.Fatalf("l=%d: path %d = %v, want %v", l, i, p.Nodes, want[i])
+			}
+		}
+		samePool(t, fmt.Sprintf("l=%d", l), g, got, referenceTopL(g, s, tt, l))
+	}
 }
 
 // countdown is a context whose Err turns non-nil on its n-th call.

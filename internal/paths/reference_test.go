@@ -22,7 +22,7 @@ import (
 // path's, pruned by exact distances to t, so paths tied with the l-th are
 // all present however many there are (Yen itself would need a spur round
 // per tied path: thousands on some served pools). The union is sorted by
-// canonicalLess and cut at l.
+// referenceLess and cut at l.
 func referenceTopL(g *ugraph.Graph, s, t ugraph.NodeID, l int) []Path {
 	if l <= 0 {
 		return nil
@@ -30,7 +30,7 @@ func referenceTopL(g *ugraph.Graph, s, t ugraph.NodeID, l int) []Path {
 	yen := referenceYen(g, s, t, l)
 	if len(yen) < l {
 		// Yen ran out of simple paths: it found them all.
-		sort.SliceStable(yen, func(i, j int) bool { return canonicalLess(yen[i], yen[j]) })
+		sort.SliceStable(yen, func(i, j int) bool { return referenceLess(yen[i], yen[j]) })
 		return yen
 	}
 	limit := band(-math.Log(maxProb(yen[l-1].Prob)))
@@ -45,7 +45,7 @@ func referenceTopL(g *ugraph.Graph, s, t ugraph.NodeID, l int) []Path {
 	for _, p := range found {
 		all = append(all, p)
 	}
-	sort.Slice(all, func(i, j int) bool { return canonicalLess(all[i], all[j]) })
+	sort.Slice(all, func(i, j int) bool { return referenceLess(all[i], all[j]) })
 	return all[:l]
 }
 
@@ -157,14 +157,22 @@ func referenceWithin(g *ugraph.Graph, s, t ugraph.NodeID, limit float64) []Path 
 	return out
 }
 
-// canonicalLess is the canonical path order, written out for the tests:
-// probability descending, then hop count, then the node sequence.
-func canonicalLess(a, b Path) bool {
+// classLess is the order TopL ranks by before its own tie order:
+// probability descending, then hop count ascending. Paths equal in both
+// are one class.
+func classLess(a, b Path) bool {
 	if a.Prob != b.Prob {
 		return a.Prob > b.Prob
 	}
-	if len(a.Nodes) != len(b.Nodes) {
-		return len(a.Nodes) < len(b.Nodes)
+	return len(a.Nodes) < len(b.Nodes)
+}
+
+// referenceLess orders the reference's paths by classLess, then by node
+// sequence, only so that the reference is deterministic: within a class
+// TopL keeps its enumeration's order, which the reference does not model.
+func referenceLess(a, b Path) bool {
+	if classLess(a, b) || classLess(b, a) {
+		return classLess(a, b)
 	}
 	return slices.Compare(a.Nodes, b.Nodes) < 0
 }
@@ -283,6 +291,67 @@ func referenceDijkstra(g *ugraph.Graph, s, t ugraph.NodeID, bannedEdge map[int32
 	return reconstruct(g.Prob, s, t, parent, parentEdge), true
 }
 
+// samePool fails unless got is the answer want is, up to which tied paths
+// fill its last class: the same probabilities, bit for bit, and hop counts
+// in the same order; for every class want holds whole (all but its last),
+// the same paths; and in the last class, which the cut at l may split,
+// distinct simple paths of g between want's ends, each edge joining its
+// nodes and the product of the edges' probabilities, in path order, equal
+// to Prob bit for bit.
+func samePool(t *testing.T, label string, g *ugraph.Graph, got, want []Path) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d paths, reference %d", label, len(got), len(want))
+	}
+	key := func(p Path) string { return fmt.Sprint(p.Nodes, p.Edges) }
+	seen := map[string]bool{}
+	for i := range want {
+		p, w := got[i], want[i]
+		if math.Float64bits(p.Prob) != math.Float64bits(w.Prob) || len(p.Nodes) != len(w.Nodes) {
+			t.Fatalf("%s: path %d = %v p=%v, reference %v p=%v", label, i, p.Nodes, p.Prob, w.Nodes, w.Prob)
+		}
+		if p.Nodes[0] != w.Nodes[0] || p.Nodes[len(p.Nodes)-1] != w.Nodes[len(w.Nodes)-1] {
+			t.Fatalf("%s: path %d = %v, reference %v: other ends", label, i, p.Nodes, w.Nodes)
+		}
+		on := map[ugraph.NodeID]bool{}
+		prob := 1.0
+		for j, v := range p.Nodes {
+			if on[v] {
+				t.Fatalf("%s: path %d = %v is not simple", label, i, p.Nodes)
+			}
+			on[v] = true
+			if j == len(p.Edges) {
+				break
+			}
+			e, u := g.Endpoints(p.Edges[j]), p.Nodes[j+1]
+			if !(e.U == v && e.V == u) && !(!g.Directed() && e.U == u && e.V == v) {
+				t.Fatalf("%s: path %d = %v %v: edge %d does not join %d-%d", label, i, p.Nodes, p.Edges, p.Edges[j], v, u)
+			}
+			prob *= g.Prob(p.Edges[j])
+		}
+		if math.Float64bits(prob) != math.Float64bits(p.Prob) {
+			t.Fatalf("%s: path %d = %v has p=%v, product %v", label, i, p.Nodes, p.Prob, prob)
+		}
+		if seen[key(p)] {
+			t.Fatalf("%s: path %d = %v repeats", label, i, p.Nodes)
+		}
+		seen[key(p)] = true
+	}
+	whole := len(want)
+	for whole > 0 && !classLess(want[whole-1], want[len(want)-1]) {
+		whole--
+	}
+	inWant := map[string]bool{}
+	for _, p := range want[:whole] {
+		inWant[key(p)] = true
+	}
+	for i, p := range got[:whole] {
+		if !inWant[key(p)] {
+			t.Fatalf("%s: path %d = %v %v p=%v is not in the reference's classes", label, i, p.Nodes, p.Edges, p.Prob)
+		}
+	}
+}
+
 // samePaths fails unless got and want list the same paths in the same
 // order with bit-identical probabilities.
 func samePaths(t *testing.T, label string, got, want []Path) {
@@ -300,10 +369,10 @@ func samePaths(t *testing.T, label string, got, want []Path) {
 }
 
 // TestTopLMatchesReference pins TopL and MostReliable to the reference, and
-// TopL to every simple path sorted by the canonical key, on seeded random
-// graphs of both orientations. Some edges carry probability zero (never
+// TopL to every simple path sorted by class, on seeded random graphs of
+// both orientations. Some edges carry probability zero (never
 // traversable), and half the graphs draw probabilities from a few dyadic
-// values so exact ties are common and the tie order must match too. l runs
+// values so exact ties are common and classes are cut at l. l runs
 // up to one past the number of simple s-t paths, so exhausting the
 // enumeration is covered.
 func TestTopLMatchesReference(t *testing.T) {
@@ -329,13 +398,13 @@ func TestTopLMatchesReference(t *testing.T) {
 		if s == tt {
 			tt = (tt + 1) % ugraph.NodeID(n)
 		}
-		all := canonical(allSimplePaths(g, s, tt))
+		all := byClass(allSimplePaths(g, s, tt))
 		simple := len(all)
 		for _, l := range []int{1, 3, simple, simple + 1} {
 			label := fmt.Sprintf("trial %d (n=%d m=%d directed=%v) %d->%d l=%d", trial, n, g.M(), directed, s, tt, l)
 			got := TopL(context.Background(), g, s, tt, l)
-			samePaths(t, label, got, referenceTopL(g, s, tt, l))
-			samePaths(t, label+" brute force", got, all[:min(l, simple)])
+			samePool(t, label, g, got, referenceTopL(g, s, tt, l))
+			samePool(t, label+" brute force", g, got, all[:min(l, simple)])
 			if l > simple && len(got) != simple {
 				t.Fatalf("%s: %d paths, but the graph has %d simple ones", label, len(got), simple)
 			}

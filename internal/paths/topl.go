@@ -155,6 +155,7 @@ func (sr *searcher) topL(ctx context.Context, s, t ugraph.NodeID, l int) []Path 
 	clear(sr.onRoot)
 	sr.steps, sr.spurs, sr.paths = sr.steps[:0], sr.spurs[:0], sr.paths[:0]
 	sr.devs.Reset()
+	sr.devs.Tie = deviationFirst
 	sr.worst.Reset()
 
 	sr.record(sr.toT[s])
@@ -384,8 +385,9 @@ func (sr *searcher) clear(y ugraph.NodeID) bool {
 // or drops it when that key is past the limit. It first looks one arc
 // past y: the least w + toT[z] over arcs (y, z) off the root bounds every
 // continuation, and is its weight when some z attaining it has a tree path
-// clear of the root and y. Only when none has does it search from y with
-// the root banned.
+// clear of the root and y; of those, the arc with the lowest edge ID is
+// taken, so the choice does not hang on the order arcs are scanned in.
+// Only when none has does it search from y with the root banned.
 func (sr *searcher) resolve(d deviation) {
 	from := sr.paths[d.from]
 	root := sr.steps[from.off : from.off+d.at+1]
@@ -403,7 +405,7 @@ func (sr *searcher) resolve(d deviation) {
 		if key < best || !hit {
 			best, z, hit = key, -1, true
 		}
-		if z < 0 && sr.clear(y) {
+		if (z < 0 || eid < ze) && sr.clear(y) {
 			z, ze = y, eid
 		}
 	})
@@ -461,13 +463,20 @@ func (sr *searcher) compare(a, b int32) int {
 	if c := cmp.Compare(pa.hops, pb.hops); c != 0 {
 		return c
 	}
-	sa, sb := sr.steps[pa.off:pa.off+pa.hops+1], sr.steps[pb.off:pb.off+pb.hops+1]
-	for i := range sa {
-		if c := cmp.Compare(sa[i].v, sb[i].v); c != 0 {
-			return c
-		}
+	return cmp.Compare(a, b)
+}
+
+// deviationFirst orders deviations of equal key: the one leaving its
+// path nearer s first, then the one from the path accepted first, then
+// the one over the lower edge ID.
+func deviationFirst(a, b deviation) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return 0
+	if a.from != b.from {
+		return a.from < b.from
+	}
+	return a.eid < b.eid
 }
 
 // emit returns the first l accepted paths in canonical order, of those
@@ -477,11 +486,12 @@ func (sr *searcher) emit(proved float64) []Path {
 	sel := sr.order[:0]
 	for i, p := range sr.paths {
 		if band(p.key) < proved {
-			sel = sr.keep(sel, int32(i))
+			sel = append(sel, int32(i))
 		}
 	}
 	sr.order = sel
 	slices.SortFunc(sel, sr.compare)
+	sel = sel[:min(sr.l, len(sel))]
 	size := 0
 	for _, i := range sel {
 		size += int(sr.paths[i].hops)
@@ -503,40 +513,4 @@ func (sr *searcher) emit(proved float64) []Path {
 		out[k] = Path{Nodes: pn, Edges: pe, Prob: p.prob}
 	}
 	return out
-}
-
-// keep adds accepted path i to sel, a heap of at most l paths with the
-// canonically last at its root, and returns it: a band can hold thousands
-// of tied paths, of which only the first l are wanted.
-func (sr *searcher) keep(sel []int32, i int32) []int32 {
-	c := len(sel)
-	if c < sr.l {
-		sel = append(sel, i)
-		for c > 0 {
-			up := (c - 1) / 2
-			if sr.compare(sel[up], sel[c]) >= 0 {
-				break
-			}
-			sel[up], sel[c] = sel[c], sel[up]
-			c = up
-		}
-		return sel
-	}
-	if sr.compare(i, sel[0]) >= 0 {
-		return sel
-	}
-	sel[0] = i
-	for c = 0; ; {
-		last := c
-		for _, k := range [2]int{2*c + 1, 2*c + 2} {
-			if k < len(sel) && sr.compare(sel[k], sel[last]) > 0 {
-				last = k
-			}
-		}
-		if last == c {
-			return sel
-		}
-		sel[c], sel[last] = sel[last], sel[c]
-		c = last
-	}
 }
