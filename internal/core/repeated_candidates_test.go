@@ -37,7 +37,7 @@ var wantRepeatedCandidates = map[string]string{
 	"undirected/multi-avg":    "[{0 39 0.5} {0 1 0.6}] 0.4381498502532626 0.6648091183196359",
 	"directed/be":             "[{0 29 0.5}] 0.5852208855907413 0.8219691258161422",
 	"directed/ip":             "[{0 29 0.5}] 0.5852208855907413 0.8219691258161422",
-	"directed/total-budget":   "[{0 7 0.3} {0 29 0.9749999999999998} {7 29 0.22499999999999998}] 0.628947415794338 0.9999999999999998",
+	"directed/total-budget":   "[{0 7 0.3} {0 29 0.9749999999999998} {7 20 0.22499999999999998}] 0.628947415794338 0.9999999999999998",
 	"directed/multi-avg":      "[{1 0 0.9} {0 6 0.65}] 0.4158902621457911 0.6675745087399345",
 }
 
