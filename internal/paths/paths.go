@@ -7,11 +7,17 @@
 // layered-graph polynomial algorithm for the restricted "improve the most
 // reliable path" problem (Algorithm 3, Theorem 3).
 //
-// The top-l paths come out in one canonical order: probability descending
-// (the product of the path's edge probabilities, taken in path order), then
-// hop count ascending, then the node sequence, lexicographically ascending.
-// So the order, and which of several equally reliable paths fill the last
-// places, depends only on the graph, never on how the search met them.
+// The top-l paths come out in one order: probability descending (the
+// product of the path's edge probabilities, taken in path order), then hop
+// count ascending, then the order the enumeration meets them in. Among
+// paths of equal weight it meets first the one that branches off a path
+// already met nearest s; of those, the one branching off the path met
+// first; then the one over the lower edge ID. So the order, and which of
+// several equally reliable paths fill the last places, depends only on
+// the graph (its edge IDs included) and the pair, never on l or on a
+// heap's layout; and tied paths that fill a pool spread over different
+// first hops instead of sharing one, as node-sequence order would have
+// them do.
 package paths
 
 import (

@@ -13,19 +13,20 @@ import (
 )
 
 // TopL returns up to l most reliable simple s-t paths in g, the path set P
-// of §5.1.2, in the package's canonical order: probability descending,
-// then hop count ascending, then node sequence ascending. That order also
-// decides which of several equally reliable paths take the last places.
-// To search G+ = G ∪ E+ with E+ listed, pass g.WithEdges(E+).
+// of §5.1.2, in the package's order: probability descending, then hop
+// count ascending, then the order the enumeration meets them in (see the
+// package doc). That order also decides which of several equally reliable
+// paths take the last places. To search G+ = G ∪ E+ with E+ listed, pass
+// g.WithEdges(E+).
 //
 // The output is exact; see topL for the method. Extraction polls ctx once
-// per path it accepts: a cancelled context stops the enumeration and
-// returns the canonical prefix it has proved so far, which may be shorter
-// than the paths it has met. One limit applies: the band of paths tied
-// with the l-th is ranked whole only up to bandCap paths. Past that (a
-// grid of equal probabilities has exponentially many tied shortest paths)
-// the enumeration stops, and the paths it met first, in its own
-// deterministic order, fill the last places.
+// per path it accepts among the first l, then once per yieldBlock paths:
+// a cancelled context stops the enumeration and returns the prefix of the
+// answer it has proved so far, which may be shorter than the paths it has
+// met. One limit applies: the band of paths tied with the l-th is ranked
+// whole only up to bandCap paths. Past that (a grid of equal
+// probabilities has exponentially many tied shortest paths) the
+// enumeration stops, and the paths it met first fill the last places.
 func TopL(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, l int) []Path {
 	if l <= 0 {
 		return nil
@@ -38,9 +39,11 @@ func TopL(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, l int) []Pat
 // TopLPairs is TopL over G ∪ E+ with an elimination's candidate set left
 // implicit: it returns what TopL returns on g.WithEdges(set.List()),
 // candidate k being edge g.M()+k, bit for bit, without listing E+ or
-// building that graph. Its searches relax candidate arcs as pairArcs
-// describes, skipping those whose relaxation cannot succeed. set must have
-// been built on g.
+// building that graph, past bandCap too. Its searches relax candidate arcs
+// as pairArcs describes, skipping those whose relaxation cannot succeed;
+// they scan a node's candidate arcs in another order than G+'s rows hold
+// them, and ties between deviations are decided by edge ID, never by scan
+// order. set must have been built on g.
 func TopLPairs(ctx context.Context, g *ugraph.Graph, set *candidates.Pairs, s, t ugraph.NodeID, l int) []Path {
 	if l <= 0 {
 		return nil
@@ -51,11 +54,11 @@ func TopLPairs(ctx context.Context, g *ugraph.Graph, set *candidates.Pairs, s, t
 }
 
 // Band tolerance: paths whose −log sums lie within bandRel (relative) plus
-// bandAbs of the l-th path's are ranked together by the canonical key. A
-// sum and the product the canonical order compares can disagree in their
-// last bits, by far less than this; the absolute term covers sums near 0,
-// where a product of many near-1 probabilities rounds by more than the
-// relative term.
+// bandAbs of the l-th path's are ranked together by probability, hop count
+// and the order they were met in. A sum and the product the order compares
+// can disagree in their last bits, by far less than this; the absolute
+// term covers sums near 0, where a product of many near-1 probabilities
+// rounds by more than the relative term.
 const (
 	bandRel = 1e-9
 	bandAbs = 1e-12
@@ -65,6 +68,11 @@ const (
 // memory a tie band can take. The served pools' largest bands, on
 // dblp×0.08, hold about 9,500 paths.
 const bandCap = 1 << 14
+
+// yieldBlock is how many band paths past the first l are accepted between
+// scheduling points (see topL): a path costs well under a microsecond, and
+// a yield about as much.
+const yieldBlock = 64
 
 // band returns the largest key ranked together with key w.
 func band(w float64) float64 { return w + bandRel*w + bandAbs }
@@ -113,7 +121,7 @@ type enumeration struct {
 	onRoot             []bool // nodes of the root being deviated from
 	steps, spurs       []step
 	paths              []accepted
-	devs               pq.Heap[deviation]
+	devs               devHeap
 	// worst keeps the l smallest keys of exact entries seen, negated, so
 	// its top is the l-th; limit is band of it, +Inf until l are seen.
 	worst pq.Heap[struct{}]
@@ -134,10 +142,14 @@ type enumeration struct {
 // otherwise it is a lower bound, and the continuation is found (see
 // resolve) only when the entry reaches the top of the heap.
 //
-// Entries pop in key order. The enumeration stops once the top key lies
-// past band of the l-th smallest exact key seen (or once bandCap paths
-// past the l-th are accepted), so it holds every path whose key is within
-// band of the l-th path's, sorts them by the canonical key and keeps the
+// Entries pop in key order, and equal keys as devHeap orders them: the
+// deviation nearest s first, so paths tied with one already accepted
+// branch off it as early as they can. Paths are ranked by the order they
+// are accepted in, which therefore depends on the graph and the pair
+// alone. The enumeration stops once the top key lies past band of the l-th
+// smallest exact key seen (or once bandCap paths past the l-th are
+// accepted), so it holds every path whose key is within band of the l-th
+// path's, sorts them by probability, hop count and rank, and keeps the
 // first l. Entries already past that limit are never queued.
 func (sr *searcher) topL(ctx context.Context, s, t ugraph.NodeID, l int) []Path {
 	sr.tree(t)
@@ -155,7 +167,6 @@ func (sr *searcher) topL(ctx context.Context, s, t ugraph.NodeID, l int) []Path 
 	clear(sr.onRoot)
 	sr.steps, sr.spurs, sr.paths = sr.steps[:0], sr.spurs[:0], sr.paths[:0]
 	sr.devs.Reset()
-	sr.devs.Tie = deviationFirst
 	sr.worst.Reset()
 
 	sr.record(sr.toT[s])
@@ -173,10 +184,12 @@ func (sr *searcher) topL(ctx context.Context, s, t ugraph.NodeID, l int) []Path 
 			sr.resolve(d)
 			continue
 		}
-		if ctx != nil {
-			// Each accepted path is a scheduling point, like a sampler's
-			// block check: requests served beside a long enumeration get
-			// the processor between paths, not at a preemption tick.
+		if n := len(sr.paths); ctx != nil && (n < l || n%yieldBlock == 0) {
+			// Each of the first l accepted paths, and every yieldBlock-th
+			// path of the band past them, is a scheduling point, like a
+			// sampler's block check: requests served beside a long
+			// enumeration get the processor between paths, not at a
+			// preemption tick.
 			runtime.Gosched()
 			if ctx.Err() != nil {
 				proved = key
@@ -451,7 +464,8 @@ func (sr *searcher) resolve(d deviation) {
 	sr.devs.Push(key, d)
 }
 
-// compare orders accepted paths a and b canonically.
+// compare orders accepted paths a and b: probability descending, then hop
+// count, then the order they were accepted in.
 func (sr *searcher) compare(a, b int32) int {
 	pa, pb := sr.paths[a], sr.paths[b]
 	if pa.prob != pb.prob {
@@ -466,20 +480,79 @@ func (sr *searcher) compare(a, b int32) int {
 	return cmp.Compare(a, b)
 }
 
-// deviationFirst orders deviations of equal key: the one leaving its
-// path nearer s first, then the one from the path accepted first, then
-// the one over the lower edge ID.
-func deviationFirst(a, b deviation) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.from != b.from {
-		return a.from < b.from
-	}
-	return a.eid < b.eid
+// devHeap is the candidate heap: a binary min-heap of deviations by key,
+// and among equal keys by position (nearest s first), then by the path
+// they leave (the one accepted first), then by edge ID. That order is
+// total, so entries pop in it whatever order they were pushed in. It is
+// pq.Heap with the tie order written out: a band of thousands of equal
+// keys compares ties at every level of every pop, and through a tie
+// function pq.Heap took BenchmarkTopLTieBand from 3.6 to about 8 ms.
+type devHeap struct {
+	items []devItem
 }
 
-// emit returns the first l accepted paths in canonical order, of those
+type devItem struct {
+	key float64
+	d   deviation
+}
+
+// before reports whether a leaves the heap before b.
+func (a *devItem) before(b *devItem) bool {
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	if a.d.at != b.d.at {
+		return a.d.at < b.d.at
+	}
+	if a.d.from != b.d.from {
+		return a.d.from < b.d.from
+	}
+	return a.d.eid < b.d.eid
+}
+
+func (h *devHeap) Len() int { return len(h.items) }
+
+func (h *devHeap) Reset() { h.items = h.items[:0] }
+
+func (h *devHeap) Peek() (float64, deviation) { return h.items[0].key, h.items[0].d }
+
+func (h *devHeap) Push(key float64, d deviation) {
+	h.items = append(h.items, devItem{key, d})
+	it := h.items
+	for i := len(it) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !it[i].before(&it[up]) {
+			break
+		}
+		it[i], it[up] = it[up], it[i]
+		i = up
+	}
+}
+
+func (h *devHeap) Pop() (float64, deviation) {
+	top := h.items[0]
+	n := len(h.items) - 1
+	h.items[0] = h.items[n]
+	it := h.items[:n]
+	h.items = it
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && it[c+1].before(&it[c]) {
+			c++
+		}
+		if !it[c].before(&it[i]) {
+			break
+		}
+		it[i], it[c] = it[c], it[i]
+		i = c
+	}
+	return top.key, top.d
+}
+
+// emit returns the first l accepted paths in compare's order, of those
 // whose band ends below proved: every path not accepted has a key of at
 // least proved.
 func (sr *searcher) emit(proved float64) []Path {

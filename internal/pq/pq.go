@@ -10,12 +10,9 @@ type Item[T any] struct {
 }
 
 // Heap is a binary min-heap over float64 keys. The zero value is ready to
-// use. Items with equal keys leave in the order Tie gives (Tie(a, b)
-// reports whether a goes first) when it is set, and otherwise in an order
-// fixed by the sequence of pushes and pops.
+// use.
 type Heap[T any] struct {
 	items []Item[T]
-	Tie   func(a, b T) bool
 }
 
 // Len reports the number of queued items.
@@ -52,7 +49,7 @@ func (h *Heap[T]) Reset() { h.items = h.items[:0] }
 func (h *Heap[T]) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.before(i, parent) {
+		if h.items[parent].Key <= h.items[i].Key {
 			return
 		}
 		h.items[parent], h.items[i] = h.items[i], h.items[parent]
@@ -68,24 +65,15 @@ func (h *Heap[T]) down(i int) {
 			return
 		}
 		small := left
-		if right := left + 1; right < n && h.before(right, left) {
+		if right := left + 1; right < n && h.items[right].Key < h.items[left].Key {
 			small = right
 		}
-		if !h.before(small, i) {
+		if h.items[i].Key <= h.items[small].Key {
 			return
 		}
 		h.items[i], h.items[small] = h.items[small], h.items[i]
 		i = small
 	}
-}
-
-// before reports whether item i leaves the heap before item j.
-func (h *Heap[T]) before(i, j int) bool {
-	a, b := &h.items[i], &h.items[j]
-	if a.Key != b.Key || h.Tie == nil {
-		return a.Key < b.Key
-	}
-	return h.Tie(a.Value, b.Value)
 }
 
 // TopK keeps the k items with the LARGEST keys seen so far. Internally it is
