@@ -24,7 +24,6 @@ func benchTopL(b *testing.B, name string) {
 	ctx := context.Background()
 	var ps []Path
 	b.ReportAllocs()
-	b.ResetTimer()
 	for b.Loop() {
 		ps = TopLPairs(ctx, g, res.Pairs, q.S, q.T, 30)
 	}
