@@ -485,8 +485,8 @@ func (sr *searcher) compare(a, b int32) int {
 // they leave (the one accepted first), then by edge ID. That order is
 // total, so entries pop in it whatever order they were pushed in. It is
 // pq.Heap with the tie order written out: a band of thousands of equal
-// keys compares ties at every level of every pop, and through a tie
-// function pq.Heap took BenchmarkTopLTieBand from 3.6 to about 8 ms.
+// keys compares ties at every level of every pop, and with the order given
+// to pq.Heap as a function BenchmarkTopLTieBand ran about twice as long.
 type devHeap struct {
 	items []devItem
 }
