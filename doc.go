@@ -18,11 +18,11 @@
 //     path search walks packed rows of G's arcs and reads the candidate
 //     arcs straight from the pair set (all carry the one weight −log ζ),
 //     with the paths and edge IDs a search over G+ would give. The paths
-//     come in one order, probability, then hop count, then the order the
-//     enumeration meets them in (branching off earlier paths nearest s
-//     first), which also decides which equally reliable paths make the
-//     cut at l. G+ is built as a graph only when a query lists its own
-//     candidates (explicit Candidates, or NoElimination), and
+//     come in one order, probability cut to 20 significant bits, then the
+//     order the enumeration meets them in (branching off earlier paths
+//     nearest s first), which also decides which equally reliable paths
+//     make the cut at l. G+ is built as a graph only when a query lists
+//     its own candidates (explicit Candidates, or NoElimination), and
 //  3. greedy path-batch selection (BE) under the budget k — with
 //     individual-path selection (IP), the exact polynomial solver for the
 //     restricted most-reliable-path problem (MRP), the §3 baselines

@@ -7,17 +7,22 @@
 // layered-graph polynomial algorithm for the restricted "improve the most
 // reliable path" problem (Algorithm 3, Theorem 3).
 //
-// The top-l paths come out in one order: probability descending (the
-// product of the path's edge probabilities, taken in path order), then hop
-// count ascending, then the order the enumeration meets them in. Among
-// paths of equal weight it meets first the one that branches off a path
-// already met nearest s; of those, the one branching off the path met
-// first; then the one over the lower edge ID. So the order, and which of
-// several equally reliable paths fill the last places, depends only on
+// The top-l paths come out in one order: by probability bin descending,
+// then in the order the enumeration meets them. A path's probability is
+// the product of its edge probabilities, taken in path order; its bin is
+// that product with the significand cut to 20 bits, so paths whose
+// probabilities agree that far tie. The enumeration meets paths by −log
+// sum, which agrees with the product far beyond 20 bits, so within a bin
+// paths still come in probability order but for last-bit differences.
+// Among paths of equal weight it meets first the one that branches off a
+// path already met nearest s; of those, the one branching off the path
+// met first; then the one over the lower edge ID. So the order, and which
+// of several equally reliable paths fill the last places, depends only on
 // the graph (its edge IDs included) and the pair, never on l or on a
-// heap's layout; and tied paths that fill a pool spread over different
-// first hops instead of sharing one, as node-sequence order would have
-// them do.
+// heap's layout; tied paths that fill a pool spread over different first
+// hops instead of sharing one, as node-sequence order would have them do;
+// and the enumeration can stop after the l-th path instead of ranking
+// every path tied with it.
 package paths
 
 import (

@@ -108,8 +108,8 @@ func byClass(ps []Path) []Path {
 
 // TestTopLMatchesBruteForce pins TopL to every simple path sorted by
 // class. Odd trials draw probabilities from a few dyadic values, so exact
-// ties are common and the hop-count tie-break and the enumeration's order
-// decide which paths make the cut.
+// ties are common and the enumeration's order decides which paths make
+// the cut.
 func TestTopLMatchesBruteForce(t *testing.T) {
 	r := rng.New(42)
 	dyadic := []float64{0.25, 0.5, 0.75, 1}
@@ -131,70 +131,100 @@ func TestTopLMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestTopLLastULP pins the order to the products, not the −log sums the
-// search ranks by: path 0→1→2 has the larger product and path 0→2 the
-// smaller sum, both by one unit in the last place, so the sums put the
-// one-hop path first and the canonical order the two-hop one.
+// TestTopLLastULP pins the order where the −log sums the search ranks by
+// and the products disagree by one unit in the last place, on paths 0→2
+// (edge a) and 0→1→2 (edges b, c), the one-hop path with the smaller sum
+// and the smaller product. Within one bin the enumeration's order, led by
+// the sums, puts the one-hop path first; across a bin edge the products
+// put the two-hop path first.
 func TestTopLLastULP(t *testing.T) {
-	b, c := 0.366, 0.328
-	a := math.Nextafter(b*c, 0)
-	if -math.Log(a) >= -math.Log(b)-math.Log(c) {
-		t.Fatalf("fixture: the one-hop path no longer has the smaller sum")
-	}
-	for _, directed := range []bool{true, false} {
-		g := ugraph.New(3, directed)
-		g.MustAddEdge(0, 2, a)
-		g.MustAddEdge(0, 1, b)
-		g.MustAddEdge(1, 2, c)
-		got := TopL(context.Background(), g, 0, 2, 1)
-		if len(got) != 1 || len(got[0].Nodes) != 3 || got[0].Prob != b*c {
-			t.Fatalf("directed=%v: top path %v, want 0→1→2 with p=%v", directed, got, b*c)
+	const b1, c1 = 0.366, 0.328
+	e := 0.11635911464691162
+	for _, fx := range []struct {
+		name    string
+		a, b, c float64
+		first   int // hops of the path that must come first
+	}{
+		{"one bin", math.Nextafter(b1*c1, 0), b1, c1, 1},
+		{"bin edge", math.Nextafter(e, 0), 0.12016002460559827, 0.9683679329197676, 2},
+	} {
+		a, b, c := fx.a, fx.b, fx.c
+		if -math.Log(a) >= -math.Log(b)-math.Log(c) || a >= b*c {
+			t.Fatalf("%s: fixture: the one-hop path no longer has the smaller sum and product", fx.name)
 		}
-		samePool(t, fmt.Sprintf("directed=%v l=1", directed), g, got, referenceTopL(g, 0, 2, 1))
-		samePool(t, fmt.Sprintf("directed=%v l=2", directed), g, TopL(context.Background(), g, 0, 2, 2), byClass(allSimplePaths(g, 0, 2)))
+		if sameBin := binOf(a) == binOf(b*c); sameBin != (fx.first == 1) {
+			t.Fatalf("%s: fixture: same bin %v", fx.name, sameBin)
+		}
+		for _, directed := range []bool{true, false} {
+			g := ugraph.New(3, directed)
+			g.MustAddEdge(0, 2, a)
+			g.MustAddEdge(0, 1, b)
+			g.MustAddEdge(1, 2, c)
+			label := fmt.Sprintf("%s directed=%v", fx.name, directed)
+			got := TopL(context.Background(), g, 0, 2, 1)
+			if len(got) != 1 || len(got[0].Edges) != fx.first {
+				t.Fatalf("%s: top path %v, want the %d-hop one", label, got, fx.first)
+			}
+			samePool(t, label+" l=1", g, got, referenceTopL(g, 0, 2, 1))
+			samePool(t, label+" l=2", g, TopL(context.Background(), g, 0, 2, 2), byClass(allSimplePaths(g, 0, 2)))
+		}
 	}
 }
 
 // TestTopLGridTieBandCapped runs TopL on a 12×12 grid whose edges all
-// carry p = 0.5: its 705,432 shortest corner-to-corner paths tie exactly,
-// far more than bandCap, so the enumeration must stop at the cap and still
-// return l of them, the same on every call. The grid again, with the two
-// edges at the corner s left to a pair set (s to both neighbours, ζ =
-// 0.5), checks that TopLPairs still returns what TopL returns on G+ past
-// the cap.
+// carry one probability p, so its 705,432 shortest corner-to-corner paths
+// tie exactly. At p = 0.5 their probability lies far from the next bin,
+// and the enumeration stops after the first l. At p = 0.523341 it lies
+// 1.8e-9 below the next bin's lower end, closer than the sums can tell,
+// so the enumeration must go on through the tied paths until it stops at
+// bandCap. Either way it returns l shortest paths, the same on every call.
+// The grid again, with the two edges at the corner s left to a pair set
+// (s to both neighbours, ζ = p), checks that TopLPairs still returns what
+// TopL returns on G+, past the cap too.
 func TestTopLGridTieBandCapped(t *testing.T) {
 	const k, l = 12, 30
-	grid := func(skip func(u, v int) bool) *ugraph.Graph {
-		g := ugraph.New(k*k, false)
-		for v := 0; v < k*k; v++ {
-			if v%k+1 < k && !skip(v, v+1) {
-				g.MustAddEdge(ugraph.NodeID(v), ugraph.NodeID(v+1), 0.5)
+	for _, tc := range []struct {
+		p        float64
+		accepted int
+	}{{0.5, l}, {0.523341, l + bandCap}} {
+		grid := func(skip func(u, v int) bool) *ugraph.Graph {
+			g := ugraph.New(k*k, false)
+			for v := 0; v < k*k; v++ {
+				if v%k+1 < k && !skip(v, v+1) {
+					g.MustAddEdge(ugraph.NodeID(v), ugraph.NodeID(v+1), tc.p)
+				}
+				if v+k < k*k && !skip(v, v+k) {
+					g.MustAddEdge(ugraph.NodeID(v), ugraph.NodeID(v+k), tc.p)
+				}
 			}
-			if v+k < k*k && !skip(v, v+k) {
-				g.MustAddEdge(ugraph.NodeID(v), ugraph.NodeID(v+k), 0.5)
+			return g
+		}
+		g := grid(func(u, v int) bool { return false })
+		sr := newSearcher(g, nil)
+		got := sr.topL(context.Background(), 0, k*k-1, l)
+		accepted := len(sr.paths)
+		sr.release()
+		if accepted != tc.accepted {
+			t.Fatalf("p=%v: %d paths accepted, want %d", tc.p, accepted, tc.accepted)
+		}
+		if len(got) != l {
+			t.Fatalf("p=%v: %d paths, want %d", tc.p, len(got), l)
+		}
+		for i, p := range got {
+			if len(p.Edges) != 2*(k-1) || p.Prob != got[0].Prob {
+				t.Fatalf("p=%v: path %d: %d hops, p=%v; want a shortest path", tc.p, i, len(p.Edges), p.Prob)
 			}
 		}
-		return g
-	}
-	g := grid(func(u, v int) bool { return false })
-	got := TopL(context.Background(), g, 0, k*k-1, l)
-	if len(got) != l {
-		t.Fatalf("%d paths, want %d", len(got), l)
-	}
-	for i, p := range got {
-		if len(p.Edges) != 2*(k-1) || p.Prob != math.Pow(0.5, 2*(k-1)) {
-			t.Fatalf("path %d: %d hops, p=%v; want a shortest path", i, len(p.Edges), p.Prob)
-		}
-	}
-	samePaths(t, "second call", TopL(context.Background(), g, 0, k*k-1, l), got)
+		samePaths(t, fmt.Sprintf("p=%v second call", tc.p), TopL(context.Background(), g, 0, k*k-1, l), got)
 
-	g = grid(func(u, v int) bool { return u == 0 })
-	set := candidates.NewPairs(g, []ugraph.NodeID{0}, []ugraph.NodeID{k, 1}, candidates.Options{Zeta: 0.5})
-	pairs := TopLPairs(context.Background(), g, set, 0, k*k-1, l)
-	if len(pairs) != l || pairs[l-1].Prob != got[l-1].Prob {
-		t.Fatalf("pair set: %d paths, the last p=%v", len(pairs), pairs[len(pairs)-1].Prob)
+		g = grid(func(u, v int) bool { return u == 0 })
+		set := candidates.NewPairs(g, []ugraph.NodeID{0}, []ugraph.NodeID{k, 1}, candidates.Options{Zeta: tc.p})
+		pairs := TopLPairs(context.Background(), g, set, 0, k*k-1, l)
+		if len(pairs) != l || pairs[l-1].Prob != got[l-1].Prob {
+			t.Fatalf("p=%v pair set: %d paths, the last p=%v", tc.p, len(pairs), pairs[len(pairs)-1].Prob)
+		}
+		samePaths(t, fmt.Sprintf("p=%v pair set", tc.p), pairs, TopL(context.Background(), g.WithEdges(set.List()), 0, k*k-1, l))
 	}
-	samePaths(t, "pair set", pairs, TopL(context.Background(), g.WithEdges(set.List()), 0, k*k-1, l))
 }
 
 // TestTopLTiesSpreadFirstHops pins the tie order on six tied three-hop

@@ -157,22 +157,22 @@ func referenceWithin(g *ugraph.Graph, s, t ugraph.NodeID, limit float64) []Path 
 	return out
 }
 
-// classLess is the order TopL ranks by before its own tie order:
-// probability descending, then hop count ascending. Paths equal in both
-// are one class.
-func classLess(a, b Path) bool {
-	if a.Prob != b.Prob {
-		return a.Prob > b.Prob
-	}
-	return len(a.Nodes) < len(b.Nodes)
-}
+// classLess is the order TopL ranks by before its own tie order: the
+// probability's bin (binOf) descending. Paths of one bin are one class.
+func classLess(a, b Path) bool { return binOf(a.Prob) > binOf(b.Prob) }
 
-// referenceLess orders the reference's paths by classLess, then by node
-// sequence, only so that the reference is deterministic: within a class
-// TopL keeps its enumeration's order, which the reference does not model.
+// referenceLess orders the reference's paths by classLess, then by
+// probability, hop count and node sequence, only so that the reference is
+// deterministic: within a class TopL keeps its enumeration's order, which
+// the reference does not model.
 func referenceLess(a, b Path) bool {
-	if classLess(a, b) || classLess(b, a) {
+	switch {
+	case classLess(a, b) || classLess(b, a):
 		return classLess(a, b)
+	case a.Prob != b.Prob:
+		return a.Prob > b.Prob
+	case len(a.Nodes) != len(b.Nodes):
+		return len(a.Nodes) < len(b.Nodes)
 	}
 	return slices.Compare(a.Nodes, b.Nodes) < 0
 }
@@ -291,13 +291,12 @@ func referenceDijkstra(g *ugraph.Graph, s, t ugraph.NodeID, bannedEdge map[int32
 	return reconstruct(g.Prob, s, t, parent, parentEdge), true
 }
 
-// samePool fails unless got is the answer want is, up to which tied paths
-// fill its last class: the same probabilities, bit for bit, and hop counts
-// in the same order; for every class want holds whole (all but its last),
-// the same paths; and in the last class, which the cut at l may split,
-// distinct simple paths of g between want's ends, each edge joining its
-// nodes and the product of the edges' probabilities, in path order, equal
-// to Prob bit for bit.
+// samePool fails unless got is the answer want is, up to the order within
+// a class and which tied paths fill its last class: the same classes in
+// the same order; for every class want holds whole (all but its last),
+// the same paths; and throughout, distinct simple paths of g between
+// want's ends, each edge joining its nodes and the product of the edges'
+// probabilities, in path order, equal to Prob bit for bit.
 func samePool(t *testing.T, label string, g *ugraph.Graph, got, want []Path) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -307,7 +306,7 @@ func samePool(t *testing.T, label string, g *ugraph.Graph, got, want []Path) {
 	seen := map[string]bool{}
 	for i := range want {
 		p, w := got[i], want[i]
-		if math.Float64bits(p.Prob) != math.Float64bits(w.Prob) || len(p.Nodes) != len(w.Nodes) {
+		if classLess(p, w) || classLess(w, p) {
 			t.Fatalf("%s: path %d = %v p=%v, reference %v p=%v", label, i, p.Nodes, p.Prob, w.Nodes, w.Prob)
 		}
 		if p.Nodes[0] != w.Nodes[0] || p.Nodes[len(p.Nodes)-1] != w.Nodes[len(w.Nodes)-1] {

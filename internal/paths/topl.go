@@ -13,20 +13,19 @@ import (
 )
 
 // TopL returns up to l most reliable simple s-t paths in g, the path set P
-// of §5.1.2, in the package's order: probability descending, then hop
-// count ascending, then the order the enumeration meets them in (see the
-// package doc). That order also decides which of several equally reliable
-// paths take the last places. To search G+ = G ∪ E+ with E+ listed, pass
-// g.WithEdges(E+).
+// of §5.1.2, in the package's order (see the package doc): probability
+// bin descending, then the order the enumeration meets them in. That order
+// also decides which of several equally reliable paths take the last
+// places. To search G+ = G ∪ E+ with E+ listed, pass g.WithEdges(E+).
 //
 // The output is exact; see topL for the method. Extraction polls ctx once
-// per path it accepts among the first l, then once per yieldBlock paths:
-// a cancelled context stops the enumeration and returns the prefix of the
-// answer it has proved so far, which may be shorter than the paths it has
-// met. One limit applies: the band of paths tied with the l-th is ranked
-// whole only up to bandCap paths. Past that (a grid of equal
-// probabilities has exponentially many tied shortest paths) the
-// enumeration stops, and the paths it met first fill the last places.
+// per path it accepts: a cancelled context stops the enumeration and
+// returns the prefix of the answer it has proved so far, which may be
+// shorter than the paths it has met. One limit applies: when the l-th
+// path's probability lies below the next bin by less than the sums can
+// resolve, every path whose sum could still reach that bin must be
+// accepted, and only bandCap of them past the l-th are; past that the
+// paths met first fill the last places.
 func TopL(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, l int) []Path {
 	if l <= 0 {
 		return nil
@@ -53,29 +52,45 @@ func TopLPairs(ctx context.Context, g *ugraph.Graph, set *candidates.Pairs, s, t
 	return sr.topL(ctx, s, t, l)
 }
 
-// Band tolerance: paths whose −log sums lie within bandRel (relative) plus
-// bandAbs of the l-th path's are ranked together by probability, hop count
-// and the order they were met in. A sum and the product the order compares
-// can disagree in their last bits, by far less than this; the absolute
-// term covers sums near 0, where a product of many near-1 probabilities
-// rounds by more than the relative term.
+// Band tolerance: a path's key, a −log sum, and the −log of its product
+// lie within bandRel (relative) plus bandAbs of each other. They disagree
+// in their last bits, by far less than this; the absolute term covers sums
+// near 0, where a product of many near-1 probabilities rounds by more than
+// the relative term.
 const (
 	bandRel = 1e-9
 	bandAbs = 1e-12
 )
 
 // bandCap bounds the paths accepted past the first l, and so the time and
-// memory a tie band can take. The served pools' largest bands, on
-// dblp×0.08, hold about 9,500 paths.
+// memory that paths just below a bin's lower end can take (see TopL).
 const bandCap = 1 << 14
 
-// yieldBlock is how many band paths past the first l are accepted between
-// scheduling points (see topL): a path costs well under a microsecond, and
-// a yield about as much.
-const yieldBlock = 64
-
-// band returns the largest key ranked together with key w.
+// band widens w by the band tolerance.
 func band(w float64) float64 { return w + bandRel*w + bandAbs }
+
+// binBits is the number of leading significant bits of a probability the
+// order compares: paths whose probabilities agree in them tie, and keep
+// the enumeration's order. It leaves a bin far wider than the band
+// tolerance, so the l-th path rarely lies close enough below the next bin
+// to make the enumeration go on past it. binLog bounds the width of a bin
+// in −log terms.
+const binBits = 20
+
+var binLog = -math.Log1p(-math.Ldexp(1, 1-binBits))
+
+// binOf returns p with its significand cut to binBits bits, toward zero,
+// a monotone map onto the lower ends of the bins.
+func binOf(p float64) float64 {
+	return math.Float64frombits(math.Float64bits(p) &^ (1<<(53-binBits) - 1))
+}
+
+// beats returns the key past which no path can lie in a bin above c: the
+// −log of the next bin's lower end, widened by band twice, once for the
+// sum a key is and once for the product a bin is cut from.
+func beats(c float64) float64 {
+	return band(band(-math.Log(math.Float64frombits(math.Float64bits(c) + 1<<(53-binBits)))))
+}
 
 // step is one node of a stored path, with the edge to the next node; the
 // last step, at t, has e = −1.
@@ -85,11 +100,11 @@ type step struct {
 }
 
 // accepted is a path the enumeration has popped: steps[off : off+hops+1],
-// with the key it was ranked by and its probability, the product of its
-// edges' probabilities in path order.
+// with its probability, the product of its edges' probabilities in path
+// order.
 type accepted struct {
 	off, hops int32
-	key, prob float64
+	prob      float64
 }
 
 // deviation is a candidate entry: the simple paths that follow accepted
@@ -123,10 +138,12 @@ type enumeration struct {
 	paths              []accepted
 	devs               devHeap
 	// worst keeps the l smallest keys of exact entries seen, negated, so
-	// its top is the l-th; limit is band of it, +Inf until l are seen.
-	worst pq.Heap[struct{}]
-	limit float64
-	order []int32 // emit's selection of the first l
+	// its top is the l-th; limit bounds the key of any path in the answer
+	// from it, +Inf until l are seen. best keeps the l highest bins of
+	// accepted paths, so its top is the l-th; stop is beats of it.
+	worst, best pq.Heap[struct{}]
+	limit, stop float64
+	order       []int32 // emit's selection of the first l
 }
 
 // topL enumerates simple s-t paths by sidetrack deviation (Martins,
@@ -144,13 +161,15 @@ type enumeration struct {
 //
 // Entries pop in key order, and equal keys as devHeap orders them: the
 // deviation nearest s first, so paths tied with one already accepted
-// branch off it as early as they can. Paths are ranked by the order they
-// are accepted in, which therefore depends on the graph and the pair
-// alone. The enumeration stops once the top key lies past band of the l-th
-// smallest exact key seen (or once bandCap paths past the l-th are
-// accepted), so it holds every path whose key is within band of the l-th
-// path's, sorts them by probability, hop count and rank, and keeps the
-// first l. Entries already past that limit are never queued.
+// branch off it as early as they can. Paths rank by bin, then by the order
+// they are accepted in, which therefore depends on the graph and the pair
+// alone. Once l paths are accepted, the l-th highest bin among them being
+// c, the enumeration stops at the first key past beats(c): no path left
+// can reach a higher bin, and one left in bin c ranks after every accepted
+// path. It also stops at the first key past the limit, which no path of
+// the answer exceeds, or once bandCap paths past the l-th are accepted.
+// It then sorts the accepted paths and keeps the first l. Entries past the
+// limit are never queued.
 func (sr *searcher) topL(ctx context.Context, s, t ugraph.NodeID, l int) []Path {
 	sr.tree(t)
 	if math.IsInf(sr.toT[s], 1) {
@@ -162,21 +181,22 @@ func (sr *searcher) topL(ctx context.Context, s, t ugraph.NodeID, l int) []Path 
 			sr.fromOrder = sr.byToT(sr.fromOrder, sr.set.FromS)
 		}
 	}
-	sr.l, sr.limit = l, math.Inf(1)
+	sr.l, sr.limit, sr.stop = l, math.Inf(1), math.Inf(1)
 	sr.onRoot = resize(sr.onRoot, sr.g.N())
 	clear(sr.onRoot)
 	sr.steps, sr.spurs, sr.paths = sr.steps[:0], sr.spurs[:0], sr.paths[:0]
 	sr.devs.Reset()
 	sr.worst.Reset()
+	sr.best.Reset()
 
 	sr.record(sr.toT[s])
 	sr.appendTree(s)
-	sr.accept(0, -1, sr.toT[s])
+	sr.accept(0, -1)
 
 	proved := math.Inf(1) // no path left unaccepted has a smaller key
 	for sr.devs.Len() > 0 && len(sr.paths)-l < bandCap {
 		key, d := sr.devs.Peek()
-		if key > sr.limit {
+		if key > sr.limit || key > sr.stop {
 			break
 		}
 		sr.devs.Pop()
@@ -184,19 +204,17 @@ func (sr *searcher) topL(ctx context.Context, s, t ugraph.NodeID, l int) []Path 
 			sr.resolve(d)
 			continue
 		}
-		if n := len(sr.paths); ctx != nil && (n < l || n%yieldBlock == 0) {
-			// Each of the first l accepted paths, and every yieldBlock-th
-			// path of the band past them, is a scheduling point, like a
-			// sampler's block check: requests served beside a long
-			// enumeration get the processor between paths, not at a
-			// preemption tick.
+		if ctx != nil {
+			// Each accepted path is a scheduling point, like a sampler's
+			// block check: requests served beside a long enumeration get
+			// the processor between paths, not at a preemption tick.
 			runtime.Gosched()
 			if ctx.Err() != nil {
 				proved = key
 				break
 			}
 		}
-		sr.accept(sr.follow(d), d.at, key)
+		sr.accept(sr.follow(d), d.at)
 	}
 	return sr.emit(proved)
 }
@@ -280,16 +298,19 @@ func (sr *searcher) record(key float64) {
 		sr.worst.Pop()
 	}
 	if sr.worst.Len() == sr.l {
+		// l paths have keys of at most -w, so the l-th bin is at least
+		// the bin of exp(−band(-w)), and a path in the answer has a
+		// probability no lower than that bin's lower end.
 		w, _ := sr.worst.Peek()
-		sr.limit = band(-w)
+		sr.limit = band(band(-w) + binLog)
 	}
 }
 
-// accept stores the path just appended at steps[off:], ranked by key, and
-// queues its deviations: at each position i past at, the one where it left
-// its parent (−1 for the tree path from s), a sidetrack from the root
-// path[:i+1] over every arc but the path's own.
-func (sr *searcher) accept(off, at int32, key float64) {
+// accept stores the path just appended at steps[off:], notes its bin (see
+// topL), and queues its deviations: at each position i past at, the one
+// where it left its parent (−1 for the tree path from s), a sidetrack from
+// the root path[:i+1] over every arc but the path's own.
+func (sr *searcher) accept(off, at int32) {
 	path := sr.steps[off:]
 	hops := int32(len(path) - 1)
 	prob := 1.0
@@ -297,7 +318,15 @@ func (sr *searcher) accept(off, at int32, key float64) {
 		prob *= sr.prob(st.e)
 	}
 	from := int32(len(sr.paths))
-	sr.paths = append(sr.paths, accepted{off: off, hops: hops, key: key, prob: prob})
+	sr.paths = append(sr.paths, accepted{off: off, hops: hops, prob: prob})
+	sr.best.Push(binOf(prob), struct{}{})
+	if sr.best.Len() > sr.l {
+		sr.best.Pop()
+	}
+	if sr.best.Len() == sr.l {
+		c, _ := sr.best.Peek()
+		sr.stop = beats(c)
+	}
 	rootW := 0.0
 	for i := int32(0); i < hops; i++ {
 		sr.onRoot[path[i].v] = true
@@ -464,17 +493,10 @@ func (sr *searcher) resolve(d deviation) {
 	sr.devs.Push(key, d)
 }
 
-// compare orders accepted paths a and b: probability descending, then hop
-// count, then the order they were accepted in.
+// compare orders accepted paths a and b: bin descending, then the order
+// they were accepted in.
 func (sr *searcher) compare(a, b int32) int {
-	pa, pb := sr.paths[a], sr.paths[b]
-	if pa.prob != pb.prob {
-		if pa.prob > pb.prob {
-			return -1
-		}
-		return 1
-	}
-	if c := cmp.Compare(pa.hops, pb.hops); c != 0 {
+	if c := cmp.Compare(binOf(sr.paths[b].prob), binOf(sr.paths[a].prob)); c != 0 {
 		return c
 	}
 	return cmp.Compare(a, b)
@@ -552,13 +574,13 @@ func (h *devHeap) Pop() (float64, deviation) {
 	return top.key, top.d
 }
 
-// emit returns the first l accepted paths in compare's order, of those
-// whose band ends below proved: every path not accepted has a key of at
-// least proved.
+// emit returns the first l accepted paths in compare's order, of those no
+// path left unaccepted can precede: every such path has a key of at least
+// proved, +Inf when the enumeration ran to its end.
 func (sr *searcher) emit(proved float64) []Path {
 	sel := sr.order[:0]
 	for i, p := range sr.paths {
-		if band(p.key) < proved {
+		if math.IsInf(proved, 1) || beats(binOf(p.prob)) < proved {
 			sel = append(sel, int32(i))
 		}
 	}

@@ -224,8 +224,8 @@ type Path = paths.Path
 func MostReliablePath(g *Graph, s, t NodeID) (Path, bool) { return paths.MostReliable(g, s, t) }
 
 // TopLPaths returns up to l most reliable simple s-t paths in decreasing
-// probability, equally reliable ones by hop count and then in the order
-// the enumeration meets them (see package paths).
+// probability, cut to 20 significant bits; paths equal that far come in
+// the order the enumeration meets them (see package paths).
 func TopLPaths(g *Graph, s, t NodeID, l int) []Path {
 	return paths.TopL(context.Background(), g, s, t, l)
 }
