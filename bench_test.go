@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/datasets"
 	"repro/internal/exp"
+	"repro/internal/ugraph"
 )
 
 func benchParams() exp.Params {
@@ -462,14 +463,27 @@ func BenchmarkSolveWorkers(b *testing.B) {
 // elimination stage times of one solve, and eval_ms is the rest of its
 // wall time: the held-out evaluation plus the engine's per-request
 // overhead.
-func BenchmarkServedSolve(b *testing.B) {
-	g, err := LoadDataset("lastfm", 0.08, 1)
+func BenchmarkServedSolve(b *testing.B) { benchServedShape(b, "lastfm") }
+
+// BenchmarkServedSolveShapes is BenchmarkServedSolve on the other served
+// stand-ins at ×0.08: astopo (directed), dblp (large tie bands, sparse
+// low-probability reach) and twitter (sparse, directed).
+func BenchmarkServedSolveShapes(b *testing.B) {
+	for _, name := range []string{"astopo", "dblp", "twitter"} {
+		b.Run(name, func(b *testing.B) { benchServedShape(b, name) })
+	}
+}
+
+// benchServedShape runs BenchmarkServedSolve's sweep on dataset name at
+// scale 0.08.
+func benchServedShape(b *testing.B, name string) {
+	g, err := LoadDataset(name, 0.08, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	qs := Queries(g, 20, 3, 5, 1)
 	if len(qs) != 20 {
-		b.Fatalf("%d query pairs, want 20", len(qs))
+		b.Fatalf("%s: %d query pairs, want 20", name, len(qs))
 	}
 	st := benchServed(b, g, qs)
 	solves := float64(b.N * len(qs))
@@ -513,6 +527,16 @@ func BenchmarkServedSolveStream(b *testing.B) {
 		b.Fatal(err)
 	}
 	const n = 484
+	qs := streamPairs(b, g, n)
+	st := benchServed(b, g, qs)
+	b.ReportMetric(st.elim.Seconds()*1e3/float64(b.N*n), "elim_ms")
+	b.ReportMetric(float64(st.hits)/float64(st.hits+st.misses), "hit_ratio")
+}
+
+// streamPairs returns n distinct pairs of g 3-5 hops apart, drawn from the
+// query generator at seeds 1, 2, ... in order.
+func streamPairs(b *testing.B, g *Graph, n int) []EvalQuery {
+	b.Helper()
 	var qs []EvalQuery
 	seen := make(map[EvalQuery]bool, n)
 	for seed := int64(1); seed <= 8 && len(qs) < n; seed++ {
@@ -526,9 +550,80 @@ func BenchmarkServedSolveStream(b *testing.B) {
 	if len(qs) != n {
 		b.Fatalf("%d distinct query pairs, want %d", len(qs), n)
 	}
-	st := benchServed(b, g, qs)
-	b.ReportMetric(st.elim.Seconds()*1e3/float64(b.N*n), "elim_ms")
-	b.ReportMetric(float64(st.hits)/float64(st.hits+st.misses), "hit_ratio")
+	return qs
+}
+
+// BenchmarkServedSolveUnderWrites replays perfbench's solve-under-writes
+// in process: the first 480 of BenchmarkServedSolveStream's pairs, solved
+// one after another on a durable engine (WithStorage on a fresh temporary
+// directory, one worker), while the writer's 300 seed-1 batches go through
+// Engine.Apply, batch i once i·480/300 solves are done. One op is the
+// whole replay, with the engine built outside the timer. solve_ms is the
+// mean wall time of one solve, apply_ms of one Apply, elim_ms the mean
+// elimination time of one solve, and hit_ratio the share of From/To
+// vectors taken from the memo.
+func BenchmarkServedSolveUnderWrites(b *testing.B) {
+	g, err := LoadDataset("lastfm", 0.08, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 480
+	qs := streamPairs(b, g, n)
+	var batches [][]Mutation
+	for _, edits := range datasets.WriteBatches(g, 300, 1_000_005) {
+		var muts []Mutation
+		for _, e := range edits {
+			switch e.Op {
+			case ugraph.DeltaSetProb:
+				muts = append(muts, SetProb(e.U, e.V, e.P))
+			case ugraph.DeltaAdd:
+				muts = append(muts, AddEdge(e.U, e.V, e.P))
+			default:
+				muts = append(muts, RemoveEdge(e.U, e.V))
+			}
+		}
+		batches = append(batches, muts)
+	}
+	ctx := context.Background()
+	var solve, apply, elim time.Duration
+	var hits, misses uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		eng, err := NewEngine(g, WithStorage(b.TempDir()), WithWorkers(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		next := 0
+		for done, q := range qs {
+			for ; next < len(batches) && next*n <= done*len(batches); next++ {
+				start := time.Now()
+				if _, err := eng.Apply(ctx, batches[next]...); err != nil {
+					b.Fatal(err)
+				}
+				apply += time.Since(start)
+			}
+			start := time.Now()
+			sol, err := eng.Solve(ctx, Request{S: q.S, T: q.T, Method: MethodBE})
+			if err != nil {
+				b.Fatal(err)
+			}
+			solve += time.Since(start)
+			elim += sol.ElimTime
+		}
+		b.StopTimer()
+		es := eng.Stats()
+		hits += es.VectorHits
+		misses += es.VectorMisses
+		eng.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(solve.Seconds()*1e3/float64(b.N*n), "solve_ms")
+	b.ReportMetric(apply.Seconds()*1e3/float64(b.N*len(batches)), "apply_ms")
+	b.ReportMetric(elim.Seconds()*1e3/float64(b.N*n), "elim_ms")
+	b.ReportMetric(float64(hits)/float64(hits+misses), "hit_ratio")
 }
 
 // servedStats sums what benchServed measured over all its sweeps.

@@ -212,3 +212,40 @@ func TestApplyWrites(t *testing.T) {
 		t.Fatal("the writes changed no edge")
 	}
 }
+
+// TestWriteBatchesCommitAsDeltas: the batches WriteBatches draws leave g
+// untouched, every one of them commits as a CSR.Delta layer, and the last
+// layer holds the edges ApplyWrites leaves on the graph.
+func TestWriteBatchesCommitAsDeltas(t *testing.T) {
+	g, err := Load("lastfm", 0.08, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := g.Edges()
+	batches := WriteBatches(g, 300, 7)
+	if len(batches) != 300 || !slices.Equal(g.Edges(), before) {
+		t.Fatalf("%d batches, graph changed %v; want 300 and unchanged", len(batches), !slices.Equal(g.Edges(), before))
+	}
+	c := g.Freeze()
+	for i, b := range batches {
+		if len(b) < 1 || len(b) > 4 {
+			t.Fatalf("batch %d holds %d edits, want 1-4", i, len(b))
+		}
+		if c, err = c.Delta(b); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+	}
+	ApplyWrites(g, 300, 7)
+	got, want := c.Edges(), g.Edges()
+	byEnds := func(a, b ugraph.Edge) int {
+		if a.U != b.U {
+			return int(a.U - b.U)
+		}
+		return int(a.V - b.V)
+	}
+	slices.SortFunc(got, byEnds)
+	slices.SortFunc(want, byEnds)
+	if !slices.Equal(got, want) {
+		t.Fatal("the delta layers and ApplyWrites disagree on the final edges")
+	}
+}
