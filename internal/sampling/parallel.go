@@ -362,7 +362,7 @@ func mergeScalar(est []float64, budgets []int) float64 {
 		z += b
 	}
 	for i, e := range est {
-		total += float64(budgets[i]) * e
+		total += float64(float64(budgets[i]) * e)
 	}
 	return total / float64(z)
 }
@@ -376,7 +376,7 @@ func mergeVectors(vecs [][]float64, budgets []int, n int) []float64 {
 	for i, vec := range vecs {
 		w := float64(budgets[i])
 		for v, x := range vec {
-			acc[v] += w * x
+			acc[v] += float64(w * x)
 		}
 	}
 	inv := 1 / float64(z)

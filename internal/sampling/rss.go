@@ -197,7 +197,7 @@ func (rs *RSS) recurse(c *ugraph.CSR, s, t ugraph.NodeID, budget int) float64 {
 			pi = remaining
 		}
 		if pi > 0 {
-			total += pi * rs.recurse(c, s, t, int(pi*float64(budget)+0.5))
+			total += float64(pi * rs.recurse(c, s, t, int(float64(pi*float64(budget))+0.5)))
 		}
 		if i < hi {
 			rs.status[rs.arena[i]] = -1
@@ -255,7 +255,7 @@ func (rs *RSS) recurseVec(c *ugraph.CSR, src ugraph.NodeID, forward bool, budget
 			pi = remaining
 		}
 		if pi > 0 {
-			rs.recurseVec(c, src, forward, int(pi*float64(budget)+0.5), weight*pi, acc)
+			rs.recurseVec(c, src, forward, int(float64(pi*float64(budget))+0.5), weight*pi, acc)
 		}
 		if i < hi {
 			rs.status[rs.arena[i]] = -1
