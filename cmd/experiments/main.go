@@ -12,7 +12,7 @@
 //
 // Absolute numbers differ from the paper (scaled graphs, different
 // hardware); the reproduced signal is the relative comparison between
-// methods and the trends across parameters — see EXPERIMENTS.md.
+// methods and the trends across parameters.
 package main
 
 import (

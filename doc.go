@@ -346,15 +346,21 @@
 // Every sampler accepts a context via SetContext for block-granular
 // cancellation.
 //
-// The vector sampler simulates 64 possible worlds per BFS traversal by
+// The vector sampler simulates 64 possible worlds per lane word by
 // packing edge existence into uint64 lane masks, drawing 64 Bernoulli
 // trials per RNG interaction; on the single-source estimators this is an
 // order-of-magnitude throughput win over scalar MC at the same budget.
 // Its determinism contract matches the scalar samplers — a fixed seed is
-// bit-identical across runs and worker counts (shard budgets are
-// 64-aligned so lane blocks never split) — but its random stream differs
-// from scalar MC's, so "mc" and "mcvec" estimates agree statistically, not
-// bitwise.
+// bit-identical across runs and worker counts — but its random stream
+// differs from scalar MC's, so "mc" and "mcvec" estimates agree
+// statistically, not bitwise. Its s–t estimate shards 64-aligned budgets,
+// so lane words never split. Its From/To vectors, which search-space
+// elimination uses, are keyed: each call takes one key from its seed, and
+// an edge's mask in a lane word is a function of the key, the edge's
+// endpoints and the word. One traversal carries up to 512 lanes, and a
+// vector depends only on the key, Z and the graph: it is bit-identical at
+// every worker count, in any traversal order, and on a layered epoch and
+// its compacted twin, whose edge IDs differ.
 //
 // # Snapshots and the sampling hot path
 //

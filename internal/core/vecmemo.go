@@ -17,10 +17,11 @@ const maxMemoEntries = 1 << 20
 // From(s) and To(t), on one graph. Each depends only on the graph, Seed,
 // Z, its direction and its node: elimination always samples From on call
 // 1 and To on call 2 of an mcvec sampler on stream 7 (see elimSampler),
-// bit-identical at every worker count. A vector found here is therefore
-// the vector the solve would have sampled, and no result changes. The
-// memo is safe for concurrent use; the vectors it hands out are shared
-// and never modified.
+// and an mcvec vector is keyed, a function of its call's key, Z and the
+// graph alone, bit-identical at every worker count. A vector found here is
+// therefore the vector the solve would have sampled, and no result
+// changes. The memo is safe for concurrent use; the vectors it hands out
+// are shared and never modified.
 type VectorMemo struct {
 	g      *ugraph.Graph
 	counts *MemoCounts

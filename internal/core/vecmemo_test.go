@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/candidates"
 	"repro/internal/datasets"
 	"repro/internal/ugraph"
 )
@@ -212,5 +214,53 @@ func TestVectorMemoCap(t *testing.T) {
 	}
 	if counts.Hits.Load() != 1 || counts.Misses.Load() != 3 {
 		t.Fatalf("%d hits, %d misses; want 1 and 3", counts.Hits.Load(), counts.Misses.Load())
+	}
+}
+
+// TestElimVectorsBitIdentical: elimination's From(s) and To(t) vectors are
+// bit-identical from a warm memo (a hit on both), from a cold memo (a miss
+// on both) and from candidates.EliminatePairs without one, at Workers 1, 2
+// and 8, on an undirected and a directed graph.
+func TestElimVectorsBitIdentical(t *testing.T) {
+	ctx := context.Background()
+	for _, name := range []string{"lastfm", "astopo"} {
+		g, err := datasets.Load(name, 0.08, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := datasets.Queries(g, 1, 3, 5, 2)[0]
+		var want candidates.Result
+		for _, w := range []int{1, 2, 8} {
+			opt := Options{Workers: w}.withDefaults()
+			copt := candidates.Options{R: opt.R, H: opt.H, Zeta: opt.Zeta}
+			elim, err := opt.elimSampler(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct := candidates.EliminatePairs(g, q.S, q.T, elim, copt)
+			var counts MemoCounts
+			opt.Vectors = NewVectorMemo(g, &counts)
+			var memo [2]candidates.Result
+			for i := range memo {
+				elim, err := opt.elimSampler(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if memo[i], err = candidateSet(ctx, g, q.S, q.T, elim, opt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if counts.Misses.Load() != 2 || counts.Hits.Load() != 2 {
+				t.Fatalf("%s w=%d: %d misses and %d hits, want 2 and 2", name, w, counts.Misses.Load(), counts.Hits.Load())
+			}
+			if w == 1 {
+				want = direct
+			}
+			for label, got := range map[string]candidates.Result{"EliminatePairs": direct, "cold memo": memo[0], "warm memo": memo[1]} {
+				if !slices.Equal(got.FromRel, want.FromRel) || !slices.Equal(got.ToRel, want.ToRel) {
+					t.Errorf("%s w=%d: %s vectors differ from EliminatePairs at w=1", name, w, label)
+				}
+			}
+		}
 	}
 }

@@ -222,6 +222,12 @@ func SplitSeed(seed int64, stream int64) int64 {
 	return int64(splitmix64(uint64(seed) ^ (0x9e3779b97f4a7c15 * uint64(stream+1))))
 }
 
+// Hash64 is SplitMix64's output function, a bijection of uint64 that
+// spreads every input bit over every output bit. Counter-based draws use it
+// to turn a structured key (a call key combined with an edge's endpoints,
+// say) into a decorrelated stream position: distinct inputs never collide.
+func Hash64(x uint64) uint64 { return splitmix64(x) }
+
 // splitmix64 is the finalizer of the SplitMix64 generator; one application
 // is enough to decorrelate structured seed inputs.
 func splitmix64(x uint64) uint64 {
@@ -275,6 +281,29 @@ func (m *Mask64) Uint64() uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
+}
+
+// Keyed64 is a counter-based word stream for keyed draws: a caller places
+// it at a counter position derived from a key (Hash64 of the key and what
+// it names, say), and its words depend on that position alone. Like
+// Mask64 it steps a Weyl counter by 0x9e3779b97f4a7c15, but it mixes each
+// count with one 64×64→128-bit multiply folded to 64 bits (wyrand's output
+// function), about half of SplitMix64's finalizer. Streams placed 2³²
+// counts or more apart share no word within their first 2³² words.
+type Keyed64 struct {
+	x uint64
+}
+
+// Keyed64At returns the keyed stream whose counter stands at x.
+func Keyed64At(x uint64) Keyed64 {
+	return Keyed64{x: x}
+}
+
+// Uint64 returns the next word of the stream.
+func (k *Keyed64) Uint64() uint64 {
+	k.x += 0x9e3779b97f4a7c15
+	hi, lo := bits.Mul64(k.x, k.x^0xe7037ed1a0b428db)
+	return hi ^ lo
 }
 
 // BernoulliMask draws 64 independent Bernoulli(p) trials at once and packs

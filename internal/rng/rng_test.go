@@ -272,3 +272,32 @@ func FuzzSourceMatchesMathRand(f *testing.F) {
 		assertSameStream(t, "after reseed", got, want, 2*srcLen+1)
 	})
 }
+
+// TestKeyed64Counter pins Keyed64 as a counter-based stream: a stream
+// placed one increment further on is the same stream one word later, and
+// streams placed 2³² increments apart (one edge's lane words) share none of
+// their first words.
+func TestKeyed64Counter(t *testing.T) {
+	gamma := uint64(0x9e3779b97f4a7c15)
+	stride := gamma << 32
+	for _, x := range []uint64{0, 1, 0xdeadbeef, Hash64(7)} {
+		a, b := Keyed64At(x), Keyed64At(x+gamma)
+		a.Uint64()
+		for i := 0; i < 100; i++ {
+			if wa, wb := a.Uint64(), b.Uint64(); wa != wb {
+				t.Fatalf("x=%#x word %d: %#x != %#x", x, i+1, wa, wb)
+			}
+		}
+		seen := make(map[uint64]bool)
+		for j := uint64(0); j < 8; j++ {
+			r := Keyed64At(x + j*stride)
+			for i := 0; i < 64; i++ {
+				w := r.Uint64()
+				if seen[w] {
+					t.Fatalf("x=%#x: word %#x repeats across placements", x, w)
+				}
+				seen[w] = true
+			}
+		}
+	}
+}

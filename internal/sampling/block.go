@@ -98,7 +98,7 @@ func (bs *vecBlocks) SampleBlock(n int) (float64, int) {
 		if remaining < laneBlock {
 			lanes = fullLanes >> (laneBlock - remaining)
 		}
-		hits += bits.OnesCount64(v.block(bs.c, bs.s, bs.t, true, lanes, nil))
+		hits += bits.OnesCount64(v.block(bs.c, bs.s, bs.t, lanes))
 		drawn += bits.OnesCount64(lanes)
 	}
 	return float64(hits), drawn

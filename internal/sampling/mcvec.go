@@ -8,29 +8,46 @@ import (
 	"repro/internal/ugraph"
 )
 
-// laneBlock is the number of possible worlds one vector pass propagates
-// together: the lanes of a uint64. Sample budgets shard and merge in units
-// of laneBlock (ParallelSampler hands mcvec shards 64-aligned budgets so
-// only the final block of the final shard pays a partial lane mask).
+// laneBlock is the number of possible worlds one lane word carries: the
+// lanes of a uint64. Sample budgets shard and merge in units of laneBlock
+// (ParallelSampler hands mcvec shards 64-aligned budgets so only the final
+// block of the final shard pays a partial lane mask).
 const laneBlock = 64
+
+// vecWords is the widest chunk of lane words one vector pass carries: 8
+// words, 512 worlds. A longer budget runs in successive chunks, so the
+// per-node and per-edge lane scratch stays vecWords words wide at any Z.
+const vecWords = 8
 
 // MCVec is the word-parallel Monte Carlo sampler: it packs laneBlock
 // possible worlds into the bit lanes of uint64 words and estimates
 // reliability with a bitset BFS over the frozen CSR. Where MonteCarlo flips
 // one coin and advances one frontier per world, MCVec draws one Bernoulli
-// bitmask per examined edge (rng.BernoulliMask — 64 worlds in ~8 RNG words)
-// and propagates all 64 frontiers with OR/AND word operations, pop-counting
-// the successful lanes per block. A budget that is not a multiple of 64
-// runs its final block under a partial lane mask, so the estimate divides
-// by exactly z worlds.
+// bitmask per examined edge and lane word (64 worlds in ~8 RNG words, by
+// the digit comparison of rng.BernoulliMask) and propagates 64 frontiers
+// per word with OR/AND word operations, pop-counting the successful lanes.
+// A budget that is not a multiple of 64 runs its final word under a
+// partial lane mask, so the estimate divides by exactly z worlds.
 //
 // Estimates are statistically equivalent to MonteCarlo at the same budget —
-// both draw z independent possible worlds — but NOT bit-identical: the
-// vector path consumes randomness per (edge, block) instead of per
-// (edge, world). Its own determinism contract is pinned instead: a fixed
-// seed yields bit-identical estimates run to run, and the ParallelSampler
-// wrapping keeps them bit-identical at any worker count. The scalar
-// MonteCarlo stays the bit-exactness oracle for the legacy stream.
+// both draw z independent possible worlds — but NOT bit-identical. The two
+// estimators draw their masks differently:
+//   - The s–t estimate (ReliabilityCSR, BeginBlocks) runs one 64-lane BFS
+//     per word and draws each edge's mask from the sampler's stream in the
+//     order that BFS first examines the edge: randomness per (edge, block).
+//   - The From/To vectors are keyed. Each call takes one key from the
+//     sampler's stream, and lane word b of edge {x, y} is drawn from a
+//     stream keyed by (key, the edge's canonical endpoints, b): randomness
+//     per (key, edge, word). A mask is drawn on the first examination that
+//     needs it, and one BFS carries up to vecWords words at once where the
+//     reach is dense. A vector therefore depends only on the key, Z and
+//     the graph: not on traversal order, edge IDs or how its words are
+//     split into passes.
+//
+// Its determinism contract is pinned instead: a fixed seed yields
+// bit-identical estimates run to run, and the ParallelSampler wrapping
+// keeps them bit-identical at any worker count. The scalar MonteCarlo
+// stays the bit-exactness oracle for the legacy stream.
 //
 // Like the scalar samplers, MCVec reuses epoch-stamped scratch (per-node
 // lane words, per-edge sampled masks, BFS queue) and allocates nothing in
@@ -40,11 +57,12 @@ type MCVec struct {
 	z  int
 	r  rng.Mask64
 	sc vecScratch
+	ks keyScratch
 	canceller
 }
 
 // NewMCVec returns a word-parallel MC sampler drawing z possible worlds per
-// query (in ceil(z/64) lane blocks), seeded deterministically.
+// query (in ceil(z/64) lane words), seeded deterministically.
 func NewMCVec(z int, seed int64) *MCVec {
 	return &MCVec{z: z, r: rng.NewMask64(seed)}
 }
@@ -88,7 +106,7 @@ func (v *MCVec) ReliabilityCSR(c *ugraph.CSR, s, t ugraph.NodeID) float64 {
 		if remaining < laneBlock {
 			lanes = fullLanes >> (laneBlock - remaining)
 		}
-		hits += bits.OnesCount64(v.block(c, s, t, true, lanes, nil))
+		hits += bits.OnesCount64(v.block(c, s, t, lanes))
 		drawn += bits.OnesCount64(lanes)
 	}
 	return float64(hits) / float64(v.z)
@@ -115,56 +133,30 @@ func (v *MCVec) ReliabilityToCSR(c *ugraph.CSR, t ugraph.NodeID) []float64 {
 	return v.vector(c, t, false)
 }
 
-func (v *MCVec) vector(c *ugraph.CSR, src ugraph.NodeID, forward bool) []float64 {
-	v.sc.reset(c.N(), c.EdgeIDBound())
-	counts := make([]float64, c.N())
-	drawn := 0
-	for remaining := v.z; remaining > 0; remaining -= laneBlock {
-		if v.cancelled() {
-			break
-		}
-		lanes := fullLanes
-		if remaining < laneBlock {
-			lanes = fullLanes >> (laneBlock - remaining)
-		}
-		v.block(c, src, -1, forward, lanes, counts)
-		drawn += bits.OnesCount64(lanes)
-	}
-	if drawn == 0 {
-		return counts
-	}
-	inv := 1 / float64(drawn)
-	for i := range counts {
-		counts[i] *= inv
-	}
-	return counts
-}
-
 const fullLanes = ^uint64(0)
 
-// laneNode is one node's lane state: the lanes in which it has been
-// reached, the reached-but-not-expanded lanes (the node is queued iff
-// pend != 0), the epoch stamp validating both, and the epoch of the node's
-// last arc scan (scanEp == epoch means every incident arc already has a
-// sampled mask, so a re-expansion skips the per-arc epoch checks). Packed
-// as one struct so touching a node in the BFS is a single cache-line
-// access rather than four scattered array loads.
+// laneNode is one node's lane state in an s–t block: the lanes in which it
+// has been reached, the reached-but-not-expanded lanes (the node is queued
+// iff pend != 0), the epoch stamp validating both, and the epoch of the
+// node's last arc scan (scanEp == epoch means every incident arc already
+// has a sampled mask, so a re-expansion skips the per-arc epoch checks).
+// Packed as one struct so touching a node in the BFS is a single
+// cache-line access rather than four scattered array loads.
 type laneNode struct {
 	ep, scanEp int32
 	vis, pend  uint64
 }
 
-// laneEdge is one edge's sampled existence lanes, memoized per block under
-// an epoch stamp; same packing rationale as laneNode.
+// laneEdge is one edge's sampled existence lanes in an s–t block, memoized
+// per block under an epoch stamp; same packing rationale as laneNode.
 type laneEdge struct {
 	ep   int32
 	mask uint64
 }
 
-// vecScratch is the vector counterpart of scratch: per-node lane state,
-// per-edge sampled existence masks, and the BFS queue, all epoch-stamped so
-// nothing is cleared between blocks. The edge masks double as the
-// sampled-world record the scalar-replay fuzz target audits.
+// vecScratch is the s–t blocks' counterpart of scratch: per-node lane
+// state, per-edge sampled existence masks and the BFS queue, all
+// epoch-stamped so nothing is cleared between blocks.
 type vecScratch struct {
 	epoch int32
 	nodes []laneNode
@@ -207,35 +199,30 @@ func (sc *vecScratch) nextEpoch() {
 	}
 }
 
-// block runs one 64-world bitset BFS from src and returns the lanes in
-// which t was reached (0 when t < 0). Edge existence masks are sampled
-// lazily on first examination and memoized per block, so an undirected edge
-// examined from both endpoints — or a node re-expanded when new lanes
-// arrive — sees one consistent set of worlds, exactly like the scalar
-// walk's signed-epoch memoization. When counts != nil every node's counter
-// grows by the number of lanes that reached it (the pop-count merge of the
-// ReliabilityFrom/To estimators). A node is enqueued exactly when its
-// pending lane set transitions from empty to non-empty, so each node is
-// expanded once per wave of newly arrived lanes; t itself is never
-// expanded, matching the scalar early exit, and the BFS stops outright
-// once every active lane has reached t.
+// block runs one 64-world bitset BFS from s and returns the lanes in which
+// t was reached. Edge existence masks are sampled lazily on first
+// examination and memoized per block, so an undirected edge examined from
+// both endpoints — or a node re-expanded when new lanes arrive — sees one
+// consistent set of worlds, exactly like the scalar walk's signed-epoch
+// memoization. A node is enqueued exactly when its pending lane set
+// transitions from empty to non-empty, so each node is expanded once per
+// wave of newly arrived lanes; t itself is never expanded, matching the
+// scalar early exit, and the BFS stops outright once every active lane has
+// reached t.
 //
 // The expansion loop is split on whether the node has been scanned this
 // block: a first scan interleaves mask sampling (the digit comparison of
 // rng.BernoulliMask, inlined so the generator state stays in registers),
 // while a re-expansion — whose arcs are all memoized by construction —
 // runs a pure-load loop with no per-arc epoch checks.
-func (v *MCVec) block(c *ugraph.CSR, src, t ugraph.NodeID, forward bool, lanes uint64, counts []float64) uint64 {
+func (v *MCVec) block(c *ugraph.CSR, s, t ugraph.NodeID, lanes uint64) uint64 {
 	sc := &v.sc
 	sc.nextEpoch()
 	epoch := sc.epoch
 	nodes, edges := sc.nodes, sc.edges
 	queue := sc.queue[:0]
-	queue = append(queue, src)
-	nodes[src] = laneNode{ep: epoch, vis: lanes, pend: lanes}
-	if counts != nil {
-		counts[src] += float64(bits.OnesCount64(lanes))
-	}
+	queue = append(queue, s)
+	nodes[s] = laneNode{ep: epoch, vis: lanes, pend: lanes}
 	var tmask uint64
 	r := &v.r
 	for head := 0; head < len(queue); head++ {
@@ -245,19 +232,7 @@ func (v *MCVec) block(c *ugraph.CSR, src, t ugraph.NodeID, forward bool, lanes u
 		nu.pend = 0
 		rescan := nu.scanEp == epoch
 		nu.scanEp = epoch
-		var arcs []ugraph.Arc
-		var probs []float64
-		if forward {
-			arcs = c.Out(u)
-			if !rescan {
-				probs = c.OutProbs(u)
-			}
-		} else {
-			arcs = c.In(u)
-			if !rescan {
-				probs = c.InProbs(u)
-			}
-		}
+		arcs := c.Out(u)
 		if rescan {
 			for _, a := range arcs {
 				m := f & edges[a.EID].mask
@@ -275,9 +250,6 @@ func (v *MCVec) block(c *ugraph.CSR, src, t ugraph.NodeID, forward bool, lanes u
 				} else {
 					*nw = laneNode{ep: epoch, vis: m}
 				}
-				if counts != nil {
-					counts[w] += float64(bits.OnesCount64(m))
-				}
 				if w == t {
 					tmask |= m
 					if tmask == lanes {
@@ -292,6 +264,7 @@ func (v *MCVec) block(c *ugraph.CSR, src, t ugraph.NodeID, forward bool, lanes u
 				nw.pend |= m
 			}
 		} else {
+			probs := c.OutProbs(u)
 			for i, a := range arcs {
 				e := &edges[a.EID]
 				em := e.mask
@@ -337,9 +310,6 @@ func (v *MCVec) block(c *ugraph.CSR, src, t ugraph.NodeID, forward bool, lanes u
 					nw.vis |= m
 				} else {
 					*nw = laneNode{ep: epoch, vis: m}
-				}
-				if counts != nil {
-					counts[w] += float64(bits.OnesCount64(m))
 				}
 				if w == t {
 					tmask |= m

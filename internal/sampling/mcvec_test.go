@@ -14,8 +14,10 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/rng"
 	"repro/internal/ugraph"
 )
 
@@ -242,22 +244,117 @@ func TestMCVecCancellation(t *testing.T) {
 	}
 }
 
-// FuzzMCVecScalarReplay is the vector/scalar consistency oracle: run one
-// lane block of the vector From-estimator, then replay every lane as a
-// scalar BFS over the very bitmasks the vector run sampled (they stay
-// memoized in the scratch), and demand the pop-count totals match node for
-// node. A propagation bug (lost lane, leaked lane, stale mask) cannot
-// survive this; a replay touching an edge the vector run never sampled is
-// itself a failure, since the vector BFS must examine every edge any of
-// its lanes can reach.
+// TestMCVecKeyedVectorBitIdentical pins what a keyed vector depends on:
+// the call key, Z and the graph, and nothing else. One vector, From and To
+// on directed and undirected graphs, at Z of one partial word, eight words
+// (one chunk) and more than one chunk, is bit-identical
+//   - from a serial MCVec seeded with the call seed and from the first
+//     call of a ParallelSampler at Workers 1, 2 and 8, whose words split
+//     into different parts;
+//   - on a CSR.Delta epoch and on its flat rebuild, whose edge IDs and arc
+//     order differ.
+func TestMCVecKeyedVectorBitIdentical(t *testing.T) {
+	for _, directed := range []bool{false, true} {
+		g := mcvecGraph(90, directed, 61)
+		base := g.Freeze()
+		var edits []ugraph.DeltaEdit
+		for i, e := range base.Edges()[:30] {
+			switch i % 3 {
+			case 0:
+				edits = append(edits, ugraph.DeltaEdit{Op: ugraph.DeltaRemove, U: e.U, V: e.V})
+			case 1:
+				edits = append(edits, ugraph.DeltaEdit{Op: ugraph.DeltaSetProb, U: e.U, V: e.V, P: 0.35})
+			}
+		}
+		for v := ugraph.NodeID(1); v < 40; v += 3 {
+			if !g.HasEdge(0, v) && !g.HasEdge(v, 0) {
+				edits = append(edits, ugraph.DeltaEdit{Op: ugraph.DeltaAdd, U: v, V: 0, P: 0.6})
+			}
+		}
+		layered, err := base.Delta(edits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flat := ugraph.New(layered.N(), directed)
+		for _, e := range layered.Edges() {
+			flat.MustAddEdge(e.U, e.V, e.P)
+		}
+		for _, z := range []int{37, 512, 1100} {
+			for _, forward := range []bool{true, false} {
+				vec := func(smp Sampler, c *ugraph.CSR) []float64 {
+					if forward {
+						return smp.ReliabilityFromCSR(c, 0)
+					}
+					return smp.ReliabilityToCSR(c, 0)
+				}
+				name := fmt.Sprintf("directed=%v z=%d forward=%v", directed, z, forward)
+				const seed = 17
+				want := vec(NewMCVec(z, rng.SplitSeed(seed, 1)), layered)
+				if got := vec(NewMCVec(z, rng.SplitSeed(seed, 1)), flat.Freeze()); !slices.Equal(got, want) {
+					t.Errorf("%s: flat rebuild %v != delta epoch %v", name, got, want)
+				}
+				for _, w := range []int{1, 2, 8} {
+					ps, err := NewParallel("mcvec", z, seed, w)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := vec(ps, layered); !slices.Equal(got, want) {
+						t.Errorf("%s w=%d: parallel %v != serial %v", name, w, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMCVecWideMatchesNarrow: a keyed vector's words give the same lane
+// counts whether each runs in its own one-word pass (keyedWord) or all run
+// in one chunk (keyedChunk), on dense random graphs where the chunk's
+// fixed-width expansions run, From and To, at Z of one partial word, three
+// words with a tail and eight full words. FuzzMCVecScalarReplay checks the
+// one-word passes against the key function; this pins the chunk to them.
+func TestMCVecWideMatchesNarrow(t *testing.T) {
+	for _, directed := range []bool{false, true} {
+		for seed := int64(1); seed <= 5; seed++ {
+			c := mcvecGraph(60, directed, seed).Freeze()
+			for _, z := range []int{37, 130, 512} {
+				for _, forward := range []bool{true, false} {
+					v := NewMCVec(z, 1)
+					v.ks.reset(c.N(), c.EdgeIDBound())
+					narrow := make([]uint32, c.N())
+					for j := 0; j < laneWords(z); j++ {
+						v.keyedWord(c, 3, forward, 99, j, z, narrow)
+					}
+					wide := make([]uint32, c.N())
+					v.keyedChunk(c, 3, forward, 99, 0, laneWords(z), z, wide)
+					if !slices.Equal(narrow, wide) {
+						t.Fatalf("directed=%v seed=%d z=%d forward=%v: one-word passes %v, one chunk %v", directed, seed, z, forward, narrow, wide)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzMCVecScalarReplay is the keyed vector's consistency oracle. It
+// estimates a From or To vector over up to 3 lane words, full or with a
+// tail mask, on a directed or undirected graph, and then replays every
+// lane as a scalar BFS over the world the key function itself gives that
+// lane: lane l of word b keeps an edge iff bit l of the mask keyedMask
+// draws for the edge's edgeHash under the call key in word b is set. The
+// masks the vector run memoised play no part. Each node's replayed reach count must equal the
+// vector's lane count, so a lost lane, a leaked lane, a mask drawn for the
+// wrong edge or word, or a word dropped from a chunk all fail here.
 func FuzzMCVecScalarReplay(f *testing.F) {
 	f.Add(int64(1), uint8(12), uint8(40), []byte{0, 1, 200, 1, 2, 128, 2, 3, 255, 0, 3, 60})
 	f.Add(int64(99), uint8(64), uint8(5), []byte{0, 1, 1, 1, 2, 254, 0, 2, 127})
 	f.Add(int64(-7), uint8(33), uint8(17), []byte{})
+	f.Add(int64(300), uint8(191), uint8(8), []byte{0, 1, 90, 1, 2, 150, 2, 0, 30, 2, 3, 255, 3, 4, 0, 4, 1, 77})
 	f.Fuzz(func(t *testing.T, seed int64, zRaw, nRaw uint8, edgeData []byte) {
 		n := 2 + int(nRaw)%40
-		z := 1 + int(zRaw)%laneBlock // single block, full or tail lane mask
+		z := 1 + int(zRaw)%(3*laneBlock)
 		directed := nRaw%2 == 0
+		forward := seed>>8&1 == 0
 		g := ugraph.New(n, directed)
 		for i := 0; i+2 < len(edgeData); i += 3 {
 			u := ugraph.NodeID(int(edgeData[i]) % n)
@@ -271,30 +368,30 @@ func FuzzMCVecScalarReplay(f *testing.F) {
 		src := ugraph.NodeID(int(seed) & 0x7fffffff % n)
 
 		vec := NewMCVec(z, seed)
-		counts := vec.ReliabilityFromCSR(c, src)
-		epoch := vec.sc.epoch
+		var got []float64
+		if forward {
+			got = vec.ReliabilityFromCSR(c, src)
+		} else {
+			got = vec.ReliabilityToCSR(c, src)
+		}
+		key := vectorKey(seed)
 
-		// Scalar replay: lane j is one possible world whose edge states are
-		// the j-th bits of the masks the vector run memoized.
 		reach := make([]int, n)
 		visited := make([]bool, n)
 		queue := make([]ugraph.NodeID, 0, n)
 		for lane := 0; lane < z; lane++ {
-			bit := uint64(1) << lane
+			word, bit := lane/laneBlock, uint(lane%laneBlock)
 			clear(visited)
-			queue = queue[:0]
-			queue = append(queue, src)
+			queue = append(queue[:0], src)
 			visited[src] = true
 			for head := 0; head < len(queue); head++ {
 				u := queue[head]
-				for _, a := range c.Out(u) {
-					if visited[a.To] {
-						continue
-					}
-					if vec.sc.edges[a.EID].ep != epoch {
-						t.Fatalf("lane %d reached edge %d that the vector run never sampled", lane, a.EID)
-					}
-					if vec.sc.edges[a.EID].mask&bit == 0 {
+				arcs, probs := c.Out(u), c.OutProbs(u)
+				if !forward {
+					arcs, probs = c.In(u), c.InProbs(u)
+				}
+				for i, a := range arcs {
+					if visited[a.To] || keyedMask(edgeHash(key, u, a.To, forward, directed), word, probs[i])>>bit&1 == 0 {
 						continue
 					}
 					visited[a.To] = true
@@ -308,11 +405,43 @@ func FuzzMCVecScalarReplay(f *testing.F) {
 			}
 		}
 		for v := range reach {
-			got := counts[v] * float64(z)
-			if math.Abs(got-float64(reach[v])) > 1e-9 {
-				t.Errorf("node %d: vector pop-count total %v != scalar replay %d (z=%d, directed=%v)", v, got, reach[v], z, directed)
+			if want := float64(reach[v]) / float64(z); got[v] != want {
+				t.Errorf("node %d: vector %v != scalar replay %d/%d (directed=%v forward=%v)", v, got[v], reach[v], z, directed, forward)
 			}
 		}
-		_ = bits.OnesCount64 // keep the import honest if assertions change
 	})
+}
+
+// TestKeyedMaskRate checks keyedMask lane by lane over many stream
+// positions, as rng's TestBernoulliMaskRate checks BernoulliMask: each of
+// the 64 lanes must fire at rate p, including a p below 2^-12 (the
+// zero-run path) and a subnormal-free tiny p, and two words of one edge
+// must agree on half their lanes at p = 0.5, as independent words do.
+func TestKeyedMaskRate(t *testing.T) {
+	const trials = 8000
+	for _, p := range []float64{1e-4, 0.05, 0.3, 0.5, 0.75, 1.0 / 3.0} {
+		var perLane [64]int
+		agree := 0
+		for i := 0; i < trials; i++ {
+			h := rng.Hash64(uint64(i))
+			m := keyedMask(h, 0, p)
+			for lane := 0; lane < 64; lane++ {
+				if m&(1<<lane) != 0 {
+					perLane[lane]++
+				}
+			}
+			agree += 64 - bits.OnesCount64(m^keyedMask(h, 1, p))
+		}
+		tol := 5 * math.Sqrt(p*(1-p)/trials)
+		for lane, hits := range perLane {
+			if rate := float64(hits) / trials; math.Abs(rate-p) > tol {
+				t.Errorf("p=%v lane %d: rate %v outside %v ± %v", p, lane, rate, p, tol)
+			}
+		}
+		if p == 0.5 {
+			if rate := float64(agree) / (64 * trials); math.Abs(rate-0.5) > 5*math.Sqrt(0.25/(64*trials)) {
+				t.Errorf("words 0 and 1 agree on %v of lanes, want 0.5", rate)
+			}
+		}
+	}
 }

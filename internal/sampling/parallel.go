@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -26,8 +27,9 @@ const DefaultShards = 16
 // once (a cached CSR snapshot), atomically claims a call index (which
 // decorrelates successive calls, mirroring the advancing RNG state of a
 // serial sampler), leases per-worker serial samplers from its kind's
-// process-wide warm pool, and merges per-shard results in a fixed order.
-// For a given seed the i-th call returns bit-identical results at any
+// process-wide warm pool, and merges per-shard results in a fixed order
+// (mcvec's keyed vectors split their lane words over the workers instead,
+// and add up integer lane counts). For a given seed the i-th call returns bit-identical results at any
 // worker count; concurrent callers are race-free but observe call indices
 // in arrival order.
 type ParallelSampler struct {
@@ -50,6 +52,10 @@ type estimatorKind struct {
 	// quantum is the estimator's budget granularity (64 for mcvec's lane
 	// blocks, 1 for the scalar kinds); see shardBudgetsFor.
 	quantum int
+	// keyed marks a kind whose From/To vectors are keyed (mcvec's, see
+	// MCVec): a vector call splits its lane words over the workers instead
+	// of sharding its budget.
+	keyed bool
 	// pool holds idle serial samplers, shared by every ParallelSampler of
 	// the kind in the process, so their scratch arrays (epoch-stamped
 	// visited/edge-state buffers, RSS arenas, lane scratch) stay sized to
@@ -64,7 +70,7 @@ type estimatorKind struct {
 var kinds = []*estimatorKind{
 	{name: "mc", newSmp: func(z int, seed int64) Sampler { return NewMonteCarlo(z, seed) }, quantum: 1},
 	{name: "rss", newSmp: func(z int, seed int64) Sampler { return NewRSS(z, seed) }, quantum: 1},
-	{name: "mcvec", newSmp: func(z int, seed int64) Sampler { return NewMCVec(z, seed) }, quantum: laneBlock},
+	{name: "mcvec", newSmp: func(z int, seed int64) Sampler { return NewMCVec(z, seed) }, quantum: laneBlock, keyed: true},
 }
 
 // kindOf looks an estimator kind up in the table. Its error is the one
@@ -331,10 +337,17 @@ func (ps *ParallelSampler) ReliabilityToCSR(c *ugraph.CSR, t ugraph.NodeID) []fl
 	return ps.vector(c, t, false)
 }
 
+// vector estimates one From (forward) or To vector. A keyed kind's is the
+// keyed vector under the call seed's key, the vector a serial sampler
+// seeded with the call seed returns; every other kind's is the
+// budget-weighted merge of per-shard vectors, shard i on the stream
+// Split(callSeed, i).
 func (ps *ParallelSampler) vector(c *ugraph.CSR, src ugraph.NodeID, forward bool) []float64 {
-	z := ps.SampleSize()
 	callSeed := ps.nextCallSeed()
-	budgets := ps.shardBudgets(z)
+	if ps.kind.keyed {
+		return ps.keyedVectors(c, []ugraph.NodeID{src}, []uint64{vectorKey(callSeed)}, forward)[0]
+	}
+	budgets := ps.shardBudgets(ps.SampleSize())
 	vecs := make([][]float64, len(budgets))
 	ps.fanOut(len(budgets), func(smp Sampler, i int) {
 		smp.Reseed(rng.SplitSeed(callSeed, int64(i)))
@@ -349,6 +362,49 @@ func shardVector(smp Sampler, c *ugraph.CSR, src ugraph.NodeID, forward bool) []
 		return smp.ReliabilityFromCSR(c, src)
 	}
 	return smp.ReliabilityToCSR(c, src)
+}
+
+// keyedVectors estimates the keyed vector of every node in one fan-out,
+// node i's under keys[i]. Each node's lane words split into up to
+// ceil(workers/len(nodes)) contiguous parts; a part counts, per node of c,
+// the lanes of its words that reach it, and the parts' integer counts add
+// up. So the split, like the worker count, never changes a bit of the
+// result. A node whose parts a cancelled fan-out skipped gets a vector
+// over the lanes its finished parts drew (all zeros if none), and the
+// caller discards it.
+func (ps *ParallelSampler) keyedVectors(c *ugraph.CSR, nodes []ugraph.NodeID, keys []uint64, forward bool) [][]float64 {
+	z := ps.SampleSize()
+	words := laneWords(z)
+	parts := max(1, min(words, (ps.workers+len(nodes)-1)/len(nodes)))
+	out := make([][]float64, len(nodes))
+	var split [][]uint32
+	var drawn []int
+	if parts > 1 {
+		split, drawn = make([][]uint32, len(nodes)*parts), make([]int, len(nodes)*parts)
+	}
+	ps.fanOut(len(nodes)*parts, func(smp Sampler, k int) {
+		i, p := k/parts, k%parts
+		counts, d := smp.(*MCVec).keyedCounts(c, nodes[i], forward, keys[i], p*words/parts, (p+1)*words/parts, z)
+		if parts == 1 {
+			out[i] = vectorOf(counts, d)
+			return
+		}
+		split[k], drawn[k] = slices.Clone(counts), d
+	})
+	for i := range out {
+		if out[i] != nil {
+			continue
+		}
+		sum, total := make([]uint32, c.N()), 0
+		for k := i * parts; k < (i+1)*parts && split != nil; k++ {
+			for v, n := range split[k] {
+				sum[v] += n
+			}
+			total += drawn[k]
+		}
+		out[i] = vectorOf(sum, total)
+	}
+	return out
 }
 
 // mergeScalar folds per-shard estimates as Σ(b_i·e_i)/z in shard order;
@@ -480,15 +536,22 @@ func (ps *ParallelSampler) ReliabilityToMany(g *ugraph.Graph, targets []ugraph.N
 // nodes, so a two-source batch at Workers=8 still keeps every worker busy.
 // Node n's shard i draws from Split(Split(callSeed, n), i): the stream is
 // keyed on the (node, shard) pair alone, preserving determinism across
-// pool sizes. The streams differ from the single-node vector() path
-// (which keys on shard only), so batched results are statistically
-// equivalent but not bit-identical to per-node calls.
+// pool sizes. A keyed kind's node n takes its key from Split(callSeed, n)
+// instead. The streams differ from the single-node vector() path (which
+// keys on shard only, or on callSeed), so batched results are
+// statistically equivalent but not bit-identical to per-node calls.
 func (ps *ParallelSampler) vectorMany(g *ugraph.Graph, nodes []ugraph.NodeID, forward bool) [][]float64 {
-	z := ps.SampleSize()
 	callSeed := ps.nextCallSeed()
-	budgets := ps.shardBudgetsFor(z, len(nodes))
-	shards := len(budgets)
 	c := g.Freeze()
+	if ps.kind.keyed {
+		keys := make([]uint64, len(nodes))
+		for n := range nodes {
+			keys[n] = vectorKey(rng.SplitSeed(callSeed, int64(n)))
+		}
+		return ps.keyedVectors(c, nodes, keys, forward)
+	}
+	budgets := ps.shardBudgetsFor(ps.SampleSize(), len(nodes))
+	shards := len(budgets)
 	vecs := make([][]float64, len(nodes)*shards)
 	ps.fanOut(len(vecs), func(smp Sampler, k int) {
 		n, i := k/shards, k%shards

@@ -265,7 +265,7 @@ func TestNewDispatch(t *testing.T) {
 func coldParallel(t *testing.T, kind string, z int, seed int64, workers int) *ParallelSampler {
 	t.Helper()
 	ps := newParallelT(t, kind, z, seed, workers)
-	ps.kind = &estimatorKind{name: ps.kind.name, newSmp: ps.kind.newSmp, quantum: ps.kind.quantum}
+	ps.kind = &estimatorKind{name: ps.kind.name, newSmp: ps.kind.newSmp, quantum: ps.kind.quantum, keyed: ps.kind.keyed}
 	return ps
 }
 

@@ -16,9 +16,14 @@
 // their estimates differ within Monte Carlo error at equal Z. MCVec's own
 // determinism contract matches every other sampler's: a fixed seed yields
 // bit-identical estimates across runs, across Graph/CSR/view entry
-// points, and — through ParallelSampler's 64-aligned shard budgets — at
-// any worker count. Budgets are processed in blocks of 64 lanes with the
-// final block masked down to z%64 lanes, so any Z is honored exactly.
+// points, and at any worker count. Budgets are processed in words of 64
+// lanes with the final word masked down to z%64 lanes, so any Z is honored
+// exactly. The s–t estimate draws its masks from one stream per shard, and
+// ParallelSampler's 64-aligned shard budgets keep words whole. The From/To
+// vectors are keyed instead: an edge's mask in a lane word is a function
+// of the call's key, the edge's canonical endpoints and the word, so a
+// vector depends only on (key, Z, graph), not on traversal order, edge IDs
+// or how ParallelSampler splits its words over workers.
 //
 // # Randomness
 //
