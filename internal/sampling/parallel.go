@@ -29,9 +29,9 @@ const DefaultShards = 16
 // serial sampler), leases per-worker serial samplers from its kind's
 // process-wide warm pool, and merges per-shard results in a fixed order
 // (mcvec's keyed vectors split their lane words over the workers instead,
-// and add up integer lane counts). For a given seed the i-th call returns bit-identical results at any
-// worker count; concurrent callers are race-free but observe call indices
-// in arrival order.
+// and add up integer lane counts). For a given seed the i-th call returns
+// bit-identical results at any worker count; concurrent callers are
+// race-free but observe call indices in arrival order.
 type ParallelSampler struct {
 	workers int
 	seed    atomic.Int64
