@@ -77,13 +77,14 @@ type keyEdge struct {
 	mask  [vecWords]uint64
 }
 
-// keyScratch is the keyed vectors' scratch, epoch-stamped per chunk so
-// nothing is cleared between chunks: per-node and per-edge state, the BFS
-// queue, the nodes a chunk reached (reach) and the lane counts a call sums
-// over its chunks. The masks are a memo only: each is a function of the
-// call key, the edge's endpoints and the word (keyedMask), and the
-// scalar-replay fuzz target rebuilds every lane's world from that function
-// alone.
+// keyScratch is the keyed vectors' scratch, epoch-stamped per pass so
+// nothing is cleared between passes: the 8-word node and edge records of
+// keyedChunk (nodes, edges), the one-word records of keyedWord (wNodes,
+// wEdges), the BFS queue, the nodes a pass reached (reach) and the lane
+// counts a call sums over its passes. The masks are a memo only: each is a
+// function of the call key, the edge's endpoints and the word (keyedMask),
+// and the scalar-replay fuzz target rebuilds every lane's world from that
+// function alone.
 type keyScratch struct {
 	epoch  int32
 	nodes  []keyNode
@@ -93,8 +94,8 @@ type keyScratch struct {
 	queue  []ugraph.NodeID
 	reach  []ugraph.NodeID
 	counts []uint32
-	// shape and dense record the last vector's snapshot and whether its
-	// reach was dense (see keyedCounts).
+	// shape and dense record the graph of the last vector and whether
+	// its reach was dense (see keyedCounts).
 	shape csrShape
 	dense bool
 }
@@ -125,7 +126,7 @@ func (sc *keyScratch) reset(n, m int) {
 	}
 }
 
-// nextEpoch advances the chunk epoch, clearing the stamp arrays explicitly
+// nextEpoch advances the pass epoch, clearing the stamp arrays explicitly
 // on wraparound.
 func (sc *keyScratch) nextEpoch() {
 	sc.epoch++
