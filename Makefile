@@ -107,9 +107,18 @@ fuzz-smoke:
 # packages directly (core.Solve, candidates.Eliminate, paths.TopL,
 # sampling.NewParallel, the Sampler interface), so an internal signature
 # change can pass the root suite while breaking the benchmark; this target
-# vets and tests it.
+# vets and tests it. It then runs one short traced run per workload: the
+# trace probes each layer on its own (candidates.Eliminate on a fresh
+# stream-7 mcvec sampler must keep the E+ core.Solve reports, paths.TopL
+# its path count), and the result line reads "correct": false when they
+# disagree. Needs jq.
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+	@for w in $$(jq -r '.workloads[].name' BENCHMARK.json); do \
+		line=$$(bash perfbench/run.sh --workload $$w --seed 3 --seconds 2 --trace 1 | tail -n 1); \
+		echo "perfbench-check $$w: $$(echo "$$line" | jq -c '{correct, failed}')"; \
+		echo "$$line" | jq -e '.correct == true' >/dev/null || exit 1; \
+	done
 
 # Coverage with a ratchet: fail if total coverage drops below the recorded
 # baseline (.github/coverage-baseline.txt). Raise the baseline when a PR

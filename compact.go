@@ -17,9 +17,9 @@ import (
 // the epoch does not change, so cache entries and query fingerprints stay
 // valid across the fold.
 //
-// Compaction triggers on whichever comes first: chain depth reaching the
-// configured bound, the delta-arc fraction of the base crossing its bound
-// (both via WithCompactionPolicy), a checkpoint (which serializes the
+// Compaction triggers on whichever comes first: chain depth reaching
+// defaultCompactDepth layers, the delta-arc fraction of the base reaching
+// defaultCompactFraction, a checkpoint (which serializes the
 // materialized epoch anyway, so the fold is free), or an explicit
 // Engine.Compact call. Threshold-tripped compaction runs on a background
 // goroutine, single-flighted, holding applyMu only while it folds — Apply
@@ -32,14 +32,6 @@ const (
 	defaultCompactDepth    = 16
 	defaultCompactFraction = 0.25
 )
-
-// WithCompactionPolicy sets the delta-chain compaction thresholds: the
-// chain folds into a flat CSR when it reaches maxDepth layers or when the
-// overlay holds maxFraction times the base arc count, whichever trips
-// first. Values <= 0 select the defaults (16 layers, 0.25).
-func WithCompactionPolicy(maxDepth int, maxFraction float64) EngineOption {
-	return func(e *Engine) { e.compactDepth, e.compactFrac = maxDepth, maxFraction }
-}
 
 // WithCacheWarming re-warms the result cache after every epoch rotation:
 // the top-n most-recently-used fingerprints resident for the outgoing

@@ -15,9 +15,15 @@ import (
 // counts, overlay depths and compaction boundaries — and recovery and
 // replication of layered epochs must reach byte-identical state.
 
+// withCompactionPolicy sets the delta-chain compaction thresholds in place
+// of defaultCompactDepth and defaultCompactFraction.
+func withCompactionPolicy(maxDepth int, maxFraction float64) EngineOption {
+	return func(e *Engine) { e.compactDepth, e.compactFrac = maxDepth, maxFraction }
+}
+
 // deltaHoldLayers disables threshold compaction so a test controls the
 // chain depth explicitly.
-func deltaHoldLayers() EngineOption { return WithCompactionPolicy(1<<20, 1e12) }
+func deltaHoldLayers() EngineOption { return withCompactionPolicy(1<<20, 1e12) }
 
 // deltaTestBatches builds three deterministic mutation stages against the
 // engine test fixture, exercising adds, removals and re-probes — including
@@ -178,7 +184,7 @@ func TestDeltaEpochDifferential(t *testing.T) {
 // epoch while answers keep matching the flat oracle.
 func TestDeltaThresholdCompaction(t *testing.T) {
 	g := durTestGraph(t)
-	eng, err := NewEngine(g, WithSampleSize(150), WithSeed(7), WithCompactionPolicy(2, 1e12))
+	eng, err := NewEngine(g, WithSampleSize(150), WithSeed(7), withCompactionPolicy(2, 1e12))
 	if err != nil {
 		t.Fatal(err)
 	}

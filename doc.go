@@ -209,12 +209,12 @@
 // size — but it is not free forever. Each commit stacks one overlay layer,
 // and a background compactor folds the chain back into a flat CSR when it
 // exceeds a bounded depth or the materialized rows exceed a fraction of
-// the graph (WithCompactionPolicy; Engine.Compact forces it; Stats reports
-// DeltaCommits, Compactions and ChainDepth). The fold costs one O(N+M)
-// rebuild, so the rebuild you avoided per commit is really amortized
-// across the chain — roughly rebuild/depth per commit — and a batch that
-// touches a large fraction of the graph approaches the rebuild cost
-// outright. Every commit takes this path — Apply, ApplyReplicated and WAL
+// the graph (16 layers, or delta arcs at a quarter of the base arcs;
+// Engine.Compact forces it; Stats reports DeltaCommits, Compactions and
+// ChainDepth). The fold costs one O(N+M) rebuild, so the rebuild you
+// avoided per commit is really amortized across the chain — roughly
+// rebuild/depth per commit — and a batch that touches a large fraction of
+// the graph approaches the rebuild cost outright. Every commit takes this path — Apply, ApplyReplicated and WAL
 // replay alike; a clone+rebuild commit survives only in the tests, as the
 // differential oracle and the BenchmarkApply baseline.
 //

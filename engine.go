@@ -250,7 +250,7 @@ func NewEngine(g *Graph, opts ...EngineOption) (*Engine, error) {
 	if g == nil {
 		return nil, fmt.Errorf("repro: NewEngine: nil graph: %w", ErrBadQuery)
 	}
-	e := &Engine{}
+	e := &Engine{compactDepth: defaultCompactDepth, compactFrac: defaultCompactFraction}
 	for _, o := range opts {
 		o(e)
 	}
@@ -278,12 +278,6 @@ func NewEngine(g *Graph, opts ...EngineOption) (*Engine, error) {
 	e.jobSem = make(chan struct{}, e.maxConcurrent)
 	e.id = engineSeq.Add(1)
 	e.liveJobs = make(map[*Job]struct{})
-	if e.compactDepth <= 0 {
-		e.compactDepth = defaultCompactDepth
-	}
-	if e.compactFrac <= 0 {
-		e.compactFrac = defaultCompactFraction
-	}
 	gc := g.Clone()
 	e.snap.Store(newFlatSnapshot(gc))
 	if e.cache != nil {

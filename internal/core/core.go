@@ -79,7 +79,7 @@ type Options struct {
 	Z int
 	// Sampler chooses the estimator: "mc", "rss" or "mcvec" (the
 	// word-parallel 64-lane MC; default "rss"). Search-space elimination
-	// always uses "mcvec" (see elimSampler).
+	// always draws "mcvec" vectors (see elimSampler and elimCallSeed).
 	Sampler string
 	// Precision, when > 0, turns reliability estimation into an anytime
 	// query: sampling stops as soon as the confidence interval half-width
@@ -110,10 +110,11 @@ type Options struct {
 	// results are bit-identical at every Workers value for a fixed Seed.
 	Workers int
 	// Vectors, when non-nil, memoises search-space elimination's From(s)
-	// and To(t) vectors for Solve and SolveTotalBudget on the graph it was
-	// built for; solves on any other graph ignore it. A long-lived Engine
-	// sets one per epoch so solves sharing an endpoint sample its vector
-	// once; it never affects results.
+	// and To(t) vectors, keyed by their call seeds, for Solve and
+	// SolveTotalBudget on the graph it was built for; solves on any other
+	// graph (multi-min/max BE's growing one, say) ignore it. A long-lived
+	// Engine sets one per epoch so solves sharing an endpoint sample its
+	// vector once; it never affects results.
 	Vectors *VectorMemo
 	// Progress, when non-nil, receives solver progress notifications
 	// (stage boundaries and per-round selection progress). Callbacks run
@@ -224,6 +225,14 @@ func (o Options) elimSampler(ctx context.Context) (*sampling.ParallelSampler, er
 	return o.parallelSampler(ctx, "mcvec", 7)
 }
 
+// elimCallSeed is the seed of call number call (from 1) of a fresh
+// elimSampler under seed. Elimination round r draws From(s) on call 2r−1
+// and To(t) on call 2r, so each vector is addressed by (Seed, round,
+// direction) and not by how many calls some sampler has served.
+func elimCallSeed(seed, call int64) int64 {
+	return rng.SplitSeed(rng.Split(seed, 7).Int63(), call)
+}
+
 // Solution is the outcome of a Problem 1 query.
 type Solution struct {
 	// Method that produced the solution.
@@ -274,13 +283,9 @@ func Solve(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, method Meth
 	if err != nil {
 		return Solution{}, err
 	}
-	elim, err := opt.elimSampler(ctx)
-	if err != nil {
-		return Solution{}, err
-	}
 
 	elimStart := time.Now()
-	res, err := candidateSet(ctx, g, s, t, elim, opt)
+	res, err := candidateSet(ctx, g, s, t, 1, opt)
 	if err != nil {
 		return Solution{}, err
 	}
@@ -365,21 +370,21 @@ func checkQuery(g *ugraph.Graph, s, t ugraph.NodeID) error {
 
 // candidateSet builds E+ for the query per the configured policy: the
 // listed candidates when the query fixes them (see listedCandidates), else
-// Algorithm 4's pairs, left implicit. smp is the elimination estimator
-// (opt.elimSampler) — only consulted when Algorithm 4 actually runs, and
-// only then does the Result carry the FromRel and ToRel vectors, taken
-// from opt.Vectors when it memoises g.
-func candidateSet(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, smp *sampling.ParallelSampler, opt Options) (candidates.Result, error) {
+// Algorithm 4's pairs, left implicit, on elimination round round (from 1):
+// From(s) and To(t) on calls 2·round−1 and 2·round of elimSampler (see
+// elimCallSeed), taken from opt.Vectors when it memoises g. Only then does
+// the Result carry the FromRel and ToRel vectors.
+func candidateSet(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, round int64, opt Options) (candidates.Result, error) {
 	if cands, ok := listedCandidates(g, opt); ok {
 		return candidates.Result{Edges: cands}, nil
 	}
-	copt := candidates.Options{R: opt.R, H: opt.H, Zeta: opt.Zeta}
-	if m := opt.Vectors; m != nil && m.g == g {
-		from := m.vector(ctx, smp, s, true, opt)
-		to := m.vector(ctx, smp, t, false, opt)
-		return candidates.EliminateVectors(g, from, to, copt), nil
+	elim, err := opt.elimSampler(ctx)
+	if err != nil {
+		return candidates.Result{}, err
 	}
-	return candidates.EliminatePairs(g, s, t, smp, copt), nil
+	from := opt.Vectors.vector(ctx, elim, g, s, true, elimCallSeed(opt.Seed, 2*round-1))
+	to := opt.Vectors.vector(ctx, elim, g, t, false, elimCallSeed(opt.Seed, 2*round))
+	return candidates.EliminateVectors(g, from, to, candidates.Options{R: opt.R, H: opt.H, Zeta: opt.Zeta}), nil
 }
 
 // listedCandidates returns E+ when a query fixes it without Algorithm 4:

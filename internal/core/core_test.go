@@ -293,11 +293,7 @@ func TestCandidateOverrideFiltering(t *testing.T) {
 		{U: 1, V: 2},         // zero probability: gets ζ
 		{U: 2, V: 3, P: 0.8}, // explicit probability preserved
 	}}
-	smp, err := opt.withDefaults().elimSampler(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := candidateSet(context.Background(), g, 0, 3, smp, opt.withDefaults())
+	res, err := candidateSet(context.Background(), g, 0, 3, 1, opt.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,7 +138,7 @@ func SolveMulti(ctx context.Context, g *ugraph.Graph, sources, targets []ugraph.
 		case AggAvg:
 			edges, err = multiAvgBE(ctx, g, sources, targets, smp, elim, opt)
 		case AggMin, AggMax:
-			edges, err = multiMinMaxBE(ctx, g, sources, targets, agg, smp, elim, opt)
+			edges, err = multiMinMaxBE(ctx, g, sources, targets, agg, smp, opt)
 		default:
 			err = fmt.Errorf("core: unknown aggregate %q: %w", agg, ErrBadQuery)
 		}
@@ -453,8 +453,9 @@ func batchSelect(ctx context.Context, a augmented, pool []paths.Path, opt Option
 // multiMinMaxBE implements §6.2/§6.3: repeatedly pick the pair with the
 // currently minimum (resp. maximum) reliability and improve it with the
 // single-pair BE solver under a per-round budget k1 = K1Ratio·k, until the
-// total budget k is spent or no further improvement is possible.
-func multiMinMaxBE(ctx context.Context, g *ugraph.Graph, sources, targets []ugraph.NodeID, agg Aggregate, smp sampling.BatchSampler, elim *sampling.ParallelSampler, opt Options) ([]ugraph.Edge, error) {
+// total budget k is spent or no further improvement is possible. Its
+// n-th candidateSet call eliminates on round n.
+func multiMinMaxBE(ctx context.Context, g *ugraph.Graph, sources, targets []ugraph.NodeID, agg Aggregate, smp sampling.BatchSampler, opt Options) ([]ugraph.Edge, error) {
 	work := g.Clone()
 	budget := opt.K
 	k1 := int(math.Round(opt.K1Ratio * float64(opt.K)))
@@ -466,6 +467,7 @@ func multiMinMaxBE(ctx context.Context, g *ugraph.Graph, sources, targets []ugra
 	// edge addition changes the graph (new edges may open routes for
 	// them, so the skip set resets on progress).
 	skip := make(map[[2]int]bool)
+	var elimRounds int64
 	for budget > 0 {
 		if ctx.Err() != nil {
 			return all, nil // partial: rounds completed before cancellation
@@ -482,7 +484,8 @@ func multiMinMaxBE(ctx context.Context, g *ugraph.Graph, sources, targets []ugra
 		}
 		round := opt
 		round.K = minInt(k1, budget)
-		cands, _ := candidateSet(ctx, work, s, t, elim, round)
+		elimRounds++
+		cands, _ := candidateSet(ctx, work, s, t, elimRounds, round)
 		edges, _ := pathSelect(ctx, work, s, t, cands, smp, round, true)
 		if len(edges) == 0 {
 			// This pair cannot be improved on the current graph; try

@@ -274,8 +274,9 @@ func (n noSampler) ReliabilityFrom(g *ugraph.Graph, s ugraph.NodeID) []float64 {
 }
 
 // TestServedSelectionNeverSamples runs BE and IP selection in the shape
-// relmaxd serves (engine defaults, lastfm×0.08, pairs 3-5 hops apart) with
-// a selection sampler that fails on any call.
+// relmaxd serves (engine defaults, lastfm×0.08, pairs 3-5 hops apart, each
+// eliminated on round 1 as a served solve is) with a selection sampler
+// that fails on any call.
 func TestServedSelectionNeverSamples(t *testing.T) {
 	g, err := datasets.Load("lastfm", 0.08, 1)
 	if err != nil {
@@ -287,12 +288,8 @@ func TestServedSelectionNeverSamples(t *testing.T) {
 	}
 	ctx := context.Background()
 	opt := Options{Workers: 1}.withDefaults()
-	elim, err := opt.elimSampler(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, q := range qs {
-		res, err := candidateSet(ctx, g, q.S, q.T, elim, opt)
+		res, err := candidateSet(ctx, g, q.S, q.T, 1, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -67,11 +67,7 @@ func SolveTotalBudget(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, 
 	}
 	candOpt := opt
 	candOpt.Zeta = nominal
-	elim, err := candOpt.elimSampler(ctx)
-	if err != nil {
-		return TotalBudgetSolution{}, err
-	}
-	res, err := candidateSet(ctx, g, s, t, elim, candOpt)
+	res, err := candidateSet(ctx, g, s, t, 1, candOpt)
 	if err != nil {
 		return TotalBudgetSolution{}, err
 	}

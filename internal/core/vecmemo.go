@@ -13,13 +13,11 @@ import (
 // (8 MiB). Past it, vectors are sampled and not stored.
 const maxMemoEntries = 1 << 20
 
-// VectorMemo memoises search-space elimination's reliability vectors,
-// From(s) and To(t), on one graph. Each depends only on the graph, Seed,
-// Z, its direction and its node: elimination always samples From on call
-// 1 and To on call 2 of an mcvec sampler on stream 7 (see elimSampler),
-// and an mcvec vector is keyed, a function of its call's key, Z and the
-// graph alone, bit-identical at every worker count. A vector found here is
-// therefore the vector the solve would have sampled, and no result
+// VectorMemo memoises search-space elimination's reliability vectors on
+// one graph. A vector is keyed by its call seed (see elimCallSeed), Z, its
+// direction and its node: an mcvec vector is a function of its call's key,
+// Z and the graph alone, bit-identical at every worker count, so a vector
+// found here is the vector the solve would have sampled, and no result
 // changes. The memo is safe for concurrent use; the vectors it hands out
 // are shared and never modified.
 type VectorMemo struct {
@@ -37,7 +35,7 @@ type MemoCounts struct {
 }
 
 type vectorKey struct {
-	seed    int64
+	seed    int64 // the call seed
 	z       int
 	forward bool
 	node    ugraph.NodeID
@@ -49,26 +47,25 @@ func NewVectorMemo(g *ugraph.Graph, counts *MemoCounts) *VectorMemo {
 	return &VectorMemo{g: g, counts: counts, vecs: make(map[vectorKey][]float64)}
 }
 
-// vector returns node's From (forward) or To vector under opt's Seed and
-// Z. A hit consumes the call index smp would have sampled it on; a miss
-// samples it on smp and stores it, unless ctx fired, because a cancelled
-// estimate skips shards and its vector is garbage.
-func (m *VectorMemo) vector(ctx context.Context, smp *sampling.ParallelSampler, node ugraph.NodeID, forward bool, opt Options) []float64 {
-	k := vectorKey{seed: opt.Seed, z: opt.Z, forward: forward, node: node}
+// vector returns node's From (forward) or To vector on g under callSeed
+// at smp's Z. A nil memo, or one built for another graph, samples it on
+// smp; otherwise a hit touches no sampler, and a miss samples it and
+// stores it, unless ctx fired, because a cancelled estimate skips lane
+// words and its vector is garbage.
+func (m *VectorMemo) vector(ctx context.Context, smp *sampling.ParallelSampler, g *ugraph.Graph, node ugraph.NodeID, forward bool, callSeed int64) []float64 {
+	if m == nil || m.g != g {
+		return smp.VectorFor(g.Freeze(), node, forward, callSeed)
+	}
+	k := vectorKey{seed: callSeed, z: smp.SampleSize(), forward: forward, node: node}
 	m.mu.Lock()
 	vec, ok := m.vecs[k]
 	m.mu.Unlock()
 	if ok {
 		m.counts.Hits.Add(1)
-		smp.SkipCall()
 		return vec
 	}
 	m.counts.Misses.Add(1)
-	if forward {
-		vec = smp.ReliabilityFrom(m.g, node)
-	} else {
-		vec = smp.ReliabilityTo(m.g, node)
-	}
+	vec = smp.VectorFor(g.Freeze(), node, forward, callSeed)
 	if ctx.Err() != nil {
 		return vec
 	}

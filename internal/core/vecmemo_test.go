@@ -86,8 +86,8 @@ func TestVectorMemoMatchesSampling(t *testing.T) {
 		opt := run.opt.withDefaults()
 		want, werr := run.solve(ctx, g, q, opt)
 		memo.mu.Lock()
-		_, fromHit := memo.vecs[vectorKey{seed: opt.Seed, z: opt.Z, forward: true, node: q.S}]
-		_, toHit := memo.vecs[vectorKey{seed: opt.Seed, z: opt.Z, forward: false, node: q.T}]
+		_, fromHit := memo.vecs[vectorKey{seed: elimCallSeed(opt.Seed, 1), z: opt.Z, forward: true, node: q.S}]
+		_, toHit := memo.vecs[vectorKey{seed: elimCallSeed(opt.Seed, 2), z: opt.Z, forward: false, node: q.T}]
 		memo.mu.Unlock()
 		if cases[run.label] == nil {
 			cases[run.label] = make(map[[2]bool]int)
@@ -200,12 +200,12 @@ func TestVectorMemoCap(t *testing.T) {
 	memo := NewVectorMemo(g, &counts)
 	opt := Options{Workers: 1, Z: 64}.withDefaults()
 	ctx := context.Background()
+	smp, err := opt.elimSampler(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, node := range []ugraph.NodeID{0, 1, 0, 1} {
-		smp, err := opt.elimSampler(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if vec := memo.vector(ctx, smp, node, true, opt); len(vec) != g.N() || vec[node] != 1 {
+		if vec := memo.vector(ctx, smp, g, node, true, elimCallSeed(opt.Seed, 1)); len(vec) != g.N() || vec[node] != 1 {
 			t.Fatalf("From(%d) has %d entries, entry %v at the node", node, len(vec), vec[node])
 		}
 	}
@@ -242,11 +242,7 @@ func TestElimVectorsBitIdentical(t *testing.T) {
 			opt.Vectors = NewVectorMemo(g, &counts)
 			var memo [2]candidates.Result
 			for i := range memo {
-				elim, err := opt.elimSampler(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if memo[i], err = candidateSet(ctx, g, q.S, q.T, elim, opt); err != nil {
+				if memo[i], err = candidateSet(ctx, g, q.S, q.T, 1, opt); err != nil {
 					t.Fatal(err)
 				}
 			}

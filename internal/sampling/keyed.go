@@ -79,9 +79,10 @@ type keyEdge struct {
 
 // keyScratch is the keyed vectors' scratch, epoch-stamped per pass so
 // nothing is cleared between passes: the 8-word node and edge records of
-// keyedChunk (nodes, edges), the one-word records of keyedWord (wNodes,
-// wEdges), the BFS queue, the nodes a pass reached (reach) and the lane
-// counts a call sums over its passes. The masks are a memo only: each is a
+// keyedChunk (nodes, edges), the nodes a pass reached (reach) and the lane
+// counts a call sums over its passes. keyedWord runs on the s–t blocks'
+// one-word records (vecScratch) under their epoch, and both pass widths
+// share vecScratch's BFS queue. The masks are a memo only: each is a
 // function of the call key, the edge's endpoints and the word (keyedMask),
 // and the scalar-replay fuzz target rebuilds every lane's world from that
 // function alone.
@@ -89,9 +90,6 @@ type keyScratch struct {
 	epoch  int32
 	nodes  []keyNode
 	edges  []keyEdge
-	wNodes []laneNode
-	wEdges []laneEdge
-	queue  []ugraph.NodeID
 	reach  []ugraph.NodeID
 	counts []uint32
 	// shape and dense record the graph of the last vector and whether
@@ -105,22 +103,15 @@ func (sc *keyScratch) reset(n, m int) {
 	if len(sc.nodes) < n || len(sc.edges) < m {
 		if len(sc.nodes) < n {
 			sc.nodes = make([]keyNode, n)
-			sc.wNodes = make([]laneNode, n)
 			sc.counts = make([]uint32, n)
 			sc.reach = make([]ugraph.NodeID, 0, n)
-			// Re-expansion waves re-enqueue nodes, so the queue
-			// routinely outgrows n.
-			sc.queue = make([]ugraph.NodeID, 0, 2*n)
 		} else {
 			clear(sc.nodes)
-			clear(sc.wNodes)
 		}
 		if len(sc.edges) < m {
 			sc.edges = make([]keyEdge, m)
-			sc.wEdges = make([]laneEdge, m)
 		} else {
 			clear(sc.edges)
-			clear(sc.wEdges)
 		}
 		sc.epoch = 0
 	}
@@ -133,8 +124,6 @@ func (sc *keyScratch) nextEpoch() {
 	if sc.epoch <= 0 {
 		clear(sc.nodes)
 		clear(sc.edges)
-		clear(sc.wNodes)
-		clear(sc.wEdges)
 		sc.epoch = 1
 	}
 }
@@ -150,6 +139,7 @@ func (sc *keyScratch) nextEpoch() {
 func (v *MCVec) keyedCounts(c *ugraph.CSR, src ugraph.NodeID, forward bool, key uint64, w0, w1, z int) ([]uint32, int) {
 	n := c.N()
 	ks := &v.ks
+	v.sc.reset(n, c.EdgeIDBound())
 	ks.reset(n, c.EdgeIDBound())
 	counts := ks.counts[:n]
 	clear(counts)
@@ -200,16 +190,16 @@ type csrShape struct {
 	directed bool
 }
 
-// keyedWord is keyedChunk for the single lane word j, on one-word node and
-// edge records. It returns the total lane count it added.
+// keyedWord is keyedChunk for the single lane word j, on the s–t blocks'
+// one-word node and edge records. It returns the total lane count it added.
 func (v *MCVec) keyedWord(c *ugraph.CSR, src ugraph.NodeID, forward bool, key uint64, j, z int, counts []uint32) int {
-	sc := &v.ks
+	sc := &v.sc
 	sc.nextEpoch()
 	epoch := sc.epoch
-	nodes, edges := sc.wNodes, sc.wEdges
+	nodes, edges := sc.nodes, sc.edges
 	directed := c.Directed()
 	lanes := wordLanes(j, z)
-	queue, reach := sc.queue[:0], sc.reach[:0]
+	queue, reach := sc.queue[:0], v.ks.reach[:0]
 	nodes[src] = laneNode{ep: epoch, vis: lanes, pend: lanes}
 	queue = append(queue, src)
 	reach = append(reach, src)
@@ -261,7 +251,7 @@ func (v *MCVec) keyedWord(c *ugraph.CSR, src ugraph.NodeID, forward bool, key ui
 		counts[u] += uint32(n)
 		total += n
 	}
-	sc.queue, sc.reach = queue, reach
+	sc.queue, v.ks.reach = queue, reach
 	return total
 }
 
@@ -287,7 +277,7 @@ func (v *MCVec) keyedChunk(c *ugraph.CSR, src ugraph.NodeID, forward bool, key u
 	epoch := sc.epoch
 	nodes, edges := sc.nodes, sc.edges
 	directed := c.Directed()
-	queue, reach := sc.queue[:0], sc.reach[:0]
+	queue, reach := v.sc.queue[:0], sc.reach[:0]
 	ns := &nodes[src]
 	*ns = keyNode{ep: epoch, queued: true}
 	for j := 0; j < k; j++ {
@@ -417,7 +407,7 @@ func (v *MCVec) keyedChunk(c *ugraph.CSR, src ugraph.NodeID, forward bool, key u
 		counts[u] += uint32(n)
 		total += n
 	}
-	sc.queue, sc.reach = queue, reach
+	v.sc.queue, sc.reach = queue, reach
 	return total
 }
 

@@ -320,6 +320,7 @@ func TestMCVecWideMatchesNarrow(t *testing.T) {
 			for _, z := range []int{37, 130, 512} {
 				for _, forward := range []bool{true, false} {
 					v := NewMCVec(z, 1)
+					v.sc.reset(c.N(), c.EdgeIDBound())
 					v.ks.reset(c.N(), c.EdgeIDBound())
 					narrow := make([]uint32, c.N())
 					for j := 0; j < laneWords(z); j++ {

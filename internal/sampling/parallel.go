@@ -31,7 +31,8 @@ const DefaultShards = 16
 // (mcvec's keyed vectors split their lane words over the workers instead,
 // and add up integer lane counts). For a given seed the i-th call returns
 // bit-identical results at any worker count; concurrent callers are
-// race-free but observe call indices in arrival order.
+// race-free but observe call indices in arrival order. VectorFor is the
+// one entry that claims no index: its caller names the call seed.
 type ParallelSampler struct {
 	workers int
 	seed    atomic.Int64
@@ -154,11 +155,6 @@ func (ps *ParallelSampler) Reseed(seed int64) {
 func (ps *ParallelSampler) nextCallSeed() int64 {
 	return rng.SplitSeed(ps.seed.Load(), ps.call.Add(1))
 }
-
-// SkipCall consumes the next call index without estimating: a caller that
-// takes one estimate of a fixed call sequence from elsewhere keeps every
-// later call on the index, and so the result, it would have had.
-func (ps *ParallelSampler) SkipCall() { ps.call.Add(1) }
 
 // fanOut runs fn(smp, i) for i in [0, n) on up to ps.workers goroutines;
 // one worker runs inline, on the calling goroutine. Each goroutine leases
@@ -317,33 +313,34 @@ func (ps *ParallelSampler) ReliabilityCSR(c *ugraph.CSR, s, t ugraph.NodeID) flo
 	return mergeScalar(est, budgets)
 }
 
-// ReliabilityFrom implements Sampler.
+// ReliabilityFrom implements Sampler: VectorFor on the next call seed.
 func (ps *ParallelSampler) ReliabilityFrom(g *ugraph.Graph, s ugraph.NodeID) []float64 {
-	return ps.vector(g.Freeze(), s, true)
+	return ps.VectorFor(g.Freeze(), s, true, ps.nextCallSeed())
 }
 
-// ReliabilityTo implements Sampler.
+// ReliabilityTo implements Sampler: VectorFor on the next call seed.
 func (ps *ParallelSampler) ReliabilityTo(g *ugraph.Graph, t ugraph.NodeID) []float64 {
-	return ps.vector(g.Freeze(), t, false)
+	return ps.VectorFor(g.Freeze(), t, false, ps.nextCallSeed())
 }
 
-// ReliabilityFromCSR implements Sampler.
+// ReliabilityFromCSR implements Sampler: VectorFor on the next call seed.
 func (ps *ParallelSampler) ReliabilityFromCSR(c *ugraph.CSR, s ugraph.NodeID) []float64 {
-	return ps.vector(c, s, true)
+	return ps.VectorFor(c, s, true, ps.nextCallSeed())
 }
 
-// ReliabilityToCSR implements Sampler.
+// ReliabilityToCSR implements Sampler: VectorFor on the next call seed.
 func (ps *ParallelSampler) ReliabilityToCSR(c *ugraph.CSR, t ugraph.NodeID) []float64 {
-	return ps.vector(c, t, false)
+	return ps.VectorFor(c, t, false, ps.nextCallSeed())
 }
 
-// vector estimates one From (forward) or To vector. A keyed kind's is the
-// keyed vector under the call seed's key, the vector a serial sampler
-// seeded with the call seed returns; every other kind's is the
-// budget-weighted merge of per-shard vectors, shard i on the stream
-// Split(callSeed, i).
-func (ps *ParallelSampler) vector(c *ugraph.CSR, src ugraph.NodeID, forward bool) []float64 {
-	callSeed := ps.nextCallSeed()
+// VectorFor estimates src's From (forward) or To vector on the given call
+// seed, leaving the call counter as it is: the vector the call with that
+// seed returns, so a caller that knows a call's seed needs no sampler
+// history to reproduce it. A keyed kind's is the keyed vector under the
+// call seed's key, the vector a serial sampler seeded with the call seed
+// returns; every other kind's is the budget-weighted merge of per-shard
+// vectors, shard i on the stream Split(callSeed, i).
+func (ps *ParallelSampler) VectorFor(c *ugraph.CSR, src ugraph.NodeID, forward bool, callSeed int64) []float64 {
 	if ps.kind.keyed {
 		return ps.keyedVectors(c, []ugraph.NodeID{src}, []uint64{vectorKey(callSeed)}, forward)[0]
 	}

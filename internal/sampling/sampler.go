@@ -10,20 +10,23 @@
 //
 // MCVec is statistically equivalent to MonteCarlo — both are unbiased
 // estimators of the same reliability — but NOT stream-compatible with it:
-// the vector sampler draws 64 Bernoulli trials per RNG interaction
-// (rng.BernoulliMask over a SplitMix64 word stream) where the scalar
-// sampler draws one Float64, so the two consume different randomness and
-// their estimates differ within Monte Carlo error at equal Z. MCVec's own
+// the vector sampler draws 64 Bernoulli trials per mask (a digit
+// comparison against the edge probability) where the scalar sampler draws
+// one Float64, so the two consume different randomness and their
+// estimates differ within Monte Carlo error at equal Z. MCVec's own
 // determinism contract matches every other sampler's: a fixed seed yields
 // bit-identical estimates across runs, across Graph/CSR/view entry
 // points, and at any worker count. Budgets are processed in words of 64
 // lanes with the final word masked down to z%64 lanes, so any Z is honored
-// exactly. The s–t estimate draws its masks from one stream per shard, and
-// ParallelSampler's 64-aligned shard budgets keep words whole. The From/To
-// vectors are keyed instead: an edge's mask in a lane word is a function
-// of the call's key, the edge's canonical endpoints and the word, so a
-// vector depends only on (key, Z, graph), not on traversal order, edge IDs
-// or how ParallelSampler splits its words over workers.
+// exactly. The s–t estimate draws its masks (rng.BernoulliMask) from one
+// rng.Mask64 stream per shard, and ParallelSampler's 64-aligned shard
+// budgets keep words whole. The From/To vectors are keyed instead: an
+// edge's mask in a lane word is drawn on an rng.Keyed64 counter stream
+// placed by the call's key, the edge's canonical endpoints and the word,
+// so a vector depends only on (key, Z, graph), not on traversal order,
+// edge IDs or how ParallelSampler splits its words over workers. The key
+// comes from the call seed alone, so ParallelSampler.VectorFor reproduces
+// any call's vector from its seed.
 //
 // # Randomness
 //

@@ -81,10 +81,10 @@ func RemoveEdge(u, v NodeID) Mutation {
 // touched nodes — so a commit is O(batch · degree of the touched nodes),
 // independent of graph size, for adds, re-probes AND removals. Layers
 // stack; a background compactor folds the chain back into a flat CSR when
-// it reaches the configured depth or delta-arc fraction (see
-// WithCompactionPolicy and Engine.Compact), amortizing the O(N + M)
-// rebuild over many commits. Reads on a layered epoch are bit-identical to
-// a flat rebuild at the same epoch (the differential suites pin this).
+// it reaches a fixed depth or delta-arc fraction (see compact.go and
+// Engine.Compact), amortizing the O(N + M) rebuild over many commits.
+// Reads on a layered epoch are bit-identical to a flat rebuild at the same
+// epoch (the differential suites pin this).
 func (e *Engine) Apply(ctx context.Context, muts ...Mutation) (uint64, error) {
 	if ctx == nil {
 		ctx = context.Background()
