@@ -206,7 +206,7 @@ func (o Options) NewSampler(ctx context.Context, stream int64) (sampling.BatchSa
 
 // parallelSampler is NewSampler for an estimator of the given kind.
 func (o Options) parallelSampler(ctx context.Context, kind string, stream int64) (*sampling.ParallelSampler, error) {
-	smp, err := sampling.NewParallel(kind, o.Z, rng.Split(o.Seed, stream).Int63(), o.Workers)
+	smp, err := sampling.NewParallel(kind, o.Z, streamSeed(o.Seed, stream), o.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -230,7 +230,15 @@ func (o Options) elimSampler(ctx context.Context) (*sampling.ParallelSampler, er
 // and To(t) on call 2r, so each vector is addressed by (Seed, round,
 // direction) and not by how many calls some sampler has served.
 func elimCallSeed(seed, call int64) int64 {
-	return rng.SplitSeed(rng.Split(seed, 7).Int63(), call)
+	return rng.SplitSeed(streamSeed(seed, 7), call)
+}
+
+// streamSeed is rng.Split(seed, stream).Int63(), the seed of the samplers
+// on stream, drawn from a Source that stays off the heap.
+func streamSeed(seed, stream int64) int64 {
+	var src rng.Source
+	src.Seed(rng.SplitSeed(seed, stream))
+	return src.Int63()
 }
 
 // Solution is the outcome of a Problem 1 query.
