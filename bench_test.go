@@ -463,21 +463,25 @@ func BenchmarkSolveWorkers(b *testing.B) {
 // elimination stage times of one solve, and eval_ms is the rest of its
 // wall time: the held-out evaluation plus the engine's per-request
 // overhead.
-func BenchmarkServedSolve(b *testing.B) { benchServedShape(b, "lastfm") }
+func BenchmarkServedSolve(b *testing.B) { benchServedShape(b, "lastfm", 0.08) }
 
 // BenchmarkServedSolveShapes is BenchmarkServedSolve on the other served
 // stand-ins at ×0.08: astopo (directed), dblp (large tie bands, sparse
 // low-probability reach) and twitter (sparse, directed).
 func BenchmarkServedSolveShapes(b *testing.B) {
 	for _, name := range []string{"astopo", "dblp", "twitter"} {
-		b.Run(name, func(b *testing.B) { benchServedShape(b, name) })
+		b.Run(name, func(b *testing.B) { benchServedShape(b, name, 0.08) })
 	}
 }
 
+// BenchmarkServedSolveLarge is BenchmarkServedSolve on lastfm×1 (2000
+// nodes, 6992 edges), where elimination is most of a solve.
+func BenchmarkServedSolveLarge(b *testing.B) { benchServedShape(b, "lastfm", 1) }
+
 // benchServedShape runs BenchmarkServedSolve's sweep on dataset name at
-// scale 0.08.
-func benchServedShape(b *testing.B, name string) {
-	g, err := LoadDataset(name, 0.08, 1)
+// the given scale.
+func benchServedShape(b *testing.B, name string, scale float64) {
+	g, err := LoadDataset(name, scale, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
