@@ -85,7 +85,9 @@ smoke-relmaxd:
 
 # Short fuzz smoke: each target fuzzes for 10s on top of the checked-in
 # seed corpus, catching shallow regressions in the I/O, Freeze and
-# durability-decode paths, in the replication feed's frame decoder
+# durability-decode paths, in mcvec's keyed vectors (against a scalar
+# replay of each lane, and with mask views carried across an edit stream
+# against a fresh sampler), in the replication feed's frame decoder
 # (FuzzFrameDecode), in the exact path-subgraph objective (its reducing
 # factoring against plain factoring up to 20 edges, and against brute force
 # up to 12) and in the top-l search: on G ∪ E+ built as a graph from a
@@ -94,6 +96,7 @@ fuzz-smoke:
 	$(GO) test ./internal/ugraph -run '^$$' -fuzz '^FuzzEdgeListRoundTrip$$' -fuzztime 10s
 	$(GO) test ./internal/ugraph -run '^$$' -fuzz '^FuzzFreezeConsistency$$' -fuzztime 10s
 	$(GO) test ./internal/sampling -run '^$$' -fuzz '^FuzzMCVecScalarReplay$$' -fuzztime 10s
+	$(GO) test ./internal/sampling -run '^$$' -fuzz '^FuzzMCVecViewEdits$$' -fuzztime 10s
 	$(GO) test ./internal/rng -run '^$$' -fuzz '^FuzzSourceMatchesMathRand$$' -fuzztime 10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime 10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime 10s

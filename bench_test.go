@@ -457,12 +457,17 @@ func BenchmarkSolveWorkers(b *testing.B) {
 // BenchmarkServedSolve times the solve shape relmaxd serves: BE on
 // lastfm×0.08 with the engine defaults (Z 500, L 30, R 100, rss) over 20
 // pairs 3-5 hops apart, one engine worker. One op is a sweep of the 20
-// solves on a fresh engine, built outside the timer, so elimination stays
-// cold: a reused engine would serve every sweep after the first from its
-// vector memo. select_ms and elim_ms are the mean selection and
-// elimination stage times of one solve, and eval_ms is the rest of its
-// wall time: the held-out evaluation plus the engine's per-request
-// overhead.
+// solves on a fresh engine, built outside the timer, so each sweep starts
+// with an empty vector memo and samples every From and To vector; a reused
+// engine would serve every sweep after the first from its memo. The
+// sweeps share the process's pooled mcvec samplers, whose mask views carry
+// the two elimination keys' masks from one engine's graph to the next
+// (see sampling.MCVec), so elim_ms times the steady state of a served
+// graph, where the vectors pay for their traversals and almost no masks
+// are drawn, not a first query. select_ms and elim_ms are the mean
+// selection and elimination stage times of one solve, and eval_ms is the
+// rest of its wall time: the held-out evaluation plus the engine's
+// per-request overhead.
 func BenchmarkServedSolve(b *testing.B) { benchServedShape(b, "lastfm", 0.08) }
 
 // BenchmarkServedSolveShapes is BenchmarkServedSolve on the other served

@@ -103,7 +103,9 @@
 // solves that shares sources or targets samples each vector once per
 // epoch. A memoised vector is the one the solve would have sampled, so the
 // memo never changes a result; a new epoch, or its compacted twin, starts
-// with none. Engine.Stats counts the hits and misses.
+// with none. Engine.Stats counts the hits and misses. A vector the memo
+// misses still reuses the edge masks earlier solves drew, on this epoch
+// and on the ones before it: see the vector sampler below.
 //
 // # Queries, jobs and the result cache
 //
@@ -360,7 +362,11 @@
 // endpoints and the word. One traversal carries up to 512 lanes, and a
 // vector depends only on the key, Z and the graph: it is bit-identical at
 // every worker count, in any traversal order, and on a layered epoch and
-// its compacted twin, whose edge IDs differ.
+// its compacted twin, whose edge IDs differ. So a pooled sampler keeps
+// the masks of a key it uses again (every served From vector shares one
+// key, every To vector another), and carries them to the next epoch for
+// each edge whose endpoints and probability a write left alone, for calls
+// of up to 512 lanes on graphs whose masks fit a fixed 4 MiB per key.
 //
 // # Snapshots and the sampling hot path
 //

@@ -19,7 +19,10 @@ const maxMemoEntries = 1 << 20
 // Z and the graph alone, bit-identical at every worker count, so a vector
 // found here is the vector the solve would have sampled, and no result
 // changes. The memo is safe for concurrent use; the vectors it hands out
-// are shared and never modified.
+// are shared and never modified. It saves whole vectors on one epoch only;
+// what carries across epochs is below it, in the pooled mcvec samplers,
+// which keep each call seed's edge masks in mask views and start the next
+// epoch's view from them (see sampling.MCVec).
 type VectorMemo struct {
 	g      *ugraph.Graph
 	counts *MemoCounts

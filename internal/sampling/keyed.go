@@ -3,6 +3,8 @@ package sampling
 import (
 	"math"
 	"math/bits"
+	"slices"
+	"unsafe"
 
 	"repro/internal/rng"
 	"repro/internal/ugraph"
@@ -69,8 +71,10 @@ type keyNode struct {
 	vis, pend [vecWords]uint64
 }
 
-// keyEdge is one edge's state in a keyed vector chunk: the epoch stamp,
-// the words whose masks are drawn, and the masks.
+// keyEdge is one edge's state in a keyed vector chunk: the stamp
+// validating the rest, the words whose masks are drawn, and the masks.
+// Lane word w sits in slot w mod vecWords (bit w mod vecWords of drawn),
+// which no two words of one chunk share.
 type keyEdge struct {
 	ep    int32
 	drawn uint8
@@ -82,10 +86,13 @@ type keyEdge struct {
 // keyedChunk (nodes, edges), the nodes a pass reached (reach) and the lane
 // counts a call sums over its passes. keyedWord runs on the s–t blocks'
 // one-word records (vecScratch) under their epoch, and both pass widths
-// share vecScratch's BFS queue. The masks are a memo only: each is a
-// function of the call key, the edge's endpoints and the word (keyedMask),
-// and the scalar-replay fuzz target rebuilds every lane's world from that
-// function alone.
+// share vecScratch's BFS queue. edges holds one record per edge ID, valid
+// for one pass; a dense call on a key the sampler has used before runs on
+// that key's mask view instead (see maskView), whose records outlive the
+// call. Either way the masks are a memo only: each is a function of the
+// call key, the edge's endpoints, the word and the edge's probability
+// (keyedMask), and the scalar-replay fuzz target rebuilds every lane's
+// world from that function alone.
 type keyScratch struct {
 	epoch  int32
 	nodes  []keyNode
@@ -96,6 +103,12 @@ type keyScratch struct {
 	// its reach was dense (see keyedCounts).
 	shape csrShape
 	dense bool
+	// views are the sampler's mask views, seen the keys of dense calls
+	// that got none (newest first), and lookups counts view lookups,
+	// which order the views by last use.
+	views   [maxViews]maskView
+	seen    [maxViews]viewID
+	lookups uint64
 }
 
 func (sc *keyScratch) reset(n, m int) {
@@ -133,9 +146,11 @@ func (sc *keyScratch) nextEpoch() {
 // (src's own lanes included), and the number of lanes drawn. The counts
 // live in the sampler's scratch until its next estimate. The words run one
 // per pass (keyedWord) while the reach looks sparse, and vecWords at a
-// time (keyedChunk) once it looks dense (see sparseReach). Cancellation,
-// with its scheduling yield, is polled once per pass; a cancelled call
-// counts only the passes it finished.
+// time (keyedChunk) once it looks dense (see sparseReach). A call that
+// starts dense runs its chunks on the key's mask view when the sampler
+// keeps or builds one (see keyScratch.view). Cancellation, with its
+// scheduling yield, is polled once per pass; a cancelled call counts only
+// the passes it finished.
 func (v *MCVec) keyedCounts(c *ugraph.CSR, src ugraph.NodeID, forward bool, key uint64, w0, w1, z int) ([]uint32, int) {
 	n := c.N()
 	ks := &v.ks
@@ -145,6 +160,10 @@ func (v *MCVec) keyedCounts(c *ugraph.CSR, src ugraph.NodeID, forward bool, key 
 	clear(counts)
 	shape := csrShape{n: n, directed: c.Directed()}
 	narrow := ks.shape != shape || !ks.dense
+	var view *maskView
+	if !narrow {
+		view = ks.view(c, key, forward, laneWords(z))
+	}
 	drawn, reached := 0, 0
 	for j := w0; j < w1; {
 		if v.cancelled() {
@@ -157,7 +176,7 @@ func (v *MCVec) keyedCounts(c *ugraph.CSR, src ugraph.NodeID, forward bool, key 
 			reached += r
 		} else {
 			k = min(vecWords, w1-j)
-			reached += v.keyedChunk(c, src, forward, key, j, k, z, counts)
+			reached += v.keyedChunk(c, src, forward, key, j, k, z, counts, view)
 			for i := j + 1; i < j+k; i++ {
 				lanes += bits.OnesCount64(wordLanes(i, z))
 			}
@@ -188,6 +207,172 @@ const sparseReach = 16
 type csrShape struct {
 	n        int
 	directed bool
+}
+
+// maxViews is the number of mask views a sampler keeps, and of keys it
+// remembers having used without one.
+const maxViews = 4
+
+// maxViewBytes caps one mask view's records. A graph whose traversal has
+// more arcs than fit keeps the per-pass records.
+const maxViewBytes = 4 << 20
+
+// viewEpoch stamps the records of a mask view that a pass has touched.
+// It never advances, so a view's masks outlive the passes that draw them.
+const viewEpoch = 1
+
+// viewID names the masks a view holds: a call key, the lane words of the
+// calls using it and their direction.
+type viewID struct {
+	key     uint64
+	words   int
+	forward bool
+}
+
+// maskView keeps one key's masks on one CSR from call to call: a keyEdge
+// record per arc of the rows a traversal walks (Out forward, In backward),
+// in adjacency order, so a chunk reads an arc's masks next to the arc.
+// A record holds every lane word of the view's calls (at most vecWords,
+// so a part of a call, whichever words it carries, finds them in the same
+// view) and fills as passes draw them. A mask is a function of the key,
+// the edge's canonical endpoints, the word and the edge's probability
+// alone, so a view never changes a bit of a vector.
+type maskView struct {
+	id viewID
+	// c is the graph the records describe, nil in a slot never used. The
+	// view holds it, so no other CSR can take its address while the view
+	// names it.
+	c    *ugraph.CSR
+	off  []int32 // off[u]: the record of the first arc of u's row
+	recs []keyEdge
+	used uint64 // keyScratch.lookups at the view's last lookup
+}
+
+// view returns the sampler's mask view of key on c for calls of the given
+// lane words and direction, or nil if such a call should draw into the
+// per-pass records: a call of more than vecWords words, one on a graph
+// whose records would pass maxViewBytes, or the first call on a key, since
+// a key used once (a batch's per-node keys, an experiment's per-query
+// seeds) would pay for a view it never reads again. A key with a view on
+// another graph of the same direction gets one on c that starts from the
+// masks of its latest such view (see build); a key seen once before gets
+// an empty one. The new view takes the slot used least recently, sparing
+// the one it starts from.
+func (ks *keyScratch) view(c *ugraph.CSR, key uint64, forward bool, words int) *maskView {
+	if words > vecWords {
+		return nil
+	}
+	id := viewID{key: key, words: words, forward: forward}
+	ks.lookups++
+	var from *maskView
+	for i := range ks.views {
+		v := &ks.views[i]
+		if v.c == nil || v.id != id {
+			continue
+		}
+		if v.c == c {
+			v.used = ks.lookups
+			return v
+		}
+		if v.c.Directed() == c.Directed() && (from == nil || v.used > from.used) {
+			from = v
+		}
+	}
+	if from == nil && !ks.seenBefore(id) {
+		return nil
+	}
+	arcs := c.M()
+	if !c.Directed() {
+		arcs *= 2
+	}
+	if arcs*int(unsafe.Sizeof(keyEdge{})) > maxViewBytes {
+		return nil
+	}
+	var slot *maskView
+	for i := range ks.views {
+		if v := &ks.views[i]; v != from && (slot == nil || v.used < slot.used) {
+			slot = v
+		}
+	}
+	slot.build(c, id, from)
+	slot.used = ks.lookups
+	return slot
+}
+
+// seenBefore reports whether id is among the last maxViews keys that got
+// no view, and records it there if not.
+func (ks *keyScratch) seenBefore(id viewID) bool {
+	for _, s := range ks.seen {
+		if s == id {
+			return true
+		}
+	}
+	copy(ks.seen[1:], ks.seen[:maxViews-1])
+	ks.seen[0] = id
+	return false
+}
+
+// build makes v the view id on c, reusing v's arrays. Each record starts
+// as a copy of the record of the same arc in from's rows (from may be nil)
+// where from's graph has that arc at the same probability, and undrawn
+// otherwise: after an edit batch only the edited edges draw again. A row
+// keeps its arcs' relative order from one epoch to the next, on a delta
+// layer and on its flat rebuild alike (an edit drops an arc in place or
+// appends one), so one forward scan of the old row finds every arc it
+// still has; any other order only leaves more records undrawn. Nothing is
+// kept from one view to the next but the records, so a long write stream
+// leaves no stale entries behind.
+func (v *maskView) build(c *ugraph.CSR, id viewID, from *maskView) {
+	n := c.N()
+	v.id, v.c = id, c
+	v.off = slices.Grow(v.off[:0], n+1)[:n+1]
+	total := int32(0)
+	for u := range n {
+		v.off[u] = total
+		arcs, _ := row(c, ugraph.NodeID(u), id.forward)
+		total += int32(len(arcs))
+	}
+	v.off[n] = total
+	v.recs = slices.Grow(v.recs[:0], int(total))[:total]
+	if from == nil {
+		clear(v.recs)
+		return
+	}
+	for u := range n {
+		recs := v.recs[v.off[u]:v.off[u+1]]
+		if u >= from.c.N() {
+			clear(recs)
+			continue
+		}
+		arcs, probs := row(c, ugraph.NodeID(u), id.forward)
+		oldArcs, oldProbs := row(from.c, ugraph.NodeID(u), id.forward)
+		old := from.recs[from.off[u]:from.off[u+1]]
+		k := 0
+		for i, a := range arcs {
+			j := k
+			for j < len(oldArcs) && oldArcs[j].To != a.To {
+				j++
+			}
+			switch {
+			case j == len(oldArcs):
+				recs[i] = keyEdge{}
+			case oldProbs[j] == probs[i]:
+				recs[i], k = old[j], j+1
+			default:
+				recs[i], k = keyEdge{}, j+1
+			}
+		}
+	}
+}
+
+// row returns u's arcs and their probabilities in the direction a
+// traversal walks: out-arcs forward, in-arcs backward. The pass kernels
+// spell it out, since it is too large to inline there.
+func row(c *ugraph.CSR, u ugraph.NodeID, forward bool) ([]ugraph.Arc, []float64) {
+	if forward {
+		return c.Out(u), c.OutProbs(u)
+	}
+	return c.In(u), c.InProbs(u)
 }
 
 // keyedWord is keyedChunk for the single lane word j, on the s–t blocks'
@@ -269,13 +454,23 @@ const wideWords = 2
 // fixed-width loops over all vecWords words when they are many. An arc
 // needs the edge's mask only in the words where it could bring its head
 // something new (lanes the tail has pending and the head lacks); such a
-// mask is drawn then and memoized for the rest of the chunk. A keyed mask
-// is the same whenever it is drawn, or if it never is.
-func (v *MCVec) keyedChunk(c *ugraph.CSR, src ugraph.NodeID, forward bool, key uint64, w0, k, z int, counts []uint32) int {
+// mask is drawn then and memoized: for the rest of the chunk in the
+// edge's per-pass record, or, given a view, in the arc's record for the
+// view's lifetime. A keyed mask is the same whenever it is drawn, or if it
+// never is.
+func (v *MCVec) keyedChunk(c *ugraph.CSR, src ugraph.NodeID, forward bool, key uint64, w0, k, z int, counts []uint32, view *maskView) int {
 	sc := &v.ks
 	sc.nextEpoch()
 	epoch := sc.epoch
-	nodes, edges := sc.nodes, sc.edges
+	nodes := sc.nodes
+	// Arc i of u's row uses record off[u]+i of a view, stamped viewEpoch
+	// once touched, and otherwise the record of its edge ID, stamped with
+	// the pass's epoch.
+	edges, stamp, off := sc.edges, epoch, []int32(nil)
+	if view != nil {
+		edges, stamp, off = view.recs, viewEpoch, view.off
+	}
+	rot := w0 & (vecWords - 1)
 	directed := c.Directed()
 	queue, reach := v.sc.queue[:0], sc.reach[:0]
 	ns := &nodes[src]
@@ -302,6 +497,10 @@ func (v *MCVec) keyedChunk(c *ugraph.CSR, src ugraph.NodeID, forward bool, key u
 		} else {
 			arcs, probs = c.In(u), c.InProbs(u)
 		}
+		var first int32
+		if off != nil {
+			first = off[u]
+		}
 		if bits.OnesCount8(act) > wideWords {
 			for i, a := range arcs {
 				w := a.To
@@ -319,23 +518,28 @@ func (v *MCVec) keyedChunk(c *ugraph.CSR, src ugraph.NodeID, forward bool, key u
 						continue
 					}
 				}
-				e := &edges[a.EID]
-				if e.ep != epoch {
-					e.ep, e.drawn = epoch, 0
+				x := a.EID
+				if off != nil {
+					x = first + int32(i)
 				}
-				if need := act &^ e.drawn; need != 0 {
+				e := &edges[x]
+				if e.ep != stamp {
+					e.ep, e.drawn = stamp, 0
+				}
+				if need := act &^ bits.RotateLeft8(e.drawn, -rot); need != 0 {
 					h := edgeHash(key, u, w, forward, directed)
 					for nb := need; nb != 0; nb &= nb - 1 {
 						j := bits.TrailingZeros8(nb) & (vecWords - 1)
 						if g[j] != 0 {
-							e.mask[j] = keyedMask(h, w0+j, probs[i])
-							e.drawn |= 1 << j
+							slot := (rot + j) & (vecWords - 1)
+							e.mask[slot] = keyedMask(h, w0+j, probs[i])
+							e.drawn |= 1 << slot
 						}
 					}
 				}
 				var any uint64
 				for j := range g {
-					g[j] &= e.mask[j]
+					g[j] &= e.mask[(rot+j)&(vecWords-1)]
 					any |= g[j]
 				}
 				if any == 0 {
@@ -359,9 +563,13 @@ func (v *MCVec) keyedChunk(c *ugraph.CSR, src ugraph.NodeID, forward bool, key u
 		for i, a := range arcs {
 			w := a.To
 			nw := &nodes[w]
-			e := &edges[a.EID]
-			if e.ep != epoch {
-				e.ep, e.drawn = epoch, 0
+			x := a.EID
+			if off != nil {
+				x = first + int32(i)
+			}
+			e := &edges[x]
+			if e.ep != stamp {
+				e.ep, e.drawn = stamp, 0
 			}
 			cur := nw.ep == epoch
 			var h uint64
@@ -374,14 +582,15 @@ func (v *MCVec) keyedChunk(c *ugraph.CSR, src ugraph.NodeID, forward bool, key u
 						continue
 					}
 				}
-				if e.drawn>>j&1 == 0 {
+				slot := (rot + j) & (vecWords - 1)
+				if e.drawn>>slot&1 == 0 {
 					if !hashed {
 						h, hashed = edgeHash(key, u, w, forward, directed), true
 					}
-					e.mask[j] = keyedMask(h, w0+j, probs[i])
-					e.drawn |= 1 << j
+					e.mask[slot] = keyedMask(h, w0+j, probs[i])
+					e.drawn |= 1 << slot
 				}
-				if m &= e.mask[j]; m == 0 {
+				if m &= e.mask[slot]; m == 0 {
 					continue
 				}
 				if !cur {

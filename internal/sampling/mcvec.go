@@ -43,6 +43,15 @@ const vecWords = 8
 //     reach is dense. A vector therefore depends only on the key, Z and
 //     the graph: not on traversal order, edge IDs or how its words are
 //     split into passes.
+//   - A key used again keeps its masks: from a key's second dense call
+//     on, the sampler holds them in a mask view over the graph's arcs
+//     (see maskView), so later calls on that key draw only masks no
+//     earlier call drew. A view on a new graph, such as the next epoch of
+//     a served one, starts from the masks of the key's last view wherever
+//     an edge kept its endpoints and probability, so after a write batch
+//     only the edited edges draw again. Served elimination draws every
+//     From vector on one key and every To vector on another (see
+//     core.elimCallSeed), so its traffic runs on two views.
 //
 // Its determinism contract is pinned instead: a fixed seed yields
 // bit-identical estimates run to run, and the ParallelSampler wrapping
@@ -51,8 +60,10 @@ const vecWords = 8
 //
 // Like the scalar samplers, MCVec reuses epoch-stamped scratch (per-node
 // lane words, per-edge sampled masks, BFS queue) and allocates nothing in
-// the steady-state loop; it is deterministic given its seed and NOT safe
-// for concurrent use.
+// the steady-state loop; building a mask view reuses the arrays of the
+// view it replaces, and a sampler keeps at most maxViews views of at most
+// maxViewBytes each. It is deterministic given its seed and NOT safe for
+// concurrent use.
 type MCVec struct {
 	z  int
 	r  rng.Mask64

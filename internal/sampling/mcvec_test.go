@@ -327,7 +327,7 @@ func TestMCVecWideMatchesNarrow(t *testing.T) {
 						v.keyedWord(c, 3, forward, 99, j, z, narrow)
 					}
 					wide := make([]uint32, c.N())
-					v.keyedChunk(c, 3, forward, 99, 0, laneWords(z), z, wide)
+					v.keyedChunk(c, 3, forward, 99, 0, laneWords(z), z, wide, nil)
 					if !slices.Equal(narrow, wide) {
 						t.Fatalf("directed=%v seed=%d z=%d forward=%v: one-word passes %v, one chunk %v", directed, seed, z, forward, narrow, wide)
 					}
