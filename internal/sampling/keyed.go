@@ -83,8 +83,8 @@ type keyEdge struct {
 
 // keyScratch is the keyed vectors' scratch, epoch-stamped per pass so
 // nothing is cleared between passes: the 8-word node and edge records of
-// keyedChunk (nodes, edges), the nodes a pass reached (reach) and the lane
-// counts a call sums over its passes. keyedWord runs on the s–t blocks'
+// keyedChunk (nodes, edges), the nodes a pass stamped (reach; a few may
+// hold no lanes) and the lane counts a call sums over its passes. keyedWord runs on the s–t blocks'
 // one-word records (vecScratch) under their epoch, and both pass widths
 // share vecScratch's BFS queue. edges holds one record per edge ID, valid
 // for one pass; a dense call on a key the sampler has used before runs on
@@ -457,7 +457,9 @@ const wideWords = 2
 // mask is drawn then and memoized: for the rest of the chunk in the
 // edge's per-pass record, or, given a view, in the arc's record for the
 // view's lifetime. A keyed mask is the same whenever it is drawn, or if it
-// never is.
+// never is. A wide expansion stamps each head it examines, so it updates
+// the head's lanes in the same loop that computes them; a head that gets
+// no lanes adds nothing to the counts.
 func (v *MCVec) keyedChunk(c *ugraph.CSR, src ugraph.NodeID, forward bool, key uint64, w0, k, z int, counts []uint32, view *maskView) int {
 	sc := &v.ks
 	sc.nextEpoch()
@@ -505,18 +507,9 @@ func (v *MCVec) keyedChunk(c *ugraph.CSR, src ugraph.NodeID, forward bool, key u
 			for i, a := range arcs {
 				w := a.To
 				nw := &nodes[w]
-				cur := nw.ep == epoch
-				// g[j]: the lanes of u's word j that w lacks.
-				g := f
-				if cur {
-					var any uint64
-					for j := range g {
-						g[j] &^= nw.vis[j]
-						any |= g[j]
-					}
-					if any == 0 {
-						continue
-					}
+				if nw.ep != epoch {
+					*nw = keyNode{ep: epoch}
+					reach = append(reach, w)
 				}
 				x := a.EID
 				if off != nil {
@@ -530,30 +523,22 @@ func (v *MCVec) keyedChunk(c *ugraph.CSR, src ugraph.NodeID, forward bool, key u
 					h := edgeHash(key, u, w, forward, directed)
 					for nb := need; nb != 0; nb &= nb - 1 {
 						j := bits.TrailingZeros8(nb) & (vecWords - 1)
-						if g[j] != 0 {
+						if f[j]&^nw.vis[j] != 0 {
 							slot := (rot + j) & (vecWords - 1)
 							e.mask[slot] = keyedMask(h, w0+j, probs[i])
 							e.drawn |= 1 << slot
 						}
 					}
 				}
+				// The lanes of u's word j that w lacks and the arc carries.
 				var any uint64
-				for j := range g {
-					g[j] &= e.mask[(rot+j)&(vecWords-1)]
-					any |= g[j]
-				}
-				if any == 0 {
-					continue
-				}
-				if !cur {
-					*nw = keyNode{ep: epoch}
-					reach = append(reach, w)
-				}
-				for j, m := range g {
+				for j, l := range f {
+					m := l &^ nw.vis[j] & e.mask[(rot+j)&(vecWords-1)]
 					nw.vis[j] |= m
 					nw.pend[j] |= m
+					any |= m
 				}
-				if !nw.queued {
+				if any != 0 && !nw.queued {
 					nw.queued = true
 					queue = append(queue, w)
 				}
