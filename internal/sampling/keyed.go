@@ -84,15 +84,15 @@ type keyEdge struct {
 // keyScratch is the keyed vectors' scratch, epoch-stamped per pass so
 // nothing is cleared between passes: the 8-word node and edge records of
 // keyedChunk (nodes, edges), the nodes a pass stamped (reach; a few may
-// hold no lanes) and the lane counts a call sums over its passes. keyedWord runs on the s–t blocks'
-// one-word records (vecScratch) under their epoch, and both pass widths
-// share vecScratch's BFS queue. edges holds one record per edge ID, valid
-// for one pass; a dense call on a key the sampler has used before runs on
-// that key's mask view instead (see maskView), whose records outlive the
-// call. Either way the masks are a memo only: each is a function of the
-// call key, the edge's endpoints, the word and the edge's probability
-// (keyedMask), and the scalar-replay fuzz target rebuilds every lane's
-// world from that function alone.
+// hold no lanes) and the lane counts a call sums over its passes.
+// keyedWord runs on the s–t blocks' one-word records (vecScratch) under
+// their epoch, and both pass widths share vecScratch's BFS queue. edges
+// holds one record per edge ID, valid for one pass; a dense call on a key
+// the sampler has used before runs on that key's mask view instead (see
+// maskView), whose records outlive the call. Either way the masks are a
+// memo only: each is a function of the call key, the edge's endpoints,
+// the word and the edge's probability (keyedMask), and the scalar-replay
+// fuzz target rebuilds every lane's world from that function alone.
 type keyScratch struct {
 	epoch  int32
 	nodes  []keyNode
@@ -365,6 +365,33 @@ func (v *maskView) build(c *ugraph.CSR, id viewID, from *maskView) {
 	}
 }
 
+// addLanes adds to a head's reached and pending lanes, word by word, the
+// lanes of the tail's pending words f that the head lacks and the arc's
+// masks carry, and returns their union. It is keyedChunk's hottest code,
+// written out word by word since the compiler does not unroll the loop;
+// the array below stops the build if vecWords outgrows it.
+var _ [8 - vecWords]struct{}
+
+func addLanes(vis, pend, f, mask *[vecWords]uint64) uint64 {
+	m0 := f[0] &^ vis[0] & mask[0]
+	m1 := f[1] &^ vis[1] & mask[1]
+	m2 := f[2] &^ vis[2] & mask[2]
+	m3 := f[3] &^ vis[3] & mask[3]
+	m4 := f[4] &^ vis[4] & mask[4]
+	m5 := f[5] &^ vis[5] & mask[5]
+	m6 := f[6] &^ vis[6] & mask[6]
+	m7 := f[7] &^ vis[7] & mask[7]
+	vis[0], pend[0] = vis[0]|m0, pend[0]|m0
+	vis[1], pend[1] = vis[1]|m1, pend[1]|m1
+	vis[2], pend[2] = vis[2]|m2, pend[2]|m2
+	vis[3], pend[3] = vis[3]|m3, pend[3]|m3
+	vis[4], pend[4] = vis[4]|m4, pend[4]|m4
+	vis[5], pend[5] = vis[5]|m5, pend[5]|m5
+	vis[6], pend[6] = vis[6]|m6, pend[6]|m6
+	vis[7], pend[7] = vis[7]|m7, pend[7]|m7
+	return m0 | m1 | m2 | m3 | m4 | m5 | m6 | m7
+}
+
 // row returns u's arcs and their probabilities in the direction a
 // traversal walks: out-arcs forward, in-arcs backward. The pass kernels
 // spell it out, since it is too large to inline there.
@@ -472,7 +499,10 @@ func (v *MCVec) keyedChunk(c *ugraph.CSR, src ugraph.NodeID, forward bool, key u
 	if view != nil {
 		edges, stamp, off = view.recs, viewEpoch, view.off
 	}
+	// Word w0+j of a record sits in slot (rot+j) mod vecWords; a wide
+	// expansion reads a record's masks through rotated when rot != 0.
 	rot := w0 & (vecWords - 1)
+	var rotated [vecWords]uint64
 	directed := c.Directed()
 	queue, reach := v.sc.queue[:0], sc.reach[:0]
 	ns := &nodes[src]
@@ -530,14 +560,14 @@ func (v *MCVec) keyedChunk(c *ugraph.CSR, src ugraph.NodeID, forward bool, key u
 						}
 					}
 				}
-				// The lanes of u's word j that w lacks and the arc carries.
-				var any uint64
-				for j, l := range f {
-					m := l &^ nw.vis[j] & e.mask[(rot+j)&(vecWords-1)]
-					nw.vis[j] |= m
-					nw.pend[j] |= m
-					any |= m
+				mask := &e.mask
+				if rot != 0 {
+					for j := range rotated {
+						rotated[j] = e.mask[(rot+j)&(vecWords-1)]
+					}
+					mask = &rotated
 				}
+				any := addLanes(&nw.vis, &nw.pend, &f, mask)
 				if any != 0 && !nw.queued {
 					nw.queued = true
 					queue = append(queue, w)
