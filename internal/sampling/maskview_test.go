@@ -244,11 +244,7 @@ func TestMaskViewWorkersBitIdentical(t *testing.T) {
 				for _, src := range []ugraph.NodeID{0, 10, 20, 30} {
 					for _, forward := range []bool{true, false} {
 						got := ps.VectorFor(c, src, forward, callSeed)
-						serial := NewMCVec(z, callSeed)
-						want := serial.ReliabilityToCSR(c, src)
-						if forward {
-							want = NewMCVec(z, callSeed).ReliabilityFromCSR(c, src)
-						}
+						want := shardVector(NewMCVec(z, callSeed), c, src, forward)
 						if !slices.Equal(got, want) {
 							t.Fatalf("directed=%v step %d w=%d src=%d forward=%v: %v != serial %v", directed, step, w, src, forward, got, want)
 						}
